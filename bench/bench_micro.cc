@@ -233,7 +233,6 @@ BENCHMARK(BM_SortCountByKey)->Arg(1)->Arg(2)->Arg(4);
 void MatchBenchmark(benchmark::State& state, bool incremental, int threads,
                     bool parallel_selection,
                     ScoringBackend backend = ScoringBackend::kRadixSort,
-                    Scheduler scheduler = Scheduler::kAuto,
                     int lsm_max_tiers = 2) {
   Graph g = GeneratePreferentialAttachment(8000, 10, 5);
   RealizationPair pair = SampleIndependent(g, {}, 6);
@@ -245,7 +244,6 @@ void MatchBenchmark(benchmark::State& state, bool incremental, int threads,
   config.num_threads = threads;
   config.use_parallel_selection = parallel_selection;
   config.scoring_backend = backend;
-  config.scheduler = scheduler;
   config.lsm_max_tiers = lsm_max_tiers;
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
@@ -286,17 +284,11 @@ void BM_MatchHash4T(benchmark::State& state) {
 void BM_MatchHashRecompute1T(benchmark::State& state) {
   MatchBenchmark(state, false, 1, true, ScoringBackend::kHashMap);
 }
-// Scheduler series: the default 4T run resolves to work-stealing; this one
-// pins static chunking so the scheduler gap stays visible in the baseline.
-void BM_MatchStaticSched4T(benchmark::State& state) {
-  MatchBenchmark(state, true, 4, true, ScoringBackend::kRadixSort,
-                 Scheduler::kStatic);
-}
 // LSM series: single-tier store (merge every round delta into the big run —
-// the pre-LSM behavior) under the default scheduler.
+// the pre-LSM behavior).
 void BM_MatchSingleTier4T(benchmark::State& state) {
   MatchBenchmark(state, true, 4, true, ScoringBackend::kRadixSort,
-                 Scheduler::kAuto, /*lsm_max_tiers=*/1);
+                 /*lsm_max_tiers=*/1);
 }
 BENCHMARK(BM_MatchIncremental1T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchIncremental2T)->Unit(benchmark::kMillisecond);
@@ -307,7 +299,6 @@ BENCHMARK(BM_MatchSerialSelect4T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchHash1T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchHash4T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchHashRecompute1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchStaticSched4T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchSingleTier4T)->Unit(benchmark::kMillisecond);
 
 }  // namespace

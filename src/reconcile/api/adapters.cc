@@ -59,18 +59,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   } else {
     reader.AddError("parameter 'backend' must be hash or radix: " + backend);
   }
-  std::string scheduler =
-      reader.GetString("scheduler", SchedulerName(config.scheduler));
-  if (!ParseScheduler(scheduler, &config.scheduler)) {
-    reader.AddError("parameter 'scheduler' must be auto, static or stealing: " +
-                    scheduler);
-  }
-  const int64_t grain = reader.GetInt("grain", 0);
-  if (grain < 0) {
-    reader.AddError("parameter 'grain' must be >= 0");
-  } else {
-    config.scheduler_grain = static_cast<size_t>(grain);
-  }
   config.lsm_max_tiers =
       GetIntParam(reader, "max-tiers", config.lsm_max_tiers);
   if (config.lsm_max_tiers < 1) {
@@ -80,21 +68,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   if (config.lsm_size_ratio < 0.0) {
     reader.AddError("parameter 'tier-ratio' must be >= 0 (0 disables the "
                     "ratio trigger)");
-  }
-  std::string placement =
-      reader.GetString("placement", PlacementName(config.placement));
-  if (!ParsePlacement(placement, &config.placement)) {
-    reader.AddError(
-        "parameter 'placement' must be auto, none, interleave or domain: " +
-        placement);
-  }
-  config.placement_domains =
-      GetIntParam(reader, "placement-domains", config.placement_domains);
-  if (config.placement_domains < 0 ||
-      config.placement_domains > kMaxSyntheticDomains) {
-    reader.AddError("parameter 'placement-domains' must be in [0, " +
-                    std::to_string(kMaxSyntheticDomains) +
-                    "] (0 detects the machine topology)");
   }
   config.checkpoint_dir =
       reader.GetString("checkpoint-dir", config.checkpoint_dir);
@@ -122,20 +95,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   config.score_dir = reader.GetString("score-dir", config.score_dir);
   if (config.memory_budget_bytes > 0 && config.score_dir.empty()) {
     reader.AddError("parameter 'memory-budget' requires 'score-dir'");
-  }
-  config.workers = GetIntParam(reader, "workers", config.workers);
-  if (config.workers < 1) {
-    reader.AddError("parameter 'workers' must be >= 1 (1 = in-process)");
-  }
-  config.worker_retry =
-      GetIntParam(reader, "worker-retry", config.worker_retry);
-  if (config.worker_retry < 0) {
-    reader.AddError("parameter 'worker-retry' must be >= 0");
-  }
-  config.worker_timeout_ms =
-      GetIntParam(reader, "worker-timeout-ms", config.worker_timeout_ms);
-  if (config.worker_timeout_ms < 1) {
-    reader.AddError("parameter 'worker-timeout-ms' must be >= 1");
   }
   config.fault_spec = reader.GetString("fault", config.fault_spec);
   if (!config.fault_spec.empty()) {
@@ -227,18 +186,6 @@ std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
     config.max_candidates = static_cast<size_t>(max_candidates);
   }
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
-  std::string scheduler =
-      reader.GetString("scheduler", SchedulerName(config.scheduler));
-  if (!ParseScheduler(scheduler, &config.scheduler)) {
-    reader.AddError("parameter 'scheduler' must be auto, static or stealing: " +
-                    scheduler);
-  }
-  const int64_t grain = reader.GetInt("grain", 0);
-  if (grain < 0) {
-    reader.AddError("parameter 'grain' must be >= 0");
-  } else {
-    config.scheduler_grain = static_cast<size_t>(grain);
-  }
   // Pre-validate what BpMatch enforces fatally.
   if (config.iterations < 1) {
     reader.AddError("parameter 'iterations' must be >= 1");
@@ -280,13 +227,7 @@ std::string CoreReconciler::Describe() const {
       << (config_.use_parallel_selection ? "parallel" : "serial")
       << ", scoring="
       << (config_.use_incremental_scoring ? "incremental" : "recompute")
-      << ", scheduler=" << SchedulerName(config_.scheduler)
-      << ", tiers=" << config_.lsm_max_tiers
-      << ", placement=" << PlacementName(config_.placement);
-  if (config_.workers > 1) {
-    out << ", workers=" << config_.workers;
-  }
-  out << ")";
+      << ", tiers=" << config_.lsm_max_tiers << ")";
   return out.str();
 }
 
@@ -321,8 +262,7 @@ std::string BpReconciler::Describe() const {
       << ", damping=" << config_.damping << ", prior=" << config_.prior
       << ", min-belief=" << config_.min_belief
       << ", max-sweeps=" << config_.max_sweeps
-      << ", max-candidates=" << config_.max_candidates
-      << ", scheduler=" << SchedulerName(config_.scheduler) << ")";
+      << ", max-candidates=" << config_.max_candidates << ")";
   return out.str();
 }
 
@@ -342,12 +282,9 @@ void RegisterBuiltinReconcilers(Registry& registry) {
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
                  "threads, shards, stop-when-stable, incremental, "
-                 "parallel-selection, backend=hash|radix, "
-                 "scheduler=auto|static|stealing, grain, max-tiers, "
-                 "tier-ratio, placement=auto|none|interleave|domain, "
-                 "placement-domains, checkpoint-dir, checkpoint-every, "
-                 "checkpoint-keep, resume, memory-budget, score-dir, "
-                 "workers, worker-retry, worker-timeout-ms, fault",
+                 "parallel-selection, backend=hash|radix, max-tiers, "
+                 "tier-ratio, checkpoint-dir, checkpoint-every, "
+                 "checkpoint-keep, resume, memory-budget, score-dir, fault",
        .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(
@@ -377,8 +314,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "belief-propagation matching: min-sum message passing "
                   "over witness candidates (Halimi-Ayday)",
        .params = "iterations, damping, prior, min-belief, max-sweeps, "
-                 "max-candidates, threads, scheduler=auto|static|stealing, "
-                 "grain",
+                 "max-candidates, threads",
        .threshold_param = "",
        .factory = MakeBp});
   registry.Register(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "reconcile/util/logging.h"
+#include "reconcile/util/parallel_for.h"
 #include "reconcile/util/thread_pool.h"
 #include "reconcile/util/timer.h"
 
@@ -50,12 +51,6 @@ struct Top2 {
   }
 };
 
-size_t ResolveGrain(const BpConfig& config, const ThreadPool& pool,
-                    size_t n) {
-  return config.scheduler_grain > 0 ? config.scheduler_grain
-                                    : pool.GrainFor(n);
-}
-
 // Discovers candidates for every unmatched g1 node: g2 nodes adjacent to
 // the image of a matched neighbour, scored by witness count plus a degree
 // similarity prior, strongest `max_candidates` kept. Pure function of
@@ -71,9 +66,8 @@ CandidateGraph DiscoverCandidates(const Graph& g1, const Graph& g2,
     double weight;
   };
   std::vector<std::vector<Scored>> per_node(n);
-  ParallelForSched(
-      &pool, config.scheduler, n, ResolveGrain(config, pool, n),
-      [&](size_t begin, size_t end) {
+  ParallelForWorkStealing(
+      &pool, n, pool.GrainFor(n), [&](size_t begin, size_t end) {
         struct Acc {
           NodeId candidate;
           uint32_t witnesses;
@@ -212,36 +206,37 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     std::vector<Top2> top_u(graph.active.size());
     std::vector<Top2> top_v(graph.rev_nodes.size());
 
-    const size_t node_grain = ResolveGrain(config, pool, graph.active.size());
-    const size_t rev_grain = ResolveGrain(config, pool, graph.rev_nodes.size());
+    const size_t node_grain = pool.GrainFor(graph.active.size());
+    const size_t rev_grain = pool.GrainFor(graph.rev_nodes.size());
     for (int iter = 0; iter < config.iterations; ++iter) {
-      ParallelForSched(&pool, config.scheduler, graph.active.size(),
-                       node_grain, [&](size_t begin, size_t end) {
-                         for (size_t i = begin; i < end; ++i) {
-                           Top2 top;
-                           for (size_t e = graph.offsets[i];
-                                e < graph.offsets[i + 1]; ++e) {
-                             top.Observe(to_u[e], e);
-                           }
-                           top_u[i] = top;
-                         }
-                       });
-      ParallelForSched(&pool, config.scheduler, graph.rev_nodes.size(),
-                       rev_grain, [&](size_t begin, size_t end) {
-                         for (size_t j = begin; j < end; ++j) {
-                           Top2 top;
-                           for (size_t k = graph.rev_offsets[j];
-                                k < graph.rev_offsets[j + 1]; ++k) {
-                             top.Observe(to_v[graph.rev_edges[k]],
-                                         graph.rev_edges[k]);
-                           }
-                           top_v[j] = top;
-                         }
-                       });
+      ParallelForWorkStealing(
+          &pool, graph.active.size(), node_grain,
+          [&](size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i) {
+              Top2 top;
+              for (size_t e = graph.offsets[i]; e < graph.offsets[i + 1];
+                   ++e) {
+                top.Observe(to_u[e], e);
+              }
+              top_u[i] = top;
+            }
+          });
+      ParallelForWorkStealing(
+          &pool, graph.rev_nodes.size(), rev_grain,
+          [&](size_t begin, size_t end) {
+            for (size_t j = begin; j < end; ++j) {
+              Top2 top;
+              for (size_t k = graph.rev_offsets[j];
+                   k < graph.rev_offsets[j + 1]; ++k) {
+                top.Observe(to_v[graph.rev_edges[k]], graph.rev_edges[k]);
+              }
+              top_v[j] = top;
+            }
+          });
       // Edge updates, iterated per side-1 node so each edge knows its
       // endpoints without a parallel binary search.
-      ParallelForSched(
-          &pool, config.scheduler, graph.active.size(), node_grain,
+      ParallelForWorkStealing(
+          &pool, graph.active.size(), node_grain,
           [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
               for (size_t e = graph.offsets[i]; e < graph.offsets[i + 1];
@@ -255,8 +250,8 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
               }
             }
           });
-      ParallelForSched(
-          &pool, config.scheduler, graph.rev_nodes.size(), rev_grain,
+      ParallelForWorkStealing(
+          &pool, graph.rev_nodes.size(), rev_grain,
           [&](size_t begin, size_t end) {
             for (size_t j = begin; j < end; ++j) {
               for (size_t k = graph.rev_offsets[j];
@@ -278,30 +273,30 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     // the first edge in fixed order) must favour u back, and the combined
     // belief must clear the floor.
     std::vector<size_t> pick_u(graph.active.size(), ~size_t{0});
-    ParallelForSched(&pool, config.scheduler, graph.active.size(), node_grain,
-                     [&](size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                         Top2 top;
-                         for (size_t e = graph.offsets[i];
-                              e < graph.offsets[i + 1]; ++e) {
-                           top.Observe(to_u[e], e);
-                         }
-                         pick_u[i] = top.best_edge;
-                       }
-                     });
+    ParallelForWorkStealing(
+        &pool, graph.active.size(), node_grain,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            Top2 top;
+            for (size_t e = graph.offsets[i]; e < graph.offsets[i + 1]; ++e) {
+              top.Observe(to_u[e], e);
+            }
+            pick_u[i] = top.best_edge;
+          }
+        });
     std::vector<size_t> pick_v(graph.rev_nodes.size(), ~size_t{0});
-    ParallelForSched(&pool, config.scheduler, graph.rev_nodes.size(),
-                     rev_grain, [&](size_t begin, size_t end) {
-                       for (size_t j = begin; j < end; ++j) {
-                         Top2 top;
-                         for (size_t k = graph.rev_offsets[j];
-                              k < graph.rev_offsets[j + 1]; ++k) {
-                           top.Observe(to_v[graph.rev_edges[k]],
-                                       graph.rev_edges[k]);
-                         }
-                         pick_v[j] = top.best_edge;
-                       }
-                     });
+    ParallelForWorkStealing(
+        &pool, graph.rev_nodes.size(), rev_grain,
+        [&](size_t begin, size_t end) {
+          for (size_t j = begin; j < end; ++j) {
+            Top2 top;
+            for (size_t k = graph.rev_offsets[j];
+                 k < graph.rev_offsets[j + 1]; ++k) {
+              top.Observe(to_v[graph.rev_edges[k]], graph.rev_edges[k]);
+            }
+            pick_v[j] = top.best_edge;
+          }
+        });
     // Map each g2 node in the reverse index to its pick. rev_nodes is
     // ascending, so a binary search stands in for a hash map.
     const auto pick_of_v = [&](NodeId v) -> size_t {

@@ -7,7 +7,6 @@
 
 #include "reconcile/core/result.h"
 #include "reconcile/graph/graph.h"
-#include "reconcile/util/parallel_for.h"
 
 namespace reconcile {
 
@@ -37,14 +36,10 @@ struct BpConfig {
   int max_sweeps = 5;
   /// Candidate cap per g1 node (strongest witnesses kept).
   size_t max_candidates = 8;
-  /// Worker threads (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency). Matchings are
+  /// bit-identical across thread counts: every update is a pure function of
+  /// the previous iteration's messages.
   int num_threads = 0;
-  /// Loop scheduler for candidate discovery and message passing. Matchings
-  /// are bit-identical across schedulers, grains and thread counts: every
-  /// update is a pure function of the previous iteration's messages.
-  Scheduler scheduler = Scheduler::kAuto;
-  /// Items per scheduler chunk (0 = auto).
-  size_t scheduler_grain = 0;
 };
 
 /// Runs belief-propagation matching from the seed links. Per-sweep

@@ -10,8 +10,6 @@
 #include "reconcile/core/result.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
-#include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 
 namespace reconcile {
 
@@ -72,19 +70,6 @@ struct MatcherConfig {
   /// sequential emission and linear scans beat per-emission hash probes on
   /// every measured workload; the hash map remains the reference engine.
   ScoringBackend scoring_backend = ScoringBackend::kRadixSort;
-  /// How the hot-path loops (witness emission, the selection scan/accept
-  /// passes) distribute work across threads (see `Scheduler`). `kAuto`
-  /// follows the process default: work-stealing, unless the
-  /// `RECONCILE_SCHEDULER` environment variable overrides it. Static
-  /// chunking is the reference engine. Matchings are bit-identical for every
-  /// scheduler/grain/steal schedule: the loops aggregate commutatively, so
-  /// the partition of items into chunks is unobservable in the result.
-  Scheduler scheduler = Scheduler::kAuto;
-  /// Chunk size the work-stealing scheduler claims per lock acquisition in
-  /// the emission loop (0 = auto). Smaller grains rebalance skewed (hub-
-  /// heavy) rounds at finer resolution for a little more claim traffic.
-  /// Results are grain-invariant.
-  size_t scheduler_grain = 0;
   /// LSM-style tiered score store (radix backend, incremental engine only):
   /// cap on resident sorted-run tiers per (level, shard). Round deltas
   /// accumulate as small tiers and fold into the big persistent run only
@@ -97,23 +82,6 @@ struct MatcherConfig {
   int lsm_max_tiers = 2;
   /// Size-ratio compaction trigger (see `TierPolicy::size_ratio`).
   double lsm_size_ratio = 4.0;
-  /// Topology-aware homing of the persistent per-(level, shard) score state
-  /// (see `PlacementPolicy`): each shard gets a home memory domain, pool
-  /// workers are pinned to domains, the score-unit loops (merge, compact,
-  /// selection scan/accept) run domain-local work first and steal remote
-  /// only when dry, and shard buffers are first-touched from their home
-  /// domain. `kAuto` follows the process default (`RECONCILE_PLACEMENT`
-  /// override, else domain homing on multi-domain hosts, none otherwise).
-  /// All policies produce bit-identical matchings; `kNone` preserves the
-  /// pre-placement behavior byte for byte, and single-domain hosts take
-  /// that path under every policy.
-  PlacementPolicy placement = PlacementPolicy::kAuto;
-  /// Synthetic domain-count override for the placement topology (0 = detect
-  /// the machine; >= 1 forces that many CPU-less domains, clamped to
-  /// `kMaxSyntheticDomains`). Lets tests and single-socket hosts exercise
-  /// the multi-domain paths; the process-wide `RECONCILE_PLACEMENT_DOMAINS`
-  /// env var does the same for a whole run.
-  int placement_domains = 0;
   /// Crash safety: when non-empty, the matcher snapshots its full
   /// cross-round state (`MatcherState`) into this directory after every
   /// `checkpoint_every_rounds`-th completed round (and always after the
@@ -158,29 +126,6 @@ struct MatcherConfig {
   /// `io:checkpoint_write_fail`). Empty = no faults armed here (the
   /// `RECONCILE_FAULT` env var still applies process-wide).
   std::string fault_spec;
-  /// Multi-process execution (DESIGN.md §2.7): fork this many worker
-  /// processes, each owning a contiguous slice of the score-shard range
-  /// partition, and run the round loop as a coordinator that exchanges only
-  /// per-shard best-candidate tables and committed links over CRC-framed
-  /// Unix sockets — edge data and score state never cross the wire.
-  /// Matchings are bit-identical to the in-process run for any worker
-  /// count, including under injected worker failures. `1` (default) is the
-  /// plain in-process path with zero overhead. Requires the incremental
-  /// radix backend (the shard partition must be a function of the g1 node
-  /// alone); other configurations, and checkpoint/resume runs, fall back
-  /// in-process with a one-line warning. Clamped to the shard count.
-  int workers = 1;
-  /// Worker-loss retry budget: how many times the coordinator may respawn a
-  /// dead/hung/corrupting worker (exponential backoff between attempts)
-  /// before reassigning the lost shard slice to survivors permanently. When
-  /// every worker is gone and the budget is spent, the run degrades to the
-  /// in-process path — with an identical matching.
-  int worker_retry = 2;
-  /// Failure-detector deadline: a worker that produces no frame (results
-  /// and heartbeats both count) for this long while a request is
-  /// outstanding is declared lost. Workers heartbeat at a quarter of this
-  /// interval.
-  int worker_timeout_ms = 5000;
 };
 
 /// Runs User-Matching: expands the seed links into a one-to-one partial

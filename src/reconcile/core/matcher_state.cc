@@ -8,14 +8,18 @@
 #include "reconcile/mr/mapreduce.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
+#include "reconcile/util/parallel_for.h"
 #include "reconcile/util/timer.h"
 
 namespace reconcile {
 
 namespace {
 
-// Local alias for the exported layout constant (matcher_state.h).
-constexpr int kNumLevels = kScoreLevels;
+// Degree levels partition candidate pairs by the first bucket in which
+// they become eligible: level(u, v) = min(log2 d1(u), log2 d2(v)), so the
+// pairs eligible at bucket threshold 2^j are exactly those stored at levels
+// >= j.
+constexpr int kNumLevels = 33;
 
 int FloorLog2(NodeId x) {
   int log = 0;
@@ -25,23 +29,6 @@ int FloorLog2(NodeId x) {
   }
   return log;
 }
-
-// The topology the placement layer homes shards onto: a per-run synthetic
-// override (tests, experiments) or the cached machine detection (which the
-// RECONCILE_PLACEMENT_DOMAINS env var can also force).
-MachineTopology PlacementTopology(const MatcherConfig& config) {
-  if (config.placement_domains > 0) {
-    return config.placement_domains == 1
-               ? SingleDomainTopology()
-               : SyntheticTopology(config.placement_domains);
-  }
-  return DetectTopology();
-}
-
-// How many entries a hash score shard is pre-sized for by the first-touch
-// pass (enough that the initial growth happens on home-domain pages; later
-// growth re-touches from the merge loop, which is also domain-homed).
-constexpr size_t kFirstTouchEntries = 1024;
 
 // Nodes/edges/degree-sequence mix binding a snapshot to its graph pair. A
 // sanity check against resuming into the wrong run, not a collision-proof
@@ -67,8 +54,8 @@ constexpr uint32_t kSectionScoresRadix = 4;
 // Bumped whenever the META/LINKS/SCORES payloads change shape.
 constexpr uint32_t kMatcherStateVersion = 1;
 
-}  // namespace
-
+// floor(log2(max(1, degree))) per node — the per-node half of the level
+// function above.
 std::vector<uint8_t> DegreeLevels(const Graph& g) {
   std::vector<uint8_t> levels(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -93,16 +80,23 @@ std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards) {
   return table;
 }
 
+// The shard count a run resolves from its config: `config.num_shards` when
+// positive, else max(4, worker threads). It is fingerprinted into
+// checkpoints.
 int ResolveShardCount(const MatcherConfig& config, int num_threads) {
   return config.num_shards > 0 ? config.num_shards : std::max(4, num_threads);
 }
 
+// The top degree-bucket exponent of the round schedule (0 when bucketing is
+// off or both graphs are empty).
 int TopBucketExponent(const Graph& g1, const Graph& g2,
                       const MatcherConfig& config) {
   const NodeId max_degree = std::max(g1.max_degree(), g2.max_degree());
   return config.use_degree_bucketing && max_degree > 0 ? FloorLog2(max_degree)
                                                        : 0;
 }
+
+}  // namespace
 
 MatcherState::MatcherState(const Graph& g1, const Graph& g2,
                            const MatcherConfig& config)
@@ -111,12 +105,8 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       config_(config),
       pool_(config.num_threads > 0 ? config.num_threads
                                    : ThreadPool::DefaultThreads()),
-      scheduler_(ResolveScheduler(config.scheduler)),
       tier_policy_{config.lsm_max_tiers, config.lsm_size_ratio},
       num_shards_(ResolveShardCount(config, pool_.num_threads())),
-      topology_(PlacementTopology(config)),
-      placement_(topology_, config.placement, num_shards_,
-                 pool_.num_threads()),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
       selection_(g1.num_nodes(), g2.num_nodes(),
@@ -158,16 +148,6 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       spill_store_ = std::make_unique<SpillStore>(config.score_dir);
     }
   }
-  if (placement_.active()) {
-    // Bind workers to their home domain's CPUs (real topologies only),
-    // then first-touch the persistent score shards from a home-domain
-    // worker so their pages land on the right node before the first
-    // merge. Both are locality-only: results are bit-identical whether
-    // or not either succeeds.
-    placement_.PinWorkers(&pool_);
-    FirstTouchScoreState();
-  }
-
   graph_fp1_ = GraphFingerprint(g1);
   graph_fp2_ = GraphFingerprint(g2);
 
@@ -196,39 +176,6 @@ void MatcherState::SeedLinks(
     map_2to1_[v] = u;
     links_.emplace_back(u, v);
   }
-}
-
-// Home domain of a (level, shard) cell / score unit: levels share one
-// shard layout, so homing depends on the shard alone and a shard's hash
-// map, tier stack and selection unit all land on the same domain.
-std::function<int(size_t)> MatcherState::CellDomainFn() const {
-  return [this](size_t cell) {
-    return placement_.HomeOfShard(
-        static_cast<int>(cell % static_cast<size_t>(num_shards_)));
-  };
-}
-
-// First-touch pass: with an active placement, pre-size each persistent
-// (level, shard) buffer from a worker on the cell's home domain so the
-// backing pages are allocated there (first writer owns the page under
-// first-touch NUMA policy). Recompute engines build fresh state per round
-// inside the (already domain-homed) reduce, so only the incremental
-// engine keeps state long enough to pre-touch.
-void MatcherState::FirstTouchScoreState() {
-  if (!config_.use_incremental_scoring) return;
-  const size_t cells =
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_, cells, CellDomainFn(), [this](size_t cell) {
-        const size_t level = cell / static_cast<size_t>(num_shards_);
-        const size_t shard = cell % static_cast<size_t>(num_shards_);
-        if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-          runs_[level][shard].ReserveTiers(
-              static_cast<size_t>(std::max(1, config_.lsm_max_tiers)) + 1);
-        } else {
-          scores_[level][shard].Reserve(kFirstTouchEntries);
-        }
-      });
 }
 
 size_t MatcherState::RunRound() {
@@ -279,46 +226,35 @@ void MatcherState::CompactScores() {
   if (!config_.use_incremental_scoring) return;
   const size_t cells =
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
-  // Locality of the compact tasks is credited to the next round's
-  // telemetry (`compact_placed_stats_`): compaction runs between rounds,
-  // where no PhaseStats exists yet.
   if (config_.scoring_backend == ScoringBackend::kRadixSort) {
     // Tier stacks compact with an in-place filtering sweep per tier — no
     // rebuild, no rehash, order preserved. The liveness predicate depends
     // on the key alone, so filtering tiers independently preserves every
     // key's cross-tier total.
-    placement_.ParallelForPlaced(
-        &pool_, scheduler_, cells, CellDomainFn(),
-        [this](size_t cell) {
-          TieredCountRuns& store =
-              runs_[cell / static_cast<size_t>(num_shards_)]
-                   [cell % static_cast<size_t>(num_shards_)];
-          if (store.empty()) return;
-          store.Filter([this](uint64_t key, uint32_t) {
-            return map_1to2_[PairFirst(key)] == kInvalidNode ||
-                   map_2to1_[PairSecond(key)] == kInvalidNode;
-          });
-        },
-        &compact_placed_stats_);
+    ParallelForEach(&pool_, cells, [this](size_t cell) {
+      TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
+                                    [cell % static_cast<size_t>(num_shards_)];
+      if (store.empty()) return;
+      store.Filter([this](uint64_t key, uint32_t) {
+        return map_1to2_[PairFirst(key)] == kInvalidNode ||
+               map_2to1_[PairSecond(key)] == kInvalidNode;
+      });
+    });
     return;
   }
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_, cells, CellDomainFn(),
-      [this](size_t cell) {
-        FlatCountMap& shard =
-            scores_[cell / static_cast<size_t>(num_shards_)]
-                   [cell % static_cast<size_t>(num_shards_)];
-        if (shard.empty()) return;
-        FlatCountMap compacted(shard.size());
-        shard.ForEach([this, &compacted](uint64_t key, uint32_t count) {
-          if (map_1to2_[PairFirst(key)] == kInvalidNode ||
-              map_2to1_[PairSecond(key)] == kInvalidNode) {
-            compacted.AddCount(key, count);
-          }
-        });
-        shard = std::move(compacted);
-      },
-      &compact_placed_stats_);
+  ParallelForEach(&pool_, cells, [this](size_t cell) {
+    FlatCountMap& shard = scores_[cell / static_cast<size_t>(num_shards_)]
+                                 [cell % static_cast<size_t>(num_shards_)];
+    if (shard.empty()) return;
+    FlatCountMap compacted(shard.size());
+    shard.ForEach([this, &compacted](uint64_t key, uint32_t count) {
+      if (map_1to2_[PairFirst(key)] == kInvalidNode ||
+          map_2to1_[PairSecond(key)] == kInvalidNode) {
+        compacted.AddCount(key, count);
+      }
+    });
+    shard = std::move(compacted);
+  });
 }
 
 MatchResult MatcherState::TakeResult(double total_seconds) {
@@ -339,9 +275,6 @@ size_t MatcherState::SelectAndCommit(const std::vector<ScoreUnit>& units,
                                      PhaseStats* stats) {
   SelectionContext ctx;
   ctx.pool = &pool_;
-  ctx.scheduler = scheduler_;
-  ctx.placement = &placement_;
-  ctx.domain_of = CellDomainFn();
   ctx.min_score = config_.min_score;
   ctx.map_1to2 = &map_1to2_;
   ctx.map_2to1 = &map_2to1_;
@@ -372,10 +305,9 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 
 // Chunk size the work-stealing emission loop claims per lock acquisition.
 // Per-item cost is heavy-tailed on skewed graphs (a hub link emits
-// deg(hub)^2-ish pairs), so the auto grain aims well below the static
-// chunk size; claims are a spinlock pop, so the extra traffic is cheap.
+// deg(hub)^2-ish pairs), so the grain aims at 64 claims per worker; claims
+// are a spinlock pop, so the extra traffic is cheap.
 size_t MatcherState::EmitGrain(size_t num_items) const {
-  if (config_.scheduler_grain > 0) return config_.scheduler_grain;
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
 }
 
@@ -393,9 +325,8 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
   };
   const size_t num_items = end - begin;
 
-  // One delta set per producer (`ParallelProduce`): per fixed chunk under
-  // the static scheduler, per worker slot under work-stealing. The merge
-  // sums counts commutatively, so which items land in which delta is
+  // One delta set per worker slot (`ParallelProduce`). The merge sums
+  // counts commutatively, so which items land in which delta is
   // unobservable.
   Timer emit_timer;
   auto emit_range = [this, begin, dmin](Delta& delta, size_t lo, size_t hi) {
@@ -422,21 +353,16 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
     }
   };
   std::vector<Delta> deltas = ParallelProduce<Delta>(
-      &pool_, scheduler_, num_items, static_cast<size_t>(num_shards_) * 4,
-      EmitGrain(num_items), emit_range);
+      &pool_, num_items, EmitGrain(num_items), emit_range);
   stats->emit_seconds += emit_timer.Seconds();
 
   // Merge deltas into the persistent maps: one (level, shard) cell at a
   // time, pre-sized from the delta sizes so the merge never rehashes
-  // mid-loop. Cells run domain-homed under an active placement (the
-  // merge is the pass that touches every persistent page, so it is where
-  // shard homing pays).
+  // mid-loop.
   Timer merge_timer;
-  PlacedLoopStats merge_placed;
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_,
+  ParallelForEach(
+      &pool_,
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      CellDomainFn(),
       [this, &deltas](size_t cell) {
         const size_t level = cell / static_cast<size_t>(num_shards_);
         const size_t shard = cell % static_cast<size_t>(num_shards_);
@@ -458,11 +384,8 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
             target.AddCount(key, count);
           });
         }
-      },
-      &merge_placed);
+      });
   stats->merge_seconds += merge_timer.Seconds();
-  stats->local_unit_tasks += merge_placed.local_tasks;
-  stats->remote_unit_steals += merge_placed.remote_steals;
 
   for (const Delta& delta : deltas) {
     stats->emissions += static_cast<size_t>(delta.emissions);
@@ -512,23 +435,18 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
     }
   };
   std::vector<RadixDelta> deltas = ParallelProduce<RadixDelta>(
-      &pool_, scheduler_, num_items, static_cast<size_t>(num_shards_) * 4,
-      EmitGrain(num_items), emit_range);
+      &pool_, num_items, EmitGrain(num_items), emit_range);
   stats->emit_seconds += emit_timer.Seconds();
 
   // Sort-and-append: one touched (level, shard) cell at a time.
   // Concatenate the producer chunks, radix-sort, run-length-encode, then
   // append the round delta as a new LSM tier (compaction per the
   // size-ratio policy — late low-yield rounds usually stop here without
-  // touching the big run). Cells run domain-homed under an active
-  // placement, so a tier's pages are written by the domain that will
-  // scan and compact them.
+  // touching the big run).
   Timer merge_timer;
-  PlacedLoopStats merge_placed;
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_,
+  ParallelForEach(
+      &pool_,
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      CellDomainFn(),
       [this, &deltas](size_t cell) {
         const size_t level = cell / static_cast<size_t>(num_shards_);
         const size_t shard = cell % static_cast<size_t>(num_shards_);
@@ -552,11 +470,8 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
         std::vector<uint64_t> scratch;
         SortedCountRun delta_run = SortAndCount(std::move(raw), scratch);
         runs_[level][shard].Append(std::move(delta_run), tier_policy_);
-      },
-      &merge_placed);
+      });
   stats->merge_seconds += merge_timer.Seconds();
-  stats->local_unit_tasks += merge_placed.local_tasks;
-  stats->remote_unit_steals += merge_placed.remote_steals;
 
   for (const RadixDelta& delta : deltas) {
     stats->emissions += static_cast<size_t>(delta.emissions);
@@ -650,12 +565,6 @@ size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
   stats.bucket_exponent = bucket_exponent;
   stats.links_in = links_.size();
   stats.num_threads = pool_.num_threads();
-  stats.placement_domains =
-      placement_.active() ? placement_.num_domains() : 1;
-  // Credit any between-round compaction since the last round here.
-  stats.local_unit_tasks += compact_placed_stats_.local_tasks;
-  stats.remote_unit_steals += compact_placed_stats_.remote_steals;
-  compact_placed_stats_ = PlacedLoopStats{};
 
   EmitPendingLinks(&stats);
   EnforceMemoryBudget(&stats);
@@ -697,8 +606,6 @@ size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
   stats.bucket_exponent = bucket_exponent;
   stats.links_in = links_.size();
   stats.num_threads = pool_.num_threads();
-  stats.placement_domains =
-      placement_.active() ? placement_.num_domains() : 1;
 
   Timer emit_timer;
   std::atomic<uint64_t> emissions{0};
@@ -720,26 +627,21 @@ size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
   std::vector<FlatCountMap> scores;
   std::vector<SortedCountRun> runs;
   std::vector<ScoreUnit> units;
-  PlacedLoopStats reduce_placed;
   if (config_.scoring_backend == ScoringBackend::kRadixSort) {
     runs = mr::SortCountByKey(
         &pool_, links_.size(), num_map_shards, num_shards_, map_fn,
         [this](uint64_t key) { return radix_shard1_[PairFirst(key)]; },
-        scheduler_, &stats.merge_seconds, &placement_, &reduce_placed);
+        &stats.merge_seconds);
     units.reserve(runs.size());
     for (const SortedCountRun& run : runs) units.push_back(ScoreUnit(&run));
   } else {
     scores = mr::CountByKey(&pool_, links_.size(), num_map_shards,
-                            num_shards_, map_fn, scheduler_,
-                            &stats.merge_seconds, &placement_,
-                            &reduce_placed);
+                            num_shards_, map_fn, &stats.merge_seconds);
     units.reserve(scores.size());
     for (const FlatCountMap& shard : scores) {
       units.push_back(ScoreUnit(&shard));
     }
   }
-  stats.local_unit_tasks += reduce_placed.local_tasks;
-  stats.remote_unit_steals += reduce_placed.remote_steals;
   stats.emissions = emissions.load();
   // The mr round's reduce time is reported as merge; the map phase is the
   // emit proper.
@@ -771,9 +673,9 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU64(g2_.num_edges());
   writer.AppendU64(graph_fp2_);
   // Config fingerprint: the knobs that change what the matcher computes or
-  // how the score state is laid out. Execution-only knobs (threads,
-  // scheduler, grain, placement, LSM tier policy) are matching-invariant
-  // and intentionally absent — see the class comment.
+  // how the score state is laid out. Execution-only knobs (threads, LSM
+  // tier policy) are matching-invariant and intentionally absent — see the
+  // class comment.
   writer.AppendU32(config_.min_score);
   writer.AppendI32(config_.num_iterations);
   writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
@@ -1079,7 +981,6 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   completed_rounds_ = completed_rounds;
   done_ = done != 0;
   phases_.clear();
-  compact_placed_stats_ = PlacedLoopStats{};
   return true;
 }
 

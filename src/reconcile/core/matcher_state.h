@@ -15,44 +15,11 @@
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
 #include "reconcile/util/flat_hash_map.h"
-#include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/thread_pool.h"
 #include "reconcile/util/tiered_store.h"
-#include "reconcile/util/topology.h"
 
 namespace reconcile {
-
-/// The `(level, shard)` score layout, exported so other execution layers —
-/// the multi-process runtime in `src/reconcile/dist/` foremost — partition
-/// the scored-pair multiset exactly like the in-process engine and their
-/// shard slices merge back bit-identically.
-///
-/// Degree levels partition candidate pairs by the first bucket in which
-/// they become eligible: level(u, v) = min(log2 d1(u), log2 d2(v)), so the
-/// pairs eligible at bucket threshold 2^j are exactly those stored at
-/// levels >= j. Shards are a range partition on the g1 node id alone
-/// (shard(u, v) = u * S / n1), which is what makes a shard slice
-/// self-contained: every pair (u, ·), at every level, lives in shard(u).
-inline constexpr int kScoreLevels = 33;
-
-/// floor(log2(max(1, degree))) per node — the per-node half of the level
-/// function above.
-std::vector<uint8_t> DegreeLevels(const Graph& g);
-
-/// The per-g1-node radix shard table: shard(u) = u * num_shards / n1.
-std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards);
-
-/// The shard count a run resolves from its config: `config.num_shards`
-/// when positive, else max(4, worker threads). Every layer that partitions
-/// must agree on this number (it is fingerprinted into checkpoints).
-int ResolveShardCount(const MatcherConfig& config, int num_threads);
-
-/// The top degree-bucket exponent of the round schedule (0 when bucketing
-/// is off or both graphs are empty).
-int TopBucketExponent(const Graph& g1, const Graph& g2,
-                      const MatcherConfig& config);
 
 /// The matcher's complete cross-round state as a first-class, *resumable*
 /// object — everything `UserMatching` carries from one scoring round to the
@@ -74,15 +41,15 @@ int TopBucketExponent(const Graph& g1, const Graph& g2,
 /// can rebuild it (`LoadSnapshot`) and continue — the resumed run commits
 /// the same links and produces a matching bit-identical to an uninterrupted
 /// run (enforced by `core_checkpoint_test` in-process and by the
-/// `integration_kill_resume_test` subprocess harness across
-/// backend × scheduler × placement).
+/// `integration_kill_resume_test` subprocess harness across backends and
+/// thread counts).
 ///
 /// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
 /// are its prefix, and the node maps are rebuilt from it on load) and one
 /// backend-specific SCORES section. Execution knobs that cannot affect the
-/// matching (threads, scheduler, grain, placement, LSM tier policy) are
+/// matching (threads, LSM tier policy) are
 /// deliberately *not* fingerprinted — a snapshot taken under one may resume
 /// under another; semantic knobs (threshold, iterations, bucketing,
 /// backend, the resolved shard count) are, and a mismatch is a clean
@@ -140,8 +107,6 @@ class MatcherState {
   size_t RoundRecompute(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  void FirstTouchScoreState();
-  std::function<int(size_t)> CellDomainFn() const;
   size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
@@ -163,20 +128,8 @@ class MatcherState {
   const Graph& g2_;
   MatcherConfig config_;
   ThreadPool pool_;
-  // Resolved once (kAuto -> env/default) so every loop in the run uses the
-  // same engine.
-  Scheduler scheduler_;
   TierPolicy tier_policy_;
   int num_shards_;
-  // Shard-placement layer: the topology (detected, or forced synthetic for
-  // tests) and the policy object homing each score shard on a memory
-  // domain. Inactive (single domain / placement=none) placements delegate
-  // every loop to the pre-placement path.
-  MachineTopology topology_;
-  ShardPlacement placement_;
-  // Locality split of the between-round CompactScores tasks, credited to
-  // the next round's PhaseStats.
-  PlacedLoopStats compact_placed_stats_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
   std::vector<std::pair<NodeId, NodeId>> links_;

@@ -15,16 +15,6 @@ MatchResult::PhaseTimeTotals MatchResult::SumPhaseSeconds() const {
   return totals;
 }
 
-MatchResult::PlacementTotals MatchResult::SumPlacementCounters() const {
-  PlacementTotals totals;
-  for (const PhaseStats& phase : phases) {
-    totals.local_unit_tasks += phase.local_unit_tasks;
-    totals.remote_unit_steals += phase.remote_unit_steals;
-    totals.domains = std::max(totals.domains, phase.placement_domains);
-  }
-  return totals;
-}
-
 size_t MatchResult::NumLinks() const {
   size_t count = 0;
   for (NodeId v : map_1to2) {

@@ -31,15 +31,6 @@ struct PhaseStats {
   double scan_seconds = 0.0;
   double select_seconds = 0.0;
   int num_threads = 0;      ///< Worker threads the round ran with.
-  // Shard-placement locality split over this round's score-unit tasks
-  // (merge cells + the selection scan/accept unit passes): tasks executed
-  // by a worker of the unit's home domain vs stolen cross-domain after the
-  // thief's own domain ran dry. With placement off (or one domain) every
-  // task counts as local. These are the observable signal for placement on
-  // hosts where wall-clock cannot show it.
-  size_t local_unit_tasks = 0;
-  size_t remote_unit_steals = 0;
-  int placement_domains = 1;  ///< Memory domains the round placed over.
   // Out-of-core score store (radix backend under a memory budget): tiers
   // moved to disk by this round's budget-enforcement pass, and the
   // resident/spilled byte split after it ran. Zero everywhere when
@@ -47,18 +38,6 @@ struct PhaseStats {
   size_t tiers_spilled = 0;
   size_t resident_score_bytes = 0;
   size_t spilled_score_bytes = 0;
-  // Multi-process execution (the dist coordinator, DESIGN.md §2.7): worker
-  // processes that contributed to this round, coordinator-side message and
-  // byte traffic, and the robustness counters — respawns attempted and
-  // shards reassigned to survivors while repairing this round. All zero on
-  // the in-process path.
-  int dist_workers = 0;
-  size_t dist_messages_sent = 0;
-  size_t dist_messages_received = 0;
-  size_t dist_bytes_sent = 0;
-  size_t dist_bytes_received = 0;
-  size_t dist_worker_retries = 0;
-  size_t dist_shards_reassigned = 0;
 };
 
 /// Output of a matcher run: a (partial) one-to-one correspondence between
@@ -82,14 +61,6 @@ struct MatchResult {
     double select_seconds = 0.0;
   };
   PhaseTimeTotals SumPhaseSeconds() const;
-
-  /// Whole-run totals of the shard-placement locality counters.
-  struct PlacementTotals {
-    size_t local_unit_tasks = 0;
-    size_t remote_unit_steals = 0;
-    int domains = 1;  ///< Max over rounds (constant within a run).
-  };
-  PlacementTotals SumPlacementCounters() const;
 
   /// Total number of links in the mapping (seeds + discovered).
   size_t NumLinks() const;

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "reconcile/util/logging.h"
+#include "reconcile/util/parallel_for.h"
 #include "reconcile/util/timer.h"
 
 namespace reconcile {
@@ -91,18 +92,14 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   Timer timer;
   atomic_best1_.NextEpoch();
   atomic_best2_.NextEpoch();
-  // Both passes run one unit at a time under the configured scheduler
-  // (static: one queued task per unit; stealing: units are claimed
-  // dynamically, so a handful of huge hub-level units no longer pins the
-  // round on whichever worker drew them; an active placement claims
-  // domain-local units first and steals remote only when dry). The
-  // observe fold is a CAS-max — commutative — and the accept pass writes
-  // only per-unit lists, so the schedule is unobservable in the result.
+  // Both passes claim units one at a time from the work-stealing loop, so
+  // a handful of huge hub-level units does not pin the round on whichever
+  // worker drew them. The observe fold is a CAS-max — commutative — and
+  // the accept pass writes only per-unit lists, so the schedule is
+  // unobservable in the result.
   std::atomic<size_t> candidate_pairs{0};
-  PlacedLoopStats scan_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
-      [this, &units, &candidate_pairs](size_t i) {
+  ParallelForEach(
+      ctx.pool, units.size(), [this, &units, &candidate_pairs](size_t i) {
         size_t local_pairs = 0;
         units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
           atomic_best1_.Observe(PairFirst(key), score);
@@ -110,12 +107,9 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
           ++local_pairs;
         });
         candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
-      },
-      &scan_placed);
+      });
   stats->candidate_pairs = candidate_pairs.load();
   stats->scan_seconds = timer.Seconds();
-  stats->local_unit_tasks += scan_placed.local_tasks;
-  stats->remote_unit_steals += scan_placed.remote_steals;
 
   timer.Reset();
   // Accept pass: reads the maps and the sealed best tables, writes only
@@ -124,9 +118,8 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   std::vector<NodeId>& map_2to1 = *ctx.map_2to1;
   std::vector<std::vector<std::pair<NodeId, NodeId>>> accepted_per_unit(
       units.size());
-  PlacedLoopStats accept_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
+  ParallelForEach(
+      ctx.pool, units.size(),
       [this, &ctx, &units, &map_1to2, &map_2to1,
        &accepted_per_unit](size_t i) {
         auto& list = accepted_per_unit[i];
@@ -143,10 +136,7 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
             list.emplace_back(u, v);
           }
         });
-      },
-      &accept_placed);
-  stats->local_unit_tasks += accept_placed.local_tasks;
-  stats->remote_unit_steals += accept_placed.remote_steals;
+      });
 
   // Commit pass, in parallel: an exclusive prefix sum assigns unit i the
   // link-log slots the serial loop would have given it; unique best on
@@ -161,9 +151,8 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   std::vector<std::pair<NodeId, NodeId>>& links = *ctx.links;
   const size_t base = links.size();
   links.resize(base + accepted);
-  PlacedLoopStats commit_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
+  ParallelForEach(
+      ctx.pool, units.size(),
       [&accepted_per_unit, &offsets, &links, &map_1to2, &map_2to1,
        base](size_t i) {
         size_t slot = base + offsets[i];
@@ -174,10 +163,7 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
           map_2to1[v] = u;
           links[slot++] = {u, v};
         }
-      },
-      &commit_placed);
-  stats->local_unit_tasks += commit_placed.local_tasks;
-  stats->remote_unit_steals += commit_placed.remote_steals;
+      });
   stats->select_seconds = timer.Seconds();
   return accepted;
 }

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -11,22 +10,17 @@
 #include "reconcile/core/result.h"
 #include "reconcile/core/score_unit.h"
 #include "reconcile/graph/types.h"
-#include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 
-/// Everything one selection round needs from its caller: the execution
-/// substrate (pool, scheduler, placement and the unit→domain map), the
-/// acceptance threshold, and the matching state the accepted links commit
-/// into. Both `MatcherState` and the serve-mode `IncrementalMatcher` build
-/// one of these per round, which is what lets them share the engine.
+/// Everything one selection round needs from its caller: the worker pool,
+/// the acceptance threshold, and the matching state the accepted links
+/// commit into. Both `MatcherState` and the serve-mode
+/// `IncrementalMatcher` build one of these per round, which is what lets
+/// them share the engine.
 struct SelectionContext {
   ThreadPool* pool = nullptr;
-  Scheduler scheduler = Scheduler::kAuto;
-  const ShardPlacement* placement = nullptr;
-  std::function<int(size_t)> domain_of;
   uint32_t min_score = 0;
   std::vector<NodeId>* map_1to2 = nullptr;
   std::vector<NodeId>* map_2to1 = nullptr;

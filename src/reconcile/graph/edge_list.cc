@@ -40,23 +40,19 @@ void EdgeList::Normalize(ThreadPool* pool) {
     const size_t num_chunks = bounds.size() - 1;
 
     // Canonicalize endpoints and sort each chunk. Chunk boundaries are
-    // fixed; the process-default scheduler only decides which worker runs
-    // which chunk (stealing evens out chunks that sort slower).
-    ParallelForSched(pool, Scheduler::kAuto, num_chunks, 1,
-                     [this, &bounds](size_t lo, size_t hi) {
-                       for (size_t c = lo; c < hi; ++c) {
-                         auto begin = edges_.begin() +
-                                      static_cast<ptrdiff_t>(bounds[c]);
-                         auto end = edges_.begin() +
-                                    static_cast<ptrdiff_t>(bounds[c + 1]);
-                         for (auto it = begin; it != end; ++it) {
-                           if (it->first > it->second) {
-                             std::swap(it->first, it->second);
-                           }
-                         }
-                         std::sort(begin, end);
-                       }
-                     });
+    // fixed; the loop only decides which worker runs which chunk (stealing
+    // evens out chunks that sort slower).
+    ParallelForWorkStealing(
+        pool, num_chunks, 1, [this, &bounds](size_t lo, size_t hi) {
+          for (size_t c = lo; c < hi; ++c) {
+            auto begin = edges_.begin() + static_cast<ptrdiff_t>(bounds[c]);
+            auto end = edges_.begin() + static_cast<ptrdiff_t>(bounds[c + 1]);
+            for (auto it = begin; it != end; ++it) {
+              if (it->first > it->second) std::swap(it->first, it->second);
+            }
+            std::sort(begin, end);
+          }
+        });
 
     // Merge ladder: each pass merges adjacent sorted range pairs in
     // parallel.
@@ -118,29 +114,29 @@ void EdgeList::DedupSweep(ThreadPool* pool) {
   const size_t num_blocks = bounds.size() - 1;
 
   std::vector<size_t> offsets(num_blocks + 1, 0);
-  ParallelForSched(pool, Scheduler::kAuto, num_blocks, 1,
-                   [&bounds, &offsets, &keep](size_t lo, size_t hi) {
-                     for (size_t b = lo; b < hi; ++b) {
-                       size_t count = 0;
-                       for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-                         if (keep(i)) ++count;
-                       }
-                       offsets[b + 1] = count;
-                     }
-                   });
+  ParallelForWorkStealing(
+      pool, num_blocks, 1, [&bounds, &offsets, &keep](size_t lo, size_t hi) {
+        for (size_t b = lo; b < hi; ++b) {
+          size_t count = 0;
+          for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
+            if (keep(i)) ++count;
+          }
+          offsets[b + 1] = count;
+        }
+      });
   for (size_t b = 0; b < num_blocks; ++b) offsets[b + 1] += offsets[b];
 
   std::vector<Edge> compacted(offsets[num_blocks]);
-  ParallelForSched(pool, Scheduler::kAuto, num_blocks, 1,
-                   [this, &bounds, &offsets, &compacted, &keep](size_t lo,
-                                                               size_t hi) {
-                     for (size_t b = lo; b < hi; ++b) {
-                       size_t out = offsets[b];
-                       for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-                         if (keep(i)) compacted[out++] = edges_[i];
-                       }
-                     }
-                   });
+  ParallelForWorkStealing(
+      pool, num_blocks, 1,
+      [this, &bounds, &offsets, &compacted, &keep](size_t lo, size_t hi) {
+        for (size_t b = lo; b < hi; ++b) {
+          size_t out = offsets[b];
+          for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
+            if (keep(i)) compacted[out++] = edges_[i];
+          }
+        }
+      });
   edges_ = std::move(compacted);
 }
 

@@ -98,19 +98,17 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
     return g;
   }
 
-  // Parallel build, scheduled per the process-wide scheduler default
-  // (work-stealing unless RECONCILE_SCHEDULER overrides): power-law degree
-  // sequences make the per-node sort passes heavily skewed, and stealing
-  // repairs that imbalance at runtime. Scatter order into each adjacency
-  // slice depends on task interleaving under either scheduler, but the
-  // per-node sorts impose the canonical order, so the resulting graph is
-  // bit-identical to the serial build.
+  // Parallel build on the work-stealing loop: power-law degree sequences
+  // make the per-node sort passes heavily skewed, and stealing repairs that
+  // imbalance at runtime. Scatter order into each adjacency slice depends
+  // on task interleaving, but the per-node sorts impose the canonical
+  // order, so the resulting graph is bit-identical to the serial build.
   const size_t edge_grain = pool->GrainFor(m, 1024);
   const size_t node_grain = pool->GrainFor(n, 256);
 
   // Degree count via relaxed atomics (increments commute).
   std::vector<std::atomic<NodeId>> count(n);
-  ParallelForSched(pool, Scheduler::kAuto, m, edge_grain, [&es, &count](size_t lo, size_t hi) {
+  ParallelForWorkStealing(pool, m, edge_grain, [&es, &count](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       count[es[i].first].fetch_add(1, std::memory_order_relaxed);
       count[es[i].second].fetch_add(1, std::memory_order_relaxed);
@@ -126,7 +124,7 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
     const size_t block = ThreadPool::GrainSize(n, pool->num_threads(), 4096);
     const size_t num_blocks = (n + block - 1) / block;
     std::vector<size_t> block_base(num_blocks, 0);
-    ParallelForSched(pool, Scheduler::kAuto, num_blocks, 1, [&](size_t blo, size_t bhi) {
+    ParallelForWorkStealing(pool, num_blocks, 1, [&](size_t blo, size_t bhi) {
       for (size_t b = blo; b < bhi; ++b) {
         const size_t lo = b * block, hi = std::min(n, lo + block);
         size_t sum = 0;
@@ -142,7 +140,7 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
       block_base[b] = running;
       running += total;
     }
-    ParallelForSched(pool, Scheduler::kAuto, num_blocks, 1, [&](size_t blo, size_t bhi) {
+    ParallelForWorkStealing(pool, num_blocks, 1, [&](size_t blo, size_t bhi) {
       for (size_t b = blo; b < bhi; ++b) {
         const size_t lo = b * block, hi = std::min(n, lo + block);
         size_t prefix = block_base[b];
@@ -156,7 +154,7 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
   }
 
   g.adjacency_.resize(g.offsets_.back());
-  ParallelForSched(pool, Scheduler::kAuto, m, edge_grain, [&](size_t lo, size_t hi) {
+  ParallelForWorkStealing(pool, m, edge_grain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       const auto [a, b] = es[i];
       g.adjacency_[g.offsets_[a] +
@@ -166,7 +164,7 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
     }
   });
 
-  ParallelForSched(pool, Scheduler::kAuto, n, node_grain, [&g](size_t lo, size_t hi) {
+  ParallelForWorkStealing(pool, n, node_grain, [&g](size_t lo, size_t hi) {
     for (size_t v = lo; v < hi; ++v) {
       std::sort(
           g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]),
@@ -179,7 +177,7 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
   }
 
   g.by_degree_.resize(g.adjacency_.size());
-  ParallelForSched(pool, Scheduler::kAuto, n, node_grain, [&g](size_t lo, size_t hi) {
+  ParallelForWorkStealing(pool, n, node_grain, [&g](size_t lo, size_t hi) {
     for (size_t v = lo; v < hi; ++v) {
       auto begin = g.by_degree_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
       std::copy(g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]),

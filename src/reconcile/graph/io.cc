@@ -44,7 +44,8 @@ bool ReadEdgeListText(const std::string& path, EdgeList* out) {
   std::string line;
   size_t line_number = 0;
   // Writer header (`# nodes=N edges=M`), when present, is cross-checked
-  // against what the body actually contains.
+  // against what the body actually contains, and N is applied: trailing
+  // isolated nodes have no edge line to reveal them.
   bool have_header = false;
   uint64_t declared_nodes = 0, declared_edges = 0;
   uint64_t parsed_edges = 0, max_node = 0;
@@ -76,6 +77,11 @@ bool ReadEdgeListText(const std::string& path, EdgeList* out) {
     edges.Add(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
   if (have_header) {
+    if (declared_nodes > kInvalidNode) {
+      return Fail(path, "declared node count " +
+                            std::to_string(declared_nodes) +
+                            " overflows the 32-bit id space");
+    }
     if (parsed_edges != declared_edges) {
       return Fail(path, "header declares " + std::to_string(declared_edges) +
                             " edges but the file holds " +
@@ -87,6 +93,7 @@ bool ReadEdgeListText(const std::string& path, EdgeList* out) {
                             " exceeds the header's declared " +
                             std::to_string(declared_nodes) + " nodes");
     }
+    edges.EnsureNumNodes(static_cast<NodeId>(declared_nodes));
   }
   *out = std::move(edges);
   return true;

@@ -4,13 +4,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "reconcile/util/flat_hash_map.h"
 #include "reconcile/util/logging.h"
 #include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/thread_pool.h"
@@ -18,12 +16,6 @@
 
 namespace reconcile {
 namespace mr {
-
-/// Runs `fn(begin, end)` over a partition of `[0, n)` into contiguous chunks
-/// of roughly `grain` items, executed on `pool`. Blocks until all chunks
-/// complete. `fn` must be safe to invoke concurrently on disjoint ranges.
-void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
-                 const std::function<void(size_t, size_t)>& fn);
 
 /// Reduce-shard owning a packed key. The modulus uses the high bits of the
 /// mixed hash so it stays independent from FlatCountMap's slot choice.
@@ -38,45 +30,35 @@ inline int ShardOfKey(uint64_t key, int num_shards) {
 ///
 /// The mapper is invoked once per item index in `[0, num_items)` and may
 /// emit any number of 64-bit keys; the framework counts emissions per key.
-/// Each map shard maintains per-reduce-shard combiner maps (early duplicate
+/// Each map worker maintains per-reduce-shard combiner maps (early duplicate
 /// collapse), and the reduce phase merges combiners shard-by-shard. The
 /// resulting multiset of (key, count) pairs is exactly the sequential
 /// result, independent of shard or thread counts.
 ///
 /// `map_fn(size_t item, Emit emit)` with `emit(uint64_t key)`.
 ///
-/// `scheduler` picks how map work is distributed (`kAuto` follows the
-/// process default): static keeps one combiner set per fixed map chunk;
-/// work-stealing keeps one per worker slot and rebalances skewed items while
-/// the phase runs. The aggregate is identical either way (counts sum
-/// commutatively). When `reduce_seconds` is non-null the reduce phase's
-/// wall-clock is added to it.
-///
-/// `placement`, when non-null and active, homes each reduce shard on its
-/// placement domain: the reduce tasks run domain-local first, stealing
-/// remote shards only when the local domain is dry (`placed_stats` takes
-/// the locality split). Null/inactive placement keeps the historical
-/// one-task-per-shard submission byte for byte.
+/// The map phase runs on the work-stealing loop with one combiner set per
+/// worker slot, claiming an eighth of `num_items / num_map_shards` items per
+/// chunk, so skewed items rebalance while the phase runs; `num_map_shards`
+/// only sets that chunk size. The reduce phase submits one task per reduce
+/// shard.
+/// When `reduce_seconds` is non-null the reduce phase's wall-clock is added
+/// to it.
 template <typename MapFn>
 std::vector<FlatCountMap> CountByKey(ThreadPool* pool, size_t num_items,
                                      int num_map_shards, int num_reduce_shards,
                                      MapFn&& map_fn,
-                                     Scheduler scheduler = Scheduler::kAuto,
-                                     double* reduce_seconds = nullptr,
-                                     const ShardPlacement* placement = nullptr,
-                                     PlacedLoopStats* placed_stats = nullptr) {
+                                     double* reduce_seconds = nullptr) {
   RECONCILE_CHECK_GE(num_map_shards, 1);
   RECONCILE_CHECK_GE(num_reduce_shards, 1);
 
-  // Map phase with per-producer combiners (`ParallelProduce`: per fixed
-  // chunk under static scheduling, per worker slot under work-stealing).
+  // Map phase with per-slot combiners (`ParallelProduce`).
   const size_t grain =
       (num_items + static_cast<size_t>(num_map_shards) - 1) /
       static_cast<size_t>(num_map_shards);
   std::vector<std::vector<FlatCountMap>> partial =
       ParallelProduce<std::vector<FlatCountMap>>(
-          pool, scheduler, num_items, static_cast<size_t>(num_map_shards),
-          std::max<size_t>(1, grain / 8),
+          pool, num_items, std::max<size_t>(1, grain / 8),
           [num_reduce_shards, &map_fn](std::vector<FlatCountMap>& maps,
                                        size_t begin, size_t end) {
             if (maps.empty()) {
@@ -109,19 +91,10 @@ std::vector<FlatCountMap> CountByKey(ThreadPool* pool, size_t num_items,
     }
     result[r] = std::move(merged);
   };
-  if (placement != nullptr && placement->active()) {
-    placement->ParallelForPlaced(
-        pool, scheduler, static_cast<size_t>(num_reduce_shards),
-        [placement](size_t r) {
-          return placement->HomeOfShard(static_cast<int>(r));
-        },
-        reduce_shard, placed_stats);
-  } else {
-    for (int r = 0; r < num_reduce_shards; ++r) {
-      pool->Submit([r, &reduce_shard] { reduce_shard(static_cast<size_t>(r)); });
-    }
-    pool->Wait();
+  for (int r = 0; r < num_reduce_shards; ++r) {
+    pool->Submit([r, &reduce_shard] { reduce_shard(static_cast<size_t>(r)); });
   }
+  pool->Wait();
   if (reduce_seconds != nullptr) *reduce_seconds += reduce_timer.Seconds();
   return result;
 }
@@ -130,7 +103,7 @@ std::vector<FlatCountMap> CountByKey(ThreadPool* pool, size_t num_items,
 /// same aggregate (every emitted key with its multiplicity), but produced by
 /// radix-partitioned sort-and-count instead of hash aggregation.
 ///
-/// Each map shard appends raw keys into per-reduce-shard flat buffers (one
+/// Each map worker appends raw keys into per-reduce-shard flat buffers (one
 /// `push_back` per emission — no hashing, no probing); the reduce phase
 /// concatenates each shard's chunks, radix-sorts them and run-length-encodes
 /// the result into a `SortedCountRun`. `shard_fn(key)` routes a key to its
@@ -140,32 +113,26 @@ std::vector<FlatCountMap> CountByKey(ThreadPool* pool, size_t num_items,
 /// deterministic partition yields the same aggregate.
 ///
 /// The multiset of (key, count) pairs over all shards equals the sequential
-/// count, independent of shard or thread counts. `placement`/`placed_stats`
-/// behave as in `CountByKey`: active placement runs the reduce shards
-/// domain-local first, null/inactive keeps the historical submission.
+/// count, independent of shard or thread counts. Scheduling and
+/// `reduce_seconds` are as in `CountByKey`.
 template <typename MapFn, typename ShardFn>
 std::vector<SortedCountRun> SortCountByKey(ThreadPool* pool, size_t num_items,
                                            int num_map_shards,
                                            int num_reduce_shards,
                                            MapFn&& map_fn, ShardFn&& shard_fn,
-                                           Scheduler scheduler = Scheduler::kAuto,
-                                           double* reduce_seconds = nullptr,
-                                           const ShardPlacement* placement = nullptr,
-                                           PlacedLoopStats* placed_stats = nullptr) {
+                                           double* reduce_seconds = nullptr) {
   RECONCILE_CHECK_GE(num_map_shards, 1);
   RECONCILE_CHECK_GE(num_reduce_shards, 1);
 
-  // Map phase: flat append buffers per producer (`ParallelProduce`: fixed
-  // chunk under static, worker slot under work-stealing), partitioned by
-  // reduce shard at emission time. The reduce sort makes the producer
-  // partition unobservable.
+  // Map phase: flat append buffers per worker slot (`ParallelProduce`),
+  // partitioned by reduce shard at emission time. The reduce sort makes the
+  // producer partition unobservable.
   const size_t grain =
       (num_items + static_cast<size_t>(num_map_shards) - 1) /
       static_cast<size_t>(num_map_shards);
   std::vector<std::vector<std::vector<uint64_t>>> partial =
       ParallelProduce<std::vector<std::vector<uint64_t>>>(
-          pool, scheduler, num_items, static_cast<size_t>(num_map_shards),
-          std::max<size_t>(1, grain / 8),
+          pool, num_items, std::max<size_t>(1, grain / 8),
           [num_reduce_shards, &map_fn, &shard_fn](
               std::vector<std::vector<uint64_t>>& buffers, size_t begin,
               size_t end) {
@@ -199,19 +166,10 @@ std::vector<SortedCountRun> SortCountByKey(ThreadPool* pool, size_t num_items,
     std::vector<uint64_t> scratch;
     result[r] = SortAndCount(std::move(keys), scratch);
   };
-  if (placement != nullptr && placement->active()) {
-    placement->ParallelForPlaced(
-        pool, scheduler, static_cast<size_t>(num_reduce_shards),
-        [placement](size_t r) {
-          return placement->HomeOfShard(static_cast<int>(r));
-        },
-        reduce_shard, placed_stats);
-  } else {
-    for (int r = 0; r < num_reduce_shards; ++r) {
-      pool->Submit([r, &reduce_shard] { reduce_shard(static_cast<size_t>(r)); });
-    }
-    pool->Wait();
+  for (int r = 0; r < num_reduce_shards; ++r) {
+    pool->Submit([r, &reduce_shard] { reduce_shard(static_cast<size_t>(r)); });
   }
+  pool->Wait();
   if (reduce_seconds != nullptr) *reduce_seconds += reduce_timer.Seconds();
   return result;
 }

@@ -51,16 +51,16 @@ std::vector<std::pair<NodeId, NodeId>> CollectMarked(
   const size_t n = mark.size();
   const size_t num_blocks = n == 0 ? 0 : (n + grain - 1) / grain;
   std::vector<size_t> offset(num_blocks, 0);
-  ParallelForSched(pool, Scheduler::kAuto, num_blocks, 1,
-                   [&mark, &offset, n, grain](size_t blo, size_t bhi) {
-                     for (size_t b = blo; b < bhi; ++b) {
-                       const size_t lo = b * grain;
-                       const size_t hi = std::min(n, lo + grain);
-                       size_t count = 0;
-                       for (size_t u = lo; u < hi; ++u) count += mark[u] != 0;
-                       offset[b] = count;
-                     }
-                   });
+  ParallelForWorkStealing(
+      pool, num_blocks, 1, [&mark, &offset, n, grain](size_t blo, size_t bhi) {
+        for (size_t b = blo; b < bhi; ++b) {
+          const size_t lo = b * grain;
+          const size_t hi = std::min(n, lo + grain);
+          size_t count = 0;
+          for (size_t u = lo; u < hi; ++u) count += mark[u] != 0;
+          offset[b] = count;
+        }
+      });
   size_t total = 0;
   for (size_t b = 0; b < num_blocks; ++b) {
     const size_t count = offset[b];
@@ -68,8 +68,8 @@ std::vector<std::pair<NodeId, NodeId>> CollectMarked(
     total += count;
   }
   std::vector<std::pair<NodeId, NodeId>> out(total);
-  ParallelForSched(
-      pool, Scheduler::kAuto, num_blocks, 1,
+  ParallelForWorkStealing(
+      pool, num_blocks, 1,
       [&mark, &map_1to2, &offset, &out, n, grain](size_t blo, size_t bhi) {
         for (size_t b = blo; b < bhi; ++b) {
           const size_t lo = b * grain;
@@ -130,15 +130,16 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
   switch (options.bias) {
     case SeedBias::kUniform: {
       std::vector<char> take(n, 0);
-      ParallelForSched(pool, Scheduler::kAuto, n, grain,
-                       [&pair, &take, &options, seed](size_t lo, size_t hi) {
-                         for (size_t u = lo; u < hi; ++u) {
-                           const NodeId node = static_cast<NodeId>(u);
-                           if (pair.map_1to2[node] == kInvalidNode) continue;
-                           take[u] = NodeBernoulli(options.fraction, seed,
-                                                   /*salt=*/0, node);
-                         }
-                       });
+      ParallelForWorkStealing(
+          pool, n, grain,
+          [&pair, &take, &options, seed](size_t lo, size_t hi) {
+            for (size_t u = lo; u < hi; ++u) {
+              const NodeId node = static_cast<NodeId>(u);
+              if (pair.map_1to2[node] == kInvalidNode) continue;
+              take[u] =
+                  NodeBernoulli(options.fraction, seed, /*salt=*/0, node);
+            }
+          });
       seeds = CollectMarked(pool, grain, take, pair.map_1to2);
       break;
     }
@@ -151,8 +152,8 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
       const size_t num_blocks = n == 0 ? 0 : (n + grain - 1) / grain;
       std::vector<uint64_t> block_total(num_blocks, 0);
       std::vector<uint64_t> block_mapped(num_blocks, 0);
-      ParallelForSched(
-          pool, Scheduler::kAuto, num_blocks, 1,
+      ParallelForWorkStealing(
+          pool, num_blocks, 1,
           [&pair, &block_total, &block_mapped, n, grain](size_t blo,
                                                          size_t bhi) {
             for (size_t b = blo; b < bhi; ++b) {
@@ -178,34 +179,32 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
       const double scale = options.fraction * static_cast<double>(mapped) /
                            static_cast<double>(total);
       std::vector<char> take(n, 0);
-      ParallelForSched(pool, Scheduler::kAuto, n, grain,
-                       [&pair, &take, scale, seed](size_t lo, size_t hi) {
-                         for (size_t u = lo; u < hi; ++u) {
-                           const NodeId node = static_cast<NodeId>(u);
-                           const NodeId v = pair.map_1to2[node];
-                           if (v == kInvalidNode) continue;
-                           const double p =
-                               scale * std::min(pair.g1.degree(node),
+      ParallelForWorkStealing(
+          pool, n, grain, [&pair, &take, scale, seed](size_t lo, size_t hi) {
+            for (size_t u = lo; u < hi; ++u) {
+              const NodeId node = static_cast<NodeId>(u);
+              const NodeId v = pair.map_1to2[node];
+              if (v == kInvalidNode) continue;
+              const double p = scale * std::min(pair.g1.degree(node),
                                                 pair.g2.degree(v));
-                           take[u] = NodeBernoulli(p, seed, /*salt=*/1, node);
-                         }
-                       });
+              take[u] = NodeBernoulli(p, seed, /*salt=*/1, node);
+            }
+          });
       seeds = CollectMarked(pool, grain, take, pair.map_1to2);
       break;
     }
     case SeedBias::kTopDegree: {
       RECONCILE_CHECK_GT(options.fixed_count, 0u);
       std::vector<char> valid(n, 0);
-      ParallelForSched(pool, Scheduler::kAuto, n, grain,
-                       [&pair, &valid](size_t lo, size_t hi) {
-                         for (size_t u = lo; u < hi; ++u) {
-                           const NodeId node = static_cast<NodeId>(u);
-                           const NodeId v = pair.map_1to2[node];
-                           if (v == kInvalidNode) continue;
-                           valid[u] = pair.g1.degree(node) > 0 &&
-                                      pair.g2.degree(v) > 0;
-                         }
-                       });
+      ParallelForWorkStealing(
+          pool, n, grain, [&pair, &valid](size_t lo, size_t hi) {
+            for (size_t u = lo; u < hi; ++u) {
+              const NodeId node = static_cast<NodeId>(u);
+              const NodeId v = pair.map_1to2[node];
+              if (v == kInvalidNode) continue;
+              valid[u] = pair.g1.degree(node) > 0 && pair.g2.degree(v) > 0;
+            }
+          });
       std::vector<std::pair<NodeId, NodeId>> candidates =
           CollectMarked(pool, grain, valid, pair.map_1to2);
       std::sort(candidates.begin(), candidates.end(),

@@ -34,15 +34,6 @@ uint8_t LevelOf(NodeId degree) {
   return static_cast<uint8_t>(FloorLog2(std::max<NodeId>(1, degree)));
 }
 
-MachineTopology ServePlacementTopology(const MatcherConfig& config) {
-  if (config.placement_domains > 0) {
-    return config.placement_domains == 1
-               ? SingleDomainTopology()
-               : SyntheticTopology(config.placement_domains);
-  }
-  return DetectTopology();
-}
-
 // Fold visible to no round: retraction never touched a stamp.
 constexpr uint32_t kNoDirtyStamp = ~0u;
 
@@ -64,13 +55,9 @@ IncrementalMatcher::IncrementalMatcher(
     : config_(config),
       pool_(config.matcher.num_threads > 0 ? config.matcher.num_threads
                                            : ThreadPool::DefaultThreads()),
-      scheduler_(ResolveScheduler(config.matcher.scheduler)),
       num_shards_(config.matcher.num_shards > 0
                       ? config.matcher.num_shards
                       : std::max(4, pool_.num_threads())),
-      topology_(ServePlacementTopology(config.matcher)),
-      placement_(topology_, config.matcher.placement, num_shards_,
-                 pool_.num_threads()),
       o1_(std::move(g1)),
       o2_(std::move(g2)),
       selection_(o1_.num_nodes(), o2_.num_nodes(),
@@ -96,17 +83,9 @@ IncrementalMatcher::IncrementalMatcher(
     map_2to1_[v] = u;
     links_.emplace_back(u, v);
   }
-  if (placement_.active()) placement_.PinWorkers(&pool_);
 }
 
 IncrementalMatcher::~IncrementalMatcher() = default;
-
-std::function<int(size_t)> IncrementalMatcher::CellDomainFn() const {
-  return [this](size_t cell) {
-    return placement_.HomeOfShard(
-        static_cast<int>(cell % static_cast<size_t>(num_shards_)));
-  };
-}
 
 void IncrementalMatcher::SyncDerivedState() {
   const NodeId n1 = o1_.num_nodes();
@@ -210,22 +189,18 @@ size_t IncrementalMatcher::EmitLinks(
     }
   };
   const size_t grain =
-      config_.matcher.scheduler_grain > 0
-          ? static_cast<size_t>(config_.matcher.scheduler_grain)
-          : ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
-  std::vector<RadixDelta> deltas = ParallelProduce<RadixDelta>(
-      &pool_, scheduler_, num_items, static_cast<size_t>(num_shards_) * 4,
-      grain, emit_range);
+      ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
+  std::vector<RadixDelta> deltas =
+      ParallelProduce<RadixDelta>(&pool_, num_items, grain, emit_range);
   if (stats != nullptr) stats->emit_seconds += emit_timer.Seconds();
 
   Timer merge_timer;
-  PlacedLoopStats merge_placed;
   std::vector<uint8_t> call_touched;
   if (mark_dirty) call_touched.assign(cells_.size(), 0);
   uint8_t* const call_touched_ptr =
       call_touched.empty() ? nullptr : call_touched.data();
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_, cells_.size(), CellDomainFn(),
+  ParallelForEach(
+      &pool_, cells_.size(),
       [this, &deltas, stamp, sign, call_touched_ptr](size_t cell) {
         const size_t level = cell / static_cast<size_t>(num_shards_);
         const size_t shard = cell % static_cast<size_t>(num_shards_);
@@ -251,8 +226,7 @@ size_t IncrementalMatcher::EmitLinks(
         cells_[cell].Append(stamp, std::move(run), sign);
         touched_cells_[cell] = 1;
         if (call_touched_ptr != nullptr) call_touched_ptr[cell] = 1;
-      },
-      &merge_placed);
+      });
   if (mark_dirty) {
     for (size_t cell = 0; cell < call_touched.size(); ++cell) {
       if (call_touched[cell] == 0) continue;
@@ -260,11 +234,7 @@ size_t IncrementalMatcher::EmitLinks(
       level_dirty_stamp_[level] = std::min(level_dirty_stamp_[level], stamp);
     }
   }
-  if (stats != nullptr) {
-    stats->merge_seconds += merge_timer.Seconds();
-    stats->local_unit_tasks += merge_placed.local_tasks;
-    stats->remote_unit_steals += merge_placed.remote_steals;
-  }
+  if (stats != nullptr) stats->merge_seconds += merge_timer.Seconds();
 
   size_t emissions = 0;
   for (const RadixDelta& delta : deltas) {
@@ -429,9 +399,8 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
   // (8) Fold each cell's runs within their stamps (retract + re-emit pairs
   // collapse; zero-net keys drop). Never across stamps — that would
   // destroy the "as of round r" cut.
-  placement_.ParallelForPlaced(
-      &pool_, scheduler_, cells_.size(), CellDomainFn(),
-      [this](size_t cell) { cells_[cell].CompactStamps(); });
+  ParallelForEach(&pool_, cells_.size(),
+                  [this](size_t cell) { cells_[cell].CompactStamps(); });
 
   // (9) Re-run the round schedule against the repaired score state.
   Replay(&stats);
@@ -470,9 +439,9 @@ void IncrementalMatcher::Replay(ServeBatchStats* stats) {
   }
 
   auto truncate_from = [this](uint32_t stamp) {
-    placement_.ParallelForPlaced(
-        &pool_, scheduler_, cells_.size(), CellDomainFn(),
-        [this, stamp](size_t cell) { cells_[cell].TruncateFrom(stamp); });
+    ParallelForEach(&pool_, cells_.size(), [this, stamp](size_t cell) {
+      cells_[cell].TruncateFrom(stamp);
+    });
   };
 
   // Two-level accumulated fold, the serve analogue of an LSM memtable/L1
@@ -500,8 +469,8 @@ void IncrementalMatcher::Replay(ServeBatchStats* stats) {
   std::vector<FoldedRun> fold_hot(cells_.size());
   std::vector<int> fold_watermark(cells_.size(), -1);
   auto advance_fold = [this, &fold_cold, &fold_hot, &fold_watermark](int k) {
-    placement_.ParallelForPlaced(
-        &pool_, scheduler_, cells_.size(), CellDomainFn(),
+    ParallelForEach(
+        &pool_, cells_.size(),
         [this, &fold_cold, &fold_hot, &fold_watermark, k](size_t cell) {
           const int watermark = fold_watermark[cell];
           if (k <= watermark) return;
@@ -610,8 +579,6 @@ void IncrementalMatcher::Replay(ServeBatchStats* stats) {
       phase.bucket_exponent = bucket;
       phase.links_in = links_.size();
       phase.num_threads = pool_.num_threads();
-      phase.placement_domains =
-          placement_.active() ? placement_.num_domains() : 1;
       advance_fold(k);
       std::vector<ScoreUnit> units;
       units.reserve(static_cast<size_t>(kNumLevels - bucket) *
@@ -626,9 +593,6 @@ void IncrementalMatcher::Replay(ServeBatchStats* stats) {
       }
       SelectionContext ctx;
       ctx.pool = &pool_;
-      ctx.scheduler = scheduler_;
-      ctx.placement = &placement_;
-      ctx.domain_of = CellDomainFn();
       ctx.min_score = mc.min_score;
       ctx.map_1to2 = &map_1to2_;
       ctx.map_2to1 = &map_2to1_;

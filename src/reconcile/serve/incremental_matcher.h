@@ -15,10 +15,8 @@
 #include "reconcile/graph/types.h"
 #include "reconcile/serve/delta_log.h"
 #include "reconcile/serve/overlay_graph.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/stamped_runs.h"
 #include "reconcile/util/thread_pool.h"
-#include "reconcile/util/topology.h"
 
 namespace reconcile {
 
@@ -31,8 +29,7 @@ struct ServeConfig {
   /// the stamped signed-run store (retraction needs it), so
   /// `matcher.scoring_backend`, the LSM tier policy and the memory-budget
   /// knobs are ignored in serve mode; threshold, iterations, bucketing,
-  /// stability, threads, shards, scheduler, grain, placement and
-  /// `use_parallel_selection` all apply.
+  /// stability, threads, shards and `use_parallel_selection` all apply.
   MatcherConfig matcher;
 
   /// Fold the overlay diffs into a fresh CSR every N batches (<= 0: never).
@@ -63,8 +60,8 @@ struct ServeBatchStats {
 /// of delta-overlay graphs and repairs it incrementally per delta batch,
 /// with a correctness contract of *bit-identical equivalence to a
 /// from-scratch batch run on the final graphs* (enforced by
-/// `serve_incremental_differential_test` across scheduler × backend ×
-/// placement × threads, and across kill/resume by
+/// `serve_incremental_differential_test` across backends, selection
+/// engines and thread counts, and across kill/resume by
 /// `integration_serve_kill_resume_test`).
 ///
 /// How the repair stays exact (DESIGN.md §2.6):
@@ -147,7 +144,6 @@ class IncrementalMatcher {
   StampedRuns& Cell(size_t level, size_t shard) {
     return cells_[level * static_cast<size_t>(num_shards_) + shard];
   }
-  std::function<int(size_t)> CellDomainFn() const;
   uint32_t ShardOf(NodeId u) const { return shard1_[u]; }
 
   // Re-emits `links` against the *current* overlays/levels as one signed
@@ -177,10 +173,7 @@ class IncrementalMatcher {
 
   ServeConfig config_;
   ThreadPool pool_;
-  Scheduler scheduler_;
   int num_shards_;
-  MachineTopology topology_;
-  ShardPlacement placement_;
 
   OverlayGraph o1_;
   OverlayGraph o2_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -50,18 +49,6 @@ class SpinGuard {
  private:
   StealSlot& slot_;
 };
-
-Scheduler DefaultScheduler() {
-  static const Scheduler cached = [] {
-    const char* env = std::getenv("RECONCILE_SCHEDULER");
-    Scheduler s;
-    if (env != nullptr && ParseScheduler(env, &s) && s != Scheduler::kAuto) {
-      return s;
-    }
-    return Scheduler::kWorkStealing;
-  }();
-  return cached;
-}
 
 void RunWorkStealing(ThreadPool* pool, size_t n, size_t grain,
                      const std::function<void(int, size_t, size_t)>& fn) {
@@ -173,35 +160,6 @@ void RunWorkStealing(ThreadPool* pool, size_t n, size_t grain,
 
 }  // namespace
 
-Scheduler ResolveScheduler(Scheduler scheduler) {
-  return scheduler == Scheduler::kAuto ? DefaultScheduler() : scheduler;
-}
-
-const char* SchedulerName(Scheduler scheduler) {
-  switch (scheduler) {
-    case Scheduler::kAuto:
-      return "auto";
-    case Scheduler::kStatic:
-      return "static";
-    case Scheduler::kWorkStealing:
-      return "stealing";
-  }
-  return "auto";
-}
-
-bool ParseScheduler(const std::string& text, Scheduler* out) {
-  if (text == "auto") {
-    *out = Scheduler::kAuto;
-  } else if (text == "static") {
-    *out = Scheduler::kStatic;
-  } else if (text == "stealing" || text == "work-stealing") {
-    *out = Scheduler::kWorkStealing;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 int ParallelSlots(const ThreadPool* pool) {
   return pool == nullptr ? 1 : std::max(1, pool->num_threads());
 }
@@ -218,14 +176,11 @@ void ParallelForWorkStealingSlots(
   RunWorkStealing(pool, n, grain, fn);
 }
 
-void ParallelForSched(ThreadPool* pool, Scheduler scheduler, size_t n,
-                      size_t grain,
-                      const std::function<void(size_t, size_t)>& fn) {
-  if (ResolveScheduler(scheduler) == Scheduler::kWorkStealing) {
-    ParallelForWorkStealing(pool, n, grain, fn);
-  } else {
-    ParallelForChunks(pool, n, grain, fn);
-  }
+void ParallelForEach(ThreadPool* pool, size_t n,
+                     const std::function<void(size_t)>& fn) {
+  RunWorkStealing(pool, n, 1, [&fn](int, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) fn(i);
+  });
 }
 
 }  // namespace reconcile

@@ -1,49 +1,24 @@
 #ifndef RECONCILE_UTIL_PARALLEL_FOR_H_
 #define RECONCILE_UTIL_PARALLEL_FOR_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 
-/// How a parallel loop distributes its iterations across pool workers.
-///
-/// Both schedulers execute every index of `[0, n)` exactly once on disjoint
-/// subranges, so any loop body whose aggregation is partition-independent
-/// (commutative sums, per-index writes, CAS-max folds — everything in this
-/// codebase's hot paths) produces bit-identical results under either one.
-/// They differ only in how work moves to idle threads, which is what decides
-/// wall-clock on skewed inputs (hub nodes make per-item cost heavy-tailed).
-enum class Scheduler {
-  /// Resolve at the call site: the `RECONCILE_SCHEDULER` environment
-  /// variable ("static" | "stealing") when set, otherwise work-stealing.
-  kAuto,
-  /// Fixed contiguous chunks of `grain` items submitted to the pool queue up
-  /// front (`ParallelForChunks`). Reference scheduler: no rebalancing, so a
-  /// chunk that lands on a hub serializes its whole tail.
-  kStatic,
-  /// Work-stealing: `[0, n)` is pre-split into one contiguous range per
-  /// worker slot; each worker consumes its own range from the front in
-  /// `grain`-sized chunks, and an idle worker steals the back half of the
-  /// fullest remaining range. Imbalance is repaired while the loop runs
-  /// instead of being fixed by up-front chunk sizing.
-  kWorkStealing,
-};
-
-/// Maps `kAuto` onto the process-wide default (environment override or
-/// work-stealing); explicit values pass through unchanged.
-Scheduler ResolveScheduler(Scheduler scheduler);
-
-/// "auto" | "static" | "stealing".
-const char* SchedulerName(Scheduler scheduler);
-
-/// Parses "static" | "stealing" (also "work-stealing") | "auto".
-bool ParseScheduler(const std::string& text, Scheduler* out);
+// The hot paths' parallel loop: work-stealing. `[0, n)` is
+// pre-split into one contiguous range per worker slot; each worker consumes
+// its own range from the front in `grain`-sized chunks, and an idle worker
+// steals the back half of the fullest remaining range. Imbalance is repaired
+// while the loop runs, which is what matters on hub-heavy social graphs
+// (per-item cost is heavy-tailed). Every index runs exactly once on disjoint
+// subranges, so any loop body whose aggregation is partition-independent
+// (commutative sums, per-index writes, CAS-max folds — everything in this
+// codebase's hot paths) produces bit-identical results under any steal
+// schedule and thread count.
 
 /// Number of worker slots a work-stealing loop on `pool` uses: one per pool
 /// thread (1 when `pool` is null). Callers keeping per-slot accumulation
@@ -68,52 +43,28 @@ void ParallelForWorkStealingSlots(
     ThreadPool* pool, size_t n, size_t grain,
     const std::function<void(int, size_t, size_t)>& fn);
 
-/// Dispatches to `ParallelForChunks` (static) or `ParallelForWorkStealing`
-/// per the resolved scheduler. `kAuto` follows the process default.
-void ParallelForSched(ThreadPool* pool, Scheduler scheduler, size_t n,
-                      size_t grain,
-                      const std::function<void(size_t, size_t)>& fn);
+/// One item per claim: `fn(i)` for every `i` in `[0, n)`. The shape of the
+/// per-cell loops over score units, where a single (level, shard) cell can
+/// hold most of a round's work.
+void ParallelForEach(ThreadPool* pool, size_t n,
+                     const std::function<void(size_t)>& fn);
 
 /// Producer-loop helper shared by the delta-accumulating map phases (witness
 /// emission, the mr map phases): runs `fn(delta, begin, end)` over disjoint
-/// chunks of `[0, n)` and returns the producer-local accumulators for a
-/// subsequent merge. Static scheduling keeps one producer per fixed chunk
-/// (`num_static_producers` chunks — the historical per-chunk delta layout);
-/// work-stealing keeps one per worker slot (fewer, larger deltas), claiming
-/// `stealing_grain` items per lock acquisition. A delta is only ever touched
-/// by one thread at a time, but which items land in which delta depends on
-/// the schedule — `fn` must aggregate commutatively so the partition stays
-/// unobservable after the merge. Producers that receive no items are left
-/// default-constructed.
+/// chunks of `[0, n)`, claiming `grain` items per lock acquisition, with one
+/// producer-local accumulator per worker slot, and returns the accumulators
+/// for a subsequent merge. A delta is only ever touched by one thread at a
+/// time, but which items land in which delta depends on the schedule — `fn`
+/// must aggregate commutatively so the partition stays unobservable after
+/// the merge. Producers that receive no items are left default-constructed.
 template <typename Delta, typename Fn>
-std::vector<Delta> ParallelProduce(ThreadPool* pool, Scheduler scheduler,
-                                   size_t n, size_t num_static_producers,
-                                   size_t stealing_grain, Fn&& fn) {
-  std::vector<Delta> deltas;
-  if (ResolveScheduler(scheduler) == Scheduler::kWorkStealing) {
-    deltas.resize(static_cast<size_t>(ParallelSlots(pool)));
-    ParallelForWorkStealingSlots(
-        pool, n, stealing_grain,
-        [&deltas, &fn](int slot, size_t begin, size_t end) {
-          fn(deltas[static_cast<size_t>(slot)], begin, end);
-        });
-    return deltas;
-  }
-  const size_t producers =
-      std::max<size_t>(1, std::min(n, num_static_producers));
-  const size_t grain = (n + producers - 1) / producers;
-  deltas.resize(producers);
-  if (pool == nullptr) {
-    if (n > 0) fn(deltas[0], 0, n);
-    return deltas;
-  }
-  size_t index = 0;
-  for (size_t lo = 0; lo < n; lo += grain, ++index) {
-    const size_t hi = std::min(n, lo + grain);
-    Delta& delta = deltas[index];
-    pool->Submit([&fn, &delta, lo, hi] { fn(delta, lo, hi); });
-  }
-  pool->Wait();
+std::vector<Delta> ParallelProduce(ThreadPool* pool, size_t n, size_t grain,
+                                   Fn&& fn) {
+  std::vector<Delta> deltas(static_cast<size_t>(ParallelSlots(pool)));
+  ParallelForWorkStealingSlots(
+      pool, n, grain, [&deltas, &fn](int slot, size_t begin, size_t end) {
+        fn(deltas[static_cast<size_t>(slot)], begin, end);
+      });
   return deltas;
 }
 

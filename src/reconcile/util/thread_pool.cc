@@ -2,28 +2,13 @@
 
 #include <algorithm>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace reconcile {
-
-namespace {
-
-// Worker identity of the calling thread. -1 outside pool workers. A thread
-// belongs to exactly one pool for its whole lifetime, so a plain index
-// (rather than a (pool, index) pair) is unambiguous for the pool's own
-// loops, which are the only consumers.
-thread_local int t_worker_index = -1;
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(1, num_threads);
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -49,25 +34,6 @@ void ThreadPool::Wait() {
   work_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
 }
 
-int ThreadPool::CurrentWorkerIndex() { return t_worker_index; }
-
-bool ThreadPool::PinWorkerToCpus(int worker, const std::vector<int>& cpus) {
-  if (worker < 0 || worker >= num_threads() || cpus.empty()) return false;
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu : cpus) {
-    if (cpu < 0 || cpu >= CPU_SETSIZE) return false;
-    CPU_SET(cpu, &set);
-  }
-  return pthread_setaffinity_np(
-             workers_[static_cast<size_t>(worker)].native_handle(),
-             sizeof(set), &set) == 0;
-#else
-  return false;
-#endif
-}
-
 int ThreadPool::DefaultThreads() {
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
@@ -85,23 +51,7 @@ size_t ThreadPool::GrainSize(size_t n, int num_threads, size_t min_grain,
   return std::max(std::max<size_t>(1, min_grain), (n + tasks - 1) / tasks);
 }
 
-void ParallelForChunks(ThreadPool* pool, size_t n, size_t grain,
-                       const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  size_t step = std::max<size_t>(1, grain);
-  if (pool == nullptr || step >= n) {
-    fn(0, n);
-    return;
-  }
-  for (size_t begin = 0; begin < n; begin += step) {
-    size_t end = std::min(n, begin + step);
-    pool->Submit([begin, end, &fn] { fn(begin, end); });
-  }
-  pool->Wait();
-}
-
-void ThreadPool::WorkerLoop(int worker_index) {
-  t_worker_index = worker_index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

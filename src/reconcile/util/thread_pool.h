@@ -36,19 +36,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Index of the calling thread within its owning pool (`[0, num_threads)`),
-  /// or -1 when the caller is not a pool worker. Worker indices are stable
-  /// for the thread's lifetime, so loops can key per-worker state (domain
-  /// homes, accumulation buffers) off the executing thread rather than the
-  /// task submission order.
-  static int CurrentWorkerIndex();
-
-  /// Best-effort OS affinity: restricts worker `worker` to the given CPUs
-  /// (the shard-placement layer pins workers to their home domain's CPUs).
-  /// Returns false — leaving affinity unchanged — on non-Linux builds, bad
-  /// arguments, or a failed syscall. Never affects results, only locality.
-  bool PinWorkerToCpus(int worker, const std::vector<int>& cpus);
-
   /// Default parallelism: hardware concurrency, at least 1.
   static int DefaultThreads();
 
@@ -76,7 +63,7 @@ class ThreadPool {
   }
 
  private:
-  void WorkerLoop(int worker_index);
+  void WorkerLoop();
 
   std::mutex mutex_;
   std::condition_variable work_available_;
@@ -86,12 +73,6 @@ class ThreadPool {
   int in_flight_ = 0;
   bool shutting_down_ = false;
 };
-
-/// Runs `fn(begin, end)` over a partition of `[0, n)` into contiguous chunks
-/// of roughly `grain` items, executed on `pool`. Blocks until all chunks
-/// complete. `fn` must be safe to invoke concurrently on disjoint ranges.
-void ParallelForChunks(ThreadPool* pool, size_t n, size_t grain,
-                       const std::function<void(size_t, size_t)>& fn);
 
 }  // namespace reconcile
 

@@ -212,11 +212,6 @@ class TieredCountRuns {
     for (const Tier& tier : tiers_) fn(tier.View());
   }
 
-  /// Pre-sizes the tier stack (not the runs — those are appended whole).
-  /// The shard-placement first-touch pass calls this from a home-domain
-  /// worker so the stack's backing pages are allocated there.
-  void ReserveTiers(size_t n) { tiers_.reserve(n); }
-
   bool empty() const { return tiers_.empty(); }
   size_t num_tiers() const { return tiers_.size(); }
   size_t tier_size(size_t index) const { return tiers_[index].size(); }

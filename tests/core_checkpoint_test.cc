@@ -1,7 +1,7 @@
 // MatcherState as a resumable object: a snapshot taken between rounds must
 // restore into a state that finishes with a matching bit-identical to the
 // uninterrupted run — across both scoring backends, multi-tier LSM stacks
-// and a forced multi-domain synthetic placement — and every corruption or
+// and thread counts — and every corruption or
 // mismatch (truncation, bit flips, wrong graph, wrong config, wrong seeds)
 // must be a clean LoadSnapshot failure that leaves the state untouched.
 #include "reconcile/core/matcher_state.h"
@@ -128,27 +128,25 @@ TEST(MatcherStateTest, ResumeEquivalenceWithMultiTierLsmStacks) {
   CheckResumeEquivalence(w, config, 4, "lsm8");
 }
 
-TEST(MatcherStateTest, ResumeEquivalenceUnderSyntheticPlacement) {
-  // Forced 3-domain synthetic topology: save/load must be placement-
-  // agnostic, and the resumed run must stay bit-identical with domain
-  // homing active.
+TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsSixShards) {
+  // Five workers stealing over six shards' cells: the resumed run must stay
+  // bit-identical under a steal schedule unlike the default's.
   Workload w = MakeWorkload(9004);
   MatcherConfig config;
   config.num_shards = 6;
-  config.placement = PlacementPolicy::kDomain;
-  config.placement_domains = 3;
-  CheckResumeEquivalence(w, config, 3, "placed3");
+  config.num_threads = 5;
+  CheckResumeEquivalence(w, config, 3, "t5s6");
 }
 
 TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   // Execution knobs are not fingerprinted: a snapshot taken under one
-  // scheduler/thread/placement combination must restore under another and
-  // still produce the canonical matching (shard count held fixed — it
-  // shapes the persisted score state).
+  // thread count must restore under another and still produce the canonical
+  // matching (shard count held fixed — it shapes the persisted score
+  // state).
   Workload w = MakeWorkload(9005);
   MatcherConfig writer_config;
   writer_config.num_shards = 4;
-  writer_config.scheduler = Scheduler::kWorkStealing;
+  writer_config.num_threads = 5;
 
   const std::string path = TempPath("portable.ckpt");
   MatcherState original(w.pair.g1, w.pair.g2, writer_config);
@@ -161,10 +159,7 @@ TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   MatchResult uninterrupted = original.TakeResult(0.0);
 
   MatcherConfig reader_config = writer_config;
-  reader_config.scheduler = Scheduler::kStatic;
   reader_config.num_threads = 1;
-  reader_config.placement = PlacementPolicy::kDomain;
-  reader_config.placement_domains = 2;
   MatcherState resumed(w.pair.g1, w.pair.g2, reader_config);
   resumed.SeedLinks(w.seeds);
   ASSERT_TRUE(resumed.LoadSnapshot(path, &error)) << error;

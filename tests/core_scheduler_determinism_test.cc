@@ -1,5 +1,5 @@
-// Scheduler and LSM-store equivalence: the work-stealing scheduler must
-// produce bit-identical matchings to static chunking for every grain and
+// Work-stealing and LSM-store equivalence: the matching must be
+// bit-identical to the 1-thread run for every thread count, shard count and
 // steal schedule, and the tiered score store must be unobservable for every
 // tier threshold — including policies that force compaction mid-run. Any
 // divergence means a hot-path loop's aggregation stopped being
@@ -27,8 +27,8 @@ struct Workload {
   std::vector<std::pair<NodeId, NodeId>> seeds;
 };
 
-// Chung-Lu at exponent 2.2 gives real hubs, so the stealing schedule
-// actually differs from the static one instead of degenerating to it.
+// Chung-Lu at exponent 2.2 gives real hubs, so per-item cost is skewed and
+// threads actually steal from each other.
 Workload MakeWorkload(uint64_t rng_seed) {
   Graph g = rng_seed % 2 == 0
                 ? GenerateChungLu(PowerLawWeights(1600, 2.2, 12.0), rng_seed)
@@ -49,15 +49,14 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
   ASSERT_EQ(result.map_2to1, reference.map_2to1);
 }
 
-// Static vs work-stealing across grains, threads, and both scoring
-// backends. The static / 1-thread run anchors each workload.
-TEST(SchedulerDeterminismTest, StealingMatchesStaticAcrossGrid) {
+// Threads x shards x both scoring backends, each against the 1-thread run.
+// Two and five threads give different steal schedules over the same cells.
+TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
     Workload w = MakeWorkload(rng_seed);
 
     MatcherConfig reference_config;
-    reference_config.scheduler = Scheduler::kStatic;
     reference_config.num_threads = 1;
     MatchResult reference =
         UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
@@ -66,42 +65,37 @@ TEST(SchedulerDeterminismTest, StealingMatchesStaticAcrossGrid) {
 
     for (ScoringBackend backend :
          {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-      for (Scheduler scheduler :
-           {Scheduler::kStatic, Scheduler::kWorkStealing}) {
-        for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
-          for (int threads : {2, 5}) {
-            SCOPED_TRACE(std::string("backend=") +
-                         (backend == ScoringBackend::kRadixSort ? "radix"
-                                                                : "hash") +
-                         " scheduler=" + SchedulerName(scheduler) +
-                         " grain=" + std::to_string(grain) +
-                         " threads=" + std::to_string(threads));
-            MatcherConfig config;
-            config.scoring_backend = backend;
-            config.scheduler = scheduler;
-            config.scheduler_grain = grain;
-            config.num_threads = threads;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-            ExpectSameMatching(result, reference);
-          }
+      for (int shards : {0, 7}) {
+        for (int threads : {2, 5}) {
+          SCOPED_TRACE(std::string("backend=") +
+                       (backend == ScoringBackend::kRadixSort ? "radix"
+                                                              : "hash") +
+                       " shards=" + std::to_string(shards) +
+                       " threads=" + std::to_string(threads));
+          MatcherConfig config;
+          config.scoring_backend = backend;
+          config.num_shards = shards;
+          config.num_threads = threads;
+          MatchResult result =
+              UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+          ExpectSameMatching(result, reference);
         }
       }
     }
   }
 }
 
-// Representation-independent per-round telemetry must agree between
-// schedulers (wall-clock obviously differs).
-TEST(SchedulerDeterminismTest, PhaseCountersMatchBetweenSchedulers) {
+// Representation-independent per-round telemetry must agree across thread
+// counts (wall-clock obviously differs).
+TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
-  MatcherConfig static_config;
-  static_config.scheduler = Scheduler::kStatic;
-  static_config.num_threads = 4;
-  MatcherConfig stealing_config = static_config;
-  stealing_config.scheduler = Scheduler::kWorkStealing;
-  MatchResult a = UserMatching(w.pair.g1, w.pair.g2, w.seeds, static_config);
-  MatchResult b = UserMatching(w.pair.g1, w.pair.g2, w.seeds, stealing_config);
+  MatcherConfig serial_config;
+  serial_config.num_threads = 1;
+  serial_config.num_shards = 4;
+  MatcherConfig parallel_config = serial_config;
+  parallel_config.num_threads = 4;
+  MatchResult a = UserMatching(w.pair.g1, w.pair.g2, w.seeds, serial_config);
+  MatchResult b = UserMatching(w.pair.g1, w.pair.g2, w.seeds, parallel_config);
   ASSERT_EQ(a.phases.size(), b.phases.size());
   for (size_t i = 0; i < a.phases.size(); ++i) {
     EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
@@ -114,8 +108,8 @@ TEST(SchedulerDeterminismTest, PhaseCountersMatchBetweenSchedulers) {
 // LSM tier thresholds: every (max_tiers, size_ratio) combination — from
 // merge-every-round (max_tiers=1) through ratio=0 (tiers only fold when the
 // cap forces a mid-round compaction cascade) — must yield the single-tier
-// matching. Runs both schedulers so tier folds interleave with both
-// schedules, and both selection engines over the multi-tier units.
+// matching. Runs two thread counts so tier folds interleave with different
+// steal schedules, and both selection engines over the multi-tier units.
 TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
   for (uint64_t rng_seed : {7201u, 7202u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
@@ -130,69 +124,17 @@ TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
 
     for (int max_tiers : {2, 3, 8}) {
       for (double ratio : {0.0, 1.0, 4.0, 1e9}) {
-        for (Scheduler scheduler :
-             {Scheduler::kStatic, Scheduler::kWorkStealing}) {
+        for (int threads : {2, 5}) {
           for (bool parallel_selection : {true, false}) {
             SCOPED_TRACE("max_tiers=" + std::to_string(max_tiers) +
-                         " ratio=" + std::to_string(ratio) + " scheduler=" +
-                         SchedulerName(scheduler) + " parallel_selection=" +
+                         " ratio=" + std::to_string(ratio) +
+                         " threads=" + std::to_string(threads) +
+                         " parallel_selection=" +
                          std::to_string(parallel_selection));
             MatcherConfig config;
             config.lsm_max_tiers = max_tiers;
             config.lsm_size_ratio = ratio;
-            config.scheduler = scheduler;
             config.use_parallel_selection = parallel_selection;
-            config.num_threads = 4;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-            ExpectSameMatching(result, reference);
-          }
-        }
-      }
-    }
-  }
-}
-
-// Shard placement must be unobservable in the matching: the grid runs
-// placement x scoring backend x scheduler x threads over a forced 3-domain
-// synthetic topology (so the domain-biased claiming, worker homing and
-// first-touch paths are all live even on single-socket CI hosts) against
-// the single-thread static/none reference. Any divergence means a placed
-// loop dropped/duplicated a cell or a fold stopped being
-// partition-independent.
-TEST(PlacementDeterminismTest, PoliciesMatchReferenceAcrossGrid) {
-  for (uint64_t rng_seed : {7301u, 7302u}) {
-    SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
-    Workload w = MakeWorkload(rng_seed);
-
-    MatcherConfig reference_config;
-    reference_config.scheduler = Scheduler::kStatic;
-    reference_config.placement = PlacementPolicy::kNone;
-    reference_config.num_threads = 1;
-    MatchResult reference =
-        UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-    ASSERT_GT(reference.NumNewLinks(), 0u)
-        << "workload too easy to detect divergence";
-
-    for (PlacementPolicy placement :
-         {PlacementPolicy::kNone, PlacementPolicy::kInterleave,
-          PlacementPolicy::kDomain}) {
-      for (ScoringBackend backend :
-           {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-        for (Scheduler scheduler :
-             {Scheduler::kStatic, Scheduler::kWorkStealing}) {
-          for (int threads : {2, 5}) {
-            SCOPED_TRACE(std::string("placement=") + PlacementName(placement) +
-                         " backend=" +
-                         (backend == ScoringBackend::kRadixSort ? "radix"
-                                                                : "hash") +
-                         " scheduler=" + SchedulerName(scheduler) +
-                         " threads=" + std::to_string(threads));
-            MatcherConfig config;
-            config.placement = placement;
-            config.placement_domains = 3;
-            config.scoring_backend = backend;
-            config.scheduler = scheduler;
             config.num_threads = threads;
             MatchResult result =
                 UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
@@ -204,51 +146,11 @@ TEST(PlacementDeterminismTest, PoliciesMatchReferenceAcrossGrid) {
   }
 }
 
-// The locality counters must account for every score-unit task, and an
-// active multi-domain placement must report its domain count while
-// placement=none stays on the single-domain fallback telemetry.
-TEST(PlacementDeterminismTest, LocalityCountersAccountForUnitTasks) {
-  Workload w = MakeWorkload(7303);
-
-  MatcherConfig placed_config;
-  placed_config.placement = PlacementPolicy::kDomain;
-  placed_config.placement_domains = 3;
-  placed_config.num_threads = 4;
-  MatchResult placed = UserMatching(w.pair.g1, w.pair.g2, w.seeds,
-                                    placed_config);
-  ASSERT_FALSE(placed.phases.empty());
-  for (const PhaseStats& phase : placed.phases) {
-    EXPECT_EQ(phase.placement_domains, 3);
-  }
-  const MatchResult::PlacementTotals totals = placed.SumPlacementCounters();
-  EXPECT_GT(totals.local_unit_tasks + totals.remote_unit_steals, 0u);
-  EXPECT_EQ(totals.domains, 3);
-
-  MatcherConfig none_config = placed_config;
-  none_config.placement = PlacementPolicy::kNone;
-  MatchResult none = UserMatching(w.pair.g1, w.pair.g2, w.seeds, none_config);
-  for (const PhaseStats& phase : none.phases) {
-    EXPECT_EQ(phase.placement_domains, 1);
-    EXPECT_EQ(phase.remote_unit_steals, 0u);
-  }
-  // Emissions and candidate pairs are schedule-independent, so the placed
-  // and unplaced runs must agree on them round by round.
-  ASSERT_EQ(placed.phases.size(), none.phases.size());
-  for (size_t i = 0; i < placed.phases.size(); ++i) {
-    EXPECT_EQ(placed.phases[i].emissions, none.phases[i].emissions);
-    EXPECT_EQ(placed.phases[i].candidate_pairs,
-              none.phases[i].candidate_pairs);
-    EXPECT_EQ(placed.phases[i].new_links, none.phases[i].new_links);
-  }
-}
-
-// The recompute engine routes its reduce through the placed loop too (one
-// fresh state per round); placement and serial selection must both stay
-// unobservable there.
-TEST(PlacementDeterminismTest, RecomputeAndSerialSelectionUnaffected) {
+// The recompute engine rebuilds its score state every round through the mr
+// reduce; it and serial selection must match the 1-thread incremental run.
+TEST(EngineDeterminismTest, RecomputeAndSerialSelectionMatch) {
   Workload w = MakeWorkload(7304);
   MatcherConfig reference_config;
-  reference_config.placement = PlacementPolicy::kNone;
   reference_config.num_threads = 1;
   MatchResult reference =
       UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
@@ -265,8 +167,6 @@ TEST(PlacementDeterminismTest, RecomputeAndSerialSelectionUnaffected) {
         config.use_incremental_scoring = incremental;
         config.use_parallel_selection = parallel_selection;
         config.scoring_backend = backend;
-        config.placement = PlacementPolicy::kDomain;
-        config.placement_domains = 2;
         config.num_threads = 4;
         MatchResult result =
             UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
@@ -314,8 +214,8 @@ class ScratchDir {
 
 // The memory budget must be unobservable in the matching: spilled tiers are
 // the same bytes as resident ones, so any budget — from "everything spills"
-// to "nothing spills" — crossed with scheduler x placement x threads must
-// reproduce the unbudgeted single-thread reference bit for bit. The tight
+// to "nothing spills" — crossed with thread counts must reproduce the
+// unbudgeted single-thread reference bit for bit. The tight
 // budget legs also assert that spilling actually happened (otherwise the
 // grid silently degenerates to the resident path) and that a clean run
 // leaves no scratch behind.
@@ -325,7 +225,6 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
     Workload w = MakeWorkload(rng_seed);
 
     MatcherConfig reference_config;
-    reference_config.scheduler = Scheduler::kStatic;
     reference_config.num_threads = 1;
     MatchResult reference =
         UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
@@ -335,42 +234,29 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
     // 1 byte forces every tier out; 64 KiB spills the big tiers; 1 GiB
     // never spills (exercises the accounting pass with an empty schedule).
     for (uint64_t budget : {uint64_t{1}, uint64_t{64} << 10, uint64_t{1} << 30}) {
-      for (Scheduler scheduler :
-           {Scheduler::kStatic, Scheduler::kWorkStealing}) {
-        for (PlacementPolicy placement :
-             {PlacementPolicy::kNone, PlacementPolicy::kDomain}) {
-          for (int threads : {2, 5}) {
-            SCOPED_TRACE("budget=" + std::to_string(budget) + " scheduler=" +
-                         SchedulerName(scheduler) + " placement=" +
-                         PlacementName(placement) +
-                         " threads=" + std::to_string(threads));
-            ScratchDir scratch;
-            ASSERT_FALSE(scratch.path().empty());
-            MatcherConfig config;
-            config.memory_budget_bytes = budget;
-            config.score_dir = scratch.path();
-            config.scheduler = scheduler;
-            config.placement = placement;
-            config.placement_domains = placement == PlacementPolicy::kDomain
-                                           ? 3
-                                           : 1;
-            config.num_threads = threads;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-            ExpectSameMatching(result, reference);
-            size_t spilled_rounds = 0;
-            for (const PhaseStats& phase : result.phases) {
-              spilled_rounds += phase.tiers_spilled > 0;
-            }
-            if (budget == 1) {
-              EXPECT_GT(spilled_rounds, 0u)
-                  << "tight budget never spilled; grid is not exercising "
-                     "the out-of-core path";
-            }
-            EXPECT_EQ(scratch.NumEntries(), 0u)
-                << "clean run must leave no spill scratch";
-          }
+      for (int threads : {2, 5}) {
+        SCOPED_TRACE("budget=" + std::to_string(budget) +
+                     " threads=" + std::to_string(threads));
+        ScratchDir scratch;
+        ASSERT_FALSE(scratch.path().empty());
+        MatcherConfig config;
+        config.memory_budget_bytes = budget;
+        config.score_dir = scratch.path();
+        config.num_threads = threads;
+        MatchResult result =
+            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+        ExpectSameMatching(result, reference);
+        size_t spilled_rounds = 0;
+        for (const PhaseStats& phase : result.phases) {
+          spilled_rounds += phase.tiers_spilled > 0;
         }
+        if (budget == 1) {
+          EXPECT_GT(spilled_rounds, 0u)
+              << "tight budget never spilled; grid is not exercising the "
+                 "out-of-core path";
+        }
+        EXPECT_EQ(scratch.NumEntries(), 0u)
+            << "clean run must leave no spill scratch";
       }
     }
   }

@@ -28,14 +28,34 @@ bool SameGraph(const Graph& a, const Graph& b) {
 }
 
 TEST(GraphIoTest, TextRoundTrip) {
-  Graph g = GenerateErdosRenyi(200, 0.05, 3);
+  // Five trailing isolated nodes: no edge line names them, so only the
+  // header's node count can bring them back.
+  const Graph er = GenerateErdosRenyi(200, 0.05, 3);
+  EdgeList padded(er.num_nodes() + 5);
+  for (NodeId u = 0; u < er.num_nodes(); ++u) {
+    for (NodeId v : er.Neighbors(u)) {
+      if (v > u) padded.Add(u, v);
+    }
+  }
+  const Graph g = Graph::FromEdgeList(std::move(padded));
+  ASSERT_EQ(g.degree(g.num_nodes() - 1), 0u);
   std::string path = TempPath("roundtrip.txt");
   ASSERT_TRUE(WriteEdgeListText(g, path));
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListText(path, &edges));
-  // Node count from text lacks isolated trailing nodes; compare edges only.
   Graph back = Graph::FromEdgeList(std::move(edges));
-  EXPECT_EQ(back.num_edges(), g.num_edges());
+  EXPECT_TRUE(SameGraph(g, back));
+  std::remove(path.c_str());
+}
+
+TEST(GraphIoTest, TextHeaderNodeCountOverflowFails) {
+  std::string path = TempPath("hdr_overflow.txt");
+  {
+    std::ofstream out(path);
+    out << "# nodes=4294967296 edges=1\n0 1\n";  // 2^32: past the id space
+  }
+  EdgeList edges;
+  EXPECT_FALSE(ReadEdgeListText(path, &edges));
   std::remove(path.c_str());
 }
 

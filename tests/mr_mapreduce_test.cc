@@ -1,6 +1,5 @@
 #include "reconcile/mr/mapreduce.h"
 
-#include <atomic>
 #include <map>
 #include <vector>
 
@@ -8,31 +7,6 @@
 
 namespace reconcile {
 namespace {
-
-TEST(ParallelForTest, CoversWholeRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> touched(1000);
-  mr::ParallelFor(&pool, 1000, 37, [&touched](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
-  });
-  for (size_t i = 0; i < 1000; ++i) EXPECT_EQ(touched[i].load(), 1) << i;
-}
-
-TEST(ParallelForTest, EmptyRangeIsNoOp) {
-  ThreadPool pool(2);
-  bool called = false;
-  mr::ParallelFor(&pool, 0, 10, [&called](size_t, size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelForTest, GrainLargerThanRange) {
-  ThreadPool pool(2);
-  std::atomic<size_t> total{0};
-  mr::ParallelFor(&pool, 5, 1000, [&total](size_t begin, size_t end) {
-    total.fetch_add(end - begin);
-  });
-  EXPECT_EQ(total.load(), 5u);
-}
 
 TEST(ShardOfKeyTest, StableAndInRange) {
   for (uint64_t key = 0; key < 1000; ++key) {

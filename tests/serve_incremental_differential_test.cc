@@ -1,9 +1,9 @@
 // THE serve correctness contract: after ANY sequence of delta batches the
-// incremental matcher's maps are bit-identical to a from-scratch batch run
-// (`UserMatching`) on the final graphs — across scheduler × scoring-backend
+// incremental matcher's maps are bit-identical to a from-scratch 1-thread
+// batch run (`UserMatching`) on the final graphs — across scoring backend
 // (for the reference run; serve's stamped store has no backend choice) ×
-// placement × thread-count, through deletes, re-inserted edges, node
-// growth, empty batches, and a snapshot round-trip mid-stream. Every grid
+// thread count, through deletes, re-inserted edges, node growth, empty
+// batches, and a snapshot round-trip mid-stream. Every grid
 // cell re-verifies after EVERY batch, so a divergence pins the batch that
 // introduced it.
 #include <algorithm>
@@ -73,9 +73,7 @@ struct SideModel {
 
 struct GridCase {
   const char* name;
-  Scheduler scheduler;
   ScoringBackend reference_backend;  // serve ignores it; the batch run uses it
-  int placement_domains;
   int threads;
 };
 
@@ -159,15 +157,11 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
   config.matcher.min_score = 2;
   config.matcher.num_iterations = 2;
   config.matcher.num_threads = param.threads;
-  config.matcher.scheduler = param.scheduler;
-  config.matcher.placement_domains = param.placement_domains;
-  config.matcher.placement = param.placement_domains > 0
-                                 ? PlacementPolicy::kDomain
-                                 : PlacementPolicy::kAuto;
   config.compact_overlay_every = 2;  // exercise mid-stream compaction
 
   MatcherConfig reference = config.matcher;
   reference.scoring_backend = param.reference_backend;
+  reference.num_threads = 1;
 
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
   SideModel model2{ToEdgeSet(pair.g2), pair.g2.num_nodes()};
@@ -230,8 +224,6 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
 
   ServeConfig config;
   config.matcher.num_threads = param.threads;
-  config.matcher.scheduler = param.scheduler;
-  config.matcher.placement_domains = param.placement_domains;
 
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
   SideModel model2{ToEdgeSet(pair.g2), pair.g2.num_nodes()};
@@ -279,14 +271,10 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ServeDifferentialTest,
     testing::Values(
-        GridCase{"StealRadixFlatT4", Scheduler::kWorkStealing,
-                 ScoringBackend::kRadixSort, 0, 4},
-        GridCase{"StaticHashDomT4", Scheduler::kStatic,
-                 ScoringBackend::kHashMap, 2, 4},
-        GridCase{"StealHashFlatT1", Scheduler::kWorkStealing,
-                 ScoringBackend::kHashMap, 0, 1},
-        GridCase{"StaticRadixDomT1", Scheduler::kStatic,
-                 ScoringBackend::kRadixSort, 2, 1}),
+        GridCase{"RadixT1", ScoringBackend::kRadixSort, 1},
+        GridCase{"HashT2", ScoringBackend::kHashMap, 2},
+        GridCase{"RadixT5", ScoringBackend::kRadixSort, 5},
+        GridCase{"HashT5", ScoringBackend::kHashMap, 5}),
     CaseName);
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Work-stealing scheduler primitive: every index of [0, n) must be executed
-// exactly once on a disjoint chunk no larger than the grain, for any
-// thread count, grain, and steal schedule — including adversarially skewed
-// per-item work, which is the scheduler's reason to exist.
+// The work-stealing loop: every index of [0, n) must be executed exactly
+// once on a disjoint chunk no larger than the grain, for any thread count,
+// grain, and steal schedule — including adversarially skewed per-item work,
+// which is the loop's reason to exist.
 #include "reconcile/util/parallel_for.h"
 
 #include <atomic>
@@ -128,72 +128,38 @@ TEST(WorkStealingSlotsTest, SerialFallbackUsesSlotZero) {
   EXPECT_EQ(seen_slots[0], 0);
 }
 
-TEST(ParallelForSchedTest, BothSchedulersCoverTheRange) {
-  ThreadPool pool(3);
-  for (Scheduler scheduler : {Scheduler::kStatic, Scheduler::kWorkStealing}) {
+TEST(ParallelForEachTest, EachItemRunsOnce) {
+  for (int threads : {1, 3}) {
+    ThreadPool pool(threads);
     std::vector<std::atomic<int>> touched(777);
-    ParallelForSched(&pool, scheduler, 777, 10,
-                     [&touched](size_t begin, size_t end) {
-                       for (size_t i = begin; i < end; ++i) {
-                         touched[i].fetch_add(1);
-                       }
-                     });
+    ParallelForEach(&pool, touched.size(),
+                    [&touched](size_t i) { touched[i].fetch_add(1); });
     for (size_t i = 0; i < touched.size(); ++i) {
-      ASSERT_EQ(touched[i].load(), 1)
-          << SchedulerName(scheduler) << " i=" << i;
+      ASSERT_EQ(touched[i].load(), 1) << "threads=" << threads << " i=" << i;
     }
   }
+  bool called = false;
+  ParallelForEach(nullptr, 0, [&called](size_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
-TEST(ParallelProduceTest, DeltasSumToRangeUnderBothSchedulers) {
+TEST(ParallelProduceTest, OneDeltaPerSlotSummingToRange) {
   ThreadPool pool(4);
-  for (Scheduler scheduler : {Scheduler::kStatic, Scheduler::kWorkStealing}) {
-    constexpr size_t kN = 50000;
-    std::vector<uint64_t> deltas = ParallelProduce<uint64_t>(
-        &pool, scheduler, kN, /*num_static_producers=*/16,
-        /*stealing_grain=*/64,
-        [](uint64_t& delta, size_t begin, size_t end) {
-          delta += end - begin;
-        });
-    const size_t expected_producers =
-        scheduler == Scheduler::kWorkStealing ? 4u : 16u;
-    EXPECT_EQ(deltas.size(), expected_producers) << SchedulerName(scheduler);
-    uint64_t total = 0;
-    for (uint64_t d : deltas) total += d;
-    EXPECT_EQ(total, kN) << SchedulerName(scheduler);
-  }
+  constexpr size_t kN = 50000;
+  std::vector<uint64_t> deltas = ParallelProduce<uint64_t>(
+      &pool, kN, /*grain=*/64,
+      [](uint64_t& delta, size_t begin, size_t end) { delta += end - begin; });
+  EXPECT_EQ(deltas.size(), 4u);
+  uint64_t total = 0;
+  for (uint64_t d : deltas) total += d;
+  EXPECT_EQ(total, kN);
 }
 
 TEST(ParallelProduceTest, EmptyRangeLeavesDefaultDeltas) {
   ThreadPool pool(2);
-  for (Scheduler scheduler : {Scheduler::kStatic, Scheduler::kWorkStealing}) {
-    std::vector<int> deltas = ParallelProduce<int>(
-        &pool, scheduler, 0, 8, 1,
-        [](int& delta, size_t, size_t) { delta = -1; });
-    for (int d : deltas) EXPECT_EQ(d, 0) << SchedulerName(scheduler);
-  }
-}
-
-TEST(SchedulerNameTest, ParseRoundTrips) {
-  for (Scheduler scheduler :
-       {Scheduler::kAuto, Scheduler::kStatic, Scheduler::kWorkStealing}) {
-    Scheduler parsed;
-    ASSERT_TRUE(ParseScheduler(SchedulerName(scheduler), &parsed));
-    EXPECT_EQ(parsed, scheduler);
-  }
-  Scheduler parsed;
-  EXPECT_TRUE(ParseScheduler("work-stealing", &parsed));
-  EXPECT_EQ(parsed, Scheduler::kWorkStealing);
-  EXPECT_FALSE(ParseScheduler("fifo", &parsed));
-  EXPECT_FALSE(ParseScheduler("", &parsed));
-}
-
-TEST(SchedulerResolveTest, ExplicitValuesPassThrough) {
-  EXPECT_EQ(ResolveScheduler(Scheduler::kStatic), Scheduler::kStatic);
-  EXPECT_EQ(ResolveScheduler(Scheduler::kWorkStealing),
-            Scheduler::kWorkStealing);
-  // kAuto resolves to a concrete engine (env-dependent which one).
-  EXPECT_NE(ResolveScheduler(Scheduler::kAuto), Scheduler::kAuto);
+  std::vector<int> deltas = ParallelProduce<int>(
+      &pool, 0, 1, [](int& delta, size_t, size_t) { delta = -1; });
+  for (int d : deltas) EXPECT_EQ(d, 0);
 }
 
 }  // namespace

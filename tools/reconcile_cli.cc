@@ -105,17 +105,6 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --no-bucketing  --param bucketing=false                     [false]
   --serial-selection  --param parallel-selection=false
   --scoring-backend   --param backend=hash|radix (radix default)
-  --scheduler     --param scheduler=auto|static|stealing (hot-path loop
-                  scheduling; auto = stealing unless the
-                  RECONCILE_SCHEDULER env var overrides)
-  --grain         --param grain=... (work-stealing chunk size, 0 = auto)
-  --placement     --param placement=auto|none|interleave|domain (NUMA
-                  homing of the score shards; auto = domain on
-                  multi-socket hosts, none elsewhere, overridable via the
-                  RECONCILE_PLACEMENT env var)
-  --placement-domains  --param placement-domains=... (force a synthetic
-                  domain count for the placement layer; 0 = detect, env
-                  RECONCILE_PLACEMENT_DOMAINS does the same process-wide)
 
 Crash safety (core matcher; see DESIGN.md §2.4):
   --checkpoint-dir    --param checkpoint-dir=... — snapshot the full round
@@ -153,27 +142,6 @@ Out-of-core score store (core matcher, radix backend; DESIGN.md §2.5):
                   --memory-budget > 0; created on first spill; scratch is
                   removed on clean exit, including graceful stops
 
-Multi-process execution (core matcher, radix backend; DESIGN.md §2.7):
-  --workers       --param workers=N — fork N worker processes, each owning
-                  a slice of the score shards; rounds exchange only
-                  per-shard best-candidate tables and committed links.
-                  The matching is bit-identical to --workers=1 for every
-                  worker count and failure schedule. 1 = in-process (the
-                  dist layer is never entered)                 [1]
-  --worker-retry  --param worker-retry=N — respawns allowed per worker
-                  slot (exponential backoff) before its shard slice is
-                  permanently reassigned to survivors; when every worker
-                  is gone with the budget spent, the run degrades to the
-                  in-process path with a warning               [2]
-  --worker-timeout-ms  --param worker-timeout-ms=MS — per-request deadline
-                  and heartbeat window for declaring a worker dead or
-                  hung                                         [5000]
-  Fault kinds for chaos testing: worker_crash:worker_start=S (slot S dies
-  before its handshake, 1-based), worker_crash:after_shard=K (dies after
-  scanning shard K), io:msg_corrupt=N (Nth result frame corrupted on the
-  wire; CRC catches it), io:msg_stall=N (Nth result withheld; the deadline
-  catches it).
-
 On SIGINT/SIGTERM the matcher finishes the in-flight round, writes a final
 checkpoint (when --checkpoint-dir is set) and exits 0 with the partial
 matching — a later --resume run continues where it stopped.
@@ -193,8 +161,7 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: emit/merge/scan/select seconds plus the
-                  placement locality split (local/remote unit tasks)
+  --phase-table   per-round table: emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --baseline      DEPRECATED alias: also run this algorithm
                   after the main one (use --algorithm)        [none]
@@ -247,19 +214,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.Has("scoring-backend")) {
     spec->Set("backend", flags.GetString("scoring-backend", "radix"));
   }
-  if (flags.Has("scheduler")) {
-    spec->Set("scheduler", flags.GetString("scheduler", "auto"));
-  }
-  if (flags.Has("grain")) {
-    spec->Set("grain", std::to_string(flags.GetInt("grain", 0)));
-  }
-  if (flags.Has("placement")) {
-    spec->Set("placement", flags.GetString("placement", "auto"));
-  }
-  if (flags.Has("placement-domains")) {
-    spec->Set("placement-domains",
-              std::to_string(flags.GetInt("placement-domains", 0)));
-  }
   if (flags.Has("checkpoint-dir")) {
     spec->Set("checkpoint-dir", flags.GetString("checkpoint-dir", ""));
   }
@@ -280,17 +234,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   }
   if (flags.GetBool("resume", false)) {
     spec->Set("resume", "true");
-  }
-  if (flags.Has("workers")) {
-    spec->Set("workers", std::to_string(flags.GetInt("workers", 1)));
-  }
-  if (flags.Has("worker-retry")) {
-    spec->Set("worker-retry",
-              std::to_string(flags.GetInt("worker-retry", 2)));
-  }
-  if (flags.Has("worker-timeout-ms")) {
-    spec->Set("worker-timeout-ms",
-              std::to_string(flags.GetInt("worker-timeout-ms", 5000)));
   }
   if (flags.Has("fault")) {
     spec->Set("fault", flags.GetString("fault", ""));
@@ -490,14 +433,6 @@ int RunCli(const Flags& flags) {
                 "select %.2fs (%d threads)\n",
                 split.emit_seconds, split.merge_seconds, split.scan_seconds,
                 split.select_seconds, result.phases.front().num_threads);
-    const MatchResult::PlacementTotals locality =
-        result.SumPlacementCounters();
-    if (locality.domains > 1) {
-      std::printf("  placement: %d domains | local unit tasks %zu | "
-                  "remote steals %zu\n",
-                  locality.domains, locality.local_unit_tasks,
-                  locality.remote_unit_steals);
-    }
   }
   PrintQuality(quality);
 
@@ -526,8 +461,7 @@ int RunCli(const Flags& flags) {
 
   if (flags.GetBool("phase-table", false)) {
     Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-                 "emit s", "merge s", "scan s", "select s", "local",
-                 "remote"});
+                 "emit s", "merge s", "scan s", "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),
@@ -538,9 +472,7 @@ int RunCli(const Flags& flags) {
                     FormatDouble(phase.emit_seconds, 3),
                     FormatDouble(phase.merge_seconds, 3),
                     FormatDouble(phase.scan_seconds, 3),
-                    FormatDouble(phase.select_seconds, 3),
-                    std::to_string(phase.local_unit_tasks),
-                    std::to_string(phase.remote_unit_steals)});
+                    FormatDouble(phase.select_seconds, 3)});
     }
     table.Print(std::cout);
   }

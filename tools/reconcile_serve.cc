@@ -36,8 +36,6 @@
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/flags.h"
-#include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/shutdown.h"
 
 namespace reconcile {
@@ -92,10 +90,6 @@ Execution (never affect the matching):
   --shards        score shards (0 = max(4, threads)); the resolved count
                   is pinned into serve checkpoints — pass it explicitly
                   when resuming with a different thread count  [0]
-  --scheduler     auto | static | stealing                    [auto]
-  --grain         work-stealing chunk size (0 = auto)         [0]
-  --placement     auto | none | interleave | domain           [auto]
-  --placement-domains  synthetic domain count (0 = detect)    [0]
   --serial-selection   serial mutual-best selection           [false]
   --compact-every fold overlay diffs into a fresh CSR every N batches
                   (0 = never; purely a scan-speed knob)       [8]
@@ -163,8 +157,7 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
   Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-               "emit s", "merge s", "scan s", "select s", "local",
-               "remote"});
+               "emit s", "merge s", "scan s", "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
@@ -175,9 +168,7 @@ void PrintPhaseTable(const ServeBatchStats& stats) {
                   FormatDouble(phase.emit_seconds, 3),
                   FormatDouble(phase.merge_seconds, 3),
                   FormatDouble(phase.scan_seconds, 3),
-                  FormatDouble(phase.select_seconds, 3),
-                  std::to_string(phase.local_unit_tasks),
-                  std::to_string(phase.remote_unit_steals)});
+                  FormatDouble(phase.select_seconds, 3)});
   }
   table.Print(std::cout);
 }
@@ -274,25 +265,8 @@ int RunServe(const Flags& flags) {
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
   mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
-  mc.scheduler_grain = static_cast<size_t>(flags.GetInt("grain", 0));
-  mc.placement_domains =
-      static_cast<int>(flags.GetInt("placement-domains", 0));
   config.compact_overlay_every =
       static_cast<int>(flags.GetInt("compact-every", 8));
-  if (flags.Has("scheduler") &&
-      !ParseScheduler(flags.GetString("scheduler", "auto"),
-                      &mc.scheduler)) {
-    std::fprintf(stderr, "unknown --scheduler=%s\n",
-                 flags.GetString("scheduler", "auto").c_str());
-    return 2;
-  }
-  if (flags.Has("placement") &&
-      !ParsePlacement(flags.GetString("placement", "auto"),
-                      &mc.placement)) {
-    std::fprintf(stderr, "unknown --placement=%s\n",
-                 flags.GetString("placement", "auto").c_str());
-    return 2;
-  }
   if (mc.num_iterations < 1) {
     std::fprintf(stderr, "--iterations must be >= 1\n");
     return 2;

@@ -5,10 +5,6 @@
 #                         (radix vs hash scoring backends, serial vs
 #                         parallel selection, 1/2/4 threads)
 #   BENCH_scaling.json  — Table-2 RMAT scaling shape (both backends)
-#   BENCH_skew.json     — hub-heavy Chung-Lu matching, scheduler x backend
-#                         (static vs work-stealing emission, LSM tier store
-#                         on/off; emit_s / merge_s counters carry the
-#                         per-phase split)
 #   BENCH_outofcore.json — memory-budgeted matching under 4x and 16x score
 #                         state pressure vs the unbudgeted baseline; the 4x
 #                         series must stay under 2x the baseline real_time
@@ -20,12 +16,6 @@
 #                         BM_StreamingRepair/<batch> real_time, and the
 #                         dirty_links / rescored_units / replayed_rounds
 #                         counters show how the repair scope grows
-#   BENCH_dist.json     — multi-process matching at 1/2/4 workers plus a
-#                         2-worker series under an injected kill storm;
-#                         BM_DistWorkers/1 is the in-process baseline, so
-#                         the other series over it read as coordination
-#                         overhead / failure-repair cost (msgs / wire_mb /
-#                         retries / reassigned counters confirm what ran)
 #
 # Usage: tools/run_bench.sh [extra google-benchmark flags...]
 # The build directory defaults to <repo>/build-bench; override with
@@ -45,7 +35,7 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DRECONCILE_BUILD_BENCHMARKS=ON \
   -DRECONCILE_BUILD_TESTS=OFF \
   -DRECONCILE_BUILD_TOOLS=OFF
-cmake --build "$BUILD" -j "$(nproc)" --target bench_micro bench_table2_scaling bench_skew bench_outofcore bench_streaming bench_dist
+cmake --build "$BUILD" -j "$(nproc)" --target bench_micro bench_table2_scaling bench_outofcore bench_streaming
 
 # Refuse to bless a baseline whose context says the measured code was not a
 # Release build. Output goes to a temp file first so a failed check never
@@ -65,32 +55,23 @@ check_release() {
 
 TMP_MICRO="$(mktemp)"
 TMP_SCALING="$(mktemp)"
-TMP_SKEW="$(mktemp)"
 TMP_OUTOFCORE="$(mktemp)"
 TMP_STREAMING="$(mktemp)"
-TMP_DIST="$(mktemp)"
-trap 'rm -f "$TMP_MICRO" "$TMP_SCALING" "$TMP_SKEW" "$TMP_OUTOFCORE" "$TMP_STREAMING" "$TMP_DIST"' EXIT
+trap 'rm -f "$TMP_MICRO" "$TMP_SCALING" "$TMP_OUTOFCORE" "$TMP_STREAMING"' EXIT
 
 "$BUILD/bench_micro" --benchmark_format=json "$@" > "$TMP_MICRO"
 check_release "$TMP_MICRO"
 "$BUILD/bench_table2_scaling" --benchmark_format=json "$@" > "$TMP_SCALING"
 check_release "$TMP_SCALING"
-"$BUILD/bench_skew" --benchmark_format=json "$@" > "$TMP_SKEW"
-check_release "$TMP_SKEW"
 "$BUILD/bench_outofcore" --benchmark_format=json "$@" > "$TMP_OUTOFCORE"
 check_release "$TMP_OUTOFCORE"
 "$BUILD/bench_streaming" --benchmark_format=json "$@" > "$TMP_STREAMING"
 check_release "$TMP_STREAMING"
-"$BUILD/bench_dist" --benchmark_format=json "$@" > "$TMP_DIST"
-check_release "$TMP_DIST"
 
 mv "$TMP_MICRO" "$ROOT/BENCH_micro.json"
 mv "$TMP_SCALING" "$ROOT/BENCH_scaling.json"
-mv "$TMP_SKEW" "$ROOT/BENCH_skew.json"
 mv "$TMP_OUTOFCORE" "$ROOT/BENCH_outofcore.json"
 mv "$TMP_STREAMING" "$ROOT/BENCH_streaming.json"
-mv "$TMP_DIST" "$ROOT/BENCH_dist.json"
 
 echo "wrote $ROOT/BENCH_micro.json, $ROOT/BENCH_scaling.json," \
-     "$ROOT/BENCH_skew.json, $ROOT/BENCH_outofcore.json," \
-     "$ROOT/BENCH_streaming.json and $ROOT/BENCH_dist.json"
+     "$ROOT/BENCH_outofcore.json and $ROOT/BENCH_streaming.json"
