@@ -1,7 +1,6 @@
 #include "reconcile/graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "reconcile/util/logging.h"
 #include "reconcile/util/parallel_for.h"
@@ -14,24 +13,6 @@ namespace {
 // Below this many (normalized) edges a serial build beats spinning up / using
 // worker threads.
 constexpr size_t kParallelBuildThreshold = 1u << 15;
-
-void SortAdjacencySerial(Graph* g, std::vector<NodeId>* adjacency,
-                         const std::vector<size_t>& offsets, NodeId num_nodes,
-                         bool by_degree) {
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    auto begin = adjacency->begin() + static_cast<ptrdiff_t>(offsets[v]);
-    auto end = adjacency->begin() + static_cast<ptrdiff_t>(offsets[v + 1]);
-    if (by_degree) {
-      std::sort(begin, end, [g](NodeId a, NodeId b) {
-        NodeId da = g->degree(a), db = g->degree(b);
-        if (da != db) return da > db;
-        return a < b;
-      });
-    } else {
-      std::sort(begin, end);
-    }
-  }
-}
 
 }  // namespace
 
@@ -56,127 +37,87 @@ Graph Graph::FromEdgeList(EdgeList edges, ThreadPool* pool) {
   return FromNormalized(std::move(edges), pool);
 }
 
+// Owner-computes build. Each worker slot owns a contiguous node range and
+// writes only that range's offsets and adjacency slices, so no write is
+// shared. The normalized list is sorted by (first, second) with
+// first < second, which gives each node v its neighbours in two pieces:
+//  * backward: edges (u, v) with u < v. They all lie before the run of
+//    edges whose first endpoint is v, so one scan of the edges before the
+//    range's run end finds them, in ascending u;
+//  * forward: that run itself, (v, w) with w > v, in ascending w.
+// Writing backward before forward leaves each slice ascending without a
+// sort. The cost is one streaming scan of up to m edges per range per pass,
+// O(ranges * m) reads in all; a null pool is one range.
 Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
   Graph g;
   g.num_nodes_ = edges.num_nodes();
   const size_t n = g.num_nodes_;
   const std::vector<Edge>& es = edges.edges();
-  const size_t m = es.size();
   g.offsets_.assign(n + 1, 0);
 
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 && m > 0;
-  if (!parallel) {
-    // Counting pass: each undirected edge contributes to both endpoints.
-    for (const Edge& e : es) {
-      ++g.offsets_[e.first + 1];
-      ++g.offsets_[e.second + 1];
+  const size_t ranges = static_cast<size_t>(ParallelSlots(pool));
+  auto range_lo = [n, ranges](size_t r) {
+    return static_cast<NodeId>(n * r / ranges);
+  };
+  // Index of the first edge whose first endpoint is >= v.
+  auto run_start = [&es](NodeId v) {
+    return static_cast<size_t>(
+        std::lower_bound(es.begin(), es.end(), v,
+                         [](const Edge& e, NodeId x) { return e.first < x; }) -
+        es.begin());
+  };
+
+  // Pass 1: each range counts its nodes' degrees into offsets_[v + 1].
+  std::vector<size_t> range_base(ranges + 1, 0);
+  ParallelForEach(pool, ranges, [&](size_t r) {
+    const NodeId lo = range_lo(r), hi = range_lo(r + 1);
+    const size_t run_begin = run_start(lo), run_end = run_start(hi);
+    size_t* degree = g.offsets_.data() + 1;
+    for (size_t i = 0; i < run_end; ++i) {
+      const NodeId v = es[i].second;
+      if (v - lo < hi - lo) ++degree[v];  // v in [lo, hi), unsigned wrap
     }
-    for (size_t v = 1; v < g.offsets_.size(); ++v) {
-      g.offsets_[v] += g.offsets_[v - 1];
+    for (size_t i = run_begin; i < run_end; ++i) ++degree[es[i].first];
+    size_t total = 0;
+    for (NodeId v = lo; v < hi; ++v) total += degree[v];
+    range_base[r + 1] = total;
+  });
+  for (size_t r = 0; r < ranges; ++r) range_base[r + 1] += range_base[r];
+
+  // Pass 2: each range turns its degrees into offsets from its base, then
+  // writes its slices: backward neighbours first, then the forward run.
+  g.adjacency_.resize(range_base[ranges]);
+  std::vector<NodeId> range_max_degree(ranges, 0);
+  ParallelForEach(pool, ranges, [&](size_t r) {
+    const NodeId lo = range_lo(r), hi = range_lo(r + 1);
+    const size_t run_begin = run_start(lo), run_end = run_start(hi);
+    std::vector<size_t> cursor(hi - lo);
+    size_t offset = range_base[r];
+    NodeId max_degree = 0;
+    for (NodeId v = lo; v < hi; ++v) {
+      const size_t degree = g.offsets_[v + 1];
+      max_degree = std::max(max_degree, static_cast<NodeId>(degree));
+      cursor[v - lo] = offset;
+      offset += degree;
+      g.offsets_[v + 1] = offset;
     }
-
-    g.adjacency_.resize(g.offsets_.back());
-    std::vector<size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
-    for (const Edge& e : es) {
-      g.adjacency_[cursor[e.first]++] = e.second;
-      g.adjacency_[cursor[e.second]++] = e.first;
+    range_max_degree[r] = max_degree;
+    for (size_t i = 0; i < run_end; ++i) {
+      const auto [u, v] = es[i];
+      if (v - lo < hi - lo) g.adjacency_[cursor[v - lo]++] = u;
     }
-
-    // Normalized edge lists are sorted by (min, max), so each adjacency slice
-    // receives its entries partially ordered; sort each slice to guarantee
-    // the ascending-id invariant.
-    SortAdjacencySerial(&g, &g.adjacency_, g.offsets_, g.num_nodes_, false);
-
-    for (NodeId v = 0; v < g.num_nodes_; ++v) {
-      g.max_degree_ = std::max(g.max_degree_, g.degree(v));
-    }
-
-    // Degree-descending view: stable secondary order by ascending id keeps
-    // the layout deterministic.
-    g.by_degree_ = g.adjacency_;
-    SortAdjacencySerial(&g, &g.by_degree_, g.offsets_, g.num_nodes_, true);
-    return g;
-  }
-
-  // Parallel build on the work-stealing loop: power-law degree sequences
-  // make the per-node sort passes heavily skewed, and stealing repairs that
-  // imbalance at runtime. Scatter order into each adjacency slice depends
-  // on task interleaving, but the per-node sorts impose the canonical
-  // order, so the resulting graph is bit-identical to the serial build.
-  const size_t edge_grain = pool->GrainFor(m, 1024);
-  const size_t node_grain = pool->GrainFor(n, 256);
-
-  // Degree count via relaxed atomics (increments commute).
-  std::vector<std::atomic<NodeId>> count(n);
-  ParallelForWorkStealing(pool, m, edge_grain, [&es, &count](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      count[es[i].first].fetch_add(1, std::memory_order_relaxed);
-      count[es[i].second].fetch_add(1, std::memory_order_relaxed);
+    for (size_t i = run_begin; i < run_end; ++i) {
+      const auto [u, v] = es[i];
+      g.adjacency_[cursor[u - lo]++] = v;
     }
   });
+  g.max_degree_ =
+      *std::max_element(range_max_degree.begin(), range_max_degree.end());
 
-  // Blocked parallel scan over the degree counts: per-block totals in
-  // parallel, a serial exclusive scan of the block totals, then a parallel
-  // add-back that also resets the counters for reuse as scatter cursors.
-  // Fixed blocking and plain integer addition, so the offsets are
-  // bit-identical to a serial scan for any thread count.
-  {
-    const size_t block = ThreadPool::GrainSize(n, pool->num_threads(), 4096);
-    const size_t num_blocks = (n + block - 1) / block;
-    std::vector<size_t> block_base(num_blocks, 0);
-    ParallelForWorkStealing(pool, num_blocks, 1, [&](size_t blo, size_t bhi) {
-      for (size_t b = blo; b < bhi; ++b) {
-        const size_t lo = b * block, hi = std::min(n, lo + block);
-        size_t sum = 0;
-        for (size_t v = lo; v < hi; ++v) {
-          sum += count[v].load(std::memory_order_relaxed);
-        }
-        block_base[b] = sum;
-      }
-    });
-    size_t running = 0;
-    for (size_t b = 0; b < num_blocks; ++b) {
-      const size_t total = block_base[b];
-      block_base[b] = running;
-      running += total;
-    }
-    ParallelForWorkStealing(pool, num_blocks, 1, [&](size_t blo, size_t bhi) {
-      for (size_t b = blo; b < bhi; ++b) {
-        const size_t lo = b * block, hi = std::min(n, lo + block);
-        size_t prefix = block_base[b];
-        for (size_t v = lo; v < hi; ++v) {
-          prefix += count[v].load(std::memory_order_relaxed);
-          g.offsets_[v + 1] = prefix;
-          count[v].store(0, std::memory_order_relaxed);  // scatter cursor
-        }
-      }
-    });
-  }
-
-  g.adjacency_.resize(g.offsets_.back());
-  ParallelForWorkStealing(pool, m, edge_grain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const auto [a, b] = es[i];
-      g.adjacency_[g.offsets_[a] +
-                   count[a].fetch_add(1, std::memory_order_relaxed)] = b;
-      g.adjacency_[g.offsets_[b] +
-                   count[b].fetch_add(1, std::memory_order_relaxed)] = a;
-    }
-  });
-
-  ParallelForWorkStealing(pool, n, node_grain, [&g](size_t lo, size_t hi) {
-    for (size_t v = lo; v < hi; ++v) {
-      std::sort(
-          g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]),
-          g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v + 1]));
-    }
-  });
-
-  for (NodeId v = 0; v < g.num_nodes_; ++v) {
-    g.max_degree_ = std::max(g.max_degree_, g.degree(v));
-  }
-
+  // Degree-descending view: stable secondary order by ascending id keeps
+  // the layout deterministic.
   g.by_degree_.resize(g.adjacency_.size());
+  const size_t node_grain = ThreadPool::GrainSize(n, ParallelSlots(pool), 256);
   ParallelForWorkStealing(pool, n, node_grain, [&g](size_t lo, size_t hi) {
     for (size_t v = lo; v < hi; ++v) {
       auto begin = g.by_degree_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);

@@ -41,9 +41,13 @@ class Graph {
   /// thread count.
   static Graph FromEdgeList(EdgeList edges);
 
-  /// Same, but runs the parallel passes (edge-list normalization, degree
-  /// count, CSR scatter, per-node sorts for both adjacency orderings) on
-  /// `pool`. `pool == nullptr` forces the serial build.
+  /// Same, but runs the passes on `pool`. After normalization, each worker
+  /// slot owns a contiguous node range and fills only that range's offsets
+  /// and adjacency slices. A node's slice is its smaller neighbours, then
+  /// its larger ones; both come out ascending from the sorted edge list, so
+  /// no id sort and no shared counter is needed. The degree-descending view
+  /// is then sorted per node. `pool == nullptr` builds the same graph as one
+  /// range on the calling thread.
   static Graph FromEdgeList(EdgeList edges, ThreadPool* pool);
 
   NodeId num_nodes() const { return num_nodes_; }

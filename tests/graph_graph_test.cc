@@ -1,6 +1,8 @@
 #include "reconcile/graph/graph.h"
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -138,40 +140,85 @@ TEST(GraphTest, CopyAndMoveSemantics) {
   EXPECT_TRUE(moved.HasEdge(0, 1));
 }
 
-// The pool-parallel CSR build (atomic degree count, parallel scatter,
-// per-node sorts) must be bit-identical to the serial build, for any pool
-// size — including messy inputs with duplicates, self-loops and skew.
-TEST(GraphTest, ParallelBuildMatchesSerial) {
+// Edge lists that stress the owner-computes CSR build, where each worker
+// slot fills one contiguous node range.
+std::vector<EdgeList> BuildInputs() {
+  std::vector<EdgeList> inputs;
+
+  // Skewed random edges with self-loops and duplicates; a star hub
+  // adjacent to every node below 1900; node 1950, whose neighbours are all
+  // smaller (backward only); 1900..1949 and 1951..2036 isolated, including
+  // a trailing run of isolated nodes past the last edge.
   Rng rng(321);
-  EdgeList edges(2000);
+  EdgeList mixed(2037);
   for (int i = 0; i < 30000; ++i) {
-    // Skewed endpoints so a few nodes get large, sort-heavy neighbourhoods.
-    NodeId u = static_cast<NodeId>(rng.UniformInt(2000));
-    NodeId v = static_cast<NodeId>(rng.UniformInt(u % 50 == 0 ? 2000 : 100));
-    edges.Add(u, v);  // self-loops and duplicates included on purpose
+    NodeId u = static_cast<NodeId>(rng.UniformInt(1900));
+    NodeId v = static_cast<NodeId>(rng.UniformInt(u % 50 == 0 ? 1900 : 100));
+    mixed.Add(u, v);  // self-loops and duplicates included on purpose
   }
+  const NodeId hub = 777;
+  for (NodeId v = 0; v < 1900; ++v) mixed.Add(hub, v);
+  for (NodeId u = 1000; u < 1900; u += 7) mixed.Add(1950, u);
+  inputs.push_back(std::move(mixed));
 
-  EdgeList serial_copy = edges;
-  Graph serial = Graph::FromEdgeList(std::move(serial_copy), nullptr);
+  // A star whose hub is the last node: every edge is backward for it.
+  EdgeList star;
+  for (NodeId leaf = 0; leaf < 500; ++leaf) star.Add(leaf, 500);
+  inputs.push_back(std::move(star));
 
-  for (int threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    EdgeList copy = edges;
-    Graph parallel = Graph::FromEdgeList(std::move(copy), &pool);
-    ASSERT_EQ(parallel.num_nodes(), serial.num_nodes());
-    ASSERT_EQ(parallel.num_edges(), serial.num_edges());
-    EXPECT_EQ(parallel.max_degree(), serial.max_degree());
+  // Fewer nodes than ranges, a single edge, no edges, nothing at all.
+  EdgeList tiny(3);
+  tiny.Add(2, 0);
+  inputs.push_back(std::move(tiny));
+  EdgeList one;
+  one.Add(0, 1);
+  inputs.push_back(std::move(one));
+  inputs.push_back(EdgeList(6));
+  inputs.push_back(EdgeList());
+  return inputs;
+}
+
+// The build must give the same graph for every pool, including sizes that
+// split the nodes into uneven ranges, and that graph must match a set-based
+// reference built straight from the raw edges.
+TEST(GraphTest, ParallelBuildMatchesSerial) {
+  for (const EdgeList& edges : BuildInputs()) {
+    std::vector<std::set<NodeId>> reference(edges.num_nodes());
+    for (const auto& [u, v] : edges.edges()) {
+      if (u == v) continue;
+      reference[u].insert(v);
+      reference[v].insert(u);
+    }
+    const Graph serial = Graph::FromEdgeList(edges, nullptr);
+    ASSERT_EQ(serial.num_nodes(), edges.num_nodes());
+    size_t max_degree = 0;
     for (NodeId v = 0; v < serial.num_nodes(); ++v) {
-      ASSERT_EQ(parallel.degree(v), serial.degree(v)) << "node " << v;
-      const auto a = serial.Neighbors(v);
-      const auto b = parallel.Neighbors(v);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "Neighbors mismatch at node " << v << ", threads " << threads;
-      const auto c = serial.NeighborsByDegree(v);
-      const auto d = parallel.NeighborsByDegree(v);
-      ASSERT_TRUE(std::equal(c.begin(), c.end(), d.begin(), d.end()))
-          << "NeighborsByDegree mismatch at node " << v << ", threads "
-          << threads;
+      const auto nbrs = serial.Neighbors(v);
+      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), reference[v].begin(),
+                             reference[v].end()))
+          << "Neighbors differ from the reference at node " << v;
+      max_degree = std::max(max_degree, reference[v].size());
+    }
+    EXPECT_EQ(serial.max_degree(), max_degree);
+
+    for (int threads : {2, 3, 4, 5, 8}) {
+      ThreadPool pool(threads);
+      const Graph parallel = Graph::FromEdgeList(edges, &pool);
+      ASSERT_EQ(parallel.num_nodes(), serial.num_nodes());
+      ASSERT_EQ(parallel.num_edges(), serial.num_edges());
+      EXPECT_EQ(parallel.max_degree(), serial.max_degree());
+      for (NodeId v = 0; v < serial.num_nodes(); ++v) {
+        ASSERT_EQ(parallel.degree(v), serial.degree(v)) << "node " << v;
+        const auto a = serial.Neighbors(v);
+        const auto b = parallel.Neighbors(v);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "Neighbors mismatch at node " << v << ", threads " << threads;
+        const auto c = serial.NeighborsByDegree(v);
+        const auto d = parallel.NeighborsByDegree(v);
+        ASSERT_TRUE(std::equal(c.begin(), c.end(), d.begin(), d.end()))
+            << "NeighborsByDegree mismatch at node " << v << ", threads "
+            << threads;
+      }
     }
   }
 }
