@@ -10,25 +10,10 @@ namespace reconcile {
 
 SelectionEngine::SelectionEngine(size_t n1, size_t n2, bool parallel)
     : parallel_(parallel),
-      n1_(n1),
-      n2_(n2),
       best1_(parallel ? 0 : n1),
       best2_(parallel ? 0 : n2),
       atomic_best1_(parallel ? n1 : 0),
       atomic_best2_(parallel ? n2 : 0) {}
-
-void SelectionEngine::EnsureNodeCapacity(size_t n1, size_t n2) {
-  if (n1 <= n1_ && n2 <= n2_) return;
-  n1_ = std::max(n1_, n1);
-  n2_ = std::max(n2_, n2);
-  if (parallel_) {
-    atomic_best1_ = AtomicBestTable(n1_);
-    atomic_best2_ = AtomicBestTable(n2_);
-  } else {
-    best1_ = BestTable(n1_);
-    best2_ = BestTable(n2_);
-  }
-}
 
 size_t SelectionEngine::SelectAndCommit(const std::vector<ScoreUnit>& units,
                                         const SelectionContext& ctx,

@@ -16,9 +16,7 @@ namespace reconcile {
 
 /// Everything one selection round needs from its caller: the worker pool,
 /// the acceptance threshold, and the matching state the accepted links
-/// commit into. Both `MatcherState` and the serve-mode
-/// `IncrementalMatcher` build one of these per round, which is what lets
-/// them share the engine.
+/// commit into. `MatcherState` builds one of these per round.
 struct SelectionContext {
   ThreadPool* pool = nullptr;
   uint32_t min_score = 0;
@@ -27,9 +25,7 @@ struct SelectionContext {
   std::vector<std::pair<NodeId, NodeId>>* links = nullptr;
 };
 
-/// The mutual-unique-best selection engine, extracted from `MatcherState`
-/// so every caller that owns score units (batch matcher, serve-mode
-/// incremental matcher) folds them through the same code path.
+/// The mutual-unique-best selection engine over a round's score units.
 ///
 /// Two interchangeable engines fill the same stats:
 ///  * serial — one thread folds every unit into epoch-stamped tables;
@@ -53,12 +49,6 @@ class SelectionEngine {
   /// O(nodes); the other pair stays empty).
   SelectionEngine(size_t n1, size_t n2, bool parallel);
 
-  /// Grows the tables to cover `n1`/`n2` nodes (serve mode: delta batches
-  /// can introduce new node ids). The tables are reconstructed — call only
-  /// between rounds; epochs restart, which is harmless because every round
-  /// opens with `NextEpoch`.
-  void EnsureNodeCapacity(size_t n1, size_t n2);
-
   /// Applies the mutual-unique-best rule over `units` (disjoint score
   /// units whose union is the live, bucket-eligible scored-pair multiset),
   /// commits accepted links into `ctx`'s maps and link log, and returns
@@ -73,8 +63,6 @@ class SelectionEngine {
                         const SelectionContext& ctx, PhaseStats* stats);
 
   bool parallel_;
-  size_t n1_;
-  size_t n2_;
   BestTable best1_;
   BestTable best2_;
   AtomicBestTable atomic_best1_;

@@ -61,10 +61,16 @@ bool ParseLine(const std::string& line, uint64_t line_number, LineKind* kind,
   int graph = 0;
   long long u = -1, v = -1;
   if (!(in >> graph >> u >> v) || (graph != 1 && graph != 2) || u < 0 ||
-      v < 0 || u > static_cast<long long>(kInvalidNode) ||
-      v > static_cast<long long>(kInvalidNode)) {
+      v < 0) {
     *error = "line " + std::to_string(line_number) + ": expected '" + op +
              " <graph 1|2> <u> <v>', got '" + line + "'";
+    return false;
+  }
+  // kInvalidNode is the "no node" sentinel, never an id.
+  if (u >= static_cast<long long>(kInvalidNode) ||
+      v >= static_cast<long long>(kInvalidNode)) {
+    *error = "line " + std::to_string(line_number) +
+             ": node id overflows the 32-bit id space";
     return false;
   }
   out->graph = graph;

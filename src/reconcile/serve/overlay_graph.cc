@@ -43,12 +43,6 @@ OverlayGraph::OverlayGraph(Graph base)
   for (NodeId u = 0; u < num_nodes_; ++u) degree_[u] = base_.degree(u);
 }
 
-NodeId OverlayGraph::MaxDegree() const {
-  NodeId max_degree = 0;
-  for (NodeId d : degree_) max_degree = std::max(max_degree, d);
-  return max_degree;
-}
-
 bool OverlayGraph::HasEdge(NodeId u, NodeId v) const {
   if (u >= num_nodes_ || v >= num_nodes_ || u == v) return false;
   if (SortedContains(added_[u], v)) return true;
@@ -67,6 +61,9 @@ void OverlayGraph::EnsureNode(NodeId u) {
 }
 
 bool OverlayGraph::InsertEdge(NodeId u, NodeId v) {
+  // Growing to kInvalidNode + 1 nodes would wrap the node count to 0.
+  RECONCILE_CHECK_LT(std::max(u, v), kInvalidNode)
+      << "node id overflows the 32-bit id space";
   if (u == v) return false;
   EnsureNode(std::max(u, v));
   if (HasEdge(u, v)) return false;

@@ -14,17 +14,17 @@ class ThreadPool;
 
 /// A mutable graph view for the serve path: an immutable CSR base plus
 /// per-node sorted diff vectors of inserted (`added_`) and deleted
-/// (`removed_`) edges, mirroring the LSM shape proven in `TieredCountRuns`
-/// — cheap point updates accumulate in the small structure, and `Compact`
-/// periodically folds them into a fresh CSR so scans stay near
-/// base-structure speed. Every query (`degree`, `HasEdge`,
-/// `ForEachNeighbor`) already reflects the uncompacted diffs, so
-/// compaction is semantics-neutral and can run on any cadence.
+/// (`removed_`) edges — cheap point updates accumulate in the small
+/// structure, and `Compact` folds them into a fresh CSR (the serve session
+/// compacts before every matcher run, which reads `base()`). Every query
+/// (`degree`, `HasEdge`, `ForEachNeighbor`) already reflects the
+/// uncompacted diffs, so compaction is semantics-neutral.
 ///
 /// Self-loops are rejected; inserting a present edge or deleting an absent
 /// one is a no-op (returns false). Node ids beyond the base graph grow the
 /// overlay (`num_nodes` raises to max endpoint + 1); base accesses are
-/// guarded for such nodes.
+/// guarded for such nodes. `kInvalidNode` is not a node id: inserting it
+/// is a checked error.
 class OverlayGraph {
  public:
   explicit OverlayGraph(Graph base);
@@ -32,11 +32,6 @@ class OverlayGraph {
   NodeId num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return num_edges_; }
   NodeId degree(NodeId u) const { return degree_[u]; }
-
-  /// Largest current degree — an O(num_nodes) scan, so callers cache it
-  /// per batch (unlike `Graph::max_degree()` it cannot be precomputed:
-  /// deletes can lower it).
-  NodeId MaxDegree() const;
 
   /// True iff the edge {u, v} is currently present. Safe for any ids
   /// (out-of-range nodes have no edges).

@@ -62,10 +62,11 @@ namespace reconcile {
 ///                          (value = 1-based batch number, the initial
 ///                          match counting as batch 1), fired after the
 ///                          overlays absorbed the deltas but before the
-///                          dirty links were re-emitted — the worst crash
-///                          instant: retraction visible, repair pending
+///                          matcher re-ran on them — the graphs are new,
+///                          the matching is the previous batch's. A
+///                          `stop:` here still finishes the batch
 ///   after_batch            value point in `reconcile_serve` between
-///                          repairing the matching and writing the batch's
+///                          re-matching and writing the batch's
 ///                          checkpoint — a crash here loses exactly one
 ///                          batch, which the resume re-applies from the
 ///                          delta stream

@@ -1,12 +1,12 @@
 // End-to-end crash safety for the serve subsystem: a serve session killed
 // mid-batch (the `serve_apply` value point fires after the overlays
-// absorbed the deltas but BEFORE the dirty links were re-emitted — the
-// worst instant, with retraction visible and repair pending) must, when
-// resumed from its newest checkpoint, fast-forward the delta stream past
-// the records the snapshot already consumed, re-apply the lost batch and
-// finish with a matching byte-identical to a never-killed session. Same
-// fork discipline as integration_kill_resume_test: the parent never builds
-// a workload or spawns the thread pool; children regenerate everything
+// absorbed the deltas but BEFORE the matcher re-ran on them — the graphs
+// are new, the matching is the previous batch's) must, when resumed from
+// its newest checkpoint, fast-forward the delta stream past the records
+// the snapshot already consumed, re-apply the lost batch and finish with a
+// matching byte-identical to a never-killed session. Same fork discipline
+// as integration_kill_resume_test: the parent never builds a workload or
+// spawns the thread pool; children regenerate everything
 // deterministically.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -144,7 +144,6 @@ void ChildMain(const ChildSpec& spec) {
   ServeConfig config;
   config.matcher.num_threads = 4;
   config.matcher.num_shards = 4;
-  config.compact_overlay_every = 2;
   IncrementalMatcher matcher(pair.g1, pair.g2, seeds, config);
 
   bool resumed = false;
@@ -212,8 +211,8 @@ int RunChild(const ChildSpec& spec) {
 }
 
 // One cycle per crash point. serve_apply=N fires inside the (N-1)-th delta
-// batch (the initial match is batch 1), between overlay absorption and
-// re-emission.
+// batch (the initial match is batch 1), between overlay absorption and the
+// matcher run.
 void CheckServeKillResume(const std::string& crash_spec,
                           const std::string& tag) {
   const std::string dir = TempPath("skr_" + tag);

@@ -178,6 +178,46 @@ TEST(DeltaLogTest, MalformedLinesFailWithLineNumbers) {
   }
 }
 
+TEST(DeltaLogTest, SentinelNodeIdFailsWithLineNumber) {
+  // 4294967295 is kInvalidNode, the "no node" sentinel. Accepting it would
+  // grow a graph to 2^32 nodes, a count that wraps to 0 in 32 bits.
+  for (const char* text : {"add 1 4294967295 5\n", "del 2 5 4294967295\n"}) {
+    const std::string path =
+        WriteLog("sentinel.log", "add 1 0 1\n" + std::string(text));
+    DeltaReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Open(path, &error));
+    std::vector<EdgeDelta> batch;
+    bool eos = false;
+    EXPECT_FALSE(reader.NextBatch(0, &batch, &eos, &error)) << text;
+    EXPECT_NE(error.find("line 2: node id overflows the 32-bit id space"),
+              std::string::npos)
+        << text << " -> " << error;
+  }
+}
+
+TEST(DeltaLogTest, TolerantModeEndsStreamAtSentinelNodeId) {
+  const std::string path = WriteLog("sentinel_tolerant.log",
+                                    "add 1 0 1\ndel 2 2 3\ncommit\n"
+                                    "add 1 4 5\nadd 2 6 4294967295\n"
+                                    "add 1 7 8\n");
+  DeltaReader reader;
+  reader.set_tolerant(true);
+  std::string error;
+  ASSERT_TRUE(reader.Open(path, &error));
+  std::vector<EdgeDelta> batch;
+  bool eos = false;
+  ASSERT_TRUE(reader.NextBatch(0, &batch, &eos, &error)) << error;
+  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_FALSE(eos);
+  ASSERT_TRUE(reader.NextBatch(0, &batch, &eos, &error)) << error;
+  ASSERT_EQ(batch.size(), 1u);  // the record before the bad line only
+  EXPECT_TRUE(eos);
+  EXPECT_EQ(batch[0].u, 4u);
+  EXPECT_EQ(batch[0].v, 5u);
+  EXPECT_EQ(reader.records_consumed(), 3u);
+}
+
 TEST(DeltaLogTest, FormatDeltaRecordRoundTrips) {
   // The writer helper and the reader's verifier must agree on the
   // canonical text byte-for-byte, for both ops and both graphs.

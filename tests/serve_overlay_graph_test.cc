@@ -1,11 +1,11 @@
 // The delta overlay must be indistinguishable from a CSR rebuilt from
-// scratch on the final edge set — neighbors (sorted), degrees, edge counts,
-// max degree — after ANY interleaving of inserts and deletes, including
-// deleting base edges, re-inserting deleted edges (the diff must cancel,
-// not double), deleting just-inserted edges, node growth past the base
-// range, and compaction at every boundary. The incremental matcher scores
-// through this structure, so any divergence here breaks the bit-identity
-// contract upstream.
+// scratch on the final edge set — neighbors (sorted), degrees, edge counts
+// — after ANY interleaving of inserts and deletes, including deleting base
+// edges, re-inserting deleted edges (the diff must cancel, not double),
+// deleting just-inserted edges, node growth past the base range, and
+// compaction at every boundary. The serve session matches on the compacted
+// overlay, so any divergence here breaks the bit-identity contract
+// upstream.
 #include "reconcile/serve/overlay_graph.h"
 
 #include <algorithm>
@@ -47,7 +47,6 @@ void ExpectEquivalent(const OverlayGraph& overlay, const EdgeSet& reference,
 
   ASSERT_EQ(overlay.num_nodes(), rebuilt.num_nodes());
   ASSERT_EQ(overlay.num_edges(), rebuilt.num_edges());
-  EXPECT_EQ(overlay.MaxDegree(), rebuilt.max_degree());
   for (NodeId u = 0; u < rebuilt.num_nodes(); ++u) {
     ASSERT_EQ(overlay.degree(u), rebuilt.degree(u)) << "node " << u;
     std::vector<NodeId> got;
@@ -120,7 +119,6 @@ TEST(OverlayGraphTest, NodeGrowthBeyondBaseRange) {
   EXPECT_EQ(overlay.degree(7), 1u);
   EXPECT_EQ(overlay.degree(5), 0u);
   EXPECT_TRUE(overlay.HasEdge(7, 1));
-  EXPECT_EQ(overlay.MaxDegree(), 2u);  // node 1: {0, 7}
 
   EdgeSet reference{{0, 1}, {1, 7}};
   ExpectEquivalent(overlay, reference, 8);

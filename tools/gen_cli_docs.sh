@@ -92,8 +92,9 @@ reconcile_cli --phase-table --degree-table
 ## reconcile_serve
 
 Continuous reconciliation as a service: hold a live matching over two
-evolving graphs, repair it per delta batch, stay bit-identical to a
-from-scratch batch run at every step.
+evolving graphs, re-run the batch matcher after every delta batch that
+changes an edge, stay bit-identical to a from-scratch batch run at every
+step.
 
 ```text
 EOF

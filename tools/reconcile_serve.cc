@@ -3,9 +3,8 @@
 //
 // Loads the two partial copies and the trusted seeds, computes the initial
 // matching, then consumes a delta log (file or stdin) batch by batch: each
-// batch is netted out, the affected score state is retracted and re-emitted,
-// and the round schedule replays — fast-forwarding untouched rounds from the
-// round log — so the served matching is always bit-identical to a
+// batch is netted out, applied to the graphs, and the batch matcher re-runs
+// on the result, so the served matching is always bit-identical to a
 // from-scratch batch run on the current graphs (DESIGN.md §2.6). Serve
 // checkpoints are self-contained (they embed both graphs and the delta
 // stream cursor), so a killed session resumes exactly, mid-stream.
@@ -47,9 +46,10 @@ namespace {
 constexpr const char kUsage[] = R"(reconcile_serve — continuous reconciliation over a stream of edge deltas.
 
 Loads the two copies and the seeds, computes the initial matching, then
-applies delta batches from a log, repairing the matching incrementally.
-After every batch the served matching is bit-identical to a from-scratch
-run of the batch matcher on the current graphs.
+applies delta batches from a log and re-runs the batch matcher after every
+batch that changes an edge. After every batch the served matching is
+bit-identical to a from-scratch run of the batch matcher on the current
+graphs.
 
 Usage: reconcile_serve --g1=... --g2=... [--flag=value ...]
 
@@ -87,39 +87,35 @@ Matching semantics (same meaning as reconcile_cli):
 
 Execution (never affect the matching):
   --threads       worker threads (0 = hardware)               [0]
-  --shards        score shards (0 = max(4, threads)); the resolved count
-                  is pinned into serve checkpoints — pass it explicitly
-                  when resuming with a different thread count  [0]
+  --shards        score shards (0 = max(4, threads))          [0]
   --serial-selection   serial mutual-best selection           [false]
-  --compact-every fold overlay diffs into a fresh CSR every N batches
-                  (0 = never; purely a scan-speed knob)       [8]
 
 Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-dir    write serve-batch-NNNNNN.ckpt snapshots here
   --checkpoint-every  checkpoint cadence in applied batches    [1]
   --checkpoint-keep   prune all but the newest K snapshots after each
                   successful write and on resume (0 = keep all) [0]
-  --resume        restore the newest valid serve snapshot, fast-forward
-                  the delta stream past the records it already consumed,
-                  and continue; the resumed session is bit-identical to
-                  an uninterrupted one
+  --resume        restore the newest valid serve snapshot (under any
+                  --threads/--shards), fast-forward the delta stream past
+                  the records it already consumed, and continue; the
+                  resumed session is bit-identical to an uninterrupted one
   --fault         deterministic fault injection (crash:serve_apply=K
-                  kills mid-batch, crash:after_batch=K between repair
-                  and checkpoint; io: specs as in reconcile_cli)
+                  kills mid-batch, crash:after_batch=K between the match
+                  and the checkpoint; io: specs as in reconcile_cli)
 
-On SIGINT/SIGTERM the server finishes the in-flight batch, writes a final
-checkpoint (when configured) and exits 0.
+On SIGINT/SIGTERM (or a stop: fault) the server finishes the in-flight
+batch, matcher run included, writes a final checkpoint (when configured)
+and exits 0.
 
 Output:
   --save-matching write the served links (u v [seed]) after the stream
                   ends (and on graceful stop)
   --save-g1/--save-g2  write the final graphs as text edge lists
-  --phase-table   after each batch, per-replayed-round phase table
+  --phase-table   after each batch, the rerun's per-round phase table
 
-Per-batch telemetry goes to stdout:
-  batch 3: deltas 128 (120 effective) | dirty nodes 85 | dirty links 42 |
-  rescored units 37 | rounds 12 (replayed 9, skipped 3, diverged at 4) |
-  links 5023 (+12/-3) | 0.42s
+Per-batch telemetry goes to stdout (rounds 0: no edge changed, no rerun):
+  batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
+  0.42s
 
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
@@ -135,20 +131,11 @@ bool LoadGraph(const std::string& path, Graph* out) {
 }
 
 void PrintBatch(const ServeBatchStats& stats, bool initial) {
-  std::string rounds = std::to_string(stats.total_rounds) + " (replayed " +
-                       std::to_string(stats.replayed_rounds) + ", skipped " +
-                       std::to_string(stats.skipped_rounds);
-  if (stats.diverged_at >= 0) {
-    rounds += ", diverged at " + std::to_string(stats.diverged_at);
-  }
-  rounds += ")";
   std::printf(
-      "%s%d: deltas %zu (%zu effective) | dirty nodes %zu | dirty links "
-      "%zu | rescored units %zu | rounds %s | links %zu (+%zu/-%zu) | "
-      "%.2fs\n",
+      "%s%d: deltas %zu (%zu effective) | rounds %d | links %zu (+%zu/-%zu) "
+      "| %.2fs\n",
       initial ? "initial match as batch " : "batch ", stats.batch,
-      stats.deltas_in, stats.deltas_applied, stats.dirty_nodes,
-      stats.dirty_links, stats.rescored_units, rounds.c_str(),
+      stats.deltas_in, stats.deltas_applied, stats.replayed_rounds,
       stats.num_links, stats.links_added, stats.links_removed,
       stats.seconds);
   std::fflush(stdout);
@@ -265,8 +252,6 @@ int RunServe(const Flags& flags) {
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
   mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
-  config.compact_overlay_every =
-      static_cast<int>(flags.GetInt("compact-every", 8));
   if (mc.num_iterations < 1) {
     std::fprintf(stderr, "--iterations must be >= 1\n");
     return 2;
@@ -392,7 +377,7 @@ int RunServe(const Flags& flags) {
         const ServeBatchStats stats = matcher.ApplyBatch(batch);
         PrintBatch(stats, /*initial=*/false);
         if (phase_table) PrintPhaseTable(stats);
-        // Fault hook between repairing the matching and persisting it: a
+        // Fault hook between re-matching and persisting the batch: a
         // `crash:after_batch=k` kill loses exactly this batch's state and
         // a resume must re-apply it from the stream.
         FaultValuePoint("after_batch", matcher.batches_applied());

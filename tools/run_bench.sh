@@ -10,12 +10,6 @@
 #                         series must stay under 2x the baseline real_time
 #                         (tiers_spilled / spilled_mb confirm the spill
 #                         path ran)
-#   BENCH_streaming.json — incremental serve-mode match repair per delta
-#                         batch (16/64/256/1024 deltas) vs a from-scratch
-#                         batch re-run; the speedup is BM_BatchRerun over
-#                         BM_StreamingRepair/<batch> real_time, and the
-#                         dirty_links / rescored_units / replayed_rounds
-#                         counters show how the repair scope grows
 #
 # Usage: tools/run_bench.sh [extra google-benchmark flags...]
 # The build directory defaults to <repo>/build-bench; override with
@@ -35,7 +29,7 @@ cmake -B "$BUILD" -S "$ROOT" \
   -DRECONCILE_BUILD_BENCHMARKS=ON \
   -DRECONCILE_BUILD_TESTS=OFF \
   -DRECONCILE_BUILD_TOOLS=OFF
-cmake --build "$BUILD" -j "$(nproc)" --target bench_micro bench_table2_scaling bench_outofcore bench_streaming
+cmake --build "$BUILD" -j "$(nproc)" --target bench_micro bench_table2_scaling bench_outofcore
 
 # Refuse to bless a baseline whose context says the measured code was not a
 # Release build. Output goes to a temp file first so a failed check never
@@ -56,8 +50,7 @@ check_release() {
 TMP_MICRO="$(mktemp)"
 TMP_SCALING="$(mktemp)"
 TMP_OUTOFCORE="$(mktemp)"
-TMP_STREAMING="$(mktemp)"
-trap 'rm -f "$TMP_MICRO" "$TMP_SCALING" "$TMP_OUTOFCORE" "$TMP_STREAMING"' EXIT
+trap 'rm -f "$TMP_MICRO" "$TMP_SCALING" "$TMP_OUTOFCORE"' EXIT
 
 "$BUILD/bench_micro" --benchmark_format=json "$@" > "$TMP_MICRO"
 check_release "$TMP_MICRO"
@@ -65,13 +58,10 @@ check_release "$TMP_MICRO"
 check_release "$TMP_SCALING"
 "$BUILD/bench_outofcore" --benchmark_format=json "$@" > "$TMP_OUTOFCORE"
 check_release "$TMP_OUTOFCORE"
-"$BUILD/bench_streaming" --benchmark_format=json "$@" > "$TMP_STREAMING"
-check_release "$TMP_STREAMING"
 
 mv "$TMP_MICRO" "$ROOT/BENCH_micro.json"
 mv "$TMP_SCALING" "$ROOT/BENCH_scaling.json"
 mv "$TMP_OUTOFCORE" "$ROOT/BENCH_outofcore.json"
-mv "$TMP_STREAMING" "$ROOT/BENCH_streaming.json"
 
-echo "wrote $ROOT/BENCH_micro.json, $ROOT/BENCH_scaling.json," \
-     "$ROOT/BENCH_outofcore.json and $ROOT/BENCH_streaming.json"
+echo "wrote $ROOT/BENCH_micro.json, $ROOT/BENCH_scaling.json and" \
+     "$ROOT/BENCH_outofcore.json"
