@@ -43,8 +43,10 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
       reader.GetBool("bucketing", config.use_degree_bucketing);
   config.min_bucket_exponent =
       GetIntParam(reader, "min-bucket-exponent", config.min_bucket_exponent);
+  if (config.min_bucket_exponent < 0 || config.min_bucket_exponent > 31) {
+    reader.AddError("parameter 'min-bucket-exponent' must be in [0, 31]");
+  }
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
-  config.num_shards = GetIntParam(reader, "shards", config.num_shards);
   config.stop_when_stable =
       reader.GetBool("stop-when-stable", config.stop_when_stable);
   config.use_incremental_scoring =
@@ -281,7 +283,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "User-Matching (paper §3.2): degree-bucketed witness "
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
-                 "threads, shards, stop-when-stable, incremental, "
+                 "threads, stop-when-stable, incremental, "
                  "parallel-selection, backend=hash|radix, max-tiers, "
                  "tier-ratio, checkpoint-dir, checkpoint-every, "
                  "checkpoint-keep, resume, memory-budget, score-dir, fault",

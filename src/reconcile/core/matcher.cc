@@ -83,6 +83,7 @@ MatchResult UserMatching(const Graph& g1, const Graph& g2,
                          const MatcherConfig& config) {
   RECONCILE_CHECK_GE(config.num_iterations, 1);
   RECONCILE_CHECK_GE(config.min_bucket_exponent, 0);
+  RECONCILE_CHECK_LE(config.min_bucket_exponent, 31);
   if (!config.fault_spec.empty()) {
     std::string error;
     RECONCILE_CHECK(ArmFaults(config.fault_spec, &error))

@@ -24,7 +24,7 @@ enum class ScoringBackend {
   /// selection scans linearly. The incremental engine keeps persistent
   /// sorted runs per (level, shard) and folds each round's sorted delta in
   /// with a linear two-way merge. Matchings are bit-identical to the hash
-  /// backend for every engine/thread/shard combination.
+  /// backend for every engine and thread count.
   kRadixSort,
 };
 
@@ -39,15 +39,15 @@ struct MatcherConfig {
   /// Degree bucketing (the `j = log D … 1` sweep). Disabling reproduces the
   /// paper's ablation: one scoring round per iteration over all nodes.
   bool use_degree_bucketing = true;
-  /// Lowest bucket exponent `j` in the sweep; nodes with degree below
-  /// `2^min_bucket_exponent` are never match candidates. The paper sweeps to
-  /// j = 1; the default 0 also allows degree-1 nodes into the last round.
+  /// Lowest bucket exponent `j` in the sweep, in [0, 31]; nodes with degree
+  /// below `2^min_bucket_exponent` are never match candidates. The paper
+  /// sweeps to j = 1; the default 0 also allows degree-1 nodes into the last
+  /// round.
   int min_bucket_exponent = 0;
-  /// Worker threads (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency). The score state's shard
+  /// width comes from the size of g1, never from this, so the thread count
+  /// affects neither the matching nor the checkpoint layout.
   int num_threads = 0;
-  /// Reduce shards for the scoring MapReduce (0 = max(4, threads)). Results
-  /// are shard-count invariant; this only affects parallel granularity.
-  int num_shards = 0;
   /// Stop outer iterations early once a full sweep finds no new link.
   bool stop_when_stable = true;
   /// Scoring engine. `true` (default): incremental — each link's witness
@@ -62,7 +62,7 @@ struct MatcherConfig {
   /// selection runs one task per score shard against atomic CAS-max best
   /// tables, removing the serial tail that dominates once scoring is
   /// parallel. `false`: reference single-threaded double scan. Both engines
-  /// produce bit-identical matchings for any thread/shard counts.
+  /// produce bit-identical matchings for any thread count.
   bool use_parallel_selection = true;
   /// Witness-aggregation backend (see `ScoringBackend`). Both backends
   /// produce bit-identical matchings; they differ only in memory-access
@@ -141,8 +141,8 @@ struct MatcherConfig {
 ///     rejected to protect precision).
 ///
 /// Seeds must be in-range and one-to-one; duplicates are rejected via
-/// RECONCILE_CHECK. The output is deterministic: independent of thread and
-/// shard counts.
+/// RECONCILE_CHECK, as is a `min_bucket_exponent` outside [0, 31]. The
+/// output is deterministic: independent of the thread count.
 MatchResult UserMatching(const Graph& g1, const Graph& g2,
                          std::span<const std::pair<NodeId, NodeId>> seeds,
                          const MatcherConfig& config);

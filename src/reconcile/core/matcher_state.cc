@@ -80,11 +80,18 @@ std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards) {
   return table;
 }
 
-// The shard count a run resolves from its config: `config.num_shards` when
-// positive, else max(4, worker threads). It is fingerprinted into
-// checkpoints.
-int ResolveShardCount(const MatcherConfig& config, int num_threads) {
-  return config.num_shards > 0 ? config.num_shards : std::max(4, num_threads);
+// The score state's shard width: one shard per 512 g1 nodes, clamped to
+// [1, 256]. It depends on n1 alone, never on the thread count, so a run's
+// SCORES layout is fixed by the graph pair its snapshots are fingerprinted
+// against and a snapshot resumes under any thread count. Each round's
+// sort-and-merge and selection scan run one (level, shard) cell per claim,
+// so the width is what lets the hot levels spread over the workers. The
+// constants come from a sweep on the e2ebench workloads (DESIGN.md §2.3).
+int ShardWidth(NodeId n1) {
+  constexpr NodeId kNodesPerShard = 512;
+  constexpr NodeId kMaxShards = 256;
+  return static_cast<int>(
+      std::clamp<NodeId>(n1 / kNodesPerShard, 1, kMaxShards));
 }
 
 // The top degree-bucket exponent of the round schedule (0 when bucketing is
@@ -106,11 +113,13 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       pool_(config.num_threads > 0 ? config.num_threads
                                    : ThreadPool::DefaultThreads()),
       tier_policy_{config.lsm_max_tiers, config.lsm_size_ratio},
-      num_shards_(ResolveShardCount(config, pool_.num_threads())),
+      num_shards_(ShardWidth(g1.num_nodes())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
       selection_(g1.num_nodes(), g2.num_nodes(),
                  config.use_parallel_selection) {
+  RECONCILE_CHECK_GE(config.min_bucket_exponent, 0);
+  RECONCILE_CHECK_LE(config.min_bucket_exponent, 31);
   level1_ = DegreeLevels(g1);
   level2_ = DegreeLevels(g2);
   if (config.use_incremental_scoring) {
@@ -318,7 +327,7 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
   if (begin == end) return;
   emitted_links_ = end;
 
-  const NodeId dmin = static_cast<NodeId>(1u) << config_.min_bucket_exponent;
+  const int min_level = config_.min_bucket_exponent;
   struct Delta {
     std::vector<std::vector<FlatCountMap>> maps;  // [level][shard]
     uint64_t emissions = 0;
@@ -329,17 +338,19 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
   // counts commutatively, so which items land in which delta is
   // unobservable.
   Timer emit_timer;
-  auto emit_range = [this, begin, dmin](Delta& delta, size_t lo, size_t hi) {
+  auto emit_range = [this, begin, min_level](Delta& delta, size_t lo,
+                                             size_t hi) {
     if (delta.maps.empty()) delta.maps.resize(kNumLevels);
     auto& maps = delta.maps;
     for (size_t item = lo; item < hi; ++item) {
       const auto [a1, a2] = links_[begin + item];
-      for (NodeId u : g1_.NeighborsByDegree(a1)) {
-        if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
+      for (NodeId u : g1_.Neighbors(a1)) {
         const uint8_t lu = level1_[u];
-        for (NodeId v : g2_.NeighborsByDegree(a2)) {
-          if (g2_.degree(v) < dmin) break;
-          const uint8_t level = std::min(lu, level2_[v]);
+        if (lu < min_level) continue;  // degree(u) < 2^min_bucket_exponent
+        for (NodeId v : g2_.Neighbors(a2)) {
+          const uint8_t lv = level2_[v];
+          if (lv < min_level) continue;
+          const uint8_t level = std::min(lu, lv);
           const uint64_t key = PackPair(u, v);
           if (maps[level].empty()) {
             maps[level] =
@@ -404,7 +415,7 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
   if (begin == end) return;
   emitted_links_ = end;
 
-  const NodeId dmin = static_cast<NodeId>(1u) << config_.min_bucket_exponent;
+  const int min_level = config_.min_bucket_exponent;
   struct RadixDelta {
     std::vector<std::vector<std::vector<uint64_t>>> keys;  // [level][shard]
     uint64_t emissions = 0;
@@ -412,19 +423,20 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
   const size_t num_items = end - begin;
 
   Timer emit_timer;
-  auto emit_range = [this, begin, dmin](RadixDelta& delta, size_t lo,
-                                        size_t hi) {
+  auto emit_range = [this, begin, min_level](RadixDelta& delta, size_t lo,
+                                             size_t hi) {
     if (delta.keys.empty()) delta.keys.resize(kNumLevels);
     auto& keys = delta.keys;
     for (size_t item = lo; item < hi; ++item) {
       const auto [a1, a2] = links_[begin + item];
-      for (NodeId u : g1_.NeighborsByDegree(a1)) {
-        if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
+      for (NodeId u : g1_.Neighbors(a1)) {
         const uint8_t lu = level1_[u];
+        if (lu < min_level) continue;  // degree(u) < 2^min_bucket_exponent
         const uint32_t shard = radix_shard1_[u];
-        for (NodeId v : g2_.NeighborsByDegree(a2)) {
-          if (g2_.degree(v) < dmin) break;
-          const uint8_t level = std::min(lu, level2_[v]);
+        for (NodeId v : g2_.Neighbors(a2)) {
+          const uint8_t lv = level2_[v];
+          if (lv < min_level) continue;
+          const uint8_t level = std::min(lu, lv);
           if (keys[level].empty()) {
             keys[level].resize(static_cast<size_t>(num_shards_));
           }
@@ -600,7 +612,6 @@ size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
 // engine must produce identical results.
 size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
   Timer timer;
-  const NodeId dmin = static_cast<NodeId>(1u) << bucket_exponent;
   PhaseStats stats;
   stats.iteration = iteration;
   stats.bucket_exponent = bucket_exponent;
@@ -610,13 +621,13 @@ size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
   Timer emit_timer;
   std::atomic<uint64_t> emissions{0};
   const int num_map_shards = num_shards_ * 4;
-  auto map_fn = [this, dmin, &emissions](size_t item, auto emit) {
+  auto map_fn = [this, bucket_exponent, &emissions](size_t item, auto emit) {
     const auto [a1, a2] = links_[item];
     uint64_t local_emissions = 0;
-    for (NodeId u : g1_.NeighborsByDegree(a1)) {
-      if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
-      for (NodeId v : g2_.NeighborsByDegree(a2)) {
-        if (g2_.degree(v) < dmin) break;
+    for (NodeId u : g1_.Neighbors(a1)) {
+      if (level1_[u] < bucket_exponent) continue;  // degree < 2^bucket
+      for (NodeId v : g2_.Neighbors(a2)) {
+        if (level2_[v] < bucket_exponent) continue;
         emit(PackPair(u, v));
         ++local_emissions;
       }
@@ -684,6 +695,9 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU8(config_.use_incremental_scoring ? 1 : 0);
   writer.AppendU8(
       config_.scoring_backend == ScoringBackend::kRadixSort ? 1 : 0);
+  // The shard width shapes the SCORES layout. It follows from n1, which the
+  // graph fingerprint already binds, so this check only rejects snapshots
+  // written under another width rule.
   writer.AppendI32(num_shards_);
   // Round cursor.
   writer.AppendI32(iteration_);
@@ -843,8 +857,7 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     *error = path +
              ": snapshot config mismatch (threshold/iterations/bucketing/"
              "backend/shards differ from this run — resume with the "
-             "configuration the checkpoint was written under, including an "
-             "explicit shard count if thread counts differ)";
+             "configuration the checkpoint was written under)";
     return false;
   }
   const bool cursor_sane =

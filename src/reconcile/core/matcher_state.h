@@ -52,8 +52,10 @@ namespace reconcile {
 /// matching (threads, LSM tier policy) are
 /// deliberately *not* fingerprinted — a snapshot taken under one may resume
 /// under another; semantic knobs (threshold, iterations, bucketing,
-/// backend, the resolved shard count) are, and a mismatch is a clean
-/// rejection. DESIGN.md §2.4 documents the layout and the resume invariant.
+/// backend) and the shard width the SCORES layout uses are, and a mismatch
+/// is a clean rejection. The width is a function of g1's node count, so it
+/// is bound through the graph fingerprint and never varies with threads.
+/// DESIGN.md §2.4 documents the layout and the resume invariant.
 class MatcherState {
  public:
   MatcherState(const Graph& g1, const Graph& g2, const MatcherConfig& config);
@@ -129,6 +131,7 @@ class MatcherState {
   MatcherConfig config_;
   ThreadPool pool_;
   TierPolicy tier_policy_;
+  // Score shards per degree level, from g1's node count (see ctor).
   int num_shards_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;

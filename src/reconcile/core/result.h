@@ -18,6 +18,10 @@ struct PhaseStats {
   size_t links_in = 0;      ///< Links available as witnesses this round.
   size_t emissions = 0;     ///< Candidate-pair witness emissions.
   size_t candidate_pairs = 0;  ///< Distinct candidate pairs scored.
+  /// Candidate pairs scoring at least the threshold: the only ones
+  /// User-Matching folds into its best tables, so at most `candidate_pairs`
+  /// and at least `new_links`. Zero for algorithms without that pass.
+  size_t observed_pairs = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): witness emission (enumerating candidate

@@ -29,14 +29,20 @@ size_t SelectionEngine::SelectSerial(const std::vector<ScoreUnit>& units,
   best1_.NextEpoch();
   best2_.NextEpoch();
   size_t candidate_pairs = 0;
+  size_t observed_pairs = 0;
   for (const ScoreUnit& unit : units) {
-    unit.ForEach([this, &candidate_pairs](uint64_t key, uint32_t score) {
+    unit.ForEach([this, &ctx, &candidate_pairs, &observed_pairs](
+                     uint64_t key, uint32_t score) {
+      ++candidate_pairs;
+      // Only pairs that can win reach the tables (see the class comment).
+      if (score < ctx.min_score) return;
+      ++observed_pairs;
       best1_.Observe(PairFirst(key), score);
       best2_.Observe(PairSecond(key), score);
-      ++candidate_pairs;
     });
   }
   stats->candidate_pairs = candidate_pairs;
+  stats->observed_pairs = observed_pairs;
   stats->scan_seconds = timer.Seconds();
 
   timer.Reset();
@@ -81,19 +87,28 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   // a handful of huge hub-level units does not pin the round on whichever
   // worker drew them. The observe fold is a CAS-max — commutative — and
   // the accept pass writes only per-unit lists, so the schedule is
-  // unobservable in the result.
+  // unobservable in the result. Pairs below the threshold are counted but
+  // never observed, as in the serial engine.
   std::atomic<size_t> candidate_pairs{0};
+  std::atomic<size_t> observed_pairs{0};
   ParallelForEach(
-      ctx.pool, units.size(), [this, &units, &candidate_pairs](size_t i) {
+      ctx.pool, units.size(),
+      [this, &ctx, &units, &candidate_pairs, &observed_pairs](size_t i) {
         size_t local_pairs = 0;
-        units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
+        size_t local_observed = 0;
+        units[i].ForEach([this, &ctx, &local_pairs, &local_observed](
+                             uint64_t key, uint32_t score) {
+          ++local_pairs;
+          if (score < ctx.min_score) return;
+          ++local_observed;
           atomic_best1_.Observe(PairFirst(key), score);
           atomic_best2_.Observe(PairSecond(key), score);
-          ++local_pairs;
         });
         candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
+        observed_pairs.fetch_add(local_observed, std::memory_order_relaxed);
       });
   stats->candidate_pairs = candidate_pairs.load();
+  stats->observed_pairs = observed_pairs.load();
   stats->scan_seconds = timer.Seconds();
 
   timer.Reset();

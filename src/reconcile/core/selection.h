@@ -34,7 +34,14 @@ struct SelectionContext {
 ///    (accept pass), then the accepted lists scatter into the link log in
 ///    parallel (commit pass — see below). A candidate pair lives in
 ///    exactly one unit, and the fold is order-independent, so both engines
-///    produce bit-identical matchings for any thread/shard counts.
+///    produce bit-identical matchings for any thread count and partition.
+///
+/// Both observe passes fold only pairs scoring at least the threshold T
+/// into the best tables. That is exact: the accept pass asks
+/// `IsUniqueBest(x, s)` only for s >= T, and a pair below T can neither
+/// raise nor tie a best of at least T. If a node's best over all pairs is
+/// below T, it has no pair the accept pass looks at. Nothing else reads
+/// the tables.
 ///
 /// The parallel commit (formerly the last serial piece of a round): unique
 /// best on both sides means the accepted set is a matching — no two units
@@ -52,7 +59,8 @@ class SelectionEngine {
   /// Applies the mutual-unique-best rule over `units` (disjoint score
   /// units whose union is the live, bucket-eligible scored-pair multiset),
   /// commits accepted links into `ctx`'s maps and link log, and returns
-  /// the number accepted. Fills `stats`' candidate/scan/select fields.
+  /// the number accepted. Fills `stats`' candidate/observed/scan/select
+  /// fields.
   size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
                          const SelectionContext& ctx, PhaseStats* stats);
 

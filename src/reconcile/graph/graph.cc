@@ -113,27 +113,6 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
   });
   g.max_degree_ =
       *std::max_element(range_max_degree.begin(), range_max_degree.end());
-
-  // Degree-descending view: stable secondary order by ascending id keeps
-  // the layout deterministic.
-  g.by_degree_.resize(g.adjacency_.size());
-  const size_t node_grain = ThreadPool::GrainSize(n, ParallelSlots(pool), 256);
-  ParallelForWorkStealing(pool, n, node_grain, [&g](size_t lo, size_t hi) {
-    for (size_t v = lo; v < hi; ++v) {
-      auto begin = g.by_degree_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]);
-      std::copy(g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v]),
-                g.adjacency_.begin() + static_cast<ptrdiff_t>(g.offsets_[v + 1]),
-                begin);
-      std::sort(begin,
-                g.by_degree_.begin() + static_cast<ptrdiff_t>(g.offsets_[v + 1]),
-                [&g](NodeId a, NodeId b) {
-                  NodeId da = g.degree(a), db = g.degree(b);
-                  if (da != db) return da > db;
-                  return a < b;
-                });
-    }
-  });
-
   return g;
 }
 

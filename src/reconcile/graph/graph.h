@@ -14,13 +14,10 @@ class ThreadPool;
 
 /// Immutable undirected simple graph in compressed sparse row (CSR) form.
 ///
-/// Two adjacency orderings are materialized per node:
-///  * by ascending neighbour id (`Neighbors`) — enables `HasEdge` via binary
-///    search and deterministic iteration;
-///  * by descending neighbour degree (`NeighborsByDegree`) — the matcher's
-///    degree-bucketed rounds scan only the prefix of each neighbourhood whose
-///    degree clears the current bucket threshold `2^j`, which is what makes
-///    bucketing cheap.
+/// Each node's neighbours are stored once, ascending by id (`Neighbors`):
+/// that order gives `HasEdge` its binary search and every consumer a
+/// deterministic iteration order. The matcher's degree-bucketed rounds
+/// skip the neighbours below the bucket threshold as they go.
 ///
 /// Construction goes through `FromEdgeList`, which canonicalizes the input
 /// (self-loops and duplicate edges removed).
@@ -45,9 +42,8 @@ class Graph {
   /// slot owns a contiguous node range and fills only that range's offsets
   /// and adjacency slices. A node's slice is its smaller neighbours, then
   /// its larger ones; both come out ascending from the sorted edge list, so
-  /// no id sort and no shared counter is needed. The degree-descending view
-  /// is then sorted per node. `pool == nullptr` builds the same graph as one
-  /// range on the calling thread.
+  /// no id sort and no shared counter is needed. `pool == nullptr` builds
+  /// the same graph as one range on the calling thread.
   static Graph FromEdgeList(EdgeList edges, ThreadPool* pool);
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -65,11 +61,6 @@ class Graph {
   /// Neighbours of `v`, ascending by node id.
   std::span<const NodeId> Neighbors(NodeId v) const {
     return {adjacency_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
-  }
-
-  /// Neighbours of `v`, descending by neighbour degree (ties by id).
-  std::span<const NodeId> NeighborsByDegree(NodeId v) const {
-    return {by_degree_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
   /// True iff the edge {u, v} is present. O(log degree(u)).
@@ -90,7 +81,6 @@ class Graph {
   // [offsets_[v], offsets_[v+1]).
   std::vector<size_t> offsets_{0};
   std::vector<NodeId> adjacency_;  // ascending by id
-  std::vector<NodeId> by_degree_;  // descending by degree
 };
 
 }  // namespace reconcile

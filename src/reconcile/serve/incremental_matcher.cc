@@ -52,6 +52,7 @@ IncrementalMatcher::IncrementalMatcher(
       num_links_(seeds.size()) {
   RECONCILE_CHECK_GE(config_.matcher.num_iterations, 1);
   RECONCILE_CHECK_GE(config_.matcher.min_bucket_exponent, 0);
+  RECONCILE_CHECK_LE(config_.matcher.min_bucket_exponent, 31);
   for (const auto& [u, v] : seeds_) {
     RECONCILE_CHECK_LT(u, o1_.num_nodes());
     RECONCILE_CHECK_LT(v, o2_.num_nodes());

@@ -102,7 +102,7 @@ class IncrementalMatcher {
   bool SaveSnapshot(const std::string& path, std::string* error) const;
 
   /// Restores a `SaveSnapshot` image taken under the same matching
-  /// semantics; thread and shard counts may differ. Validates end to end
+  /// semantics; the thread count may differ. Validates end to end
   /// (format, version, semantics, graphs, links one-to-one, in range and
   /// containing the ctor seeds) before committing; on failure the state is
   /// untouched and `*error` says why.

@@ -67,6 +67,31 @@ TEST(RegistryTest, OutOfRangeValuesAreSpecErrorsNotCrashes) {
   EXPECT_NE(error.find("depth"), std::string::npos);
 }
 
+// A degree bucket 2^e exists only for e in [0, 31]: -1 used to abort on a
+// failed check, and 32 or more shifted a 32-bit one out of range and let
+// low-degree nodes through.
+TEST(RegistryTest, MinBucketExponentOutsideItsRangeIsASpecError) {
+  for (const char* exponent : {"-1", "32"}) {
+    SCOPED_TRACE(exponent);
+    std::string error;
+    EXPECT_EQ(Registry::Global().Create(
+                  ReconcilerSpec("core").Set("min-bucket-exponent", exponent),
+                  &error),
+              nullptr);
+    EXPECT_NE(error.find("parameter 'min-bucket-exponent' must be in [0, 31]"),
+              std::string::npos)
+        << error;
+  }
+  for (const char* exponent : {"0", "31"}) {
+    std::string error;
+    EXPECT_NE(Registry::Global().Create(
+                  ReconcilerSpec("core").Set("min-bucket-exponent", exponent),
+                  &error),
+              nullptr)
+        << exponent << ": " << error;
+  }
+}
+
 TEST(RegistryTest, IntNarrowingIsRangeChecked) {
   std::string error;
   // Would silently wrap to iterations=1 with a bare static_cast<int>.

@@ -7,6 +7,7 @@
 #include "reconcile/core/matcher_state.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -89,7 +91,6 @@ void CheckResumeEquivalence(const Workload& w, const MatcherConfig& config,
 TEST(MatcherStateTest, RunRoundReplaysTheDriverScheduleExactly) {
   Workload w = MakeWorkload(9001);
   MatcherConfig config;
-  config.num_shards = 4;
   MatchResult via_driver = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
   MatchResult via_state = RunToCompletion(w, config);
   ASSERT_GT(via_driver.NumNewLinks(), 0u);
@@ -104,7 +105,6 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossBackendsAndPausePoints) {
     for (int pause_after : {1, 3, 7}) {
       MatcherConfig config;
       config.scoring_backend = backend;
-      config.num_shards = 4;
       const std::string tag =
           std::string(backend == ScoringBackend::kRadixSort ? "radix"
                                                             : "hash") +
@@ -122,30 +122,32 @@ TEST(MatcherStateTest, ResumeEquivalenceWithMultiTierLsmStacks) {
   Workload w = MakeWorkload(9003);
   MatcherConfig config;
   config.scoring_backend = ScoringBackend::kRadixSort;
-  config.num_shards = 4;
   config.lsm_max_tiers = 8;
   config.lsm_size_ratio = 0.0;
   CheckResumeEquivalence(w, config, 4, "lsm8");
 }
 
-TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsSixShards) {
-  // Five workers stealing over six shards' cells: the resumed run must stay
-  // bit-identical under a steal schedule unlike the default's.
+TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsWidePartition) {
+  // Five workers stealing over a wide partition: g1's ids spread 128-fold
+  // (`spread_ids.h`) resolve to the 256-shard cap, so the snapshot carries
+  // 33 x 256 tier stacks and the resumed run must stay bit-identical under a
+  // steal schedule unlike the default's.
   Workload w = MakeWorkload(9004);
+  constexpr NodeId kStride = 128;
+  w.pair.g1 = SpreadIds(w.pair.g1, kStride);
+  w.seeds = SpreadSeeds(w.seeds, kStride);
   MatcherConfig config;
-  config.num_shards = 6;
   config.num_threads = 5;
-  CheckResumeEquivalence(w, config, 3, "t5s6");
+  CheckResumeEquivalence(w, config, 3, "t5wide");
 }
 
 TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   // Execution knobs are not fingerprinted: a snapshot taken under one
   // thread count must restore under another and still produce the canonical
-  // matching (shard count held fixed — it shapes the persisted score
-  // state).
+  // matching. The shard width that shapes the persisted score state comes
+  // from g1's node count, so no thread count can change it.
   Workload w = MakeWorkload(9005);
   MatcherConfig writer_config;
-  writer_config.num_shards = 4;
   writer_config.num_threads = 5;
 
   const std::string path = TempPath("portable.ckpt");
@@ -179,7 +181,6 @@ TEST(MatcherStateTest, RadixSnapshotRoundTripsByteIdentically) {
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
   config.scoring_backend = ScoringBackend::kRadixSort;
-  config.num_shards = 4;
   config.lsm_max_tiers = 4;
 
   const std::string first = TempPath("golden_first.ckpt");
@@ -205,7 +206,6 @@ TEST(MatcherStateTest, RadixSnapshotRoundTripsByteIdentically) {
 TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
   Workload w = MakeWorkload(9007);
   MatcherConfig config;
-  config.num_shards = 4;
   const std::string path = TempPath("cursor.ckpt");
 
   MatcherState original(w.pair.g1, w.pair.g2, config);
@@ -233,7 +233,6 @@ class SnapshotRejectionTest : public testing::Test {
  protected:
   void SetUp() override {
     w_ = MakeWorkload(9008);
-    config_.num_shards = 4;
     path_ = TempPath("reject.ckpt");
     MatcherState state(w_.pair.g1, w_.pair.g2, config_);
     state.SeedLinks(w_.seeds);
@@ -318,14 +317,39 @@ TEST_F(SnapshotRejectionTest, WrongBackendRejected) {
   EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }
 
+// The SCORES layout depends on the shard width, so META carries it. A run
+// derives the width from g1 alone, so a mismatched width can only come from
+// a snapshot written under another width rule; this one is written by hand
+// with the width word off by one.
 TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {
-  MatcherConfig other = config_;
-  other.num_shards = config_.num_shards + 1;
-  MatcherState state(w_.pair.g1, w_.pair.g2, other);
-  state.SeedLinks(w_.seeds);
+  SnapshotReader reader;
   std::string error;
-  ASSERT_FALSE(state.LoadSnapshot(path_, &error));
-  EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
+  ASSERT_TRUE(reader.Open(path_, &error)) << error;
+  SnapshotWriter writer;
+  for (uint32_t id : {1u, 2u, 4u}) {  // META, LINKS, radix SCORES
+    SnapshotReader::Section* section = reader.Find(id);
+    ASSERT_NE(section, nullptr) << "section " << id;
+    std::vector<char> payload(section->Remaining());
+    ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
+    if (id == 1) {
+      // META: version u32, (nodes, edges, fingerprint) u64 per graph, then
+      // threshold u32, iterations i32, bucketing u8, min bucket exponent
+      // i32, stop-when-stable u8, incremental u8, radix u8 and the width.
+      constexpr size_t kWidthOffset = 4 + 6 * 8 + 4 + 4 + 1 + 4 + 1 + 1 + 1;
+      int32_t width = 0;
+      std::memcpy(&width, payload.data() + kWidthOffset, sizeof(width));
+      ASSERT_GE(width, 1);
+      ++width;
+      std::memcpy(payload.data() + kWidthOffset, &width, sizeof(width));
+    }
+    writer.BeginSection(id);
+    writer.AppendBytes(payload.data(), payload.size());
+    writer.EndSection();
+  }
+  const std::string wider = TempPath("reject_width.ckpt");
+  ASSERT_TRUE(writer.Commit(wider, &error)) << error;
+  ExpectRejectedAndStateIntact(wider, "config mismatch");
+  std::remove(wider.c_str());
 }
 
 TEST_F(SnapshotRejectionTest, WrongSeedsRejected) {

@@ -12,6 +12,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -100,13 +101,16 @@ TEST_P(EngineDifferentialTest, ThreadAndShardCountInvariance) {
 
   MatcherConfig serial = base;
   serial.num_threads = 1;
-  serial.num_shards = 1;
   MatcherConfig wide = base;
   wide.num_threads = 4;
-  wide.num_shards = 13;  // deliberately odd shard count
+  // A 13-fold g1 id spread (`spread_ids.h`) moves the score partition from
+  // 2 shards to 30-38.
+  constexpr NodeId kStride = 13;
 
   MatchResult a = UserMatching(pair.g1, pair.g2, seeds, serial);
-  MatchResult b = UserMatching(pair.g1, pair.g2, seeds, wide);
+  MatchResult b = Unspread(UserMatching(SpreadIds(pair.g1, kStride), pair.g2,
+                                        SpreadSeeds(seeds, kStride), wide),
+                           kStride);
   EXPECT_EQ(a.map_1to2, b.map_1to2);
 }
 

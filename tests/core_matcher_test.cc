@@ -7,6 +7,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -185,14 +186,17 @@ TEST(MatcherTest, DeterministicAcrossThreadAndShardCounts) {
   seed_options.fraction = 0.1;
   auto seeds = GenerateSeeds(pair, seed_options, 19);
 
+  // 600 g1 nodes resolve to one shard; spreading the ids 16-fold
+  // (`spread_ids.h`) resolves to 18.
   MatcherConfig one;
   one.num_threads = 1;
-  one.num_shards = 1;
   MatcherConfig many;
   many.num_threads = 4;
-  many.num_shards = 13;
+  constexpr NodeId kStride = 16;
   MatchResult a = UserMatching(pair.g1, pair.g2, seeds, one);
-  MatchResult b = UserMatching(pair.g1, pair.g2, seeds, many);
+  MatchResult b = Unspread(UserMatching(SpreadIds(pair.g1, kStride), pair.g2,
+                                        SpreadSeeds(seeds, kStride), many),
+                           kStride);
   EXPECT_EQ(a.map_1to2, b.map_1to2);
   EXPECT_EQ(a.map_2to1, b.map_2to1);
 }

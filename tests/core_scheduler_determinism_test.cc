@@ -1,7 +1,8 @@
 // Work-stealing and LSM-store equivalence: the matching must be
-// bit-identical to the 1-thread run for every thread count, shard count and
-// steal schedule, and the tiered score store must be unobservable for every
-// tier threshold — including policies that force compaction mid-run. Any
+// bit-identical to the 1-thread run for every thread count, score-partition
+// width and steal schedule, and the tiered score store must be unobservable
+// for every tier threshold — including policies that force compaction
+// mid-run. Any
 // divergence means a hot-path loop's aggregation stopped being
 // partition-independent, or a tier fold lost/duplicated a count.
 #include <dirent.h>
@@ -18,6 +19,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -49,8 +51,10 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
   ASSERT_EQ(result.map_2to1, reference.map_2to1);
 }
 
-// Threads x shards x both scoring backends, each against the 1-thread run.
-// Two and five threads give different steal schedules over the same cells.
+// Threads x partition widths x both scoring backends, each against the
+// 1-thread run. Two and five threads give different steal schedules over the
+// same cells; the g1 id strides give widths of about 3, 50 and 256
+// (`spread_ids.h`).
 TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
@@ -65,19 +69,20 @@ TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
 
     for (ScoringBackend backend :
          {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-      for (int shards : {0, 7}) {
+      for (NodeId stride : {1u, 16u, 128u}) {
+        const Graph g1 = SpreadIds(w.pair.g1, stride);
+        const auto seeds = SpreadSeeds(w.seeds, stride);
         for (int threads : {2, 5}) {
           SCOPED_TRACE(std::string("backend=") +
                        (backend == ScoringBackend::kRadixSort ? "radix"
                                                               : "hash") +
-                       " shards=" + std::to_string(shards) +
+                       " stride=" + std::to_string(stride) +
                        " threads=" + std::to_string(threads));
           MatcherConfig config;
           config.scoring_backend = backend;
-          config.num_shards = shards;
           config.num_threads = threads;
-          MatchResult result =
-              UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+          MatchResult result = Unspread(
+              UserMatching(g1, w.pair.g2, seeds, config), stride);
           ExpectSameMatching(result, reference);
         }
       }
@@ -86,23 +91,38 @@ TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
 }
 
 // Representation-independent per-round telemetry must agree across thread
-// counts (wall-clock obviously differs).
+// counts and partition widths (wall-clock obviously differs). The pairs that
+// reach the best tables are the scored pairs at or above the threshold: at
+// most every scored pair, and at least every link the round accepts.
 TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
   MatcherConfig serial_config;
   serial_config.num_threads = 1;
-  serial_config.num_shards = 4;
   MatcherConfig parallel_config = serial_config;
   parallel_config.num_threads = 4;
   MatchResult a = UserMatching(w.pair.g1, w.pair.g2, w.seeds, serial_config);
-  MatchResult b = UserMatching(w.pair.g1, w.pair.g2, w.seeds, parallel_config);
-  ASSERT_EQ(a.phases.size(), b.phases.size());
-  for (size_t i = 0; i < a.phases.size(); ++i) {
-    EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
-    EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
-    EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
-    EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
+  ASSERT_GT(a.NumNewLinks(), 0u);
+  for (NodeId stride : {1u, 128u}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    MatchResult b = UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
+                                 SpreadSeeds(w.seeds, stride),
+                                 parallel_config);
+    ASSERT_EQ(a.phases.size(), b.phases.size());
+    for (size_t i = 0; i < a.phases.size(); ++i) {
+      EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
+      EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
+      EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
+      EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
+      EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
+    }
   }
+  size_t observed = 0;
+  for (const PhaseStats& phase : a.phases) {
+    EXPECT_LE(phase.observed_pairs, phase.candidate_pairs);
+    EXPECT_GE(phase.observed_pairs, phase.new_links);
+    observed += phase.observed_pairs;
+  }
+  EXPECT_GT(observed, 0u);
 }
 
 // LSM tier thresholds: every (max_tiers, size_ratio) combination — from

@@ -1,9 +1,10 @@
 // Scoring-backend equivalence: the radix (sort-based) backend must produce
 // bit-identical matchings to the hash backend across the full engine grid —
-// incremental vs recompute scoring, serial vs parallel selection, thread and
-// shard counts, bucketing on and off. The selection fold is representation-
-// agnostic and both backends aggregate the same witness multiset, so any
-// divergence is a bug in the sort/merge path.
+// incremental vs recompute scoring, serial vs parallel selection, thread
+// counts and partition widths (g1 id strides, `spread_ids.h`), bucketing on
+// and off. The selection fold is representation-agnostic and both backends
+// aggregate the same witness multiset, so any divergence is a bug in the
+// sort/merge path.
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -49,7 +51,7 @@ Workload MakeWorkload(uint64_t rng_seed) {
 }
 
 // The full differential grid: hash vs radix × incremental vs recompute ×
-// serial vs parallel selection × threads × shards × bucketing. The hash /
+// serial vs parallel selection × threads × widths × bucketing. The hash /
 // incremental / parallel run is the reference for each workload.
 TEST(ScoringBackendDifferentialTest, RadixMatchesHashAcrossEngineGrid) {
   for (uint64_t rng_seed : {9001u, 9002u, 9003u}) {
@@ -63,17 +65,18 @@ TEST(ScoringBackendDifferentialTest, RadixMatchesHashAcrossEngineGrid) {
            {ScoringBackend::kHashMap, ScoringBackend::kRadixSort}) {
         for (bool incremental : {true, false}) {
           for (bool parallel_selection : {true, false}) {
-            for (auto [threads, shards] :
-                 {std::pair<int, int>{1, 1}, std::pair<int, int>{4, 13}}) {
+            for (auto [threads, stride] : {std::pair<int, NodeId>{1, 1},
+                                           std::pair<int, NodeId>{4, 16}}) {
               MatcherConfig config;
               config.use_degree_bucketing = bucketing;
               config.scoring_backend = backend;
               config.use_incremental_scoring = incremental;
               config.use_parallel_selection = parallel_selection;
               config.num_threads = threads;
-              config.num_shards = shards;
-              MatchResult result =
-                  UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+              MatchResult result = Unspread(
+                  UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
+                               SpreadSeeds(w.seeds, stride), config),
+                  stride);
               if (!have_reference) {
                 reference = std::move(result);
                 have_reference = true;
@@ -88,7 +91,7 @@ TEST(ScoringBackendDifferentialTest, RadixMatchesHashAcrossEngineGrid) {
                   " incremental=" + std::to_string(incremental) +
                   " parallel_selection=" + std::to_string(parallel_selection) +
                   " threads=" + std::to_string(threads) +
-                  " shards=" + std::to_string(shards));
+                  " stride=" + std::to_string(stride));
               ASSERT_EQ(result.map_1to2, reference.map_1to2);
               ASSERT_EQ(result.map_2to1, reference.map_2to1);
             }

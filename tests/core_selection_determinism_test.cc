@@ -1,8 +1,9 @@
 // Selection-engine determinism: `UserMatching` output must be bit-identical
-// across every combination of worker-thread count, reduce-shard count,
-// scoring engine (incremental / recompute) and selection engine (parallel /
-// serial). The parallel selection's atomic CAS-max fold is order-independent
-// by construction; this randomized grid is the end-to-end safety net.
+// across every combination of worker-thread count, score-partition width
+// (reached through g1 id strides, `spread_ids.h`), scoring engine
+// (incremental / recompute) and selection engine (parallel / serial). The
+// parallel selection's atomic CAS-max fold is order-independent by
+// construction; this randomized grid is the end-to-end safety net.
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "spread_ids.h"
 
 namespace reconcile {
 namespace {
@@ -48,14 +50,15 @@ TEST(SelectionDeterminismTest, IdenticalAcrossThreadsShardsAndEngines) {
     for (bool incremental : {true, false}) {
       for (bool parallel_selection : {true, false}) {
         for (int threads : {1, 2, 8}) {
-          for (int shards : {1, 4, 16}) {
+          for (NodeId stride : {1u, 16u, 128u}) {
             MatcherConfig config;
             config.use_incremental_scoring = incremental;
             config.use_parallel_selection = parallel_selection;
             config.num_threads = threads;
-            config.num_shards = shards;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+            MatchResult result = Unspread(
+                UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
+                             SpreadSeeds(w.seeds, stride), config),
+                stride);
             if (!have_reference) {
               reference = std::move(result);
               have_reference = true;
@@ -67,7 +70,7 @@ TEST(SelectionDeterminismTest, IdenticalAcrossThreadsShardsAndEngines) {
                          " parallel_selection=" +
                          std::to_string(parallel_selection) +
                          " threads=" + std::to_string(threads) +
-                         " shards=" + std::to_string(shards));
+                         " stride=" + std::to_string(stride));
             ASSERT_EQ(result.map_1to2, reference.map_1to2);
             ASSERT_EQ(result.map_2to1, reference.map_2to1);
           }

@@ -54,32 +54,6 @@ TEST(GraphTest, NeighborsSortedAscending) {
   EXPECT_EQ(n2[2], 3u);
 }
 
-TEST(GraphTest, NeighborsByDegreeDescending) {
-  Graph g = TriangleWithTail();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::span<const NodeId> nbrs = g.NeighborsByDegree(v);
-    for (size_t i = 1; i < nbrs.size(); ++i) {
-      EXPECT_GE(g.degree(nbrs[i - 1]), g.degree(nbrs[i]));
-    }
-  }
-  // Node 0's neighbours: 2 (deg 3) before 1 (deg 2).
-  std::span<const NodeId> n0 = g.NeighborsByDegree(0);
-  ASSERT_EQ(n0.size(), 2u);
-  EXPECT_EQ(n0[0], 2u);
-  EXPECT_EQ(n0[1], 1u);
-}
-
-TEST(GraphTest, ByDegreeViewIsPermutationOfNeighbors) {
-  Graph g = TriangleWithTail();
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::vector<NodeId> a(g.Neighbors(v).begin(), g.Neighbors(v).end());
-    std::vector<NodeId> b(g.NeighborsByDegree(v).begin(),
-                          g.NeighborsByDegree(v).end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-  }
-}
-
 TEST(GraphTest, HasEdge) {
   Graph g = TriangleWithTail();
   EXPECT_TRUE(g.HasEdge(0, 1));
@@ -213,11 +187,6 @@ TEST(GraphTest, ParallelBuildMatchesSerial) {
         const auto b = parallel.Neighbors(v);
         ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
             << "Neighbors mismatch at node " << v << ", threads " << threads;
-        const auto c = serial.NeighborsByDegree(v);
-        const auto d = parallel.NeighborsByDegree(v);
-        ASSERT_TRUE(std::equal(c.begin(), c.end(), d.begin(), d.end()))
-            << "NeighborsByDegree mismatch at node " << v << ", threads "
-            << threads;
       }
     }
   }

@@ -1,7 +1,8 @@
 // End-to-end crash safety: a matcher process killed mid-run by an injected
 // crash fault must, when restarted with --resume semantics, finish with a
 // matching byte-identical to an uninterrupted 1-thread run — across scoring
-// backends and thread counts. Corrupt checkpoints must fall back to older ones
+// backends and thread counts, including a resume under another thread count
+// than the crash. Corrupt checkpoints must fall back to older ones
 // (to a fresh start when none survives), an injected checkpoint-write
 // failure must only cost a recovery point, and a graceful stop must exit
 // cleanly with a resumable partial state.
@@ -86,6 +87,7 @@ size_t CountDirEntries(const std::string& dir) {
 struct ChildSpec {
   MatcherConfig config;
   std::string matching_out;  // empty: the child writes no matching
+  std::string rounds_out;    // empty: the child writes no round count
 };
 
 // CHILD-ONLY code path: regenerates the workload and runs the matcher.
@@ -103,6 +105,10 @@ void ChildMain(const ChildSpec& spec) {
   if (!spec.matching_out.empty() &&
       !WriteMatchingText(result, spec.matching_out)) {
     _exit(3);
+  }
+  // A resumed run reports only the rounds it ran after the snapshot.
+  if (!spec.rounds_out.empty()) {
+    std::ofstream(spec.rounds_out) << result.phases.size();
   }
   _exit(0);
 }
@@ -124,23 +130,33 @@ int RunChild(const ChildSpec& spec) {
 MatcherConfig GridConfig(ScoringBackend backend, int threads) {
   MatcherConfig config;
   config.scoring_backend = backend;
-  config.num_shards = 4;  // fixed: the snapshot fingerprints the resolved count
   config.num_threads = threads;
   return config;
 }
 
+size_t ReadCount(const std::string& path) {
+  size_t count = 0;
+  std::ifstream(path) >> count;
+  return count;
+}
+
 // One crash/resume cycle: clean 1-thread run -> file A; crash run (must die
-// with the fault exit code, leaving checkpoints); resume run -> file B;
-// A == B.
+// with the fault exit code, leaving checkpoints); resume run under another
+// thread count -> file B; A == B. The resume must really load a snapshot:
+// the score partition is sized by the graph, so no thread count can make
+// the checkpoints mismatch, and a fresh start would run every round again.
 void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   const std::string dir = TempPath("kr_" + tag);
   const std::string clean_out = TempPath("kr_" + tag + "_clean.txt");
   const std::string resumed_out = TempPath("kr_" + tag + "_resumed.txt");
+  const std::string clean_rounds = TempPath("kr_" + tag + "_clean.rounds");
+  const std::string resumed_rounds = TempPath("kr_" + tag + "_resumed.rounds");
 
   ChildSpec clean;
   clean.config = base;
   clean.config.num_threads = 1;
   clean.matching_out = clean_out;
+  clean.rounds_out = clean_rounds;
   ASSERT_EQ(RunChild(clean), 0) << tag;
 
   ChildSpec crash;
@@ -152,19 +168,26 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
 
   ChildSpec resume;
   resume.config = base;
+  resume.config.num_threads = base.num_threads == 2 ? 5 : 2;
   resume.config.checkpoint_dir = dir;
   resume.config.resume = true;
   resume.matching_out = resumed_out;
+  resume.rounds_out = resumed_rounds;
   ASSERT_EQ(RunChild(resume), 0) << tag;
 
   const std::vector<char> clean_bytes = Slurp(clean_out);
   ASSERT_FALSE(clean_bytes.empty()) << tag;
   EXPECT_EQ(Slurp(resumed_out), clean_bytes)
       << tag << ": resumed matching differs from the uninterrupted run";
+  ASSERT_GT(ReadCount(clean_rounds), 0u) << tag;
+  EXPECT_LT(ReadCount(resumed_rounds), ReadCount(clean_rounds))
+      << tag << ": the resume started from the seeds, not a checkpoint";
 
   RemoveTree(dir);
   std::remove(clean_out.c_str());
   std::remove(resumed_out.c_str());
+  std::remove(clean_rounds.c_str());
+  std::remove(resumed_rounds.c_str());
 }
 
 // Each backend at two thread counts, so the crashed and resumed runs see

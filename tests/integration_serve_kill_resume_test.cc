@@ -121,6 +121,7 @@ struct ChildSpec {
   std::string fault_spec;
   std::string matching_out;
   std::string delta_log;
+  int threads = 4;
 };
 
 // CHILD-ONLY: regenerates the workload and delta log, runs a serve session
@@ -142,8 +143,7 @@ void ChildMain(const ChildSpec& spec) {
   WriteDeltaLog(spec.delta_log, script);
 
   ServeConfig config;
-  config.matcher.num_threads = 4;
-  config.matcher.num_shards = 4;
+  config.matcher.num_threads = spec.threads;
   IncrementalMatcher matcher(pair.g1, pair.g2, seeds, config);
 
   bool resumed = false;
@@ -235,11 +235,14 @@ void CheckServeKillResume(const std::string& crash_spec,
   ASSERT_FALSE(ListCheckpointsWithPrefix(dir, kServeCheckpointPrefix).empty())
       << tag << ": the crash must land after at least one checkpoint";
 
+  // The resume runs under another thread count: serve snapshots hold no
+  // score state, and the matcher's partition follows the graphs.
   ChildSpec resume;
   resume.delta_log = log;
   resume.checkpoint_dir = dir;
   resume.resume = true;
   resume.matching_out = resumed_out;
+  resume.threads = 2;
   ASSERT_EQ(RunChild(resume), 0) << tag;
 
   const std::vector<char> clean_bytes = Slurp(clean_out);

@@ -3,7 +3,7 @@
 // run (`UserMatching`) on the final graphs — across the reference run's
 // scoring backend × serve's thread count, through deletes, re-inserted
 // edges, node growth, empty batches, a graceful stop mid-batch, and a
-// snapshot round-trip mid-stream under other thread and shard counts.
+// snapshot round-trip mid-stream under another thread count.
 // Every grid cell re-verifies after EVERY batch, so a divergence pins the
 // batch that introduced it.
 #include <algorithm>
@@ -237,12 +237,10 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
   std::string error;
   ASSERT_TRUE(live.SaveSnapshot(path, &error)) << error;
 
-  // A fresh process: constructed from the ORIGINAL inputs under other
-  // thread and shard counts, then restored. Execution knobs never reach
-  // the snapshot.
+  // A fresh process: constructed from the ORIGINAL inputs under another
+  // thread count, then restored. Execution knobs never reach the snapshot.
   ServeConfig resume_config = config;
   resume_config.matcher.num_threads = param.threads == 1 ? 3 : 1;
-  resume_config.matcher.num_shards = 7;
   IncrementalMatcher restored(pair.g1, pair.g2, seeds, resume_config);
   ASSERT_TRUE(restored.LoadSnapshot(path, &error)) << error;
   EXPECT_EQ(restored.batches_applied(), live.batches_applied());

@@ -161,7 +161,8 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: emit/merge/scan/select seconds
+  --phase-table   per-round table: scored pairs, pairs >= T and
+                  emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --baseline      DEPRECATED alias: also run this algorithm
                   after the main one (use --algorithm)        [none]
@@ -460,14 +461,16 @@ int RunCli(const Flags& flags) {
   }
 
   if (flags.GetBool("phase-table", false)) {
-    Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-                 "emit s", "merge s", "scan s", "select s"});
+    Table table({"iter", "bucket", "links in", "emissions", "pairs",
+                 "pairs >= T", "new", "emit s", "merge s", "scan s",
+                 "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),
                     std::to_string(phase.links_in),
                     std::to_string(phase.emissions),
                     std::to_string(phase.candidate_pairs),
+                    std::to_string(phase.observed_pairs),
                     std::to_string(phase.new_links),
                     FormatDouble(phase.emit_seconds, 3),
                     FormatDouble(phase.merge_seconds, 3),

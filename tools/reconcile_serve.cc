@@ -87,7 +87,6 @@ Matching semantics (same meaning as reconcile_cli):
 
 Execution (never affect the matching):
   --threads       worker threads (0 = hardware)               [0]
-  --shards        score shards (0 = max(4, threads))          [0]
   --serial-selection   serial mutual-best selection           [false]
 
 Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
@@ -96,7 +95,7 @@ Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-keep   prune all but the newest K snapshots after each
                   successful write and on resume (0 = keep all) [0]
   --resume        restore the newest valid serve snapshot (under any
-                  --threads/--shards), fast-forward the delta stream past
+                  --threads), fast-forward the delta stream past
                   the records it already consumed, and continue; the
                   resumed session is bit-identical to an uninterrupted one
   --fault         deterministic fault injection (crash:serve_apply=K
@@ -143,14 +142,16 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
 
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
-  Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-               "emit s", "merge s", "scan s", "select s"});
+  Table table({"iter", "bucket", "links in", "emissions", "pairs",
+               "pairs >= T", "new", "emit s", "merge s", "scan s",
+               "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
                   std::to_string(phase.links_in),
                   std::to_string(phase.emissions),
                   std::to_string(phase.candidate_pairs),
+                  std::to_string(phase.observed_pairs),
                   std::to_string(phase.new_links),
                   FormatDouble(phase.emit_seconds, 3),
                   FormatDouble(phase.merge_seconds, 3),
@@ -250,7 +251,6 @@ int RunServe(const Flags& flags) {
   mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
   mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
   mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
   if (mc.num_iterations < 1) {
     std::fprintf(stderr, "--iterations must be >= 1\n");
