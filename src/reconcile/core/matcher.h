@@ -18,13 +18,15 @@ enum class ScoringBackend {
   /// Hash aggregation: every emission probes a `FlatCountMap` shard
   /// (random access), and selection iterates hash buckets.
   kHashMap,
-  /// Sort-based aggregation: emissions append packed keys into flat
-  /// per-shard buffers (no per-emission hashing); each shard is then
-  /// radix-sorted and run-length-encoded into a `SortedCountRun` that
-  /// selection scans linearly. The incremental engine keeps persistent
-  /// sorted runs per (level, shard) and folds each round's sorted delta in
-  /// with a linear two-way merge. Matchings are bit-identical to the hash
-  /// backend for every engine and thread count.
+  /// Sorted aggregation: scores live in flat `SortedCountRun`s that
+  /// selection scans linearly (no per-emission hashing). The recompute
+  /// engine appends one packed key per witness into per-shard buffers and
+  /// radix-sorts and run-length-encodes each shard. The incremental engine
+  /// keeps an LSM tier stack per (level, shard) and builds each round's
+  /// delta row by row: every g1 node's new witnesses are a merge of already
+  /// sorted g2 adjacency lists, so each cell's delta comes out sorted and
+  /// counted with no sort. Matchings are bit-identical to the hash backend
+  /// for every engine and thread count.
   kRadixSort,
 };
 

@@ -83,10 +83,11 @@ std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards) {
 // The score state's shard width: one shard per 512 g1 nodes, clamped to
 // [1, 256]. It depends on n1 alone, never on the thread count, so a run's
 // SCORES layout is fixed by the graph pair its snapshots are fingerprinted
-// against and a snapshot resumes under any thread count. Each round's
-// sort-and-merge and selection scan run one (level, shard) cell per claim,
-// so the width is what lets the hot levels spread over the workers. The
-// constants come from a sweep on the e2ebench workloads (DESIGN.md §2.3).
+// against and a snapshot resumes under any thread count. Each round's row
+// merge runs one shard per claim, and its LSM append and selection scan one
+// (level, shard) cell per claim, so the width is what lets the hot levels
+// spread over the workers. The constants come from a sweep on the e2ebench
+// workloads (DESIGN.md §2.3).
 int ShardWidth(NodeId n1) {
   constexpr NodeId kNodesPerShard = 512;
   constexpr NodeId kMaxShards = 256;
@@ -403,12 +404,105 @@ void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
   }
 }
 
-// Radix backend: emissions append packed keys into per-(level, shard) flat
-// buffers (one array store each — the shard is a precomputed per-node
-// lookup, no hashing); each touched (level, shard) cell then sorts its
-// delta, run-length-encodes it and appends it to the cell's LSM tier
-// stack, which folds tiers into the big persistent run only when the
-// size-ratio policy trips.
+namespace {
+
+// Sifts `heap[i]` down a binary min-heap of `n` words.
+void SiftDown(uint64_t* heap, size_t n, size_t i) {
+  const uint64_t x = heap[i];
+  for (;;) {
+    size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    if (heap[child] >= x) break;
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = x;
+}
+
+// Merges one score row: the ascending, duplicate-free g2 adjacency lists of
+// the pending partners in u's row. Calls `fn(v, count)` once per distinct v,
+// in ascending order, where count is the number of lists holding v. One
+// list streams as it is; several go through a binary min-heap of
+// (v << 32 | list) words over the list heads. Every list must be non-empty.
+class RowMerger {
+ public:
+  template <typename Fn>
+  void Merge(const Graph& g2, std::span<const uint64_t> row, Fn&& fn) {
+    if (row.size() == 1) {
+      for (NodeId v : g2.Neighbors(PairSecond(row[0]))) fn(v, 1);
+      return;
+    }
+    lists_.clear();
+    heap_.clear();
+    for (uint64_t entry : row) {
+      const std::span<const NodeId> list = g2.Neighbors(PairSecond(entry));
+      heap_.push_back((static_cast<uint64_t>(list[0]) << 32) | lists_.size());
+      lists_.push_back({list.data() + 1, list.data() + list.size()});
+    }
+    uint64_t* heap = heap_.data();
+    size_t size = heap_.size();
+    for (size_t i = size / 2; i-- > 0;) SiftDown(heap, size, i);
+    NodeId current = static_cast<NodeId>(heap[0] >> 32);
+    uint32_t count = 0;
+    while (size > 0) {
+      const uint64_t top = heap[0];
+      const NodeId v = static_cast<NodeId>(top >> 32);
+      if (v != current) {
+        fn(current, count);
+        current = v;
+        count = 0;
+      }
+      ++count;
+      Cursor& cursor = lists_[static_cast<uint32_t>(top)];
+      if (cursor.next != cursor.end) {
+        heap[0] = (static_cast<uint64_t>(*cursor.next++) << 32) |
+                  static_cast<uint32_t>(top);
+      } else {
+        heap[0] = heap[--size];
+      }
+      SiftDown(heap, size, 0);
+    }
+    fn(current, count);
+  }
+
+ private:
+  struct Cursor {
+    const NodeId* next;
+    const NodeId* end;
+  };
+  std::vector<Cursor> lists_;
+  std::vector<uint64_t> heap_;
+};
+
+}  // namespace
+
+// Radix backend: each round's score deltas are computed row by row, as in
+// Gustavson's sparse matrix product, instead of emitting one key per
+// witness and sorting. A pending link (a1, a2) witnesses (u, v) exactly
+// when a1 is in N1(u) and v is in N2(a2), so u's row of the delta is the
+// merge of the g2 adjacency lists of its newly linked neighbours' partners,
+// and the count of v in that merge is the number of pending witnesses of
+// (u, v): the multiplicity a per-witness emission would give the key.
+//
+//  1. Gather (per pending link): for each u in N1(a1) at or above the
+//     degree floor, record (u, a2) in u's shard. Links whose g2 endpoint
+//     has no neighbours contribute nothing and are skipped, so every
+//     gathered list is non-empty. The volume is the sum of deg1(a1), not
+//     the emission count.
+//  2. Row merge (per shard): sort the shard's (u, a2) entries, then merge
+//     each u's lists into ascending (v, count) and route every v at or
+//     above the degree floor to cell min(level1(u), level2(v)). The shard
+//     walks u in ascending order and each row's v ascend, so every
+//     (level, shard) cell's delta comes out sorted and counted.
+//  3. Append (per cell): the delta becomes a new LSM tier, folded into the
+//     big persistent run only when the size-ratio policy trips.
+//
+// Each cell thus receives exactly the run that sorting and counting the
+// per-witness keys would give, once per round, so the tier stacks (and the
+// snapshots written from them) do not depend on how the delta was built.
+// `emit_seconds` covers steps 1 and 2; `merge_seconds` is the LSM append
+// alone.
 void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
@@ -416,77 +510,85 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
   emitted_links_ = end;
 
   const int min_level = config_.min_bucket_exponent;
-  struct RadixDelta {
-    std::vector<std::vector<std::vector<uint64_t>>> keys;  // [level][shard]
-    uint64_t emissions = 0;
-  };
+  const size_t num_shards = static_cast<size_t>(num_shards_);
   const size_t num_items = end - begin;
 
   Timer emit_timer;
-  auto emit_range = [this, begin, min_level](RadixDelta& delta, size_t lo,
-                                             size_t hi) {
-    if (delta.keys.empty()) delta.keys.resize(kNumLevels);
-    auto& keys = delta.keys;
+  using Gathered = std::vector<std::vector<uint64_t>>;  // [shard]
+  auto gather_range = [this, begin, min_level, num_shards](
+                          Gathered& gathered, size_t lo, size_t hi) {
+    if (gathered.empty()) gathered.resize(num_shards);
     for (size_t item = lo; item < hi; ++item) {
       const auto [a1, a2] = links_[begin + item];
+      if (g2_.degree(a2) == 0) continue;
       for (NodeId u : g1_.Neighbors(a1)) {
-        const uint8_t lu = level1_[u];
-        if (lu < min_level) continue;  // degree(u) < 2^min_bucket_exponent
-        const uint32_t shard = radix_shard1_[u];
-        for (NodeId v : g2_.Neighbors(a2)) {
-          const uint8_t lv = level2_[v];
-          if (lv < min_level) continue;
-          const uint8_t level = std::min(lu, lv);
-          if (keys[level].empty()) {
-            keys[level].resize(static_cast<size_t>(num_shards_));
-          }
-          keys[level][shard].push_back(PackPair(u, v));
-          ++delta.emissions;
-        }
+        if (level1_[u] < min_level) continue;  // degree(u) < 2^min_level
+        gathered[radix_shard1_[u]].push_back(PackPair(u, a2));
       }
     }
   };
-  std::vector<RadixDelta> deltas = ParallelProduce<RadixDelta>(
-      &pool_, num_items, EmitGrain(num_items), emit_range);
+  const std::vector<Gathered> gathered = ParallelProduce<Gathered>(
+      &pool_, num_items, EmitGrain(num_items), gather_range);
+
+  // Per shard: the round's delta run for each level (no runs when the shard
+  // gathered nothing), and its emission count.
+  std::vector<std::vector<SortedCountRun>> cells(num_shards);
+  std::vector<uint64_t> shard_emissions(num_shards, 0);
+  ParallelForEach(&pool_, num_shards, [this, &gathered, &cells,
+                                       &shard_emissions,
+                                       min_level](size_t shard) {
+    size_t total = 0;
+    for (const Gathered& g : gathered) {
+      if (!g.empty()) total += g[shard].size();
+    }
+    if (total == 0) return;
+    std::vector<uint64_t> entries;
+    entries.reserve(total);
+    for (const Gathered& g : gathered) {
+      if (g.empty()) continue;
+      entries.insert(entries.end(), g[shard].begin(), g[shard].end());
+    }
+    std::vector<uint64_t> scratch;
+    RadixSortU64(entries, scratch);
+
+    std::vector<SortedCountRun>& shard_cells = cells[shard];
+    shard_cells.resize(kNumLevels);
+    RowMerger merger;
+    uint64_t emissions = 0;
+    for (size_t i = 0; i < entries.size();) {
+      const NodeId u = PairFirst(entries[i]);
+      size_t j = i + 1;
+      while (j < entries.size() && PairFirst(entries[j]) == u) ++j;
+      const uint8_t lu = level1_[u];
+      merger.Merge(g2_, std::span<const uint64_t>(entries).subspan(i, j - i),
+                   [this, &shard_cells, &emissions, u, lu, min_level](
+                       NodeId v, uint32_t count) {
+                     const uint8_t lv = level2_[v];
+                     if (lv < min_level) return;
+                     SortedCountRun& run = shard_cells[std::min(lu, lv)];
+                     run.keys.push_back(PackPair(u, v));
+                     run.counts.push_back(count);
+                     emissions += count;
+                   });
+      i = j;
+    }
+    shard_emissions[shard] = emissions;
+  });
   stats->emit_seconds += emit_timer.Seconds();
 
-  // Sort-and-append: one touched (level, shard) cell at a time.
-  // Concatenate the producer chunks, radix-sort, run-length-encode, then
-  // append the round delta as a new LSM tier (compaction per the
-  // size-ratio policy — late low-yield rounds usually stop here without
-  // touching the big run).
   Timer merge_timer;
-  ParallelForEach(
-      &pool_,
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      [this, &deltas](size_t cell) {
-        const size_t level = cell / static_cast<size_t>(num_shards_);
-        const size_t shard = cell % static_cast<size_t>(num_shards_);
-        size_t total = 0;
-        for (const RadixDelta& delta : deltas) {
-          if (delta.keys.empty()) continue;
-          const auto& level_keys = delta.keys[level];
-          if (level_keys.empty()) continue;
-          total += level_keys[shard].size();
-        }
-        if (total == 0) return;
-        std::vector<uint64_t> raw;
-        raw.reserve(total);
-        for (const RadixDelta& delta : deltas) {
-          if (delta.keys.empty()) continue;
-          const auto& level_keys = delta.keys[level];
-          if (level_keys.empty()) continue;
-          const auto& chunk = level_keys[shard];
-          raw.insert(raw.end(), chunk.begin(), chunk.end());
-        }
-        std::vector<uint64_t> scratch;
-        SortedCountRun delta_run = SortAndCount(std::move(raw), scratch);
-        runs_[level][shard].Append(std::move(delta_run), tier_policy_);
-      });
+  ParallelForEach(&pool_, static_cast<size_t>(kNumLevels) * num_shards,
+                  [this, &cells, num_shards](size_t cell) {
+                    const size_t level = cell / num_shards;
+                    const size_t shard = cell % num_shards;
+                    if (cells[shard].empty()) return;
+                    runs_[level][shard].Append(
+                        std::move(cells[shard][level]), tier_policy_);
+                  });
   stats->merge_seconds += merge_timer.Seconds();
 
-  for (const RadixDelta& delta : deltas) {
-    stats->emissions += static_cast<size_t>(delta.emissions);
+  for (uint64_t emissions : shard_emissions) {
+    stats->emissions += static_cast<size_t>(emissions);
   }
 }
 

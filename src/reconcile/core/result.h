@@ -22,14 +22,22 @@ struct PhaseStats {
   /// User-Matching folds into its best tables, so at most `candidate_pairs`
   /// and at least `new_links`. Zero for algorithms without that pass.
   size_t observed_pairs = 0;
+  /// Pairs scoring at least the threshold with both endpoints unmatched:
+  /// the live candidates, the only pairs the accept pass can take. At most
+  /// `observed_pairs` and at least `new_links`. Zero for algorithms without
+  /// that pass.
+  size_t open_pairs = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
-  // Per-round time split (seconds): witness emission (enumerating candidate
-  // pairs — the map side), merge/compaction (folding emission deltas into
-  // the persistent score state: hash-map merges, radix sort + LSM tier
-  // compaction, mr reduce), the best-table observe scan, and the
-  // accept-and-commit pass. The four do not sum exactly to `seconds` (unit
-  // bookkeeping sits between them).
+  // Per-round time split (seconds): witness emission (building the round's
+  // score delta — per-witness keys on the hash backend and the recompute
+  // engine's map side, the gather and row merge on the incremental radix
+  // engine), merge (folding the delta into the persistent score state:
+  // hash-map merges, the radix LSM tier append and compaction, the mr
+  // reduce with its sort), the best-table observe scan (which also keeps
+  // the parallel engine's open pairs), and the accept-and-commit pass. The
+  // four do not sum exactly to `seconds` (unit bookkeeping sits between
+  // them).
   double emit_seconds = 0.0;
   double merge_seconds = 0.0;
   double scan_seconds = 0.0;

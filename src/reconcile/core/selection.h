@@ -28,13 +28,22 @@ struct SelectionContext {
 /// The mutual-unique-best selection engine over a round's score units.
 ///
 /// Two interchangeable engines fill the same stats:
-///  * serial — one thread folds every unit into epoch-stamped tables;
-///  * parallel — one task per unit feeds CAS-max atomic tables (observe
-///    pass), then one task per unit applies the acceptance predicate
-///    (accept pass), then the accepted lists scatter into the link log in
-///    parallel (commit pass — see below). A candidate pair lives in
-///    exactly one unit, and the fold is order-independent, so both engines
-///    produce bit-identical matchings for any thread count and partition.
+///  * serial — one thread folds every unit into epoch-stamped tables, then
+///    scans every unit again to apply the acceptance predicate; it is the
+///    reference the determinism suites compare the parallel engine with;
+///  * parallel — one task per unit feeds CAS-max atomic tables and keeps
+///    the unit's open pairs (observe pass), then one task per unit applies
+///    the acceptance predicate to that list alone (accept pass), then the
+///    accepted lists scatter into the link log in parallel (commit pass —
+///    see below). A candidate pair lives in exactly one unit, and the fold
+///    is order-independent, so both engines produce bit-identical matchings
+///    for any thread count and partition.
+///
+/// Open pairs are those scoring at least T with both endpoints unmatched:
+/// the only pairs the acceptance predicate can take. The maps change only
+/// in the commit pass, so the parallel engine's one-pass lists hold exactly
+/// the pairs the serial engine's second scan reaches, in the same unit
+/// order; the parallel engine reads the store once per round.
 ///
 /// Both observe passes fold only pairs scoring at least the threshold T
 /// into the best tables. That is exact: the accept pass asks
@@ -59,8 +68,8 @@ class SelectionEngine {
   /// Applies the mutual-unique-best rule over `units` (disjoint score
   /// units whose union is the live, bucket-eligible scored-pair multiset),
   /// commits accepted links into `ctx`'s maps and link log, and returns
-  /// the number accepted. Fills `stats`' candidate/observed/scan/select
-  /// fields.
+  /// the number accepted. Fills `stats`' candidate/observed/open/scan/
+  /// select fields.
   size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
                          const SelectionContext& ctx, PhaseStats* stats);
 

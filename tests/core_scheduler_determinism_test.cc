@@ -91,38 +91,51 @@ TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
 }
 
 // Representation-independent per-round telemetry must agree across thread
-// counts and partition widths (wall-clock obviously differs). The pairs that
-// reach the best tables are the scored pairs at or above the threshold: at
-// most every scored pair, and at least every link the round accepts.
+// counts, partition widths and both selection engines (wall-clock obviously
+// differs). The pairs that reach the best tables are the scored pairs at or
+// above the threshold: at most every scored pair, and at least the open
+// pairs (those with both endpoints unmatched), which in turn are at least
+// every link the round accepts.
 TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
   MatcherConfig serial_config;
   serial_config.num_threads = 1;
   MatcherConfig parallel_config = serial_config;
   parallel_config.num_threads = 4;
+  MatcherConfig serial_selection_config = parallel_config;
+  serial_selection_config.use_parallel_selection = false;
   MatchResult a = UserMatching(w.pair.g1, w.pair.g2, w.seeds, serial_config);
   ASSERT_GT(a.NumNewLinks(), 0u);
-  for (NodeId stride : {1u, 128u}) {
-    SCOPED_TRACE("stride=" + std::to_string(stride));
-    MatchResult b = UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
-                                 SpreadSeeds(w.seeds, stride),
-                                 parallel_config);
-    ASSERT_EQ(a.phases.size(), b.phases.size());
-    for (size_t i = 0; i < a.phases.size(); ++i) {
-      EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
-      EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
-      EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
-      EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
-      EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
+  for (const MatcherConfig& config :
+       {parallel_config, serial_selection_config}) {
+    for (NodeId stride : {1u, 128u}) {
+      SCOPED_TRACE("stride=" + std::to_string(stride) + " parallel_selection=" +
+                   std::to_string(config.use_parallel_selection));
+      MatchResult b = UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
+                                   SpreadSeeds(w.seeds, stride), config);
+      ASSERT_EQ(a.phases.size(), b.phases.size());
+      for (size_t i = 0; i < a.phases.size(); ++i) {
+        EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
+        EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
+        EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
+        EXPECT_EQ(a.phases[i].open_pairs, b.phases[i].open_pairs);
+        EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
+        EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
+      }
     }
   }
   size_t observed = 0;
+  size_t open = 0;
   for (const PhaseStats& phase : a.phases) {
     EXPECT_LE(phase.observed_pairs, phase.candidate_pairs);
-    EXPECT_GE(phase.observed_pairs, phase.new_links);
+    EXPECT_LE(phase.open_pairs, phase.observed_pairs);
+    EXPECT_GE(phase.open_pairs, phase.new_links);
     observed += phase.observed_pairs;
+    open += phase.open_pairs;
   }
   EXPECT_GT(observed, 0u);
+  // Matched endpoints block: some pairs at or above T are not open.
+  EXPECT_LT(open, observed);
 }
 
 // LSM tier thresholds: every (max_tiers, size_ratio) combination — from

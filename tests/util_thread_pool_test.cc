@@ -27,7 +27,7 @@ TEST(ThreadPoolTest, WaitBlocksUntilDone) {
   for (int i = 0; i < 10; ++i) {
     pool.Submit([&done] {
       // Busy-ish work so Wait() has something to wait for.
-      int sink = 0;
+      long long sink = 0;
       for (int j = 0; j < 100000; ++j) sink += j;
       benchmark_sink.fetch_add(sink, std::memory_order_relaxed);
       done.fetch_add(1);

@@ -161,7 +161,8 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: scored pairs, pairs >= T and
+  --phase-table   per-round table: scored pairs, pairs >= T,
+                  open pairs (>= T, both ends unmatched) and
                   emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --baseline      DEPRECATED alias: also run this algorithm
@@ -462,7 +463,7 @@ int RunCli(const Flags& flags) {
 
   if (flags.GetBool("phase-table", false)) {
     Table table({"iter", "bucket", "links in", "emissions", "pairs",
-                 "pairs >= T", "new", "emit s", "merge s", "scan s",
+                 "pairs >= T", "open", "new", "emit s", "merge s", "scan s",
                  "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
@@ -471,6 +472,7 @@ int RunCli(const Flags& flags) {
                     std::to_string(phase.emissions),
                     std::to_string(phase.candidate_pairs),
                     std::to_string(phase.observed_pairs),
+                    std::to_string(phase.open_pairs),
                     std::to_string(phase.new_links),
                     FormatDouble(phase.emit_seconds, 3),
                     FormatDouble(phase.merge_seconds, 3),

@@ -143,7 +143,7 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
   Table table({"iter", "bucket", "links in", "emissions", "pairs",
-               "pairs >= T", "new", "emit s", "merge s", "scan s",
+               "pairs >= T", "open", "new", "emit s", "merge s", "scan s",
                "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
@@ -152,6 +152,7 @@ void PrintPhaseTable(const ServeBatchStats& stats) {
                   std::to_string(phase.emissions),
                   std::to_string(phase.candidate_pairs),
                   std::to_string(phase.observed_pairs),
+                  std::to_string(phase.open_pairs),
                   std::to_string(phase.new_links),
                   FormatDouble(phase.emit_seconds, 3),
                   FormatDouble(phase.merge_seconds, 3),
