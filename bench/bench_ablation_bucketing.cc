@@ -9,8 +9,6 @@
 //      recall under 13.5%.
 //  (d) Iterations k=1 vs k=2 (paper remark: small k already works).
 //  (e) Seed bias (paper remark: high-degree seeds are more valuable).
-//  (f) Incremental vs recompute scoring engine (implementation ablation;
-//      identical output, different cost).
 
 #include "bench_common.h"
 #include "reconcile/baseline/common_neighbors.h"
@@ -146,7 +144,7 @@ void Run() {
                RunSimple(pair, seeds, "simple common-neighbours, T=1", 1)});
   }
 
-  // (d) Outer iterations; (e) seed bias; (f) engine — one compact block.
+  // (d) Outer iterations; (e) seed bias — one compact block.
   {
     Graph fb = MakeFacebookStandin(bench::kBenchScale, 0xAB0031);
     IndependentSampleOptions sample;
@@ -160,12 +158,9 @@ void Run() {
     one_iter.num_iterations = 1;
     MatcherConfig two_iter;
     two_iter.num_iterations = 2;
-    MatcherConfig recompute;
-    recompute.use_incremental_scoring = false;
     std::vector<Row> rows = {
         RunFull(pair, seeds, "k=1 iteration", one_iter),
         RunFull(pair, seeds, "k=2 iterations", two_iter),
-        RunFull(pair, seeds, "k=2, recompute engine", recompute),
     };
 
     SeedOptions biased;
@@ -174,14 +169,13 @@ void Run() {
     auto biased_seeds = GenerateSeeds(pair, biased, 0xAB0033);
     rows.push_back(
         RunFull(pair, biased_seeds, "k=2, degree-biased seeds", two_iter));
-    PrintRows("(d)(e)(f) iterations / seed bias / scoring engine", rows);
+    PrintRows("(d)(e) iterations / seed bias", rows);
   }
 
   std::cout << "Paper shape: (a) no-bucketing adds ~50% more errors; (b) the "
                "simple algorithm halves recall under attack; (c) its error "
                "rate jumps on Wikipedia; (d) k=2 adds a little recall; (e) "
-               "degree-biased seeds help; (f) engines agree, incremental is "
-               "faster.\n\n";
+               "degree-biased seeds help.\n\n";
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate hot paths: graph
-// construction, generators, the witness-scoring MapReduce, the flat count
-// map and end-to-end matching at small scale (sequential vs parallel).
+// construction, generators, the flat count map, the radix sort and
+// end-to-end matching at small scale (sequential vs parallel).
 
 #include <benchmark/benchmark.h>
 
@@ -10,11 +10,11 @@
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/gen/rmat.h"
-#include "reconcile/mr/mapreduce.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/flat_hash_map.h"
 #include "reconcile/util/radix_sort.h"
+#include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 namespace {
@@ -32,26 +32,6 @@ void BM_FlatCountMapInsert(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FlatCountMapInsert)->Arg(1 << 14)->Arg(1 << 18);
-
-// The radix backend's aggregation primitive over the same key stream: append
-// to a flat buffer, radix-sort, run-length-encode. Compare per-item cost
-// against BM_FlatCountMapInsert at equal n.
-void BM_SortAndCount(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<uint64_t> scratch;
-  for (auto _ : state) {
-    std::vector<uint64_t> keys;
-    keys.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys.push_back(HashMix64(i) | 1);
-    }
-    SortedCountRun run = SortAndCount(std::move(keys), scratch);
-    benchmark::DoNotOptimize(run.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_SortAndCount)->Arg(1 << 14)->Arg(1 << 18);
 
 void BM_RadixSortU64(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -189,62 +169,17 @@ void BM_GenerateChungLu(benchmark::State& state) {
 }
 BENCHMARK(BM_GenerateChungLu)->Arg(1 << 14)->Arg(1 << 17);
 
-void BM_CountByKey(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  constexpr size_t kItems = 100000;
-  for (auto _ : state) {
-    auto shards = mr::CountByKey(&pool, kItems, 16, 8, [](size_t i, auto emit) {
-      emit(HashMix64(i) % 5000);
-      emit(HashMix64(i * 31) % 5000);
-    });
-    benchmark::DoNotOptimize(shards.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * kItems));
-}
-BENCHMARK(BM_CountByKey)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_SortCountByKey(benchmark::State& state) {
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  constexpr size_t kItems = 100000;
-  for (auto _ : state) {
-    auto runs = mr::SortCountByKey(
-        &pool, kItems, 16, 8,
-        [](size_t i, auto emit) {
-          emit(HashMix64(i) % 5000);
-          emit(HashMix64(i * 31) % 5000);
-        },
-        [](uint64_t key) { return static_cast<int>(key * 8 / 5000); });
-    benchmark::DoNotOptimize(runs.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(2 * kItems));
-}
-BENCHMARK(BM_SortCountByKey)->Arg(1)->Arg(2)->Arg(4);
-
-// End-to-end matching on a PA graph: incremental vs recompute scoring,
-// serial vs parallel selection, radix vs hash aggregation, one vs many
-// threads. The serial-selection runs are the Amdahl baseline: scoring is
-// parallel in both, so any gap at >= 4 threads is the selection engine. The
-// BM_MatchHash* runs pin the hash backend so the radix-vs-hash gap stays
-// visible in the baseline JSON after the default flipped to radix. Per-phase
+// End-to-end matching on a PA graph, one vs many threads. Per-phase
 // seconds from the final run's PhaseStats are exported as counters
-// (emit_s / scan_s / select_s).
-void MatchBenchmark(benchmark::State& state, bool incremental, int threads,
-                    bool parallel_selection,
-                    ScoringBackend backend = ScoringBackend::kRadixSort,
-                    int lsm_max_tiers = 2) {
+// (emit_s / merge_s / scan_s / select_s).
+void MatchBenchmark(benchmark::State& state, int threads) {
   Graph g = GeneratePreferentialAttachment(8000, 10, 5);
   RealizationPair pair = SampleIndependent(g, {}, 6);
   SeedOptions seed_options;
   seed_options.fraction = 0.1;
   auto seeds = GenerateSeeds(pair, seed_options, 7);
   MatcherConfig config;
-  config.use_incremental_scoring = incremental;
   config.num_threads = threads;
-  config.use_parallel_selection = parallel_selection;
-  config.scoring_backend = backend;
-  config.lsm_max_tiers = lsm_max_tiers;
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
     MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
@@ -258,48 +193,17 @@ void MatchBenchmark(benchmark::State& state, bool incremental, int threads,
 }
 
 void BM_MatchIncremental1T(benchmark::State& state) {
-  MatchBenchmark(state, true, 1, true);
+  MatchBenchmark(state, 1);
 }
 void BM_MatchIncremental2T(benchmark::State& state) {
-  MatchBenchmark(state, true, 2, true);
+  MatchBenchmark(state, 2);
 }
 void BM_MatchIncremental4T(benchmark::State& state) {
-  MatchBenchmark(state, true, 4, true);
-}
-void BM_MatchRecompute1T(benchmark::State& state) {
-  MatchBenchmark(state, false, 1, true);
-}
-void BM_MatchSerialSelect1T(benchmark::State& state) {
-  MatchBenchmark(state, true, 1, false);
-}
-void BM_MatchSerialSelect4T(benchmark::State& state) {
-  MatchBenchmark(state, true, 4, false);
-}
-void BM_MatchHash1T(benchmark::State& state) {
-  MatchBenchmark(state, true, 1, true, ScoringBackend::kHashMap);
-}
-void BM_MatchHash4T(benchmark::State& state) {
-  MatchBenchmark(state, true, 4, true, ScoringBackend::kHashMap);
-}
-void BM_MatchHashRecompute1T(benchmark::State& state) {
-  MatchBenchmark(state, false, 1, true, ScoringBackend::kHashMap);
-}
-// LSM series: single-tier store (merge every round delta into the big run —
-// the pre-LSM behavior).
-void BM_MatchSingleTier4T(benchmark::State& state) {
-  MatchBenchmark(state, true, 4, true, ScoringBackend::kRadixSort,
-                 /*lsm_max_tiers=*/1);
+  MatchBenchmark(state, 4);
 }
 BENCHMARK(BM_MatchIncremental1T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchIncremental2T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchIncremental4T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchRecompute1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchSerialSelect1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchSerialSelect4T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchHash1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchHash4T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchHashRecompute1T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchSingleTier4T)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace reconcile

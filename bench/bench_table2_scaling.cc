@@ -27,7 +27,7 @@
 namespace reconcile {
 namespace {
 
-void Table2Benchmark(benchmark::State& state, ScoringBackend backend) {
+void BM_Table2RmatMatch(benchmark::State& state) {
   const int scale = static_cast<int>(state.range(0));
   RmatParams params;
   params.scale = scale;
@@ -43,7 +43,6 @@ void Table2Benchmark(benchmark::State& state, ScoringBackend backend) {
       GenerateSeeds(pair, seed_options, 0xBE2C200 + static_cast<uint64_t>(scale));
   MatcherConfig config;
   config.min_score = 2;
-  config.scoring_backend = backend;
 
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
@@ -59,22 +58,7 @@ void Table2Benchmark(benchmark::State& state, ScoringBackend backend) {
   state.counters["select_s"] = split.select_seconds;
 }
 
-// Default (radix) backend — the trajectory series tracked across PRs.
-void BM_Table2RmatMatch(benchmark::State& state) {
-  Table2Benchmark(state, ScoringBackend::kRadixSort);
-}
-// Hash reference, kept in the baseline so the backend gap stays visible at
-// scale.
-void BM_Table2RmatMatchHash(benchmark::State& state) {
-  Table2Benchmark(state, ScoringBackend::kHashMap);
-}
-
 BENCHMARK(BM_Table2RmatMatch)
-    ->Arg(13)
-    ->Arg(15)
-    ->Arg(17)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_Table2RmatMatchHash)
     ->Arg(13)
     ->Arg(15)
     ->Arg(17)

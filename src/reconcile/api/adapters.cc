@@ -12,10 +12,6 @@ namespace reconcile {
 
 namespace {
 
-const char* BackendName(ScoringBackend backend) {
-  return backend == ScoringBackend::kHashMap ? "hash" : "radix";
-}
-
 const char* OnOff(bool value) { return value ? "on" : "off"; }
 
 // Bounds-checked narrowing for int-typed config fields: an out-of-range
@@ -49,28 +45,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
   config.stop_when_stable =
       reader.GetBool("stop-when-stable", config.stop_when_stable);
-  config.use_incremental_scoring =
-      reader.GetBool("incremental", config.use_incremental_scoring);
-  config.use_parallel_selection =
-      reader.GetBool("parallel-selection", config.use_parallel_selection);
-  std::string backend = reader.GetString("backend", "radix");
-  if (backend == "hash") {
-    config.scoring_backend = ScoringBackend::kHashMap;
-  } else if (backend == "radix") {
-    config.scoring_backend = ScoringBackend::kRadixSort;
-  } else {
-    reader.AddError("parameter 'backend' must be hash or radix: " + backend);
-  }
-  config.lsm_max_tiers =
-      GetIntParam(reader, "max-tiers", config.lsm_max_tiers);
-  if (config.lsm_max_tiers < 1) {
-    reader.AddError("parameter 'max-tiers' must be >= 1");
-  }
-  config.lsm_size_ratio = reader.GetDouble("tier-ratio", config.lsm_size_ratio);
-  if (config.lsm_size_ratio < 0.0) {
-    reader.AddError("parameter 'tier-ratio' must be >= 0 (0 disables the "
-                    "ratio trigger)");
-  }
   config.checkpoint_dir =
       reader.GetString("checkpoint-dir", config.checkpoint_dir);
   config.checkpoint_every_rounds = GetIntParam(
@@ -223,13 +197,7 @@ std::string CoreReconciler::Describe() const {
   std::ostringstream out;
   out << "core(threshold=" << config_.min_score
       << ", iterations=" << config_.num_iterations
-      << ", bucketing=" << OnOff(config_.use_degree_bucketing)
-      << ", backend=" << BackendName(config_.scoring_backend)
-      << ", selection="
-      << (config_.use_parallel_selection ? "parallel" : "serial")
-      << ", scoring="
-      << (config_.use_incremental_scoring ? "incremental" : "recompute")
-      << ", tiers=" << config_.lsm_max_tiers << ")";
+      << ", bucketing=" << OnOff(config_.use_degree_bucketing) << ")";
   return out.str();
 }
 
@@ -283,10 +251,9 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "User-Matching (paper §3.2): degree-bucketed witness "
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
-                 "threads, stop-when-stable, incremental, "
-                 "parallel-selection, backend=hash|radix, max-tiers, "
-                 "tier-ratio, checkpoint-dir, checkpoint-every, "
-                 "checkpoint-keep, resume, memory-budget, score-dir, fault",
+                 "threads, stop-when-stable, checkpoint-dir, "
+                 "checkpoint-every, checkpoint-keep, resume, memory-budget, "
+                 "score-dir, fault",
        .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(

@@ -1,7 +1,6 @@
 #ifndef RECONCILE_CORE_BEST_TABLE_H_
 #define RECONCILE_CORE_BEST_TABLE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -25,8 +24,6 @@ namespace reconcile {
 ///    older rounds read as (score 0, ties 0), which turns the per-round
 ///    O(num_nodes) `Clear()` into an O(1) epoch bump.
 ///
-/// The packing is shared by the serial table and the atomic (CAS-max) table
-/// so both selection engines agree bit-for-bit on the rule.
 namespace best_internal {
 
 inline constexpr int kTieBits = 2;
@@ -61,49 +58,14 @@ inline constexpr uint64_t Fold(uint64_t word, uint64_t epoch, uint32_t score) {
 
 }  // namespace best_internal
 
-/// Serial epoch-stamped best table (the reference selection engine).
-class BestTable {
- public:
-  explicit BestTable(size_t num_nodes) : words_(num_nodes, 0) {}
-
-  /// Starts a new round; previous entries become stale in O(1).
-  void NextEpoch() {
-    if (epoch_ == best_internal::kMaxEpoch) {
-      std::fill(words_.begin(), words_.end(), 0);
-      epoch_ = 0;
-    }
-    ++epoch_;
-  }
-
-  void Observe(NodeId node, uint32_t score) {
-    words_[node] = best_internal::Fold(words_[node], epoch_, score);
-  }
-
-  bool IsUniqueBest(NodeId node, uint32_t score) const {
-    return words_[node] == best_internal::Pack(epoch_, score, 1);
-  }
-
-  uint32_t BestScore(NodeId node) const {
-    const uint64_t word = words_[node];
-    return best_internal::EpochOf(word) == epoch_
-               ? best_internal::ScoreOf(word)
-               : 0;
-  }
-
-  uint64_t epoch() const { return epoch_; }
-
- private:
-  std::vector<uint64_t> words_;
-  uint64_t epoch_ = 0;  // 0 is the never-written sentinel; NextEpoch() first.
-};
-
 /// Concurrent best table: `Observe` is a lock-free CAS-max. Because the
 /// epoch only grows and, within an epoch, `Fold` only increases the packed
 /// word (higher score, or more ties at the same score), every successful
 /// update strictly increases the word — so the CAS loop terminates and the
-/// final state equals the serial fold of the same observation multiset in
-/// any order. `NextEpoch` must not race with `Observe`/`IsUniqueBest`; the
-/// matcher bumps it between rounds, outside the parallel region.
+/// final state equals `Fold` applied serially to the same observation
+/// multiset in any order. `NextEpoch` must not race with
+/// `Observe`/`IsUniqueBest`; the matcher bumps it between rounds, outside
+/// the parallel region.
 class AtomicBestTable {
  public:
   explicit AtomicBestTable(size_t num_nodes) : words_(num_nodes) {}

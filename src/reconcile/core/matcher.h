@@ -13,23 +13,6 @@
 
 namespace reconcile {
 
-/// How a scoring round aggregates witness emissions into per-pair scores.
-enum class ScoringBackend {
-  /// Hash aggregation: every emission probes a `FlatCountMap` shard
-  /// (random access), and selection iterates hash buckets.
-  kHashMap,
-  /// Sorted aggregation: scores live in flat `SortedCountRun`s that
-  /// selection scans linearly (no per-emission hashing). The recompute
-  /// engine appends one packed key per witness into per-shard buffers and
-  /// radix-sorts and run-length-encodes each shard. The incremental engine
-  /// keeps an LSM tier stack per (level, shard) and builds each round's
-  /// delta row by row: every g1 node's new witnesses are a merge of already
-  /// sorted g2 adjacency lists, so each cell's delta comes out sorted and
-  /// counted with no sort. Matchings are bit-identical to the hash backend
-  /// for every engine and thread count.
-  kRadixSort,
-};
-
 /// Tuning knobs for the User-Matching algorithm (paper §3.2).
 struct MatcherConfig {
   /// Number of outer iterations `k`. The paper notes k = 1 or 2 suffices.
@@ -52,38 +35,6 @@ struct MatcherConfig {
   int num_threads = 0;
   /// Stop outer iterations early once a full sweep finds no new link.
   bool stop_when_stable = true;
-  /// Scoring engine. `true` (default): incremental — each link's witness
-  /// contributions are folded into persistent per-degree-level score maps
-  /// exactly once, and a bucket-j round scans levels >= j. `false`:
-  /// reference engine that rebuilds the counts from all current links every
-  /// round, exactly as written in the paper. Both engines produce identical
-  /// matchings; the incremental one is asymptotically cheaper by the
-  /// O(log max-degree) bucket-sweep factor.
-  bool use_incremental_scoring = true;
-  /// Selection engine. `true` (default): the per-round mutual-unique-best
-  /// selection runs one task per score shard against atomic CAS-max best
-  /// tables, removing the serial tail that dominates once scoring is
-  /// parallel. `false`: reference single-threaded double scan. Both engines
-  /// produce bit-identical matchings for any thread count.
-  bool use_parallel_selection = true;
-  /// Witness-aggregation backend (see `ScoringBackend`). Both backends
-  /// produce bit-identical matchings; they differ only in memory-access
-  /// pattern and therefore speed. Sort-based aggregation is the default —
-  /// sequential emission and linear scans beat per-emission hash probes on
-  /// every measured workload; the hash map remains the reference engine.
-  ScoringBackend scoring_backend = ScoringBackend::kRadixSort;
-  /// LSM-style tiered score store (radix backend, incremental engine only):
-  /// cap on resident sorted-run tiers per (level, shard). Round deltas
-  /// accumulate as small tiers and fold into the big persistent run only
-  /// when `lsm_size_ratio` or this cap trips, so late low-yield rounds stop
-  /// rewriting the full run every round. `1` restores the pre-LSM
-  /// merge-every-round behavior. The default 2 (big run + one delta batch)
-  /// halves merge traffic while the selection scan stays on the two-way
-  /// fast path; higher caps defer merges further but pay a k-way scan
-  /// fold. Matchings are identical for all settings.
-  int lsm_max_tiers = 2;
-  /// Size-ratio compaction trigger (see `TierPolicy::size_ratio`).
-  double lsm_size_ratio = 4.0;
   /// Crash safety: when non-empty, the matcher snapshots its full
   /// cross-round state (`MatcherState`) into this directory after every
   /// `checkpoint_every_rounds`-th completed round (and always after the
@@ -100,14 +51,12 @@ struct MatcherConfig {
   /// pruned.
   int checkpoint_keep = 0;
   /// Memory budget for the persistent score state in bytes (0 = unbudgeted,
-  /// the all-resident behavior). When the radix backend's resident tier
-  /// payload exceeds this after a round's emission, the enforcement pass
-  /// spills the biggest cold tiers to mmap'd files under `score_dir` until
-  /// resident payload fits (largest-first, deterministic tie-breaks);
-  /// selection streams spilled tiers through the same fold, so matchings
-  /// are bit-identical to the unbudgeted run. Requires `score_dir`; with
-  /// the hash backend the budget is ignored with a one-line warning
-  /// (FlatCountMap shards have no spillable flat form). Spill failures —
+  /// the all-resident behavior). When the resident tier payload exceeds
+  /// this after a round's emission, the enforcement pass spills the biggest
+  /// cold tiers to mmap'd files under `score_dir` until resident payload
+  /// fits (largest-first, deterministic tie-breaks); selection streams
+  /// spilled tiers through the same fold, so matchings are bit-identical to
+  /// the unbudgeted run. Requires `score_dir`. Spill failures —
   /// ENOSPC, torn writes, failed mmaps — degrade gracefully: the tier stays
   /// resident (stderr note) and after repeated failures spilling is
   /// disabled for the run; never a crash, never a wrong matching.
@@ -135,12 +84,25 @@ struct MatcherConfig {
 ///
 /// Per round (degree bucket `2^j`, outer iteration `i`):
 ///  1. every current link (a1, a2) acts as a similarity witness for each
-///     candidate pair (u, v) ∈ N1(a1) × N2(a2) whose degrees clear `2^j` and
-///     whose endpoints are still unmatched — counted via a MapReduce round;
-///  2. a candidate pair is accepted iff its score is at least
-///     `config.min_score` and is the unique maximum among all scored pairs
-///     containing `u` and among all containing `v` (mutual best; ties are
-///     rejected to protect precision).
+///     candidate pair (u, v) ∈ N1(a1) × N2(a2) whose degrees clear `2^j`
+///     (and `2^min_bucket_exponent`) on both sides. Pairs with a matched
+///     endpoint are scored too: they count toward their endpoints' best
+///     scores as *blockers* (the paper's "the pair with highest score in
+///     which either u or v appear");
+///  2. a pair is accepted iff both endpoints are unmatched, its score is at
+///     least `config.min_score` (the repo's reading of the threshold), and
+///     it is the only pair at the best score of `u` and the only pair at
+///     the best score of `v` (mutual best; rejecting ties to protect
+///     precision is the repo's reading). A round's accepts commit together.
+///
+/// Each iteration runs the buckets `j = ⌊log2 D⌋` down to
+/// `min_bucket_exponent` (D the larger max degree; the paper's sweep stops
+/// at 1), or one round at `min_bucket_exponent` without bucketing. The run
+/// stops early once an iteration adds no link under `stop_when_stable`
+/// (the repo's reading).
+/// `tests/user_matching_oracle.h` states this rule serially, and
+/// `tests/core_oracle_fuzz_test.cc` checks this engine against it round by
+/// round.
 ///
 /// Seeds must be in-range and one-to-one; duplicates are rejected via
 /// RECONCILE_CHECK, as is a `min_bucket_exponent` outside [0, 31]. The

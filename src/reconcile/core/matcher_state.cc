@@ -1,11 +1,9 @@
 #include "reconcile/core/matcher_state.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <limits>
 
-#include "reconcile/mr/mapreduce.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
 #include "reconcile/util/parallel_for.h"
@@ -45,14 +43,23 @@ uint64_t GraphFingerprint(const Graph& g) {
   return h;
 }
 
-// Snapshot section ids (see SaveSnapshot for the layout).
+// Snapshot section ids (see SaveSnapshot for the layout). Id 3 held the
+// retired hash backend's scores (state version 1) and is not reused.
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionLinks = 2;
-constexpr uint32_t kSectionScoresHash = 3;
-constexpr uint32_t kSectionScoresRadix = 4;
+constexpr uint32_t kSectionScores = 4;
 
-// Bumped whenever the META/LINKS/SCORES payloads change shape.
-constexpr uint32_t kMatcherStateVersion = 1;
+// Bumped whenever the META/LINKS/SCORES payloads change shape. Version 2
+// dropped version 1's engine and backend bytes from META.
+constexpr uint32_t kMatcherStateVersion = 2;
+
+// When round deltas fold into a cell's big run: at most two tiers (the big
+// run plus one delta batch), and a delta folds early once it reaches a
+// quarter of the run below it. A sweep of other settings (one to four
+// tiers; ratios 0, 2 and 8) on Chung-Lu 200k, ER 2M and Chung-Lu 20k pairs
+// at 4 threads measured none faster beyond noise, and a single tier 27%
+// slower in the median on Chung-Lu 200k (DESIGN.md §2.2).
+constexpr TierPolicy kTierPolicy{2, 4.0};
 
 // floor(log2(max(1, degree))) per node — the per-node half of the level
 // function above.
@@ -65,7 +72,7 @@ std::vector<uint8_t> DegreeLevels(const Graph& g) {
   return levels;
 }
 
-std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards) {
+std::vector<uint32_t> ShardTable(NodeId n1, int num_shards) {
   // Range partition on the high key bits (the g1 node id): shard(u, v) =
   // u * S / n1, precomputed per node so the emission loop pays one array
   // load instead of a hash mix or a 64-bit divide. Each shard owns a
@@ -113,44 +120,21 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       config_(config),
       pool_(config.num_threads > 0 ? config.num_threads
                                    : ThreadPool::DefaultThreads()),
-      tier_policy_{config.lsm_max_tiers, config.lsm_size_ratio},
       num_shards_(ShardWidth(g1.num_nodes())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
-      selection_(g1.num_nodes(), g2.num_nodes(),
-                 config.use_parallel_selection) {
+      selection_(g1.num_nodes(), g2.num_nodes()) {
   RECONCILE_CHECK_GE(config.min_bucket_exponent, 0);
   RECONCILE_CHECK_LE(config.min_bucket_exponent, 31);
   level1_ = DegreeLevels(g1);
   level2_ = DegreeLevels(g2);
-  if (config.use_incremental_scoring) {
-    if (config.scoring_backend == ScoringBackend::kRadixSort) {
-      runs_.resize(kNumLevels);
-      for (auto& level : runs_) {
-        level.resize(static_cast<size_t>(num_shards_));
-      }
-    } else {
-      scores_.resize(kNumLevels);
-      for (auto& level : scores_) {
-        level = std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-      }
-    }
-  }
-  if (config.scoring_backend == ScoringBackend::kRadixSort) {
-    radix_shard1_ = RadixShardTable(g1.num_nodes(), num_shards_);
-  }
+  runs_.resize(kNumLevels);
+  for (auto& level : runs_) level.resize(static_cast<size_t>(num_shards_));
+  shard1_ = ShardTable(g1.num_nodes(), num_shards_);
   if (config.memory_budget_bytes > 0) {
-    // The budget is enforced by spilling radix tier stacks; the hash
-    // backend's open-addressed shards have no flat spillable form, and the
-    // recompute engine keeps no cross-round score state to spill. Both
-    // cases run unbudgeted with a one-line note rather than failing — the
-    // budget is a resource knob, not a semantic one.
-    if (!config.use_incremental_scoring ||
-        config.scoring_backend != ScoringBackend::kRadixSort) {
-      std::fprintf(stderr,
-                   "warning: --memory-budget requires the incremental radix "
-                   "backend; running unbudgeted\n");
-    } else if (config.score_dir.empty()) {
+    // The budget is a resource knob, not a semantic one: without a scratch
+    // directory the run goes unbudgeted with a one-line note.
+    if (config.score_dir.empty()) {
       std::fprintf(stderr,
                    "warning: --memory-budget without --score-dir; running "
                    "unbudgeted\n");
@@ -221,49 +205,23 @@ void MatcherState::AdvanceCursor() {
                                                  : config_.min_bucket_exponent;
 }
 
-// One scoring round at bucket exponent `bucket_exponent` (candidates must
-// have degree >= 2^bucket_exponent on both sides). Returns links accepted.
-size_t MatcherState::Round(int iteration, int bucket_exponent) {
-  return config_.use_incremental_scoring
-             ? RoundIncremental(iteration, bucket_exponent)
-             : RoundRecompute(iteration, bucket_exponent);
-}
-
-// Drops dead entries (pairs with a matched endpoint) from the persistent
-// score maps; called between outer iterations to keep scans and memory
-// proportional to the live frontier.
+// Drops dead entries from the tier stacks between outer iterations, to keep
+// scans and memory proportional to the live frontier. A pair whose
+// endpoints are both matched is dead: it cannot be accepted, and the bests
+// it feeds are those of matched nodes, which no accept consults. Each tier
+// is filtered in place — no rebuild, order preserved; the predicate depends
+// on the key alone, so every key's cross-tier total is preserved.
 void MatcherState::CompactScores() {
-  if (!config_.use_incremental_scoring) return;
   const size_t cells =
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    // Tier stacks compact with an in-place filtering sweep per tier — no
-    // rebuild, no rehash, order preserved. The liveness predicate depends
-    // on the key alone, so filtering tiers independently preserves every
-    // key's cross-tier total.
-    ParallelForEach(&pool_, cells, [this](size_t cell) {
-      TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
-                                    [cell % static_cast<size_t>(num_shards_)];
-      if (store.empty()) return;
-      store.Filter([this](uint64_t key, uint32_t) {
-        return map_1to2_[PairFirst(key)] == kInvalidNode ||
-               map_2to1_[PairSecond(key)] == kInvalidNode;
-      });
-    });
-    return;
-  }
   ParallelForEach(&pool_, cells, [this](size_t cell) {
-    FlatCountMap& shard = scores_[cell / static_cast<size_t>(num_shards_)]
-                                 [cell % static_cast<size_t>(num_shards_)];
-    if (shard.empty()) return;
-    FlatCountMap compacted(shard.size());
-    shard.ForEach([this, &compacted](uint64_t key, uint32_t count) {
-      if (map_1to2_[PairFirst(key)] == kInvalidNode ||
-          map_2to1_[PairSecond(key)] == kInvalidNode) {
-        compacted.AddCount(key, count);
-      }
+    TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
+                                  [cell % static_cast<size_t>(num_shards_)];
+    if (store.empty()) return;
+    store.Filter([this](uint64_t key, uint32_t) {
+      return map_1to2_[PairFirst(key)] == kInvalidNode ||
+             map_2to1_[PairSecond(key)] == kInvalidNode;
     });
-    shard = std::move(compacted);
   });
 }
 
@@ -278,40 +236,12 @@ MatchResult MatcherState::TakeResult(double total_seconds) {
   return result;
 }
 
-// Applies the mutual-unique-best rule over the scored pairs held in
-// `units` through the shared `SelectionEngine` (`core/selection.h`), which
-// commits accepted links directly into the maps and the link log.
-size_t MatcherState::SelectAndCommit(const std::vector<ScoreUnit>& units,
-                                     PhaseStats* stats) {
-  SelectionContext ctx;
-  ctx.pool = &pool_;
-  ctx.min_score = config_.min_score;
-  ctx.map_1to2 = &map_1to2_;
-  ctx.map_2to1 = &map_2to1_;
-  ctx.links = &links_;
-  return selection_.SelectAndCommit(units, ctx, stats);
-}
-
-// --- Incremental engine --------------------------------------------------
+// --- Scoring --------------------------------------------------------------
 // Witness scores are additive over links, so each link's neighbour-pair
-// contributions are emitted exactly once — when the link enters L — into
-// persistent per-level score maps. A bucket-j round scans levels >= j.
-// This is result-identical to the recompute path (verified by tests) and
-// removes the per-bucket rescoring factor from the running time.
-
-// Folds links_[emitted_links_ ..) into the persistent score state of the
-// configured backend, filling `stats`' emission count plus the time split:
-// `emit_seconds` covers witness enumeration (the map phase), and
-// `merge_seconds` covers folding the deltas into the persistent state
-// (hash merges / radix sort + tier compaction) — the part that used to
-// hide inside emit.
-void MatcherState::EmitPendingLinks(PhaseStats* stats) {
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    EmitPendingLinksRadix(stats);
-  } else {
-    EmitPendingLinksHash(stats);
-  }
-}
+// contributions are emitted exactly once — in the first round after the
+// link enters L — into persistent per-level score state. A bucket-j round
+// scans levels >= j. `tests/core_oracle_fuzz_test.cc` checks this against
+// a serial recount from all links every round.
 
 // Chunk size the work-stealing emission loop claims per lock acquisition.
 // Per-item cost is heavy-tailed on skewed graphs (a hub link emits
@@ -319,89 +249,6 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 // are a spinlock pop, so the extra traffic is cheap.
 size_t MatcherState::EmitGrain(size_t num_items) const {
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
-}
-
-// Hash backend: every emission probes a per-(level, shard) FlatCountMap.
-void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
-  const size_t begin = emitted_links_;
-  const size_t end = links_.size();
-  if (begin == end) return;
-  emitted_links_ = end;
-
-  const int min_level = config_.min_bucket_exponent;
-  struct Delta {
-    std::vector<std::vector<FlatCountMap>> maps;  // [level][shard]
-    uint64_t emissions = 0;
-  };
-  const size_t num_items = end - begin;
-
-  // One delta set per worker slot (`ParallelProduce`). The merge sums
-  // counts commutatively, so which items land in which delta is
-  // unobservable.
-  Timer emit_timer;
-  auto emit_range = [this, begin, min_level](Delta& delta, size_t lo,
-                                             size_t hi) {
-    if (delta.maps.empty()) delta.maps.resize(kNumLevels);
-    auto& maps = delta.maps;
-    for (size_t item = lo; item < hi; ++item) {
-      const auto [a1, a2] = links_[begin + item];
-      for (NodeId u : g1_.Neighbors(a1)) {
-        const uint8_t lu = level1_[u];
-        if (lu < min_level) continue;  // degree(u) < 2^min_bucket_exponent
-        for (NodeId v : g2_.Neighbors(a2)) {
-          const uint8_t lv = level2_[v];
-          if (lv < min_level) continue;
-          const uint8_t level = std::min(lu, lv);
-          const uint64_t key = PackPair(u, v);
-          if (maps[level].empty()) {
-            maps[level] =
-                std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-          }
-          maps[level][static_cast<size_t>(mr::ShardOfKey(key, num_shards_))]
-              .AddCount(key, 1);
-          ++delta.emissions;
-        }
-      }
-    }
-  };
-  std::vector<Delta> deltas = ParallelProduce<Delta>(
-      &pool_, num_items, EmitGrain(num_items), emit_range);
-  stats->emit_seconds += emit_timer.Seconds();
-
-  // Merge deltas into the persistent maps: one (level, shard) cell at a
-  // time, pre-sized from the delta sizes so the merge never rehashes
-  // mid-loop.
-  Timer merge_timer;
-  ParallelForEach(
-      &pool_,
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      [this, &deltas](size_t cell) {
-        const size_t level = cell / static_cast<size_t>(num_shards_);
-        const size_t shard = cell % static_cast<size_t>(num_shards_);
-        FlatCountMap& target = scores_[level][shard];
-        size_t expected = target.size();
-        for (const Delta& delta : deltas) {
-          if (delta.maps.empty()) continue;
-          const auto& level_maps = delta.maps[level];
-          if (level_maps.empty()) continue;
-          expected += level_maps[shard].size();
-        }
-        if (expected == target.size()) return;
-        target.Reserve(expected);
-        for (const Delta& delta : deltas) {
-          if (delta.maps.empty()) continue;
-          const auto& level_maps = delta.maps[level];
-          if (level_maps.empty()) continue;
-          level_maps[shard].ForEach([&target](uint64_t key, uint32_t count) {
-            target.AddCount(key, count);
-          });
-        }
-      });
-  stats->merge_seconds += merge_timer.Seconds();
-
-  for (const Delta& delta : deltas) {
-    stats->emissions += static_cast<size_t>(delta.emissions);
-  }
 }
 
 namespace {
@@ -477,7 +324,7 @@ class RowMerger {
 
 }  // namespace
 
-// Radix backend: each round's score deltas are computed row by row, as in
+// Each round's score deltas are computed row by row, as in
 // Gustavson's sparse matrix product, instead of emitting one key per
 // witness and sorting. A pending link (a1, a2) witnesses (u, v) exactly
 // when a1 is in N1(u) and v is in N2(a2), so u's row of the delta is the
@@ -503,7 +350,7 @@ class RowMerger {
 // snapshots written from them) do not depend on how the delta was built.
 // `emit_seconds` covers steps 1 and 2; `merge_seconds` is the LSM append
 // alone.
-void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
+void MatcherState::EmitPendingLinks(PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
   if (begin == end) return;
@@ -523,7 +370,7 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
       if (g2_.degree(a2) == 0) continue;
       for (NodeId u : g1_.Neighbors(a1)) {
         if (level1_[u] < min_level) continue;  // degree(u) < 2^min_level
-        gathered[radix_shard1_[u]].push_back(PackPair(u, a2));
+        gathered[shard1_[u]].push_back(PackPair(u, a2));
       }
     }
   };
@@ -583,7 +430,7 @@ void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
                     const size_t shard = cell % num_shards;
                     if (cells[shard].empty()) return;
                     runs_[level][shard].Append(
-                        std::move(cells[shard][level]), tier_policy_);
+                        std::move(cells[shard][level]), kTierPolicy);
                   });
   stats->merge_seconds += merge_timer.Seconds();
 
@@ -672,7 +519,9 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   stats->spilled_score_bytes = spilled_bytes;
 }
 
-size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
+// One scoring round at bucket exponent `bucket_exponent` (candidates must
+// have degree >= 2^bucket_exponent on both sides). Returns links accepted.
+size_t MatcherState::Round(int iteration, int bucket_exponent) {
   Timer timer;
   PhaseStats stats;
   stats.iteration = iteration;
@@ -683,85 +532,21 @@ size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
   EmitPendingLinks(&stats);
   EnforceMemoryBudget(&stats);
 
-  std::vector<ScoreUnit> units;
-  units.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
+  std::vector<const TieredCountRuns*> cells;
+  cells.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
                 static_cast<size_t>(num_shards_));
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    for (int level = bucket_exponent; level < kNumLevels; ++level) {
-      for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-        units.push_back(ScoreUnit(&store));
-      }
-    }
-  } else {
-    for (int level = bucket_exponent; level < kNumLevels; ++level) {
-      for (const FlatCountMap& shard : scores_[static_cast<size_t>(level)]) {
-        units.push_back(ScoreUnit(&shard));
-      }
+  for (int level = bucket_exponent; level < kNumLevels; ++level) {
+    for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
+      cells.push_back(&store);
     }
   }
-  size_t accepted = SelectAndCommit(units, &stats);
-
-  stats.new_links = accepted;
-  stats.seconds = timer.Seconds();
-  phases_.push_back(stats);
-  return accepted;
-}
-
-// --- Reference scoring engine ----------------------------------------
-// Literal transcription of the paper's inner loop: rebuild the witness
-// counts for the current bucket from *all* current links via one
-// MapReduce round. Kept as the semantics reference; the incremental
-// engine must produce identical results.
-size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
-  Timer timer;
-  PhaseStats stats;
-  stats.iteration = iteration;
-  stats.bucket_exponent = bucket_exponent;
-  stats.links_in = links_.size();
-  stats.num_threads = pool_.num_threads();
-
-  Timer emit_timer;
-  std::atomic<uint64_t> emissions{0};
-  const int num_map_shards = num_shards_ * 4;
-  auto map_fn = [this, bucket_exponent, &emissions](size_t item, auto emit) {
-    const auto [a1, a2] = links_[item];
-    uint64_t local_emissions = 0;
-    for (NodeId u : g1_.Neighbors(a1)) {
-      if (level1_[u] < bucket_exponent) continue;  // degree < 2^bucket
-      for (NodeId v : g2_.Neighbors(a2)) {
-        if (level2_[v] < bucket_exponent) continue;
-        emit(PackPair(u, v));
-        ++local_emissions;
-      }
-    }
-    emissions.fetch_add(local_emissions, std::memory_order_relaxed);
-  };
-
-  std::vector<FlatCountMap> scores;
-  std::vector<SortedCountRun> runs;
-  std::vector<ScoreUnit> units;
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    runs = mr::SortCountByKey(
-        &pool_, links_.size(), num_map_shards, num_shards_, map_fn,
-        [this](uint64_t key) { return radix_shard1_[PairFirst(key)]; },
-        &stats.merge_seconds);
-    units.reserve(runs.size());
-    for (const SortedCountRun& run : runs) units.push_back(ScoreUnit(&run));
-  } else {
-    scores = mr::CountByKey(&pool_, links_.size(), num_map_shards,
-                            num_shards_, map_fn, &stats.merge_seconds);
-    units.reserve(scores.size());
-    for (const FlatCountMap& shard : scores) {
-      units.push_back(ScoreUnit(&shard));
-    }
-  }
-  stats.emissions = emissions.load();
-  // The mr round's reduce time is reported as merge; the map phase is the
-  // emit proper.
-  stats.emit_seconds =
-      std::max(0.0, emit_timer.Seconds() - stats.merge_seconds);
-
-  size_t accepted = SelectAndCommit(units, &stats);
+  SelectionContext ctx;
+  ctx.pool = &pool_;
+  ctx.min_score = config_.min_score;
+  ctx.map_1to2 = &map_1to2_;
+  ctx.map_2to1 = &map_2to1_;
+  ctx.links = &links_;
+  const size_t accepted = selection_.SelectAndCommit(cells, ctx, &stats);
 
   stats.new_links = accepted;
   stats.seconds = timer.Seconds();
@@ -786,17 +571,13 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU64(g2_.num_edges());
   writer.AppendU64(graph_fp2_);
   // Config fingerprint: the knobs that change what the matcher computes or
-  // how the score state is laid out. Execution-only knobs (threads, LSM
-  // tier policy) are matching-invariant and intentionally absent — see the
-  // class comment.
+  // how the score state is laid out. The thread count is matching-invariant
+  // and intentionally absent — see the class comment.
   writer.AppendU32(config_.min_score);
   writer.AppendI32(config_.num_iterations);
   writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
   writer.AppendI32(config_.min_bucket_exponent);
   writer.AppendU8(config_.stop_when_stable ? 1 : 0);
-  writer.AppendU8(config_.use_incremental_scoring ? 1 : 0);
-  writer.AppendU8(
-      config_.scoring_backend == ScoringBackend::kRadixSort ? 1 : 0);
   // The shard width shapes the SCORES layout. It follows from n1, which the
   // graph fingerprint already binds, so this check only rejects snapshots
   // written under another width rule.
@@ -818,40 +599,24 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendVector(links_);
   writer.EndSection();
 
-  if (config_.use_incremental_scoring) {
-    if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-      writer.BeginSection(kSectionScoresRadix);
-      for (const auto& level : runs_) {
-        for (const TieredCountRuns& store : level) {
-          writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
-          // Tier contents are serialized through views, so a spilled tier
-          // streams its bytes straight from the mmap and the snapshot is
-          // byte-identical whether the store is resident, spilled or
-          // mixed. Snapshots stay self-contained: spill files are scratch,
-          // never referenced by durable state.
-          store.ForEachTier([&writer](RunView tier) {
-            writer.AppendU64(tier.size);
-            writer.AppendBytes(tier.keys, tier.size * sizeof(uint64_t));
-            writer.AppendU64(tier.size);
-            writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
-          });
-        }
-      }
-      writer.EndSection();
-    } else {
-      writer.BeginSection(kSectionScoresHash);
-      for (const auto& level : scores_) {
-        for (const FlatCountMap& shard : level) {
-          writer.AppendU64(shard.size());
-          shard.ForEach([&writer](uint64_t key, uint32_t count) {
-            writer.AppendU64(key);
-            writer.AppendU32(count);
-          });
-        }
-      }
-      writer.EndSection();
+  writer.BeginSection(kSectionScores);
+  for (const auto& level : runs_) {
+    for (const TieredCountRuns& store : level) {
+      writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
+      // Tier contents are serialized through views, so a spilled tier
+      // streams its bytes straight from the mmap and the snapshot is
+      // byte-identical whether the store is resident, spilled or mixed.
+      // Snapshots stay self-contained: spill files are scratch, never
+      // referenced by durable state.
+      store.ForEachTier([&writer](RunView tier) {
+        writer.AppendU64(tier.size);
+        writer.AppendBytes(tier.keys, tier.size * sizeof(uint64_t));
+        writer.AppendU64(tier.size);
+        writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
+      });
     }
   }
+  writer.EndSection();
 
   return writer.Commit(path, error);
 }
@@ -912,14 +677,12 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   meta->ReadU64(&fp2);
   uint32_t min_score = 0;
   int32_t num_iterations = 0, min_bucket_exponent = 0, snap_shards = 0;
-  uint8_t bucketing = 0, stop_when_stable = 0, incremental = 0, radix = 0;
+  uint8_t bucketing = 0, stop_when_stable = 0;
   meta->ReadU32(&min_score);
   meta->ReadI32(&num_iterations);
   meta->ReadU8(&bucketing);
   meta->ReadI32(&min_bucket_exponent);
   meta->ReadU8(&stop_when_stable);
-  meta->ReadU8(&incremental);
-  meta->ReadU8(&radix);
   meta->ReadI32(&snap_shards);
   int32_t iteration = 0, current_bucket = 0, top_exponent = 0,
           bottom_exponent = 0, completed_rounds = 0;
@@ -951,15 +714,12 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
       (bucketing != 0) == config_.use_degree_bucketing &&
       min_bucket_exponent == config_.min_bucket_exponent &&
       (stop_when_stable != 0) == config_.stop_when_stable &&
-      (incremental != 0) == config_.use_incremental_scoring &&
-      (radix != 0) ==
-          (config_.scoring_backend == ScoringBackend::kRadixSort) &&
       snap_shards == num_shards_;
   if (!config_matches) {
     *error = path +
              ": snapshot config mismatch (threshold/iterations/bucketing/"
-             "backend/shards differ from this run — resume with the "
-             "configuration the checkpoint was written under)";
+             "shards differ from this run — resume with the configuration "
+             "the checkpoint was written under)";
     return false;
   }
   const bool cursor_sane =
@@ -1005,82 +765,39 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   }
 
   // SCORES: staged fully before commit.
-  std::vector<std::vector<TieredCountRuns>> runs;
-  std::vector<std::vector<FlatCountMap>> scores;
-  if (config_.use_incremental_scoring) {
-    if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-      SnapshotReader::Section* section = reader.Find(kSectionScoresRadix);
-      if (section == nullptr) {
-        *error = path + ": missing radix SCORES section";
+  SnapshotReader::Section* section = reader.Find(kSectionScores);
+  if (section == nullptr) {
+    *error = path + ": missing SCORES section";
+    return false;
+  }
+  std::vector<std::vector<TieredCountRuns>> runs(kNumLevels);
+  for (auto& level : runs) {
+    level.resize(static_cast<size_t>(num_shards_));
+    for (TieredCountRuns& store : level) {
+      uint32_t num_tiers = 0;
+      if (!section->ReadU32(&num_tiers)) {
+        *error = path + ": truncated SCORES section";
         return false;
       }
-      runs.resize(kNumLevels);
-      for (auto& level : runs) {
-        level.resize(static_cast<size_t>(num_shards_));
-        for (TieredCountRuns& store : level) {
-          uint32_t num_tiers = 0;
-          if (!section->ReadU32(&num_tiers)) {
-            *error = path + ": truncated radix SCORES section";
-            return false;
-          }
-          // Rebuild the exact tier stack (no policy folding): tier
-          // boundaries affect when future compactions run, and the resumed
-          // process must replay them identically.
-          TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
-          for (uint32_t t = 0; t < num_tiers; ++t) {
-            SortedCountRun tier;
-            if (!section->ReadVector(&tier.keys) ||
-                !section->ReadVector(&tier.counts) ||
-                tier.keys.size() != tier.counts.size() || tier.empty()) {
-              *error = path + ": malformed radix SCORES tier";
-              return false;
-            }
-            store.Append(std::move(tier), keep_all);
-          }
+      // Rebuild the exact tier stack (no policy folding): tier boundaries
+      // affect when future compactions run, and the resumed process must
+      // replay them identically.
+      TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
+      for (uint32_t t = 0; t < num_tiers; ++t) {
+        SortedCountRun tier;
+        if (!section->ReadVector(&tier.keys) ||
+            !section->ReadVector(&tier.counts) ||
+            tier.keys.size() != tier.counts.size() || tier.empty()) {
+          *error = path + ": malformed SCORES tier";
+          return false;
         }
-      }
-      if (!section->AtEnd()) {
-        *error = path + ": trailing bytes in radix SCORES section";
-        return false;
-      }
-    } else {
-      SnapshotReader::Section* section = reader.Find(kSectionScoresHash);
-      if (section == nullptr) {
-        *error = path + ": missing hash SCORES section";
-        return false;
-      }
-      scores.resize(kNumLevels);
-      for (auto& level : scores) {
-        level = std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-        for (FlatCountMap& shard : level) {
-          uint64_t entries = 0;
-          if (!section->ReadU64(&entries) ||
-              entries > section->Remaining() / 12) {
-            *error = path + ": truncated hash SCORES section";
-            return false;
-          }
-          shard.Reserve(static_cast<size_t>(entries));
-          for (uint64_t i = 0; i < entries; ++i) {
-            uint64_t key = 0;
-            uint32_t count = 0;
-            section->ReadU64(&key);
-            if (!section->ReadU32(&count)) {
-              *error = path + ": truncated hash SCORES section";
-              return false;
-            }
-            if (key == FlatCountMap::kEmptyKey) {
-              *error = path + ": reserved key in hash SCORES section";
-              return false;
-            }
-            shard.AddCount(key, count);
-          }
-        }
-      }
-      if (!section->AtEnd()) {
-        *error = path + ": trailing bytes in hash SCORES section";
-        return false;
+        store.Append(std::move(tier), keep_all);
       }
     }
+  }
+  if (!section->AtEnd()) {
+    *error = path + ": trailing bytes in SCORES section";
+    return false;
   }
 
   // Everything validated — commit.
@@ -1088,7 +805,6 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
   runs_ = std::move(runs);
-  scores_ = std::move(scores);
   emitted_links_ = static_cast<size_t>(emitted_links);
   iteration_ = iteration;
   current_bucket_ = current_bucket;

@@ -14,8 +14,6 @@
 #include "reconcile/core/selection.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
-#include "reconcile/util/flat_hash_map.h"
-#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/thread_pool.h"
 #include "reconcile/util/tiered_store.h"
 
@@ -24,9 +22,8 @@ namespace reconcile {
 /// The matcher's complete cross-round state as a first-class, *resumable*
 /// object — everything `UserMatching` carries from one scoring round to the
 /// next: the committed links and the partial node maps they imply, the
-/// persistent per-(level, shard) score state of the configured backend
-/// (`TieredCountRuns` LSM tier stacks for radix, `FlatCountMap` shards for
-/// hash), and the flattened round cursor (outer iteration, current degree
+/// persistent per-(level, shard) score state (`TieredCountRuns` LSM tier
+/// stacks), and the flattened round cursor (outer iteration, current degree
 /// bucket, stability accounting).
 ///
 /// The driver advances it one round at a time:
@@ -41,20 +38,20 @@ namespace reconcile {
 /// can rebuild it (`LoadSnapshot`) and continue — the resumed run commits
 /// the same links and produces a matching bit-identical to an uninterrupted
 /// run (enforced by `core_checkpoint_test` in-process and by the
-/// `integration_kill_resume_test` subprocess harness across backends and
-/// thread counts).
+/// `integration_kill_resume_test` subprocess harness across thread
+/// counts).
 ///
 /// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
-/// are its prefix, and the node maps are rebuilt from it on load) and one
-/// backend-specific SCORES section. Execution knobs that cannot affect the
-/// matching (threads, LSM tier policy) are
-/// deliberately *not* fingerprinted — a snapshot taken under one may resume
-/// under another; semantic knobs (threshold, iterations, bucketing,
-/// backend) and the shard width the SCORES layout uses are, and a mismatch
-/// is a clean rejection. The width is a function of g1's node count, so it
-/// is bound through the graph fingerprint and never varies with threads.
+/// are its prefix, and the node maps are rebuilt from it on load) and the
+/// SCORES section (the tier stacks). The thread count cannot affect the
+/// matching and is deliberately *not* fingerprinted — a snapshot taken
+/// under one resumes under another; semantic knobs (threshold, iterations,
+/// bucketing) and the shard width the SCORES layout uses are, and a
+/// mismatch is a clean rejection. The width is a function of g1's node
+/// count, so it is bound through the graph fingerprint and never varies
+/// with threads.
 /// DESIGN.md §2.4 documents the layout and the resume invariant.
 class MatcherState {
  public:
@@ -103,21 +100,15 @@ class MatcherState {
   MatchResult TakeResult(double total_seconds);
 
  private:
-  // --- Round engines (see matcher_state.cc) ------------------------------
+  // --- One round (see matcher_state.cc) ----------------------------------
   size_t Round(int iteration, int bucket_exponent);
-  size_t RoundIncremental(int iteration, int bucket_exponent);
-  size_t RoundRecompute(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
-                         PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
-  void EmitPendingLinksHash(PhaseStats* stats);
-  void EmitPendingLinksRadix(PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
-  // Memory-budget enforcement (radix backend only): after a round's
-  // emission, spill the biggest cold tiers until resident payload fits
-  // `config_.memory_budget_bytes`. Fills the round's spill telemetry.
+  // Memory-budget enforcement: after a round's emission, spill the biggest
+  // cold tiers until resident payload fits `config_.memory_budget_bytes`.
+  // Fills the round's spill telemetry.
   void EnforceMemoryBudget(PhaseStats* stats);
 
   // Rebuilds map_1to2_/map_2to1_ from a link log; false (with diagnostic)
@@ -130,29 +121,25 @@ class MatcherState {
   const Graph& g2_;
   MatcherConfig config_;
   ThreadPool pool_;
-  TierPolicy tier_policy_;
   // Score shards per degree level, from g1's node count (see ctor).
   int num_shards_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
   std::vector<std::pair<NodeId, NodeId>> links_;
   std::vector<PhaseStats> phases_;
-  // The shared mutual-unique-best engine (`core/selection.h`); which of its
-  // two interchangeable engines runs follows `use_parallel_selection`.
+  // The mutual-unique-best selection (`core/selection.h`).
   SelectionEngine selection_;
   std::vector<uint8_t> level1_;
   std::vector<uint8_t> level2_;
-  // Incremental engine state: exactly one of the two representations is
-  // populated, per `config_.scoring_backend`. The radix representation is an
-  // LSM tier stack per (level, shard); `tier_policy_` decides when round
-  // deltas fold into the big run.
-  std::vector<std::vector<FlatCountMap>> scores_;   // [level][shard], hash
-  std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard], radix
-  // Radix backend: reduce shard per g1 node (range partition, see ctor).
-  std::vector<uint32_t> radix_shard1_;
-  // Out-of-core backing store for the tier stacks (null when unbudgeted or
-  // on the hash backend). Owns every spill file; destroying the state —
-  // clean exit or graceful stop — removes the scratch.
+  // Score state: an LSM tier stack per (level, shard); the fixed tier
+  // policy in matcher_state.cc decides when round deltas fold into the big
+  // run.
+  std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
+  // Score shard per g1 node (range partition, see ctor).
+  std::vector<uint32_t> shard1_;
+  // Out-of-core backing store for the tier stacks (null when unbudgeted).
+  // Owns every spill file; destroying the state — clean exit or graceful
+  // stop — removes the scratch.
   std::unique_ptr<SpillStore> spill_store_;
   size_t emitted_links_ = 0;
 

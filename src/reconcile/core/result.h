@@ -29,24 +29,21 @@ struct PhaseStats {
   size_t open_pairs = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
-  // Per-round time split (seconds): witness emission (building the round's
-  // score delta — per-witness keys on the hash backend and the recompute
-  // engine's map side, the gather and row merge on the incremental radix
-  // engine), merge (folding the delta into the persistent score state:
-  // hash-map merges, the radix LSM tier append and compaction, the mr
-  // reduce with its sort), the best-table observe scan (which also keeps
-  // the parallel engine's open pairs), and the accept-and-commit pass. The
-  // four do not sum exactly to `seconds` (unit bookkeeping sits between
-  // them).
+  // Per-round time split (seconds): emit (building the round's score
+  // delta: the gather over the pending links and the row merge), merge
+  // (appending the delta to the LSM tier stacks, with any compaction the
+  // tier policy triggers), scan (the best-table observe pass, which also
+  // keeps each cell's open pairs) and select (the accept and commit
+  // passes). The four do not sum exactly to `seconds`: cell bookkeeping
+  // and the memory-budget pass sit between them.
   double emit_seconds = 0.0;
   double merge_seconds = 0.0;
   double scan_seconds = 0.0;
   double select_seconds = 0.0;
   int num_threads = 0;      ///< Worker threads the round ran with.
-  // Out-of-core score store (radix backend under a memory budget): tiers
-  // moved to disk by this round's budget-enforcement pass, and the
-  // resident/spilled byte split after it ran. Zero everywhere when
-  // unbudgeted.
+  // Out-of-core score store (under a memory budget): tiers moved to disk
+  // by this round's budget-enforcement pass, and the resident/spilled byte
+  // split after it ran. Zero everywhere when unbudgeted.
   size_t tiers_spilled = 0;
   size_t resident_score_bytes = 0;
   size_t spilled_score_bytes = 0;

@@ -14,8 +14,8 @@ namespace reconcile {
 /// `w ∈ N1(u)`, `w' ∈ N2(v)` and `link_1to2[w] == w'`.
 ///
 /// This direct form is used by tests and the propagation baseline; the
-/// matcher computes the same quantity for all candidate pairs at once via
-/// the MapReduce scoring round.
+/// matcher computes the same quantity for all candidate pairs at once in
+/// its row-by-row scoring round.
 uint32_t CountSimilarityWitnesses(const Graph& g1, const Graph& g2,
                                   const std::vector<NodeId>& link_1to2,
                                   NodeId u, NodeId v);

@@ -187,7 +187,7 @@ Table SweepToRecallTable(const std::vector<SweepPoint>& points) {
 }
 
 std::string SweepToCsv(const std::vector<SweepPoint>& points) {
-  // Multi-parameter spec labels contain commas ("core:backend=hash,..."),
+  // Multi-parameter spec labels contain commas ("core:threshold=3,..."),
   // so the algorithm field is quoted whenever it needs to be.
   const auto csv_field = [](const std::string& value) {
     if (value.find_first_of(",\"\n") == std::string::npos) return value;

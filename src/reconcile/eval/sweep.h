@@ -45,7 +45,7 @@ struct SweepPoint {
 /// for ns09); algorithms without one (features) run once per fraction.
 struct SweepSpec {
   /// Algorithms to sweep; resolved through `Registry::Global()`. Base
-  /// parameters (iterations, backend, ...) ride in each spec's param bag.
+  /// parameters (iterations, bucketing, ...) ride in each spec's param bag.
   std::vector<ReconcilerSpec> algorithms = {ReconcilerSpec("core")};
   std::vector<double> seed_fractions = {0.05, 0.10, 0.20};
   std::vector<uint32_t> thresholds = {2, 3, 4, 5};

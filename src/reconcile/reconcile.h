@@ -9,7 +9,7 @@
 /// test suite relies on.
 ///
 /// Layering (see DESIGN.md §2 for the subsystem inventory):
-///   util -> graph -> {gen, sampling, seed, mr, theory}
+///   util -> graph -> {gen, sampling, seed, theory}
 ///        -> core -> baseline -> api -> eval
 
 #include "reconcile/util/flags.h"          // IWYU pragma: export
@@ -44,8 +44,6 @@
 #include "reconcile/sampling/timeslice.h"    // IWYU pragma: export
 
 #include "reconcile/seed/seeding.h"          // IWYU pragma: export
-
-#include "reconcile/mr/mapreduce.h"          // IWYU pragma: export
 
 #include "reconcile/theory/empirics.h"       // IWYU pragma: export
 #include "reconcile/theory/predictions.h"    // IWYU pragma: export

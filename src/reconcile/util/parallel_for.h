@@ -44,8 +44,8 @@ void ParallelForWorkStealingSlots(
     const std::function<void(int, size_t, size_t)>& fn);
 
 /// One item per claim: `fn(i)` for every `i` in `[0, n)`. The shape of the
-/// per-cell loops over score units, where a single (level, shard) cell can
-/// hold most of a round's work.
+/// per-cell loops over the score store, where a single (level, shard) cell
+/// can hold most of a round's work.
 void ParallelForEach(ThreadPool* pool, size_t n,
                      const std::function<void(size_t)>& fn);
 

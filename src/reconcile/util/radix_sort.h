@@ -12,20 +12,19 @@
 
 namespace reconcile {
 
-/// Sort-based counting substrate for the matcher's radix scoring backend.
+/// Sort-based counting substrate for the matcher's score store.
 ///
 /// The witness-scoring phase is a high-cardinality count aggregation over
-/// packed 64-bit `(u, v)` keys. The hash backend pays a random-access probe
-/// per emission; the structures here replace that with append + sort +
-/// run-length-encode, keeping every pass over the data sequential:
+/// packed 64-bit `(u, v)` keys, kept in sorted runs so every pass over the
+/// data is sequential:
 ///  * `RadixSortU64` — LSD radix sort with 8-bit digits that skips byte
 ///    positions whose digit is constant across the input (packed pair keys
-///    on realistic graphs occupy well under 64 bits, so most passes drop),
-///  * `SortedCountRun` — the aggregated result: a flat, strictly-increasing
+///    on realistic graphs occupy well under 64 bits, so most passes drop);
+///    the row merge sorts each shard's gathered entries with it,
+///  * `SortedCountRun` — the aggregated form: a flat, strictly-increasing
 ///    `(key, count)` array that scans linearly,
 ///  * `MergeCountRuns` — linear two-way merge folding a sorted delta into a
-///    persistent run (the incremental engine's replacement for rehash-heavy
-///    hash-map merges).
+///    persistent run.
 
 /// Below this size introsort beats setting up histogram passes.
 inline constexpr size_t kRadixSortCutoff = 256;
@@ -78,9 +77,9 @@ inline void RadixSortU64(std::vector<uint64_t>& keys,
   if (!in_keys) keys.swap(scratch);
 }
 
-/// Flat, sorted `(key, count)` aggregate: the radix backend's counterpart of
-/// `FlatCountMap`. Keys are strictly increasing; `counts[i]` is the
-/// multiplicity of `keys[i]`. Scans are pure linear array walks.
+/// Flat, sorted `(key, count)` aggregate. Keys are strictly increasing;
+/// `counts[i]` is the multiplicity of `keys[i]`. Scans are pure linear
+/// array walks.
 struct SortedCountRun {
   std::vector<uint64_t> keys;
   std::vector<uint32_t> counts;
@@ -107,7 +106,7 @@ struct SortedCountRun {
   }
 
   /// Keeps only entries with `pred(key, count)`, preserving order. Linear,
-  /// in place — this is the radix backend's `CompactScores` sweep.
+  /// in place — this is the matcher's `CompactScores` sweep.
   template <typename Pred>
   void Filter(Pred&& pred) {
     size_t out = 0;
@@ -122,32 +121,6 @@ struct SortedCountRun {
     counts.resize(out);
   }
 };
-
-/// Sorts `raw` (consumed) and run-length-encodes it into a `SortedCountRun`.
-/// Equal keys collapse into one entry whose count is their multiplicity —
-/// the same aggregate `CountByKey` produces, in sorted order.
-inline SortedCountRun SortAndCount(std::vector<uint64_t>&& raw,
-                                   std::vector<uint64_t>& scratch) {
-  SortedCountRun run;
-  if (raw.empty()) return run;
-  RadixSortU64(raw, scratch);
-  run.keys.reserve(raw.size());
-  run.counts.reserve(raw.size());
-  uint64_t current = raw[0];
-  uint32_t count = 0;
-  for (uint64_t key : raw) {
-    if (key != current) {
-      run.keys.push_back(current);
-      run.counts.push_back(count);
-      current = key;
-      count = 0;
-    }
-    ++count;
-  }
-  run.keys.push_back(current);
-  run.counts.push_back(count);
-  return run;
-}
 
 namespace internal {
 

@@ -20,7 +20,7 @@ struct SortedCountRun;
 /// (the selection `ForEach` k-way merge, snapshot serialization, tier
 /// compaction) streams the same bytes it would have read from the resident
 /// vectors. Scans over spilled tiers are purely sequential — exactly the
-/// access pattern mmap streaming rewards and the radix backend's design
+/// access pattern mmap streaming rewards and the sorted score store's design
 /// premise — so matchings are bit-identical to the all-resident run by
 /// construction.
 ///

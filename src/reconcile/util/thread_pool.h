@@ -12,11 +12,11 @@ namespace reconcile {
 
 /// Fixed-size worker pool executing `std::function<void()>` tasks.
 ///
-/// This is the execution substrate for the handwritten MapReduce layer
-/// (`reconcile/mr`). Tasks may be submitted from any thread; `Wait()` blocks
-/// until the queue is drained and all in-flight tasks finished. The pool is
-/// intentionally minimal: no futures, no task priorities — the MapReduce
-/// layer builds its own barriers on top of `Wait()`.
+/// This is the execution substrate for the parallel loops in
+/// `util/parallel_for.h`. Tasks may be submitted from any thread; `Wait()`
+/// blocks until the queue is drained and all in-flight tasks finished. The
+/// pool is intentionally minimal: no futures, no task priorities — callers
+/// build their own barriers on top of `Wait()`.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (values < 1 are clamped to 1).

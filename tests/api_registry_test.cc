@@ -113,12 +113,12 @@ TEST(RegistryTest, ParamsReachTheWrappedConfig) {
       ReconcilerSpec("core")
           .Set("threshold", "4")
           .Set("iterations", "1")
-          .Set("backend", "hash")
+          .Set("min-bucket-exponent", "3")
           .Set("bucketing", "false"));
   const auto& core = dynamic_cast<const CoreReconciler&>(*reconciler);
   EXPECT_EQ(core.config().min_score, 4u);
   EXPECT_EQ(core.config().num_iterations, 1);
-  EXPECT_EQ(core.config().scoring_backend, ScoringBackend::kHashMap);
+  EXPECT_EQ(core.config().min_bucket_exponent, 3);
   EXPECT_FALSE(core.config().use_degree_bucketing);
 }
 

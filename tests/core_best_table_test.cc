@@ -1,6 +1,7 @@
-// Unit tests for the packed epoch-stamped best tables (serial and atomic):
-// word packing, tie saturation, epoch staleness / reset, and equivalence of
-// the concurrent CAS-max fold with the serial fold under real contention.
+// Unit tests for the packed epoch-stamped atomic best table: word packing,
+// tie saturation, epoch staleness / reset, and equivalence of the
+// concurrent CAS-max fold with `best_internal::Fold` applied serially under
+// real contention.
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -36,14 +37,8 @@ TEST(BestPackingTest, FoldIsMonotone) {
   EXPECT_EQ(best_internal::TiesOf(word), best_internal::kTieSaturation);
 }
 
-template <typename Table>
-class BestTableTypedTest : public testing::Test {};
-
-using TableTypes = testing::Types<BestTable, AtomicBestTable>;
-TYPED_TEST_SUITE(BestTableTypedTest, TableTypes);
-
-TYPED_TEST(BestTableTypedTest, TracksUniqueBest) {
-  TypeParam table(4);
+TEST(AtomicBestTableTest, TracksUniqueBest) {
+  AtomicBestTable table(4);
   table.NextEpoch();
   table.Observe(1, 5);
   table.Observe(1, 3);
@@ -55,8 +50,8 @@ TYPED_TEST(BestTableTypedTest, TracksUniqueBest) {
   EXPECT_FALSE(table.IsUniqueBest(0, 0));
 }
 
-TYPED_TEST(BestTableTypedTest, TiesRejectUniqueness) {
-  TypeParam table(2);
+TEST(AtomicBestTableTest, TiesRejectUniqueness) {
+  AtomicBestTable table(2);
   table.NextEpoch();
   table.Observe(0, 4);
   table.Observe(0, 4);
@@ -66,16 +61,16 @@ TYPED_TEST(BestTableTypedTest, TiesRejectUniqueness) {
   EXPECT_TRUE(table.IsUniqueBest(0, 9));
 }
 
-TYPED_TEST(BestTableTypedTest, TieCountSaturates) {
-  TypeParam table(1);
+TEST(AtomicBestTableTest, TieCountSaturates) {
+  AtomicBestTable table(1);
   table.NextEpoch();
   for (int i = 0; i < 100; ++i) table.Observe(0, 6);
   EXPECT_FALSE(table.IsUniqueBest(0, 6));
   EXPECT_EQ(table.BestScore(0), 6u);
 }
 
-TYPED_TEST(BestTableTypedTest, EpochBumpInvalidatesWithoutClearing) {
-  TypeParam table(3);
+TEST(AtomicBestTableTest, EpochBumpInvalidatesWithoutClearing) {
+  AtomicBestTable table(3);
   table.NextEpoch();
   table.Observe(2, 8);
   ASSERT_TRUE(table.IsUniqueBest(2, 8));
@@ -89,8 +84,8 @@ TYPED_TEST(BestTableTypedTest, EpochBumpInvalidatesWithoutClearing) {
   EXPECT_EQ(table.BestScore(2), 1u);
 }
 
-TYPED_TEST(BestTableTypedTest, ManyEpochsStayIsolated) {
-  TypeParam table(1);
+TEST(AtomicBestTableTest, ManyEpochsStayIsolated) {
+  AtomicBestTable table(1);
   for (uint32_t round = 1; round <= 200; ++round) {
     table.NextEpoch();
     table.Observe(0, round);
@@ -103,7 +98,7 @@ TYPED_TEST(BestTableTypedTest, ManyEpochsStayIsolated) {
 
 TEST(AtomicBestTableTest, ConcurrentObserveMatchesSerialFold) {
   // Hammer one table from several threads with a fixed observation multiset;
-  // the result must equal the serial fold of the same multiset.
+  // the result must equal `Fold` applied serially to the same multiset.
   constexpr size_t kNodes = 64;
   constexpr int kThreads = 8;
   constexpr int kObsPerThread = 5000;
@@ -116,9 +111,11 @@ TEST(AtomicBestTableTest, ConcurrentObserveMatchesSerialFold) {
                           static_cast<uint32_t>(rng.Next() % 16));
   }
 
-  BestTable serial(kNodes);
-  serial.NextEpoch();
-  for (const auto& [node, score] : schedule) serial.Observe(node, score);
+  constexpr uint64_t kEpoch = 1;  // the table's after one NextEpoch()
+  std::vector<uint64_t> serial(kNodes, 0);
+  for (const auto& [node, score] : schedule) {
+    serial[node] = best_internal::Fold(serial[node], kEpoch, score);
+  }
 
   AtomicBestTable atomic_table(kNodes);
   atomic_table.NextEpoch();
@@ -134,11 +131,11 @@ TEST(AtomicBestTableTest, ConcurrentObserveMatchesSerialFold) {
   for (std::thread& thread : threads) thread.join();
 
   for (NodeId node = 0; node < kNodes; ++node) {
-    EXPECT_EQ(atomic_table.BestScore(node), serial.BestScore(node))
-        << "node " << node;
-    const uint32_t best = serial.BestScore(node);
+    ASSERT_EQ(best_internal::EpochOf(serial[node]), kEpoch) << "node " << node;
+    const uint32_t best = best_internal::ScoreOf(serial[node]);
+    EXPECT_EQ(atomic_table.BestScore(node), best) << "node " << node;
     EXPECT_EQ(atomic_table.IsUniqueBest(node, best),
-              serial.IsUniqueBest(node, best))
+              serial[node] == best_internal::Pack(kEpoch, best, 1))
         << "node " << node;
   }
 }

@@ -1,14 +1,15 @@
 // MatcherState as a resumable object: a snapshot taken between rounds must
 // restore into a state that finishes with a matching bit-identical to the
-// uninterrupted run — across both scoring backends, multi-tier LSM stacks
-// and thread counts — and every corruption or
-// mismatch (truncation, bit flips, wrong graph, wrong config, wrong seeds)
-// must be a clean LoadSnapshot failure that leaves the state untouched.
+// uninterrupted run — across pause points and thread counts — and every
+// corruption or mismatch (truncation, bit flips, wrong graph, wrong config,
+// wrong seeds, an older state version) must be a clean LoadSnapshot failure
+// that leaves the state untouched.
 #include "reconcile/core/matcher_state.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,33 +99,13 @@ TEST(MatcherStateTest, RunRoundReplaysTheDriverScheduleExactly) {
   EXPECT_EQ(via_state.map_2to1, via_driver.map_2to1);
 }
 
-TEST(MatcherStateTest, ResumeEquivalenceAcrossBackendsAndPausePoints) {
+TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
   Workload w = MakeWorkload(9002);
-  for (ScoringBackend backend :
-       {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-    for (int pause_after : {1, 3, 7}) {
-      MatcherConfig config;
-      config.scoring_backend = backend;
-      const std::string tag =
-          std::string(backend == ScoringBackend::kRadixSort ? "radix"
-                                                            : "hash") +
-          "_p" + std::to_string(pause_after);
-      SCOPED_TRACE(tag);
-      CheckResumeEquivalence(w, config, pause_after, tag);
-    }
+  for (int pause_after : {1, 3, 7}) {
+    const std::string tag = "p" + std::to_string(pause_after);
+    SCOPED_TRACE(tag);
+    CheckResumeEquivalence(w, MatcherConfig{}, pause_after, tag);
   }
-}
-
-TEST(MatcherStateTest, ResumeEquivalenceWithMultiTierLsmStacks) {
-  // High tier cap + disabled ratio trigger: snapshots capture stacks of
-  // several unmerged tiers, and the restored stacks must replay the same
-  // future compaction schedule.
-  Workload w = MakeWorkload(9003);
-  MatcherConfig config;
-  config.scoring_backend = ScoringBackend::kRadixSort;
-  config.lsm_max_tiers = 8;
-  config.lsm_size_ratio = 0.0;
-  CheckResumeEquivalence(w, config, 4, "lsm8");
 }
 
 TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsWidePartition) {
@@ -173,15 +154,11 @@ TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   std::remove(path.c_str());
 }
 
-TEST(MatcherStateTest, RadixSnapshotRoundTripsByteIdentically) {
-  // The radix score state serializes canonically (sorted runs, explicit
-  // tier boundaries), so save -> load -> save is byte-identical. (The hash
-  // backend's table layout may legitimately differ after reload; its
-  // resume equivalence is covered above.)
+TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
+  // The score state serializes canonically (sorted runs, explicit tier
+  // boundaries), so save -> load -> save is byte-identical.
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
-  config.scoring_backend = ScoringBackend::kRadixSort;
-  config.lsm_max_tiers = 4;
 
   const std::string first = TempPath("golden_first.ckpt");
   const std::string second = TempPath("golden_second.ckpt");
@@ -228,6 +205,42 @@ TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
 }
 
 // --- Rejection paths ------------------------------------------------------
+
+// Copies the snapshot at `from` to `to` section by section (META, LINKS,
+// SCORES), passing META's payload through `edit_meta` on the way.
+void CopySnapshot(const std::string& from, const std::string& to,
+                  const std::function<void(std::vector<char>&)>& edit_meta) {
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(from, &error)) << error;
+  SnapshotWriter writer;
+  for (uint32_t id : {1u, 2u, 4u}) {
+    SnapshotReader::Section* section = reader.Find(id);
+    ASSERT_NE(section, nullptr) << "section " << id;
+    std::vector<char> payload(section->Remaining());
+    ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
+    if (id == 1) edit_meta(payload);
+    writer.BeginSection(id);
+    writer.AppendBytes(payload.data(), payload.size());
+    writer.EndSection();
+  }
+  ASSERT_TRUE(writer.Commit(to, &error)) << error;
+}
+
+// META: version u32, (nodes, edges, fingerprint) u64 per graph, threshold
+// u32, iterations i32, bucketing u8, min bucket exponent i32 and
+// stop-when-stable u8, then the shard width i32.
+constexpr size_t kWidthOffset = 4 + 6 * 8 + 4 + 4 + 1 + 4 + 1;
+
+// Rewrites META as state version 1 wrote it: version word 1, and the
+// engine and backend bytes (incremental, radix; both 1 for the default
+// engine) before the shard width.
+void ToVersion1(std::vector<char>& meta) {
+  const uint32_t version = 1;
+  std::memcpy(meta.data(), &version, sizeof(version));
+  const char engine_bytes[] = {1, 1};
+  meta.insert(meta.begin() + kWidthOffset, engine_bytes, engine_bytes + 2);
+}
 
 class SnapshotRejectionTest : public testing::Test {
  protected:
@@ -305,49 +318,62 @@ TEST_F(SnapshotRejectionTest, WrongConfigRejected) {
   EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }
 
-TEST_F(SnapshotRejectionTest, WrongBackendRejected) {
-  MatcherConfig other = config_;
-  other.scoring_backend = config_.scoring_backend == ScoringBackend::kRadixSort
-                              ? ScoringBackend::kHashMap
-                              : ScoringBackend::kRadixSort;
-  MatcherState state(w_.pair.g1, w_.pair.g2, other);
-  state.SeedLinks(w_.seeds);
-  std::string error;
-  ASSERT_FALSE(state.LoadSnapshot(path_, &error));
-  EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
+// Version 2 dropped version 1's engine bytes; a version-1 file is rejected
+// with one message naming the version.
+TEST_F(SnapshotRejectionTest, OlderStateVersionRejected) {
+  const std::string old = TempPath("reject_v1.ckpt");
+  CopySnapshot(path_, old, ToVersion1);
+  ExpectRejectedAndStateIntact(old, "matcher state version 1 (want 2)");
+  std::remove(old.c_str());
 }
 
 // The SCORES layout depends on the shard width, so META carries it. A run
 // derives the width from g1 alone, so a mismatched width can only come from
 // a snapshot written under another width rule; this one is written by hand
 // with the width word off by one.
-TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {
-  SnapshotReader reader;
-  std::string error;
-  ASSERT_TRUE(reader.Open(path_, &error)) << error;
-  SnapshotWriter writer;
-  for (uint32_t id : {1u, 2u, 4u}) {  // META, LINKS, radix SCORES
-    SnapshotReader::Section* section = reader.Find(id);
-    ASSERT_NE(section, nullptr) << "section " << id;
-    std::vector<char> payload(section->Remaining());
-    ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
-    if (id == 1) {
-      // META: version u32, (nodes, edges, fingerprint) u64 per graph, then
-      // threshold u32, iterations i32, bucketing u8, min bucket exponent
-      // i32, stop-when-stable u8, incremental u8, radix u8 and the width.
-      constexpr size_t kWidthOffset = 4 + 6 * 8 + 4 + 4 + 1 + 4 + 1 + 1 + 1;
-      int32_t width = 0;
-      std::memcpy(&width, payload.data() + kWidthOffset, sizeof(width));
-      ASSERT_GE(width, 1);
-      ++width;
-      std::memcpy(payload.data() + kWidthOffset, &width, sizeof(width));
+// `--resume` skips a version-1 file like any unusable snapshot: it falls
+// back to the next-older one, or to a fresh start when none is left, and
+// the matching is the uninterrupted run's.
+TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
+  const MatchResult reference = RunToCompletion(w_, config_);
+  for (bool with_older_snapshot : {true, false}) {
+    SCOPED_TRACE("with_older_snapshot=" + std::to_string(with_older_snapshot));
+    const std::string dir =
+        TempPath("v1_resume_" + std::to_string(with_older_snapshot));
+    std::string error;
+    ASSERT_TRUE(EnsureDir(dir, &error)) << error;
+    // Round 999999 stays the newest file whatever the resumed run writes.
+    CopySnapshot(path_, CheckpointPath(dir, 999999), ToVersion1);
+    if (with_older_snapshot) {
+      CopySnapshot(path_, CheckpointPath(dir, 2),
+                   [](std::vector<char>&) {});
     }
-    writer.BeginSection(id);
-    writer.AppendBytes(payload.data(), payload.size());
-    writer.EndSection();
+    MatcherConfig config = config_;
+    config.checkpoint_dir = dir;
+    config.resume = true;
+    const MatchResult resumed =
+        UserMatching(w_.pair.g1, w_.pair.g2, w_.seeds, config);
+    EXPECT_EQ(resumed.map_1to2, reference.map_1to2);
+    EXPECT_EQ(resumed.map_2to1, reference.map_2to1);
+    // A run resumed after two rounds records only the rounds it ran.
+    EXPECT_EQ(resumed.phases.size() + (with_older_snapshot ? 2 : 0),
+              reference.phases.size());
+    for (const CheckpointFile& file : ListCheckpoints(dir)) {
+      std::remove(file.path.c_str());
+    }
+    std::remove(dir.c_str());
   }
+}
+
+TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {
   const std::string wider = TempPath("reject_width.ckpt");
-  ASSERT_TRUE(writer.Commit(wider, &error)) << error;
+  CopySnapshot(path_, wider, [](std::vector<char>& meta) {
+    int32_t width = 0;
+    std::memcpy(&width, meta.data() + kWidthOffset, sizeof(width));
+    ASSERT_GE(width, 1);
+    ++width;
+    std::memcpy(meta.data() + kWidthOffset, &width, sizeof(width));
+  });
   ExpectRejectedAndStateIntact(wider, "config mismatch");
   std::remove(wider.c_str());
 }

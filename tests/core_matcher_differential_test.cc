@@ -1,11 +1,13 @@
-// Differential tests: the two scoring engines (incremental vs recompute)
-// and every parallelism setting must produce bit-identical matchings, and
-// every run must satisfy the structural invariants of a partial matching.
+// Differential tests: the engine must reproduce the paper-literal oracle
+// (`user_matching_oracle.h`), every parallelism setting must produce
+// bit-identical matchings, and every run must satisfy the structural
+// invariants of a partial matching.
 #include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "oracle_check.h"
 #include "reconcile/core/matcher.h"
 #include "reconcile/gen/chung_lu.h"
 #include "reconcile/gen/erdos_renyi.h"
@@ -66,25 +68,18 @@ RealizationPair MakePairFor(Model model) {
 
 class EngineDifferentialTest : public testing::TestWithParam<DiffCase> {};
 
-TEST_P(EngineDifferentialTest, IncrementalEqualsRecompute) {
+TEST_P(EngineDifferentialTest, MatchesOracle) {
   const DiffCase param = GetParam();
   RealizationPair pair = MakePairFor(param.model);
   SeedOptions seed_options;
   seed_options.fraction = 0.08;
   auto seeds = GenerateSeeds(pair, seed_options, 4009);
 
-  MatcherConfig incremental;
-  incremental.use_degree_bucketing = param.bucketing;
-  incremental.min_score = param.threshold;
-  incremental.num_iterations = param.iterations;
-  incremental.use_incremental_scoring = true;
-  MatcherConfig recompute = incremental;
-  recompute.use_incremental_scoring = false;
-
-  MatchResult a = UserMatching(pair.g1, pair.g2, seeds, incremental);
-  MatchResult b = UserMatching(pair.g1, pair.g2, seeds, recompute);
-  EXPECT_EQ(a.map_1to2, b.map_1to2);
-  EXPECT_EQ(a.map_2to1, b.map_2to1);
+  MatcherConfig config;
+  config.use_degree_bucketing = param.bucketing;
+  config.min_score = param.threshold;
+  config.num_iterations = param.iterations;
+  ExpectMatchesOracle(pair.g1, pair.g2, seeds, config);
 }
 
 TEST_P(EngineDifferentialTest, ThreadAndShardCountInvariance) {

@@ -6,6 +6,7 @@
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
+#include "oracle_check.h"
 #include "reconcile/seed/seeding.h"
 #include "spread_ids.h"
 
@@ -130,53 +131,46 @@ TEST(MatcherTest, PhaseStatsAreCoherent) {
   auto seeds = GenerateSeeds(pair, seed_options, 13);
   MatcherConfig config;
   config.num_iterations = 2;
-  config.use_incremental_scoring = false;  // reference-engine stat semantics
   MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
   ASSERT_FALSE(result.phases.empty());
   size_t links = seeds.size();
   for (const PhaseStats& phase : result.phases) {
+    // Each round sees every link committed before it...
     EXPECT_EQ(phase.links_in, links);
     links += phase.new_links;
-    EXPECT_GE(phase.emissions, phase.candidate_pairs);
+    // ...and accepts only open pairs, which score at least T (observed)
+    // among all the pairs it scores.
+    EXPECT_LE(phase.new_links, phase.open_pairs);
+    EXPECT_LE(phase.open_pairs, phase.observed_pairs);
+    EXPECT_LE(phase.observed_pairs, phase.candidate_pairs);
   }
   EXPECT_EQ(links, result.NumLinks());
+  EXPECT_GT(result.NumNewLinks(), 0u);
 }
 
-TEST(MatcherTest, IncrementalEngineMatchesReferenceEngine) {
-  // The incremental scoring engine must reproduce the reference (paper-
-  // literal recompute) engine exactly, link for link.
+TEST(MatcherTest, MatchesOracle) {
+  // The engine must reproduce the paper-literal oracle (a recount from all
+  // links every round) exactly, round by round.
   for (uint64_t seed : {51u, 52u, 53u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Graph g = GenerateErdosRenyi(700, 0.03, seed);
     RealizationPair pair = SampleIndependent(g, {}, seed + 100);
     SeedOptions seed_options;
     seed_options.fraction = 0.1;
     auto seeds = GenerateSeeds(pair, seed_options, seed + 200);
-
-    MatcherConfig incremental;
-    incremental.use_incremental_scoring = true;
-    MatcherConfig reference;
-    reference.use_incremental_scoring = false;
-    MatchResult a = UserMatching(pair.g1, pair.g2, seeds, incremental);
-    MatchResult b = UserMatching(pair.g1, pair.g2, seeds, reference);
-    EXPECT_EQ(a.map_1to2, b.map_1to2) << "seed " << seed;
-    EXPECT_EQ(a.map_2to1, b.map_2to1) << "seed " << seed;
+    ExpectMatchesOracle(pair.g1, pair.g2, seeds, MatcherConfig{});
   }
 }
 
-TEST(MatcherTest, EnginesAgreeOnSkewedGraphsWithMultipleIterations) {
+TEST(MatcherTest, MatchesOracleOnSkewedGraphsWithMultipleIterations) {
   Graph g = GeneratePreferentialAttachment(1500, 8, 61);
   RealizationPair pair = SampleIndependent(g, {}, 62);
   SeedOptions seed_options;
   seed_options.fraction = 0.08;
   auto seeds = GenerateSeeds(pair, seed_options, 63);
-  MatcherConfig incremental;
-  incremental.num_iterations = 3;
-  MatcherConfig reference;
-  reference.num_iterations = 3;
-  reference.use_incremental_scoring = false;
-  MatchResult a = UserMatching(pair.g1, pair.g2, seeds, incremental);
-  MatchResult b = UserMatching(pair.g1, pair.g2, seeds, reference);
-  EXPECT_EQ(a.map_1to2, b.map_1to2);
+  MatcherConfig config;
+  config.num_iterations = 3;
+  ExpectMatchesOracle(pair.g1, pair.g2, seeds, config);
 }
 
 TEST(MatcherTest, DeterministicAcrossThreadAndShardCounts) {

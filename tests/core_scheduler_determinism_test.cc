@@ -1,10 +1,8 @@
-// Work-stealing and LSM-store equivalence: the matching must be
+// Work-stealing and memory-budget equivalence: the matching must be
 // bit-identical to the 1-thread run for every thread count, score-partition
-// width and steal schedule, and the tiered score store must be unobservable
-// for every tier threshold — including policies that force compaction
-// mid-run. Any
-// divergence means a hot-path loop's aggregation stopped being
-// partition-independent, or a tier fold lost/duplicated a count.
+// width, steal schedule and memory budget. Any divergence means a hot-path
+// loop's aggregation stopped being partition-independent, or a tier fold or
+// spill lost or duplicated a count.
 #include <dirent.h>
 #include <stdlib.h>
 #include <unistd.h>
@@ -51,10 +49,9 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
   ASSERT_EQ(result.map_2to1, reference.map_2to1);
 }
 
-// Threads x partition widths x both scoring backends, each against the
-// 1-thread run. Two and five threads give different steal schedules over the
-// same cells; the g1 id strides give widths of about 3, 50 and 256
-// (`spread_ids.h`).
+// Threads x partition widths, each against the 1-thread run. Two and five
+// threads give different steal schedules over the same cells; the g1 id
+// strides give widths of about 3, 50 and 256 (`spread_ids.h`).
 TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
@@ -67,61 +64,47 @@ TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
     ASSERT_GT(reference.NumNewLinks(), 0u)
         << "workload too easy to detect divergence";
 
-    for (ScoringBackend backend :
-         {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-      for (NodeId stride : {1u, 16u, 128u}) {
-        const Graph g1 = SpreadIds(w.pair.g1, stride);
-        const auto seeds = SpreadSeeds(w.seeds, stride);
-        for (int threads : {2, 5}) {
-          SCOPED_TRACE(std::string("backend=") +
-                       (backend == ScoringBackend::kRadixSort ? "radix"
-                                                              : "hash") +
-                       " stride=" + std::to_string(stride) +
-                       " threads=" + std::to_string(threads));
-          MatcherConfig config;
-          config.scoring_backend = backend;
-          config.num_threads = threads;
-          MatchResult result = Unspread(
-              UserMatching(g1, w.pair.g2, seeds, config), stride);
-          ExpectSameMatching(result, reference);
-        }
+    for (NodeId stride : {1u, 16u, 128u}) {
+      const Graph g1 = SpreadIds(w.pair.g1, stride);
+      const auto seeds = SpreadSeeds(w.seeds, stride);
+      for (int threads : {2, 5}) {
+        SCOPED_TRACE("stride=" + std::to_string(stride) +
+                     " threads=" + std::to_string(threads));
+        MatcherConfig config;
+        config.num_threads = threads;
+        MatchResult result =
+            Unspread(UserMatching(g1, w.pair.g2, seeds, config), stride);
+        ExpectSameMatching(result, reference);
       }
     }
   }
 }
 
-// Representation-independent per-round telemetry must agree across thread
-// counts, partition widths and both selection engines (wall-clock obviously
-// differs). The pairs that reach the best tables are the scored pairs at or
-// above the threshold: at most every scored pair, and at least the open
-// pairs (those with both endpoints unmatched), which in turn are at least
-// every link the round accepts.
+// Per-round telemetry must agree across thread counts and partition widths
+// (wall-clock obviously differs). The pairs that reach the best tables are
+// the scored pairs at or above the threshold: at most every scored pair,
+// and at least the open pairs (those with both endpoints unmatched), which
+// in turn are at least every link the round accepts.
 TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
   MatcherConfig serial_config;
   serial_config.num_threads = 1;
   MatcherConfig parallel_config = serial_config;
   parallel_config.num_threads = 4;
-  MatcherConfig serial_selection_config = parallel_config;
-  serial_selection_config.use_parallel_selection = false;
   MatchResult a = UserMatching(w.pair.g1, w.pair.g2, w.seeds, serial_config);
   ASSERT_GT(a.NumNewLinks(), 0u);
-  for (const MatcherConfig& config :
-       {parallel_config, serial_selection_config}) {
-    for (NodeId stride : {1u, 128u}) {
-      SCOPED_TRACE("stride=" + std::to_string(stride) + " parallel_selection=" +
-                   std::to_string(config.use_parallel_selection));
-      MatchResult b = UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
-                                   SpreadSeeds(w.seeds, stride), config);
-      ASSERT_EQ(a.phases.size(), b.phases.size());
-      for (size_t i = 0; i < a.phases.size(); ++i) {
-        EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
-        EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
-        EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
-        EXPECT_EQ(a.phases[i].open_pairs, b.phases[i].open_pairs);
-        EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
-        EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
-      }
+  for (NodeId stride : {1u, 128u}) {
+    SCOPED_TRACE("stride=" + std::to_string(stride));
+    MatchResult b = UserMatching(SpreadIds(w.pair.g1, stride), w.pair.g2,
+                                 SpreadSeeds(w.seeds, stride), parallel_config);
+    ASSERT_EQ(a.phases.size(), b.phases.size());
+    for (size_t i = 0; i < a.phases.size(); ++i) {
+      EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
+      EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
+      EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
+      EXPECT_EQ(a.phases[i].open_pairs, b.phases[i].open_pairs);
+      EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
+      EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
     }
   }
   size_t observed = 0;
@@ -136,77 +119,6 @@ TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   EXPECT_GT(observed, 0u);
   // Matched endpoints block: some pairs at or above T are not open.
   EXPECT_LT(open, observed);
-}
-
-// LSM tier thresholds: every (max_tiers, size_ratio) combination — from
-// merge-every-round (max_tiers=1) through ratio=0 (tiers only fold when the
-// cap forces a mid-round compaction cascade) — must yield the single-tier
-// matching. Runs two thread counts so tier folds interleave with different
-// steal schedules, and both selection engines over the multi-tier units.
-TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
-  for (uint64_t rng_seed : {7201u, 7202u}) {
-    SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
-    Workload w = MakeWorkload(rng_seed);
-
-    MatcherConfig reference_config;
-    reference_config.lsm_max_tiers = 1;  // pre-LSM behavior
-    reference_config.num_threads = 1;
-    MatchResult reference =
-        UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-    ASSERT_GT(reference.NumNewLinks(), 0u);
-
-    for (int max_tiers : {2, 3, 8}) {
-      for (double ratio : {0.0, 1.0, 4.0, 1e9}) {
-        for (int threads : {2, 5}) {
-          for (bool parallel_selection : {true, false}) {
-            SCOPED_TRACE("max_tiers=" + std::to_string(max_tiers) +
-                         " ratio=" + std::to_string(ratio) +
-                         " threads=" + std::to_string(threads) +
-                         " parallel_selection=" +
-                         std::to_string(parallel_selection));
-            MatcherConfig config;
-            config.lsm_max_tiers = max_tiers;
-            config.lsm_size_ratio = ratio;
-            config.use_parallel_selection = parallel_selection;
-            config.num_threads = threads;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-            ExpectSameMatching(result, reference);
-          }
-        }
-      }
-    }
-  }
-}
-
-// The recompute engine rebuilds its score state every round through the mr
-// reduce; it and serial selection must match the 1-thread incremental run.
-TEST(EngineDeterminismTest, RecomputeAndSerialSelectionMatch) {
-  Workload w = MakeWorkload(7304);
-  MatcherConfig reference_config;
-  reference_config.num_threads = 1;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-  for (bool incremental : {false, true}) {
-    for (bool parallel_selection : {false, true}) {
-      for (ScoringBackend backend :
-           {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-        SCOPED_TRACE(std::string("incremental=") +
-                     std::to_string(incremental) + " parallel_selection=" +
-                     std::to_string(parallel_selection) + " backend=" +
-                     (backend == ScoringBackend::kRadixSort ? "radix"
-                                                            : "hash"));
-        MatcherConfig config;
-        config.use_incremental_scoring = incremental;
-        config.use_parallel_selection = parallel_selection;
-        config.scoring_backend = backend;
-        config.num_threads = 4;
-        MatchResult result =
-            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-        ExpectSameMatching(result, reference);
-      }
-    }
-  }
 }
 
 // RAII scratch directory for budgeted runs; also lets the tests assert the
@@ -295,26 +207,6 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
   }
 }
 
-// The hash backend has no tier store to spill; a budget there must warn and
-// run unbudgeted, not crash or diverge.
-TEST(MemoryBudgetDeterminismTest, HashBackendRunsUnbudgeted) {
-  Workload w = MakeWorkload(7403);
-  MatcherConfig reference_config;
-  reference_config.scoring_backend = ScoringBackend::kHashMap;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-  ScratchDir scratch;
-  MatcherConfig config = reference_config;
-  config.memory_budget_bytes = 1;
-  config.score_dir = scratch.path();
-  MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-  ExpectSameMatching(result, reference);
-  for (const PhaseStats& phase : result.phases) {
-    EXPECT_EQ(phase.tiers_spilled, 0u);
-    EXPECT_EQ(phase.spilled_score_bytes, 0u);
-  }
-}
-
 // The ordered seed-collect sweep runs on the shared pool once the workload
 // crosses the parallel threshold, so its steal schedule differs run to run.
 // The count / prefix-sum / fill shape must make that unobservable: repeated
@@ -353,21 +245,6 @@ TEST(SeedCollectDeterminismTest, ParallelCollectIsScheduleIndependent) {
           << "run " << run;
     }
   }
-}
-
-// The tier store only exists in the incremental radix engine; the recompute
-// engine must be unaffected by (and identical under) any tier policy.
-TEST(LsmStoreDeterminismTest, RecomputeEngineIgnoresTierPolicy) {
-  Workload w = MakeWorkload(7203);
-  MatcherConfig incremental;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, incremental);
-  MatcherConfig recompute;
-  recompute.use_incremental_scoring = false;
-  recompute.lsm_max_tiers = 7;
-  recompute.lsm_size_ratio = 0.0;
-  MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, recompute);
-  ExpectSameMatching(result, reference);
 }
 
 }  // namespace

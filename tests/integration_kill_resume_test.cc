@@ -1,11 +1,11 @@
 // End-to-end crash safety: a matcher process killed mid-run by an injected
 // crash fault must, when restarted with --resume semantics, finish with a
-// matching byte-identical to an uninterrupted 1-thread run — across scoring
-// backends and thread counts, including a resume under another thread count
-// than the crash. Corrupt checkpoints must fall back to older ones
-// (to a fresh start when none survives), an injected checkpoint-write
-// failure must only cost a recovery point, and a graceful stop must exit
-// cleanly with a resumable partial state.
+// matching byte-identical to an uninterrupted 1-thread run — across thread
+// counts, including a resume under another thread count than the crash.
+// Corrupt checkpoints must fall back to older ones (to a fresh start when
+// none survives), an injected checkpoint-write failure must only cost a
+// recovery point, and a graceful stop must exit cleanly with a resumable
+// partial state.
 //
 // Process discipline: the parent NEVER builds a workload or runs the
 // matcher (both spawn the shared thread pool, and forking a threaded
@@ -127,9 +127,8 @@ int RunChild(const ChildSpec& spec) {
   return WEXITSTATUS(status);
 }
 
-MatcherConfig GridConfig(ScoringBackend backend, int threads) {
+MatcherConfig WithThreads(int threads) {
   MatcherConfig config;
-  config.scoring_backend = backend;
   config.num_threads = threads;
   return config;
 }
@@ -190,25 +189,18 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   std::remove(resumed_rounds.c_str());
 }
 
-// Each backend at two thread counts, so the crashed and resumed runs see
-// different steal schedules than the 1-thread reference. Split per backend
-// so CI can run the harness once per scoring engine
-// (`--gtest_filter=KillResumeTest.Radix*` / `.Hash*`).
-TEST(KillResumeTest, RadixResumeBitIdentical) {
-  CheckKillResume(GridConfig(ScoringBackend::kRadixSort, 2), "radix_t2");
-  CheckKillResume(GridConfig(ScoringBackend::kRadixSort, 5), "radix_t5");
-}
-
-TEST(KillResumeTest, HashResumeBitIdentical) {
-  CheckKillResume(GridConfig(ScoringBackend::kHashMap, 5), "hash_t5");
-  CheckKillResume(GridConfig(ScoringBackend::kHashMap, 2), "hash_t2");
+// Two thread counts, each resumed under the other, so the crashed and
+// resumed runs see different steal schedules than the 1-thread reference.
+TEST(KillResumeTest, ResumeBitIdentical) {
+  CheckKillResume(WithThreads(2), "t2");
+  CheckKillResume(WithThreads(5), "t5");
 }
 
 TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   // The 3rd checkpoint write fails (injected); the run then crashes after
   // round 5. Recovery resumes from the newest surviving snapshot and
   // replays the lost rounds — the final matching is still identical.
-  MatcherConfig base = GridConfig(ScoringBackend::kRadixSort, 4);
+  MatcherConfig base = WithThreads(4);
   const std::string dir = TempPath("kr_writefail");
   const std::string clean_out = TempPath("kr_writefail_clean.txt");
   const std::string resumed_out = TempPath("kr_writefail_resumed.txt");
@@ -242,7 +234,7 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
 }
 
 TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
-  MatcherConfig base = GridConfig(ScoringBackend::kRadixSort, 4);
+  MatcherConfig base = WithThreads(4);
   const std::string dir = TempPath("kr_corrupt");
   const std::string clean_out = TempPath("kr_corrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_corrupt_resumed.txt");
@@ -283,7 +275,7 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
 }
 
 TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
-  MatcherConfig base = GridConfig(ScoringBackend::kHashMap, 4);
+  MatcherConfig base = WithThreads(4);
   const std::string dir = TempPath("kr_allcorrupt");
   const std::string clean_out = TempPath("kr_allcorrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_allcorrupt_resumed.txt");
@@ -323,7 +315,7 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   // `stop:` is the deterministic stand-in for SIGTERM: the run finishes its
   // round, writes a final checkpoint, exits 0 with a partial matching; a
   // resume run completes it identically to a never-stopped run.
-  MatcherConfig base = GridConfig(ScoringBackend::kRadixSort, 4);
+  MatcherConfig base = WithThreads(4);
   const std::string dir = TempPath("kr_stop");
   const std::string clean_out = TempPath("kr_stop_clean.txt");
   const std::string partial_out = TempPath("kr_stop_partial.txt");
@@ -372,7 +364,7 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
   // snapshot, re-spill on its next round, and finish byte-identical to an
   // UNBUDGETED clean run — proving both crash recovery and that the
   // checkpoint format is representation-independent.
-  MatcherConfig base = GridConfig(ScoringBackend::kRadixSort, 4);
+  MatcherConfig base = WithThreads(4);
   const std::string dir = TempPath("kr_spill");
   const std::string scratch = TempPath("kr_spill_scratch");
   const std::string clean_out = TempPath("kr_spill_clean.txt");
@@ -419,7 +411,7 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   // leaves exactly the two newest snapshots, and a crash/resume cycle under
   // the same retention still recovers (the newest surviving snapshot is by
   // construction inside the retained window).
-  MatcherConfig base = GridConfig(ScoringBackend::kRadixSort, 4);
+  MatcherConfig base = WithThreads(4);
   base.checkpoint_keep = 2;
   const std::string dir = TempPath("kr_keep");
   const std::string clean_out = TempPath("kr_keep_clean.txt");

@@ -1,9 +1,9 @@
 // THE serve correctness contract: after ANY sequence of delta batches the
 // serve session's maps are bit-identical to a from-scratch 1-thread batch
-// run (`UserMatching`) on the final graphs — across the reference run's
-// scoring backend × serve's thread count, through deletes, re-inserted
-// edges, node growth, empty batches, a graceful stop mid-batch, and a
-// snapshot round-trip mid-stream under another thread count.
+// run (`UserMatching`) on the final graphs — across serve's thread count,
+// through deletes, re-inserted edges, node growth, empty batches, a
+// graceful stop mid-batch, and a snapshot round-trip mid-stream under
+// another thread count.
 // Every grid cell re-verifies after EVERY batch, so a divergence pins the
 // batch that introduced it.
 #include <algorithm>
@@ -76,7 +76,6 @@ struct SideModel {
 
 struct GridCase {
   const char* name;
-  ScoringBackend reference_backend;  // the batch run's; serve runs radix
   int threads;
 };
 
@@ -162,7 +161,6 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
   config.matcher.num_threads = param.threads;
 
   MatcherConfig reference = config.matcher;
-  reference.scoring_backend = param.reference_backend;
   reference.num_threads = 1;
 
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
@@ -308,7 +306,6 @@ TEST_P(ServeDifferentialTest, GracefulStopMidBatchStillServesFullMatching) {
   ServeConfig config;
   config.matcher.num_threads = param.threads;
   MatcherConfig reference = config.matcher;
-  reference.scoring_backend = param.reference_backend;
   reference.num_threads = 1;
 
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
@@ -343,10 +340,7 @@ TEST_P(ServeDifferentialTest, GracefulStopMidBatchStillServesFullMatching) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ServeDifferentialTest,
     testing::Values(
-        GridCase{"RadixT1", ScoringBackend::kRadixSort, 1},
-        GridCase{"HashT2", ScoringBackend::kHashMap, 2},
-        GridCase{"RadixT5", ScoringBackend::kRadixSort, 5},
-        GridCase{"HashT5", ScoringBackend::kHashMap, 5}),
+        GridCase{"T1", 1}, GridCase{"T2", 2}, GridCase{"T5", 5}),
     CaseName);
 
 }  // namespace

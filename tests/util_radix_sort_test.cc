@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "make_run.h"
 #include "reconcile/util/rng.h"
 
 namespace reconcile {
@@ -74,36 +75,8 @@ TEST(RadixSortTest, ScratchReuseAcrossCalls) {
   }
 }
 
-TEST(SortedCountRunTest, SortAndCountAggregatesLikeAMap) {
-  std::vector<uint64_t> raw = RandomKeys(40000, 6, 0x3ffULL);
-  std::map<uint64_t, uint32_t> expected;
-  for (uint64_t key : raw) ++expected[key];
-
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(std::move(raw), scratch);
-  ASSERT_EQ(run.size(), expected.size());
-  size_t i = 0;
-  for (const auto& [key, count] : expected) {
-    EXPECT_EQ(run.keys[i], key);
-    EXPECT_EQ(run.counts[i], count);
-    ++i;
-  }
-  // Keys strictly increasing.
-  for (size_t k = 1; k < run.size(); ++k) {
-    EXPECT_LT(run.keys[k - 1], run.keys[k]);
-  }
-}
-
-TEST(SortedCountRunTest, SortAndCountEmpty) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount({}, scratch);
-  EXPECT_TRUE(run.empty());
-  EXPECT_EQ(run.size(), 0u);
-}
-
 TEST(SortedCountRunTest, CountLookup) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount({5, 5, 9, 2, 5}, scratch);
+  SortedCountRun run = MakeRun({5, 5, 9, 2, 5});
   EXPECT_EQ(run.Count(5), 3u);
   EXPECT_EQ(run.Count(2), 1u);
   EXPECT_EQ(run.Count(9), 1u);
@@ -113,8 +86,7 @@ TEST(SortedCountRunTest, CountLookup) {
 }
 
 TEST(SortedCountRunTest, ForEachVisitsInAscendingOrder) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(RandomKeys(1000, 7, 0xffULL), scratch);
+  SortedCountRun run = MakeRun(RandomKeys(1000, 7, 0xffULL));
   uint64_t last = 0;
   bool first = true;
   size_t visited = 0;
@@ -131,8 +103,7 @@ TEST(SortedCountRunTest, ForEachVisitsInAscendingOrder) {
 }
 
 TEST(SortedCountRunTest, FilterKeepsOrderAndDropsEntries) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(RandomKeys(5000, 8, 0x1ffULL), scratch);
+  SortedCountRun run = MakeRun(RandomKeys(5000, 8, 0x1ffULL));
   const size_t before = run.size();
   run.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
   EXPECT_LT(run.size(), before);
@@ -146,15 +117,14 @@ TEST(SortedCountRunTest, FilterKeepsOrderAndDropsEntries) {
 }
 
 TEST(MergeCountRunsTest, MatchesMapReference) {
-  std::vector<uint64_t> scratch;
   std::vector<uint64_t> a_raw = RandomKeys(10000, 9, 0xfffULL);
   std::vector<uint64_t> b_raw = RandomKeys(3000, 10, 0xfffULL);
   std::map<uint64_t, uint32_t> expected;
   for (uint64_t key : a_raw) ++expected[key];
   for (uint64_t key : b_raw) ++expected[key];
 
-  SortedCountRun a = SortAndCount(std::move(a_raw), scratch);
-  SortedCountRun b = SortAndCount(std::move(b_raw), scratch);
+  SortedCountRun a = MakeRun(a_raw);
+  SortedCountRun b = MakeRun(b_raw);
   MergeCountRuns(a, b);
   ASSERT_EQ(a.size(), expected.size());
   size_t i = 0;
@@ -166,9 +136,8 @@ TEST(MergeCountRunsTest, MatchesMapReference) {
 }
 
 TEST(MergeCountRunsTest, EmptyCases) {
-  std::vector<uint64_t> scratch;
   SortedCountRun empty;
-  SortedCountRun run = SortAndCount({1, 2, 2}, scratch);
+  SortedCountRun run = MakeRun({1, 2, 2});
 
   SortedCountRun target = run;
   MergeCountRuns(target, empty);  // no-op
@@ -182,14 +151,13 @@ TEST(MergeCountRunsTest, EmptyCases) {
 }
 
 TEST(MergeCountRunsTest, DisjointAndOverlappingTails) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun low = SortAndCount({1, 2, 3}, scratch);
-  SortedCountRun high = SortAndCount({10, 11}, scratch);
+  SortedCountRun low = MakeRun({1, 2, 3});
+  SortedCountRun high = MakeRun({10, 11});
   MergeCountRuns(low, high);
   EXPECT_EQ(low.keys, (std::vector<uint64_t>{1, 2, 3, 10, 11}));
 
-  SortedCountRun a = SortAndCount({1, 5, 9}, scratch);
-  SortedCountRun b = SortAndCount({5, 9, 12}, scratch);
+  SortedCountRun a = MakeRun({1, 5, 9});
+  SortedCountRun b = MakeRun({5, 9, 12});
   MergeCountRuns(a, b);
   EXPECT_EQ(a.keys, (std::vector<uint64_t>{1, 5, 9, 12}));
   EXPECT_EQ(a.counts, (std::vector<uint32_t>{1, 2, 2, 1}));

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "make_run.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
@@ -22,11 +23,6 @@
 
 namespace reconcile {
 namespace {
-
-SortedCountRun MakeRun(std::vector<uint64_t> raw) {
-  std::vector<uint64_t> scratch;
-  return SortAndCount(std::move(raw), scratch);
-}
 
 std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
                                                    size_t num_deltas,

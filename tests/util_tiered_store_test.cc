@@ -10,15 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "make_run.h"
 #include "reconcile/util/rng.h"
 
 namespace reconcile {
 namespace {
-
-SortedCountRun MakeRun(std::vector<uint64_t> raw) {
-  std::vector<uint64_t> scratch;
-  return SortAndCount(std::move(raw), scratch);
-}
 
 // Random delta stream with overlapping keys across deltas.
 std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,

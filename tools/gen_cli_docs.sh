@@ -74,13 +74,13 @@ reconcile_cli --model=rmat --rmat-scale=13 --s1=0.7 --s2=0.6
 reconcile_cli --algorithm=percolation:threshold=3 --model=er --nodes=5000
 
 # --param: merged into the algorithm spec (equivalent to shorthands).
-reconcile_cli --param backend=hash,max-tiers=1 --threads=4
+reconcile_cli --param min-bucket-exponent=2,stop-when-stable=false --threads=4
 
 # --threshold / --iterations: the paper's T and k knobs.
 reconcile_cli --threshold=3 --iterations=1
 
-# --scoring-backend: radix (default) vs hash witness aggregation.
-reconcile_cli --scoring-backend=hash
+# --no-bucketing: the paper's ablation, one scoring round per iteration.
+reconcile_cli --no-bucketing --threshold=4
 
 # --seed-bias / --attack: top-degree seeds under a sybil attack.
 reconcile_cli --seed-bias=top --top-count=200 --attack=0.01

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -103,8 +104,6 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --iterations    --param iterations=...                      [2]
   --threads       --param threads=... (0 = hardware)          [0]
   --no-bucketing  --param bucketing=false                     [false]
-  --serial-selection  --param parallel-selection=false
-  --scoring-backend   --param backend=hash|radix (radix default)
 
 Crash safety (core matcher; see DESIGN.md §2.4):
   --checkpoint-dir    --param checkpoint-dir=... — snapshot the full round
@@ -127,7 +126,7 @@ Crash safety (core matcher; see DESIGN.md §2.4):
                   io:enospc_after=N; RECONCILE_FAULT env var does the
                   same process-wide)
 
-Out-of-core score store (core matcher, radix backend; DESIGN.md §2.5):
+Out-of-core score store (core matcher; DESIGN.md §2.5):
   --memory-budget --param memory-budget=BYTES — hard budget for the
                   resident score-tier payload (0 = unbudgeted). When a
                   round's emission pushes the resident tiers past the
@@ -174,7 +173,8 @@ Output and misc:
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
   1  runtime I/O failure (unreadable input, unwritable output)
-  2  usage error (unknown flag value, malformed --param, bad spec)
+  2  usage error (unknown flag value, out-of-range scenario flag,
+     malformed --param, bad spec)
 )";
 
 void PrintAlgorithms() {
@@ -210,12 +210,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.GetBool("no-bucketing", false)) {
     spec->Set("bucketing", "false");
   }
-  if (flags.GetBool("serial-selection", false)) {
-    spec->Set("parallel-selection", "false");
-  }
-  if (flags.Has("scoring-backend")) {
-    spec->Set("backend", flags.GetString("scoring-backend", "radix"));
-  }
   if (flags.Has("checkpoint-dir")) {
     spec->Set("checkpoint-dir", flags.GetString("checkpoint-dir", ""));
   }
@@ -239,6 +233,55 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   }
   if (flags.Has("fault")) {
     spec->Set("fault", flags.GetString("fault", ""));
+  }
+  return true;
+}
+
+// Range checks for the scenario flags the library would abort on, or accept
+// as nonsense, run before the pair build. A flag is checked only when the
+// chosen model and process read it, so an irrelevant one still draws the
+// unused-flag warning. False (after one stderr line naming the flag and
+// its range) on the first value out of range.
+bool ScenarioFlagsInRange(const Flags& flags, const std::string& model,
+                          const std::string& process) {
+  const bool generated =
+      model == "er" || model == "pa" || model == "chunglu" || model == "ws";
+  const bool sampled = model != "wikipedia" && model != "affiliation";
+  const bool independent = sampled && process == "independent";
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Range {
+    bool read;
+    const char* flag;
+    double lo;
+    double hi;
+    bool open_low;
+    const char* text;
+  };
+  const Range ranges[] = {
+      {generated, "nodes", 0, kInvalidNode, false, "[0, 4294967295]"},
+      {model == "er", "er-p", 0, 1, false, "[0, 1]"},
+      {model == "chunglu", "exponent", 2, kInf, true, "> 2"},
+      {model == "chunglu", "avg-degree", 0, kInf, true, "> 0"},
+      {independent, "s1", 0, 1, false, "[0, 1]"},
+      {independent, "s2", 0, 1, false, "[0, 1]"},
+      {independent, "node-keep1", 0, 1, false, "[0, 1]"},
+      {independent, "node-keep2", 0, 1, false, "[0, 1]"},
+      {independent, "noise1", 0, kInf, false, ">= 0"},
+      {independent, "noise2", 0, kInf, false, ">= 0"},
+      {sampled && process == "cascade", "p", 0, 1, true, "(0, 1]"},
+      {true, "seed-fraction", 0, 1, false, "[0, 1]"},
+      {true, "wrong-seeds", 0, 1, false, "[0, 1]"},
+  };
+  for (const Range& range : ranges) {
+    if (!range.read || !flags.Has(range.flag)) continue;
+    const double value = flags.GetDouble(range.flag, 0.0);
+    if ((range.open_low ? value > range.lo : value >= range.lo) &&
+        value <= range.hi) {
+      continue;
+    }
+    std::fprintf(stderr, "--%s=%s is out of range (want %s)\n", range.flag,
+                 flags.GetString(range.flag, "").c_str(), range.text);
+    return false;
   }
   return true;
 }
@@ -289,6 +332,8 @@ int RunCli(const Flags& flags) {
     PrintAlgorithms();
     return 2;
   }
+
+  if (!ScenarioFlagsInRange(flags, model, process)) return 2;
 
   // --- Underlying network / pair construction. ---------------------------
   Timer build_timer;

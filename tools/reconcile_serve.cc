@@ -87,7 +87,6 @@ Matching semantics (same meaning as reconcile_cli):
 
 Execution (never affect the matching):
   --threads       worker threads (0 = hardware)               [0]
-  --serial-selection   serial mutual-best selection           [false]
 
 Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-dir    write serve-batch-NNNNNN.ckpt snapshots here
@@ -252,7 +251,6 @@ int RunServe(const Flags& flags) {
   mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
   mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
   if (mc.num_iterations < 1) {
     std::fprintf(stderr, "--iterations must be >= 1\n");
     return 2;

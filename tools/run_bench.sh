@@ -2,9 +2,8 @@
 # Builds and runs the perf-trajectory benchmarks, writing JSON baselines to
 # the repo root:
 #   BENCH_micro.json    — substrate hot paths + end-to-end matching
-#                         (radix vs hash scoring backends, serial vs
-#                         parallel selection, 1/2/4 threads)
-#   BENCH_scaling.json  — Table-2 RMAT scaling shape (both backends)
+#                         (1/2/4 threads)
+#   BENCH_scaling.json  — Table-2 RMAT scaling shape
 #   BENCH_outofcore.json — memory-budgeted matching under 4x and 16x score
 #                         state pressure vs the unbudgeted baseline; the 4x
 #                         series must stay under 2x the baseline real_time
