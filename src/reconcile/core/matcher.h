@@ -31,16 +31,17 @@ struct MatcherConfig {
   int min_bucket_exponent = 0;
   /// Worker threads (0 = hardware concurrency). The score state's shard
   /// width comes from the size of g1, never from this, so the thread count
-  /// affects neither the matching nor the checkpoint layout.
+  /// affects neither the matching nor what a resumed run rebuilds.
   int num_threads = 0;
   /// Stop outer iterations early once a full sweep finds no new link.
   bool stop_when_stable = true;
-  /// Crash safety: when non-empty, the matcher snapshots its full
-  /// cross-round state (`MatcherState`) into this directory after every
-  /// `checkpoint_every_rounds`-th completed round (and always after the
-  /// final one), atomically — temp file + fsync + rename, so a kill at any
-  /// instant leaves either the previous or the new snapshot, never a torn
-  /// one. Files are named `state-round-NNNNNN.ckpt`.
+  /// Crash safety: when non-empty, the matcher snapshots its durable
+  /// cross-round state (`MatcherState`: the round cursor and the link log;
+  /// a resume rebuilds the scores from the links) into this directory
+  /// after every `checkpoint_every_rounds`-th completed round (and always
+  /// after the final one), atomically — temp file + fsync + rename, so a
+  /// kill at any instant leaves either the previous or the new snapshot,
+  /// never a torn one. Files are named `state-round-NNNNNN.ckpt`.
   std::string checkpoint_dir;
   /// Checkpoint cadence in completed rounds (values < 1 behave as 1).
   int checkpoint_every_rounds = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
@@ -43,23 +42,16 @@ uint64_t GraphFingerprint(const Graph& g) {
   return h;
 }
 
-// Snapshot section ids (see SaveSnapshot for the layout). Id 3 held the
-// retired hash backend's scores (state version 1) and is not reused.
+// Snapshot section ids (see SaveSnapshot for the layout). Ids 3 and 4 held
+// score state (state versions 1 and 2) and are not reused.
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionLinks = 2;
-constexpr uint32_t kSectionScores = 4;
 
-// Bumped whenever the META/LINKS/SCORES payloads change shape. Version 2
-// dropped version 1's engine and backend bytes from META.
-constexpr uint32_t kMatcherStateVersion = 2;
-
-// When round deltas fold into a cell's big run: at most two tiers (the big
-// run plus one delta batch), and a delta folds early once it reaches a
-// quarter of the run below it. A sweep of other settings (one to four
-// tiers; ratios 0, 2 and 8) on Chung-Lu 200k, ER 2M and Chung-Lu 20k pairs
-// at 4 threads measured none faster beyond noise, and a single tier 27%
-// slower in the median on Chung-Lu 200k (DESIGN.md §2.2).
-constexpr TierPolicy kTierPolicy{2, 4.0};
+// Bumped whenever the META/LINKS payloads change shape. Version 2 dropped
+// version 1's engine and backend bytes from META; version 3 dropped the
+// shard width from META and the score section, which a load now rebuilds
+// from the links.
+constexpr uint32_t kMatcherStateVersion = 3;
 
 // floor(log2(max(1, degree))) per node — the per-node half of the level
 // function above.
@@ -88,13 +80,11 @@ std::vector<uint32_t> ShardTable(NodeId n1, int num_shards) {
 }
 
 // The score state's shard width: one shard per 512 g1 nodes, clamped to
-// [1, 256]. It depends on n1 alone, never on the thread count, so a run's
-// SCORES layout is fixed by the graph pair its snapshots are fingerprinted
-// against and a snapshot resumes under any thread count. Each round's row
-// merge runs one shard per claim, and its LSM append and selection scan one
-// (level, shard) cell per claim, so the width is what lets the hot levels
-// spread over the workers. The constants come from a sweep on the e2ebench
-// workloads (DESIGN.md §2.3).
+// [1, 256]. It depends on n1 alone, never on the thread count. Each round's
+// row merge runs one shard per claim, and its cell append and selection scan
+// one (level, shard) cell per claim, so the width is what lets the hot
+// levels spread over the workers. The constants come from a sweep on the
+// e2ebench workloads (DESIGN.md §2.3).
 int ShardWidth(NodeId n1) {
   constexpr NodeId kNodesPerShard = 512;
   constexpr NodeId kMaxShards = 256;
@@ -205,7 +195,7 @@ void MatcherState::AdvanceCursor() {
                                                  : config_.min_bucket_exponent;
 }
 
-// Drops dead entries from the tier stacks between outer iterations, to keep
+// Drops dead entries from the score cells between outer iterations, to keep
 // scans and memory proportional to the live frontier. A pair whose
 // endpoints are both matched is dead: it cannot be accepted, and the bests
 // it feeds are those of matched nodes, which no accept consults. Each tier
@@ -324,9 +314,10 @@ class RowMerger {
 
 }  // namespace
 
-// Each round's score deltas are computed row by row, as in
-// Gustavson's sparse matrix product, instead of emitting one key per
-// witness and sorting. A pending link (a1, a2) witnesses (u, v) exactly
+// Emits the witnesses of links_[begin, end): a round's pending links, or,
+// on a snapshot load, every link emitted before it (`RebuildScores`).
+// The score deltas are computed row by row, as in Gustavson's sparse
+// matrix product, instead of emitting one key per witness and sorting. A pending link (a1, a2) witnesses (u, v) exactly
 // when a1 is in N1(u) and v is in N2(a2), so u's row of the delta is the
 // merge of the g2 adjacency lists of its newly linked neighbours' partners,
 // and the count of v in that merge is the number of pending witnesses of
@@ -342,19 +333,16 @@ class RowMerger {
 //     above the degree floor to cell min(level1(u), level2(v)). The shard
 //     walks u in ascending order and each row's v ascend, so every
 //     (level, shard) cell's delta comes out sorted and counted.
-//  3. Append (per cell): the delta becomes a new LSM tier, folded into the
-//     big persistent run only when the size-ratio policy trips.
+//  3. Append (per cell): the delta becomes the base of an empty cell, or
+//     joins the cell's delta tier, which folds into the base run once it
+//     reaches a quarter of it.
 //
 // Each cell thus receives exactly the run that sorting and counting the
-// per-witness keys would give, once per round, so the tier stacks (and the
-// snapshots written from them) do not depend on how the delta was built.
-// `emit_seconds` covers steps 1 and 2; `merge_seconds` is the LSM append
-// alone.
-void MatcherState::EmitPendingLinks(PhaseStats* stats) {
-  const size_t begin = emitted_links_;
-  const size_t end = links_.size();
+// per-witness keys would give, once per round, so the cells do not depend
+// on how the delta was built. `emit_seconds` covers steps 1 and 2;
+// `merge_seconds` is the append alone.
+void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
   if (begin == end) return;
-  emitted_links_ = end;
 
   const int min_level = config_.min_bucket_exponent;
   const size_t num_shards = static_cast<size_t>(num_shards_);
@@ -430,7 +418,7 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
                     const size_t shard = cell % num_shards;
                     if (cells[shard].empty()) return;
                     runs_[level][shard].Append(
-                        std::move(cells[shard][level]), kTierPolicy);
+                        std::move(cells[shard][level]));
                   });
   stats->merge_seconds += merge_timer.Seconds();
 
@@ -529,7 +517,8 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   stats.links_in = links_.size();
   stats.num_threads = pool_.num_threads();
 
-  EmitPendingLinks(&stats);
+  EmitLinks(emitted_links_, links_.size(), &stats);
+  emitted_links_ = links_.size();
   EnforceMemoryBudget(&stats);
 
   std::vector<const TieredCountRuns*> cells;
@@ -570,18 +559,14 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU64(g2_.num_nodes());
   writer.AppendU64(g2_.num_edges());
   writer.AppendU64(graph_fp2_);
-  // Config fingerprint: the knobs that change what the matcher computes or
-  // how the score state is laid out. The thread count is matching-invariant
-  // and intentionally absent — see the class comment.
+  // Config fingerprint: the knobs that change what the matcher computes.
+  // The thread count is matching-invariant and intentionally absent — see
+  // the class comment.
   writer.AppendU32(config_.min_score);
   writer.AppendI32(config_.num_iterations);
   writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
   writer.AppendI32(config_.min_bucket_exponent);
   writer.AppendU8(config_.stop_when_stable ? 1 : 0);
-  // The shard width shapes the SCORES layout. It follows from n1, which the
-  // graph fingerprint already binds, so this check only rejects snapshots
-  // written under another width rule.
-  writer.AppendI32(num_shards_);
   // Round cursor.
   writer.AppendI32(iteration_);
   writer.AppendI32(current_bucket_);
@@ -597,25 +582,6 @@ bool MatcherState::SaveSnapshot(const std::string& path,
 
   writer.BeginSection(kSectionLinks);
   writer.AppendVector(links_);
-  writer.EndSection();
-
-  writer.BeginSection(kSectionScores);
-  for (const auto& level : runs_) {
-    for (const TieredCountRuns& store : level) {
-      writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
-      // Tier contents are serialized through views, so a spilled tier
-      // streams its bytes straight from the mmap and the snapshot is
-      // byte-identical whether the store is resident, spilled or mixed.
-      // Snapshots stay self-contained: spill files are scratch, never
-      // referenced by durable state.
-      store.ForEachTier([&writer](RunView tier) {
-        writer.AppendU64(tier.size);
-        writer.AppendBytes(tier.keys, tier.size * sizeof(uint64_t));
-        writer.AppendU64(tier.size);
-        writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
-      });
-    }
-  }
   writer.EndSection();
 
   return writer.Commit(path, error);
@@ -676,14 +642,13 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   meta->ReadU64(&e2);
   meta->ReadU64(&fp2);
   uint32_t min_score = 0;
-  int32_t num_iterations = 0, min_bucket_exponent = 0, snap_shards = 0;
+  int32_t num_iterations = 0, min_bucket_exponent = 0;
   uint8_t bucketing = 0, stop_when_stable = 0;
   meta->ReadU32(&min_score);
   meta->ReadI32(&num_iterations);
   meta->ReadU8(&bucketing);
   meta->ReadI32(&min_bucket_exponent);
   meta->ReadU8(&stop_when_stable);
-  meta->ReadI32(&snap_shards);
   int32_t iteration = 0, current_bucket = 0, top_exponent = 0,
           bottom_exponent = 0, completed_rounds = 0;
   uint64_t new_links_this_iteration = 0, num_seeds = 0, emitted_links = 0,
@@ -713,13 +678,12 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
       num_iterations == config_.num_iterations &&
       (bucketing != 0) == config_.use_degree_bucketing &&
       min_bucket_exponent == config_.min_bucket_exponent &&
-      (stop_when_stable != 0) == config_.stop_when_stable &&
-      snap_shards == num_shards_;
+      (stop_when_stable != 0) == config_.stop_when_stable;
   if (!config_matches) {
     *error = path +
-             ": snapshot config mismatch (threshold/iterations/bucketing/"
-             "shards differ from this run — resume with the configuration "
-             "the checkpoint was written under)";
+             ": snapshot config mismatch (threshold/iterations/bucketing "
+             "differ from this run — resume with the configuration the "
+             "checkpoint was written under)";
     return false;
   }
   const bool cursor_sane =
@@ -764,47 +728,10 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     return false;
   }
 
-  // SCORES: staged fully before commit.
-  SnapshotReader::Section* section = reader.Find(kSectionScores);
-  if (section == nullptr) {
-    *error = path + ": missing SCORES section";
-    return false;
-  }
-  std::vector<std::vector<TieredCountRuns>> runs(kNumLevels);
-  for (auto& level : runs) {
-    level.resize(static_cast<size_t>(num_shards_));
-    for (TieredCountRuns& store : level) {
-      uint32_t num_tiers = 0;
-      if (!section->ReadU32(&num_tiers)) {
-        *error = path + ": truncated SCORES section";
-        return false;
-      }
-      // Rebuild the exact tier stack (no policy folding): tier boundaries
-      // affect when future compactions run, and the resumed process must
-      // replay them identically.
-      TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
-      for (uint32_t t = 0; t < num_tiers; ++t) {
-        SortedCountRun tier;
-        if (!section->ReadVector(&tier.keys) ||
-            !section->ReadVector(&tier.counts) ||
-            tier.keys.size() != tier.counts.size() || tier.empty()) {
-          *error = path + ": malformed SCORES tier";
-          return false;
-        }
-        store.Append(std::move(tier), keep_all);
-      }
-    }
-  }
-  if (!section->AtEnd()) {
-    *error = path + ": trailing bytes in SCORES section";
-    return false;
-  }
-
   // Everything validated — commit.
   links_ = std::move(links);
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
-  runs_ = std::move(runs);
   emitted_links_ = static_cast<size_t>(emitted_links);
   iteration_ = iteration;
   current_bucket_ = current_bucket;
@@ -812,7 +739,28 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   completed_rounds_ = completed_rounds;
   done_ = done != 0;
   phases_.clear();
+  if (!done_) RebuildScores();
   return true;
+}
+
+// The score store is derived state: each emitted link (a1, a2) added one
+// witness to every pair in N1(a1) x N2(a2), so re-emitting the emitted
+// prefix of the link log into empty cells restores every sum. The pairs
+// whose ends are now both matched are then dropped, as `CompactScores`
+// drops them. That is exact by the same argument: a dead pair feeds only
+// the bests of matched nodes, which no accept reads. The uninterrupted
+// store differs from the rebuilt one only by the pairs that died since the
+// last iteration boundary, so open pairs, accepts and the link-log order
+// do not change (`PhaseStats` notes the counters that do). Links accepted
+// in the last round stay pending for the next round's emission, and the
+// scratch stats keep the rebuild out of every round's counters.
+void MatcherState::RebuildScores() {
+  for (auto& level : runs_) {
+    for (TieredCountRuns& store : level) store = TieredCountRuns{};
+  }
+  PhaseStats scratch;
+  EmitLinks(0, emitted_links_, &scratch);
+  CompactScores();
 }
 
 }  // namespace reconcile

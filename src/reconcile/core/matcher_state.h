@@ -22,9 +22,9 @@ namespace reconcile {
 /// The matcher's complete cross-round state as a first-class, *resumable*
 /// object — everything `UserMatching` carries from one scoring round to the
 /// next: the committed links and the partial node maps they imply, the
-/// persistent per-(level, shard) score state (`TieredCountRuns` LSM tier
-/// stacks), and the flattened round cursor (outer iteration, current degree
-/// bucket, stability accounting).
+/// per-(level, shard) score cells (`TieredCountRuns`), and the flattened
+/// round cursor (outer iteration, current degree bucket, stability
+/// accounting).
 ///
 /// The driver advances it one round at a time:
 ///
@@ -37,22 +37,21 @@ namespace reconcile {
 /// calls the object can be serialized (`SaveSnapshot`) and a fresh process
 /// can rebuild it (`LoadSnapshot`) and continue — the resumed run commits
 /// the same links and produces a matching bit-identical to an uninterrupted
-/// run (enforced by `core_checkpoint_test` in-process and by the
-/// `integration_kill_resume_test` subprocess harness across thread
-/// counts).
+/// run (enforced by `core_checkpoint_test` in-process, by the resumed cases
+/// of `core_oracle_fuzz_test` against the paper-literal oracle, and by the
+/// `integration_kill_resume_test` subprocess harness across thread counts).
 ///
-/// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
-/// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
-/// config fingerprints, round cursor), LINKS (the committed link log; seeds
-/// are its prefix, and the node maps are rebuilt from it on load) and the
-/// SCORES section (the tier stacks). The thread count cannot affect the
-/// matching and is deliberately *not* fingerprinted — a snapshot taken
-/// under one resumes under another; semantic knobs (threshold, iterations,
-/// bucketing) and the shard width the SCORES layout uses are, and a
-/// mismatch is a clean rejection. The width is a function of g1's node
-/// count, so it is bound through the graph fingerprint and never varies
-/// with threads.
-/// DESIGN.md §2.4 documents the layout and the resume invariant.
+/// Only the link log and the round cursor are durable. The score cells are
+/// derived state: every witness count is a sum over the emitted links, so
+/// `LoadSnapshot` rebuilds them by re-emitting those links. Snapshot format:
+/// a `SnapshotWriter` file (versioned header, per-section CRC32 — see
+/// `util/checkpoint.h`) with META (state version, graph and config
+/// fingerprints, round cursor) and LINKS (the committed link log; seeds are
+/// its prefix, and the node maps are rebuilt from it on load). The thread
+/// count cannot affect the matching and is deliberately *not* fingerprinted
+/// — a snapshot taken under one resumes under another; semantic knobs
+/// (threshold, iterations, bucketing) are, and a mismatch is a clean
+/// rejection. DESIGN.md §2.4 documents the layout and the resume invariant.
 class MatcherState {
  public:
   MatcherState(const Graph& g1, const Graph& g2, const MatcherConfig& config);
@@ -84,16 +83,18 @@ class MatcherState {
   size_t num_links() const { return links_.size(); }
   size_t num_seeds() const { return num_seeds_; }
 
-  /// Serializes the full cross-round state to `path` atomically (temp file
-  /// + fsync + rename). Returns false with a diagnostic on failure; the
-  /// previous file at `path`, if any, is left intact.
+  /// Serializes the durable state — cursor and link log — to `path`
+  /// atomically (temp file + fsync + rename). Returns false with a
+  /// diagnostic on failure; the previous file at `path`, if any, is left
+  /// intact.
   bool SaveSnapshot(const std::string& path, std::string* error) const;
 
   /// Restores the state saved by `SaveSnapshot`. Validates the snapshot
   /// end to end first — format version, per-section checksums, state
   /// version, graph/config fingerprints, seed prefix, link-log consistency
-  /// — and only then commits; on any failure the state is untouched and
-  /// `*error` says why. Never crashes on truncated or corrupt input.
+  /// — and only then commits and rebuilds the score cells; on any failure
+  /// the state is untouched and `*error` says why. Never crashes on
+  /// truncated or corrupt input.
   bool LoadSnapshot(const std::string& path, std::string* error);
 
   /// Finalizes into a `MatchResult` (moves the maps out; the state is spent).
@@ -104,7 +105,10 @@ class MatcherState {
   size_t Round(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  void EmitPendingLinks(PhaseStats* stats);
+  // Re-derives the score cells from the emitted links (see LoadSnapshot).
+  void RebuildScores();
+  // Emits the witnesses of links_[begin, end) into the score cells.
+  void EmitLinks(size_t begin, size_t end, PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
   // Memory-budget enforcement: after a round's emission, spill the biggest
   // cold tiers until resident payload fits `config_.memory_budget_bytes`.
@@ -131,16 +135,16 @@ class MatcherState {
   SelectionEngine selection_;
   std::vector<uint8_t> level1_;
   std::vector<uint8_t> level2_;
-  // Score state: an LSM tier stack per (level, shard); the fixed tier
-  // policy in matcher_state.cc decides when round deltas fold into the big
-  // run.
+  // Score state: a base run plus at most one delta per (level, shard).
   std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
   // Score shard per g1 node (range partition, see ctor).
   std::vector<uint32_t> shard1_;
-  // Out-of-core backing store for the tier stacks (null when unbudgeted).
+  // Out-of-core backing store for the score cells (null when unbudgeted).
   // Owns every spill file; destroying the state — clean exit or graceful
   // stop — removes the scratch.
   std::unique_ptr<SpillStore> spill_store_;
+  // links_[0, emitted_links_) have their witnesses in the score cells; the
+  // rest are pending for the next round's emission.
   size_t emitted_links_ = 0;
 
   // Cheap structural fingerprints (nodes, edges, degree sequence) binding a

@@ -17,7 +17,13 @@ struct PhaseStats {
   int bucket_exponent = 0;  ///< Round matched nodes with degree >= 2^this.
   size_t links_in = 0;      ///< Links available as witnesses this round.
   size_t emissions = 0;     ///< Candidate-pair witness emissions.
-  size_t candidate_pairs = 0;  ///< Distinct candidate pairs scored.
+  /// Distinct candidate pairs scored. In User-Matching this counts the
+  /// stored pairs, and the store may still hold dead pairs (both endpoints
+  /// matched) until the next iteration boundary drops them. A resumed run
+  /// rebuilds its store without them, so its rounds may report fewer
+  /// `candidate_pairs` and `observed_pairs` than an uninterrupted run's;
+  /// `open_pairs`, `new_links` and `emissions` are the same.
+  size_t candidate_pairs = 0;
   /// Candidate pairs scoring at least the threshold: the only ones
   /// User-Matching folds into its best tables, so at most `candidate_pairs`
   /// and at least `new_links`. Zero for algorithms without that pass.
@@ -31,8 +37,8 @@ struct PhaseStats {
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): emit (building the round's score
   // delta: the gather over the pending links and the row merge), merge
-  // (appending the delta to the LSM tier stacks, with any compaction the
-  // tier policy triggers), scan (the best-table observe pass, which also
+  // (appending the delta to the score cells, with any fold of a cell's
+  // delta into its base run), scan (the best-table observe pass, which also
   // keeps each cell's open pairs) and select (the accept and commit
   // passes). The four do not sum exactly to `seconds`: cell bookkeeping
   // and the memory-budget pass sit between them.

@@ -26,9 +26,9 @@ struct SelectionContext {
 };
 
 /// The mutual-unique-best selection over a round's score cells: the
-/// (level, shard) tier stacks at the round's eligible levels. A candidate
-/// pair lives in exactly one cell, and a cell's `ForEach` k-way-merges its
-/// tiers, so each pair surfaces once with its total count.
+/// (level, shard) cells at the round's eligible levels. A candidate pair
+/// lives in exactly one cell, and a cell's `ForEach` merges its base run
+/// and delta, so each pair surfaces once with its total count.
 ///
 /// Three parallel passes, each claiming one cell at a time:
 ///  * observe — feeds CAS-max atomic best tables and keeps the cell's open
@@ -62,7 +62,7 @@ class SelectionEngine {
  public:
   SelectionEngine(size_t n1, size_t n2);
 
-  /// Applies the mutual-unique-best rule over `cells` (disjoint tier stacks
+  /// Applies the mutual-unique-best rule over `cells` (disjoint score cells
   /// whose union is the live, bucket-eligible scored-pair multiset),
   /// commits accepted links into `ctx`'s maps and link log, and returns
   /// the number accepted. Fills `stats`' candidate/observed/open/scan/

@@ -102,9 +102,10 @@ bool SnapshotWriter::Commit(const std::string& path,
     return false;
   }
 
-  // Assemble the whole snapshot in memory (checkpoints are a small fraction
-  // of the score state they serialize — one buffer keeps the write path to
-  // a single syscall sequence).
+  // Assemble the whole snapshot in memory, so the write path is a single
+  // syscall sequence. That holds a second copy of the sections while the
+  // file is written: the matcher's cursor and link log (8 bytes per link),
+  // or the serve session's two graphs.
   std::vector<uint8_t> blob;
   auto append = [&blob](const void* data, size_t size) {
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
@@ -179,6 +180,8 @@ bool SnapshotReader::Section::ReadBytes(void* out, size_t size) {
     ok_ = false;
     return false;
   }
+  // An empty vector's data() may be null, and memcpy must not see it.
+  if (size == 0) return true;
   std::memcpy(out, payload_.data() + cursor_, size);
   cursor_ += size;
   return true;

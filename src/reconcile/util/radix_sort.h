@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "reconcile/util/logging.h"
-
 namespace reconcile {
 
 /// Sort-based counting substrate for the matcher's score store.
@@ -87,24 +85,6 @@ struct SortedCountRun {
   size_t size() const { return keys.size(); }
   bool empty() const { return keys.empty(); }
 
-  void Clear() {
-    keys.clear();
-    counts.clear();
-  }
-
-  /// Invokes `fn(key, count)` for every entry, in ascending key order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys.size(); ++i) fn(keys[i], counts[i]);
-  }
-
-  /// Returns the count for `key`, or 0 if absent. O(log size).
-  uint32_t Count(uint64_t key) const {
-    auto it = std::lower_bound(keys.begin(), keys.end(), key);
-    if (it == keys.end() || *it != key) return 0;
-    return counts[static_cast<size_t>(it - keys.begin())];
-  }
-
   /// Keeps only entries with `pred(key, count)`, preserving order. Linear,
   /// in place — this is the matcher's `CompactScores` sweep.
   template <typename Pred>
@@ -122,12 +102,17 @@ struct SortedCountRun {
   }
 };
 
-namespace internal {
-
-// Two-way merge core shared by the MergeCountRuns overloads; both inputs
-// are known non-empty here.
-inline void MergeCountRunsImpl(SortedCountRun& target,
-                               const SortedCountRun& delta) {
+/// Folds `delta` into `target`: a linear two-way merge summing the counts of
+/// keys present in both. Both inputs must be valid runs; the result is one.
+/// An empty target adopts `delta`'s buffers outright — the common case on
+/// the first emission round, when every cell is still empty and the delta is
+/// the largest of the whole match.
+inline void MergeCountRuns(SortedCountRun& target, SortedCountRun&& delta) {
+  if (delta.empty()) return;
+  if (target.empty()) {
+    target = std::move(delta);
+    return;
+  }
   SortedCountRun merged;
   merged.keys.reserve(target.size() + delta.size());
   merged.counts.reserve(target.size() + delta.size());
@@ -146,43 +131,19 @@ inline void MergeCountRunsImpl(SortedCountRun& target,
       merged.counts.push_back(target.counts[i++] + delta.counts[j++]);
     }
   }
-  merged.keys.insert(merged.keys.end(), target.keys.begin() + static_cast<ptrdiff_t>(i),
+  merged.keys.insert(merged.keys.end(),
+                     target.keys.begin() + static_cast<ptrdiff_t>(i),
                      target.keys.end());
   merged.counts.insert(merged.counts.end(),
                        target.counts.begin() + static_cast<ptrdiff_t>(i),
                        target.counts.end());
-  merged.keys.insert(merged.keys.end(), delta.keys.begin() + static_cast<ptrdiff_t>(j),
+  merged.keys.insert(merged.keys.end(),
+                     delta.keys.begin() + static_cast<ptrdiff_t>(j),
                      delta.keys.end());
   merged.counts.insert(merged.counts.end(),
                        delta.counts.begin() + static_cast<ptrdiff_t>(j),
                        delta.counts.end());
   target = std::move(merged);
-}
-
-}  // namespace internal
-
-/// Folds `delta` into `target`: a linear two-way merge summing the counts of
-/// keys present in both. Both inputs must be valid runs; the result is one.
-inline void MergeCountRuns(SortedCountRun& target,
-                           const SortedCountRun& delta) {
-  if (delta.empty()) return;
-  if (target.empty()) {
-    target = delta;
-    return;
-  }
-  internal::MergeCountRunsImpl(target, delta);
-}
-
-/// Consuming overload: an empty target adopts `delta`'s buffers outright —
-/// the common case on the first emission round, when every persistent run
-/// is still empty and the delta is the largest of the whole match.
-inline void MergeCountRuns(SortedCountRun& target, SortedCountRun&& delta) {
-  if (delta.empty()) return;
-  if (target.empty()) {
-    target = std::move(delta);
-    return;
-  }
-  internal::MergeCountRunsImpl(target, delta);
 }
 
 }  // namespace reconcile

@@ -11,15 +11,14 @@ namespace reconcile {
 
 struct SortedCountRun;
 
-/// Out-of-core backing store for the LSM-tiered score state.
+/// Out-of-core backing store for the matcher's score cells.
 ///
-/// At the paper's target scale the persistent per-(level, shard) sorted runs
-/// dominate RAM. `SpillStore` moves cold tiers to disk: a tier is written as
+/// At the paper's target scale the per-(level, shard) sorted runs dominate
+/// RAM. `SpillStore` moves whole runs (tiers) to disk: a tier is written as
 /// one flat file under a score directory and mapped back read-only, so the
-/// matcher keeps only a pointer-sized view resident while every consumer
-/// (the selection `ForEach` k-way merge, snapshot serialization, tier
-/// compaction) streams the same bytes it would have read from the resident
-/// vectors. Scans over spilled tiers are purely sequential — exactly the
+/// matcher keeps only a pointer-sized view resident while the selection
+/// `ForEach` merge streams the same bytes it would have read from the
+/// resident vectors. Scans over spilled tiers are purely sequential — exactly the
 /// access pattern mmap streaming rewards and the sorted score store's design
 /// premise — so matchings are bit-identical to the all-resident run by
 /// construction.
@@ -43,11 +42,12 @@ struct SortedCountRun;
 /// it created on destruction (and each file as its tier is unspilled), so a
 /// clean exit — including a graceful SIGINT/SIGTERM stop — leaves the score
 /// directory empty. Only a hard crash leaves scratch behind, and a resumed
-/// process never reads stale spill files: checkpoints inline the tier
-/// payloads, so spill files are never part of durable state.
+/// process never reads stale spill files: checkpoints hold no score state
+/// (a resume rebuilds it from the links), so spill files are never part of
+/// durable state.
 
 /// A read-only, file-backed sorted `(key, count)` run: the spilled form of
-/// one LSM tier. Owns the mapping and the backing file (unlinked on
+/// one tier of a score cell. Owns the mapping and the backing file (unlinked on
 /// destruction). Move-only.
 class SpilledRun {
  public:

@@ -3,13 +3,13 @@
 // uninterrupted run — across pause points and thread counts — and every
 // corruption or mismatch (truncation, bit flips, wrong graph, wrong config,
 // wrong seeds, an older state version) must be a clean LoadSnapshot failure
-// that leaves the state untouched.
+// that leaves the state untouched. A snapshot holds the round cursor and the
+// link log only; the score cells are rebuilt from the links on load.
 #include "reconcile/core/matcher_state.h"
 
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -110,8 +110,8 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
 
 TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsWidePartition) {
   // Five workers stealing over a wide partition: g1's ids spread 128-fold
-  // (`spread_ids.h`) resolve to the 256-shard cap, so the snapshot carries
-  // 33 x 256 tier stacks and the resumed run must stay bit-identical under a
+  // (`spread_ids.h`) resolve to the 256-shard cap, so the load rebuilds
+  // 33 x 256 score cells and the resumed run must stay bit-identical under a
   // steal schedule unlike the default's.
   Workload w = MakeWorkload(9004);
   constexpr NodeId kStride = 128;
@@ -125,8 +125,9 @@ TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsWidePartition) {
 TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   // Execution knobs are not fingerprinted: a snapshot taken under one
   // thread count must restore under another and still produce the canonical
-  // matching. The shard width that shapes the persisted score state comes
-  // from g1's node count, so no thread count can change it.
+  // matching. The snapshot holds no score state, and the shard width comes
+  // from g1's node count, so no thread count can change what a resumed run
+  // computes.
   Workload w = MakeWorkload(9005);
   MatcherConfig writer_config;
   writer_config.num_threads = 5;
@@ -155,8 +156,8 @@ TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
 }
 
 TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
-  // The score state serializes canonically (sorted runs, explicit tier
-  // boundaries), so save -> load -> save is byte-identical.
+  // A snapshot is the round cursor and the link log, so save -> load ->
+  // save is byte-identical.
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
 
@@ -178,6 +179,45 @@ TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
   EXPECT_EQ(Slurp(first), Slurp(second));
   std::remove(first.c_str());
   std::remove(second.c_str());
+}
+
+// Only the cursor and the link log are durable: a snapshot holds META and
+// LINKS and nothing else, so a run whose score cells spilled under a 1-byte
+// memory budget writes the same bytes as an unbudgeted run at the same
+// round.
+TEST(MatcherStateTest, SnapshotHoldsOnlyMetaAndLinks) {
+  Workload w = MakeWorkload(9009);
+  const std::string spill_dir = TempPath("sections_spill");
+  MatcherConfig budgeted;
+  budgeted.memory_budget_bytes = 1;
+  budgeted.score_dir = spill_dir;
+  const std::string plain = TempPath("sections_plain.ckpt");
+  const std::string budget = TempPath("sections_budget.ckpt");
+  size_t tiers_spilled = 0;
+  for (const bool with_budget : {false, true}) {
+    MatcherState state(w.pair.g1, w.pair.g2,
+                       with_budget ? budgeted : MatcherConfig{});
+    state.SeedLinks(w.seeds);
+    for (int i = 0; i < 4; ++i) state.RunRound();
+    std::string error;
+    ASSERT_TRUE(state.SaveSnapshot(with_budget ? budget : plain, &error))
+        << error;
+    for (const PhaseStats& phase : state.TakeResult(0.0).phases) {
+      tiers_spilled += phase.tiers_spilled;
+    }
+  }
+  EXPECT_GT(tiers_spilled, 0u) << "the budgeted run never spilled";
+
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(plain, &error)) << error;
+  EXPECT_EQ(reader.num_sections(), 2u);
+  EXPECT_NE(reader.Find(1), nullptr) << "META";
+  EXPECT_NE(reader.Find(2), nullptr) << "LINKS";
+  EXPECT_EQ(Slurp(budget), Slurp(plain));
+  std::remove(plain.c_str());
+  std::remove(budget.c_str());
+  std::remove(spill_dir.c_str());
 }
 
 TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
@@ -206,40 +246,40 @@ TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
 
 // --- Rejection paths ------------------------------------------------------
 
-// Copies the snapshot at `from` to `to` section by section (META, LINKS,
-// SCORES), passing META's payload through `edit_meta` on the way.
-void CopySnapshot(const std::string& from, const std::string& to,
-                  const std::function<void(std::vector<char>&)>& edit_meta) {
+// Writes the snapshot at `from` as state version 2 laid it out: version
+// word 2, the shard width after META's config fingerprint (version u32,
+// (nodes, edges, fingerprint) u64 per graph, threshold u32, iterations i32,
+// bucketing u8, min bucket exponent i32, stop-when-stable u8), and a SCORES
+// section (id 4) after LINKS. This one is one shard wide, and each of its
+// 33 levels holds an empty tier stack.
+void WriteAsVersion2(const std::string& from, const std::string& to) {
+  constexpr size_t kWidthOffset = 4 + 6 * 8 + 4 + 4 + 1 + 4 + 1;
   SnapshotReader reader;
   std::string error;
   ASSERT_TRUE(reader.Open(from, &error)) << error;
   SnapshotWriter writer;
-  for (uint32_t id : {1u, 2u, 4u}) {
+  for (uint32_t id : {1u, 2u}) {
     SnapshotReader::Section* section = reader.Find(id);
     ASSERT_NE(section, nullptr) << "section " << id;
     std::vector<char> payload(section->Remaining());
     ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
-    if (id == 1) edit_meta(payload);
+    if (id == 1) {
+      const uint32_t version = 2;
+      std::memcpy(payload.data(), &version, sizeof(version));
+      const int32_t width = 1;
+      char width_bytes[sizeof(width)];
+      std::memcpy(width_bytes, &width, sizeof(width));
+      payload.insert(payload.begin() + kWidthOffset, width_bytes,
+                     width_bytes + sizeof(width_bytes));
+    }
     writer.BeginSection(id);
     writer.AppendBytes(payload.data(), payload.size());
     writer.EndSection();
   }
+  writer.BeginSection(4);
+  for (int level = 0; level < 33; ++level) writer.AppendU32(0);
+  writer.EndSection();
   ASSERT_TRUE(writer.Commit(to, &error)) << error;
-}
-
-// META: version u32, (nodes, edges, fingerprint) u64 per graph, threshold
-// u32, iterations i32, bucketing u8, min bucket exponent i32 and
-// stop-when-stable u8, then the shard width i32.
-constexpr size_t kWidthOffset = 4 + 6 * 8 + 4 + 4 + 1 + 4 + 1;
-
-// Rewrites META as state version 1 wrote it: version word 1, and the
-// engine and backend bytes (incremental, radix; both 1 for the default
-// engine) before the shard width.
-void ToVersion1(std::vector<char>& meta) {
-  const uint32_t version = 1;
-  std::memcpy(meta.data(), &version, sizeof(version));
-  const char engine_bytes[] = {1, 1};
-  meta.insert(meta.begin() + kWidthOffset, engine_bytes, engine_bytes + 2);
 }
 
 class SnapshotRejectionTest : public testing::Test {
@@ -318,20 +358,16 @@ TEST_F(SnapshotRejectionTest, WrongConfigRejected) {
   EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }
 
-// Version 2 dropped version 1's engine bytes; a version-1 file is rejected
-// with one message naming the version.
+// Version 3 dropped the score section and the shard width; a version-2
+// file is rejected with one message naming the version.
 TEST_F(SnapshotRejectionTest, OlderStateVersionRejected) {
-  const std::string old = TempPath("reject_v1.ckpt");
-  CopySnapshot(path_, old, ToVersion1);
-  ExpectRejectedAndStateIntact(old, "matcher state version 1 (want 2)");
+  const std::string old = TempPath("reject_v2.ckpt");
+  WriteAsVersion2(path_, old);
+  ExpectRejectedAndStateIntact(old, "matcher state version 2 (want 3)");
   std::remove(old.c_str());
 }
 
-// The SCORES layout depends on the shard width, so META carries it. A run
-// derives the width from g1 alone, so a mismatched width can only come from
-// a snapshot written under another width rule; this one is written by hand
-// with the width word off by one.
-// `--resume` skips a version-1 file like any unusable snapshot: it falls
+// `--resume` skips a version-2 file like any unusable snapshot: it falls
 // back to the next-older one, or to a fresh start when none is left, and
 // the matching is the uninterrupted run's.
 TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
@@ -339,14 +375,15 @@ TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
   for (bool with_older_snapshot : {true, false}) {
     SCOPED_TRACE("with_older_snapshot=" + std::to_string(with_older_snapshot));
     const std::string dir =
-        TempPath("v1_resume_" + std::to_string(with_older_snapshot));
+        TempPath("v2_resume_" + std::to_string(with_older_snapshot));
     std::string error;
     ASSERT_TRUE(EnsureDir(dir, &error)) << error;
     // Round 999999 stays the newest file whatever the resumed run writes.
-    CopySnapshot(path_, CheckpointPath(dir, 999999), ToVersion1);
+    WriteAsVersion2(path_, CheckpointPath(dir, 999999));
     if (with_older_snapshot) {
-      CopySnapshot(path_, CheckpointPath(dir, 2),
-                   [](std::vector<char>&) {});
+      const std::vector<char> bytes = Slurp(path_);
+      std::ofstream(CheckpointPath(dir, 2), std::ios::binary)
+          .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
     MatcherConfig config = config_;
     config.checkpoint_dir = dir;
@@ -363,19 +400,6 @@ TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
     }
     std::remove(dir.c_str());
   }
-}
-
-TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {
-  const std::string wider = TempPath("reject_width.ckpt");
-  CopySnapshot(path_, wider, [](std::vector<char>& meta) {
-    int32_t width = 0;
-    std::memcpy(&width, meta.data() + kWidthOffset, sizeof(width));
-    ASSERT_GE(width, 1);
-    ++width;
-    std::memcpy(meta.data() + kWidthOffset, &width, sizeof(width));
-  });
-  ExpectRejectedAndStateIntact(wider, "config mismatch");
-  std::remove(wider.c_str());
 }
 
 TEST_F(SnapshotRejectionTest, WrongSeedsRejected) {

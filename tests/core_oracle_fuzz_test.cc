@@ -3,8 +3,19 @@
 // configuration from its index alone, so the index a failure prints
 // reproduces it. Per case the final maps and the round count must be
 // equal, and per round the new links, the open pairs and the emissions.
+//
+// Two execution modes that must not change the matching are drawn too:
+//  * resume — the run snapshots after a drawn round, and a fresh
+//    `MatcherState` under another thread count loads the snapshot and
+//    finishes it; the rounds before the pause, the resumed rounds and the
+//    final maps are checked as one run;
+//  * memory budget — a 1-byte budget spills score tiers every round, and
+//    the spill directory must be empty once the run is over.
+#include <dirent.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +25,7 @@
 
 #include "oracle_check.h"
 #include "reconcile/core/matcher.h"
+#include "reconcile/core/matcher_state.h"
 #include "reconcile/gen/chung_lu.h"
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/gen/preferential_attachment.h"
@@ -59,6 +71,16 @@ struct FuzzCase {
   double seed_fraction = 0.0;
   double wrong_fraction = 0.0;
   MatcherConfig config;
+  // Resume: whether the run pauses, whether after an iteration's last round
+  // (so the snapshot follows the between-iteration compaction) or inside an
+  // iteration, where among those rounds (a fraction), and the thread count
+  // the resumed state runs under.
+  bool paused = false;
+  bool pause_at_iteration_end = false;
+  double pause_position = 0.0;
+  int resume_threads = 0;
+  // Runs under a 1-byte memory budget.
+  bool budgeted = false;
 
   std::string Describe() const {
     std::ostringstream out;
@@ -76,6 +98,12 @@ struct FuzzCase {
         << " min_bucket_exponent=" << config.min_bucket_exponent
         << " stop_when_stable=" << config.stop_when_stable
         << " threads=" << config.num_threads;
+    if (paused) {
+      out << " paused(pause_at_iteration_end=" << pause_at_iteration_end
+          << ", position=" << pause_position
+          << ", resume_threads=" << resume_threads << ")";
+    }
+    if (budgeted) out << " budget=1";
     return out.str();
   }
 };
@@ -103,6 +131,17 @@ FuzzCase DrawCase(uint64_t index, NodeId min_nodes, NodeId max_nodes) {
   c.config.min_bucket_exponent = static_cast<int>(rng.UniformInt(4));
   c.config.stop_when_stable = rng.Bernoulli(0.5);
   c.config.num_threads = static_cast<int>(rng.UniformIntInRange(1, 4));
+  c.paused = rng.Bernoulli(0.25);
+  // A run without bucketing has one round per iteration, so all its pauses
+  // follow a compaction, and about half of all paused cases do.
+  c.pause_at_iteration_end = rng.Bernoulli(0.25);
+  c.pause_position = rng.UniformReal();
+  // Another thread count in [1, 4].
+  c.resume_threads =
+      1 + static_cast<int>((static_cast<uint64_t>(c.config.num_threads) +
+                            rng.UniformInt(3)) %
+                           4);
+  c.budgeted = rng.Bernoulli(0.25);
   return c;
 }
 
@@ -128,8 +167,82 @@ Graph Underlying(const FuzzCase& c, uint64_t seed) {
   return Graph();
 }
 
-// Runs one case; returns the difference (empty when the engine agrees).
-std::string RunCase(const FuzzCase& c) {
+size_t CountDirEntries(const std::string& dir) {
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return 0;
+  size_t n = 0;
+  while (dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") ++n;
+  }
+  ::closedir(handle);
+  return n;
+}
+
+// Where a paused case snapshots.
+struct Pause {
+  size_t round = 0;  // 1-based; 0 = the case does not pause
+  bool iteration_end = false;
+};
+
+// The round after which a paused case snapshots: among the oracle's rounds
+// that close an iteration before the last one, or among the rounds inside
+// an iteration, as drawn; the other kind when the drawn kind has none. No
+// pause when the run has a single round.
+Pause PauseRound(const FuzzCase& c, const oracle::Result& expected) {
+  std::vector<size_t> iteration_ends, inner;
+  for (size_t r = 0; r + 1 < expected.rounds.size(); ++r) {
+    const bool closes = expected.rounds[r].iteration !=
+                        expected.rounds[r + 1].iteration;
+    (closes ? iteration_ends : inner).push_back(r + 1);
+  }
+  const bool ends = c.pause_at_iteration_end ? !iteration_ends.empty()
+                                             : inner.empty();
+  const std::vector<size_t>& rounds = ends ? iteration_ends : inner;
+  if (rounds.empty()) return Pause{};
+  return Pause{rounds[static_cast<size_t>(
+                   c.pause_position * static_cast<double>(rounds.size()))],
+               ends};
+}
+
+// Runs `pause_round` rounds, snapshots to `path`, and finishes the run in a
+// fresh state under `resume_threads`. The result carries the rounds of both
+// states and the final maps; `*error` is set if the snapshot fails.
+MatchResult RunPaused(const RealizationPair& pair,
+                      const std::vector<std::pair<NodeId, NodeId>>& seeds,
+                      const MatcherConfig& config, size_t pause_round,
+                      int resume_threads, const std::string& path,
+                      std::string* error) {
+  MatchResult before;
+  {
+    // Destroyed before the resumed state starts, as the process that wrote
+    // the snapshot would be: two spill stores alive in one process name
+    // their files alike.
+    MatcherState state(pair.g1, pair.g2, config);
+    state.SeedLinks(seeds);
+    for (size_t r = 0; r < pause_round && !state.Done(); ++r) {
+      state.RunRound();
+    }
+    if (!state.SaveSnapshot(path, error)) return {};
+    before = state.TakeResult(0.0);
+  }
+  MatcherConfig resumed_config = config;
+  resumed_config.num_threads = resume_threads;
+  MatcherState state(pair.g1, pair.g2, resumed_config);
+  state.SeedLinks(seeds);
+  const bool loaded = state.LoadSnapshot(path, error);
+  std::remove(path.c_str());
+  if (!loaded) return {};
+  while (!state.Done()) state.RunRound();
+  MatchResult after = state.TakeResult(0.0);
+  after.phases.insert(after.phases.begin(), before.phases.begin(),
+                      before.phases.end());
+  return after;
+}
+
+// Runs one case; returns the difference (empty when the engine agrees) and
+// fills `*pause` with where the case paused.
+std::string RunCase(const FuzzCase& c, Pause* pause) {
   const uint64_t seed = HashMix64(c.index + 0xF022);
   const Graph g = Underlying(c, seed);
   IndependentSampleOptions sample;
@@ -141,10 +254,50 @@ std::string RunCase(const FuzzCase& c) {
   seed_options.wrong_fraction = c.wrong_fraction;
   const auto seeds = GenerateSeeds(pair, seed_options, seed + 2);
 
-  const MatchResult engine = UserMatching(pair.g1, pair.g2, seeds, c.config);
   const oracle::Result expected = oracle::UserMatching(
       pair.g1, pair.g2, seeds, OracleSettings(c.config));
-  return OracleDifference(engine, expected);
+
+  MatcherConfig config = c.config;
+  const std::string spill_dir = testing::TempDir() + "/oracle_fuzz_spill";
+  if (c.budgeted) {
+    config.memory_budget_bytes = 1;
+    config.score_dir = spill_dir;
+  }
+  if (c.paused) *pause = PauseRound(c, expected);
+  const size_t pause_round = pause->round;
+  MatchResult engine;
+  if (pause_round > 0) {
+    std::string error;
+    engine = RunPaused(pair, seeds, config, pause_round, c.resume_threads,
+                       testing::TempDir() + "/oracle_fuzz.ckpt", &error);
+    if (!error.empty()) return "snapshot: " + error;
+  } else {
+    engine = UserMatching(pair.g1, pair.g2, seeds, config);
+  }
+
+  std::string paused;
+  if (pause_round > 0) {
+    paused = " (paused after round " + std::to_string(pause_round) +
+             (pause->iteration_end ? ", the last of its iteration)"
+                                   : ", inside its iteration)");
+  }
+  const std::string difference = OracleDifference(engine, expected);
+  if (!difference.empty()) return difference + paused;
+  if (c.budgeted) {
+    size_t emissions = 0;
+    size_t tiers_spilled = 0;
+    for (const PhaseStats& phase : engine.phases) {
+      emissions += phase.emissions;
+      tiers_spilled += phase.tiers_spilled;
+    }
+    if (emissions > 0 && tiers_spilled == 0) {
+      return "the budgeted run stored pairs but spilled no tier" + paused;
+    }
+    if (CountDirEntries(spill_dir) != 0) {
+      return "spill files left in " + spill_dir + paused;
+    }
+  }
+  return "";
 }
 
 // Runs cases [first, first + count) and reports the first few failures in
@@ -153,20 +306,37 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
              NodeId max_nodes) {
   constexpr int kReported = 5;
   int failures = 0;
+  size_t paused = 0, paused_at_iteration_end = 0, budgeted = 0,
+         budgeted_and_paused = 0;
   for (uint64_t index = first; index < first + count; ++index) {
     const FuzzCase c = DrawCase(index, min_nodes, max_nodes);
-    const std::string difference = RunCase(c);
+    Pause pause;
+    const std::string difference = RunCase(c, &pause);
+    paused += pause.round > 0;
+    paused_at_iteration_end += pause.round > 0 && pause.iteration_end;
+    budgeted += c.budgeted;
+    budgeted_and_paused += c.budgeted && pause.round > 0;
     if (difference.empty()) continue;
     if (++failures <= kReported) {
       ADD_FAILURE() << c.Describe() << "\n  first difference: " << difference;
     }
   }
+  std::printf(
+      "%llu cases: %zu paused (%zu after an iteration's last round), %zu "
+      "budgeted (%zu also paused)\n",
+      static_cast<unsigned long long>(count), paused, paused_at_iteration_end,
+      budgeted, budgeted_and_paused);
   EXPECT_EQ(failures, 0) << failures << " of " << count
                          << " cases disagree with the oracle";
+  EXPECT_GT(paused_at_iteration_end, 0u);
+  EXPECT_GT(paused - paused_at_iteration_end, 0u);
+  EXPECT_GT(budgeted_and_paused, 0u);
 }
 
 // Tier-1: tiny pairs only (the oracle recounts every round from all links,
-// so larger pairs are slow), at a fixed case count.
+// so larger pairs are slow), at a fixed case count. About a quarter of the
+// cases pause and resume, and a quarter run under the budget; RunFuzz
+// prints how many of each ran.
 TEST(OracleFuzzTest, TinyPairsMatchTheOracle) { RunFuzz(0, 2000, 20, 120); }
 
 // More cases, and some pairs of 120-400 nodes. Run with

@@ -105,6 +105,28 @@ TEST(SnapshotTest, RoundTrip) {
   std::remove(path.c_str());
 }
 
+// A vector that never allocated has a null data(); reading an empty vector
+// into it must not hand that pointer to memcpy (UBSan reports the call).
+TEST(SnapshotTest, EmptyVectorReadsIntoAnUnallocatedVector) {
+  const std::string path = TempPath("empty_vector.ckpt");
+  SnapshotWriter writer;
+  writer.BeginSection(1);
+  writer.AppendVector(std::vector<uint64_t>{});
+  writer.EndSection();
+  std::string error;
+  ASSERT_TRUE(writer.Commit(path, &error)) << error;
+
+  SnapshotReader reader;
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  SnapshotReader::Section* section = reader.Find(1);
+  ASSERT_NE(section, nullptr);
+  std::vector<uint64_t> out;
+  EXPECT_TRUE(section->ReadVector(&out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(section->AtEnd());
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotTest, ReadPastEndFailsCleanly) {
   const std::string path = TempPath("pastend.ckpt");
   WriteSample(path);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,33 +76,6 @@ TEST(RadixSortTest, ScratchReuseAcrossCalls) {
   }
 }
 
-TEST(SortedCountRunTest, CountLookup) {
-  SortedCountRun run = MakeRun({5, 5, 9, 2, 5});
-  EXPECT_EQ(run.Count(5), 3u);
-  EXPECT_EQ(run.Count(2), 1u);
-  EXPECT_EQ(run.Count(9), 1u);
-  EXPECT_EQ(run.Count(7), 0u);
-  EXPECT_EQ(run.Count(0), 0u);
-  EXPECT_EQ(run.Count(100), 0u);
-}
-
-TEST(SortedCountRunTest, ForEachVisitsInAscendingOrder) {
-  SortedCountRun run = MakeRun(RandomKeys(1000, 7, 0xffULL));
-  uint64_t last = 0;
-  bool first = true;
-  size_t visited = 0;
-  run.ForEach([&](uint64_t key, uint32_t count) {
-    if (!first) {
-      EXPECT_GT(key, last);
-    }
-    EXPECT_GT(count, 0u);
-    last = key;
-    first = false;
-    ++visited;
-  });
-  EXPECT_EQ(visited, run.size());
-}
-
 TEST(SortedCountRunTest, FilterKeepsOrderAndDropsEntries) {
   SortedCountRun run = MakeRun(RandomKeys(5000, 8, 0x1ffULL));
   const size_t before = run.size();
@@ -124,8 +98,7 @@ TEST(MergeCountRunsTest, MatchesMapReference) {
   for (uint64_t key : b_raw) ++expected[key];
 
   SortedCountRun a = MakeRun(a_raw);
-  SortedCountRun b = MakeRun(b_raw);
-  MergeCountRuns(a, b);
+  MergeCountRuns(a, MakeRun(b_raw));
   ASSERT_EQ(a.size(), expected.size());
   size_t i = 0;
   for (const auto& [key, count] : expected) {
@@ -136,29 +109,27 @@ TEST(MergeCountRunsTest, MatchesMapReference) {
 }
 
 TEST(MergeCountRunsTest, EmptyCases) {
-  SortedCountRun empty;
-  SortedCountRun run = MakeRun({1, 2, 2});
+  const SortedCountRun run = MakeRun({1, 2, 2});
 
   SortedCountRun target = run;
-  MergeCountRuns(target, empty);  // no-op
+  MergeCountRuns(target, SortedCountRun{});  // no-op
   EXPECT_EQ(target.keys, run.keys);
   EXPECT_EQ(target.counts, run.counts);
 
   SortedCountRun fresh;
-  MergeCountRuns(fresh, run);  // copy-through
+  SortedCountRun delta = run;
+  MergeCountRuns(fresh, std::move(delta));  // an empty target adopts it
   EXPECT_EQ(fresh.keys, run.keys);
   EXPECT_EQ(fresh.counts, run.counts);
 }
 
 TEST(MergeCountRunsTest, DisjointAndOverlappingTails) {
   SortedCountRun low = MakeRun({1, 2, 3});
-  SortedCountRun high = MakeRun({10, 11});
-  MergeCountRuns(low, high);
+  MergeCountRuns(low, MakeRun({10, 11}));
   EXPECT_EQ(low.keys, (std::vector<uint64_t>{1, 2, 3, 10, 11}));
 
   SortedCountRun a = MakeRun({1, 5, 9});
-  SortedCountRun b = MakeRun({5, 9, 12});
-  MergeCountRuns(a, b);
+  MergeCountRuns(a, MakeRun({5, 9, 12}));
   EXPECT_EQ(a.keys, (std::vector<uint64_t>{1, 5, 9, 12}));
   EXPECT_EQ(a.counts, (std::vector<uint32_t>{1, 2, 2, 1}));
 }

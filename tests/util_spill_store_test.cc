@@ -1,7 +1,8 @@
-// SpillStore / spilled tiers: moving a tier to disk must be unobservable —
-// same aggregate bytes through every read path — and every spill failure
-// (torn write, ENOSPC, failed mmap, injected at every spill boundary) must
-// leave the tier resident with the aggregate intact and no file behind.
+// SpillStore / spilled tiers: moving a score cell's base, its delta or both
+// to disk must be unobservable — same aggregate bytes through the fold —
+// and every spill failure (torn write, ENOSPC, failed mmap, injected at
+// every spill boundary) must leave the tier resident with the aggregate
+// intact and no file behind.
 #include "reconcile/util/spill_store.h"
 
 #include <dirent.h>
@@ -101,108 +102,112 @@ TEST_F(SpillStoreTest, SpilledRunRoundTripsExactBytes) {
   EXPECT_EQ(CountDirEntries(dir_), 0u);
 }
 
-TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
-  const auto deltas = MakeDeltaStream(7, 6, 800, 500);
-  TierPolicy policy{8, 0.0};  // keep tiers separate
-  TieredCountRuns resident;
-  for (const auto& delta : deltas) resident.Append(MakeRun(delta), policy);
-  const auto reference = Fold(resident);
-  ASSERT_GT(resident.num_tiers(), 2u);
+// A cell with both tiers: a base of about 2000 keys and a delta of about
+// 100, far under a quarter of it.
+TieredCountRuns TwoTierCell() {
+  TieredCountRuns store;
+  store.Append(MakeRun(MakeDeltaStream(7, 1, 2000, 100000)[0]));
+  store.Append(MakeRun(MakeDeltaStream(8, 1, 100, 100000)[0]));
+  return store;
+}
 
-  // Spill every subset of tiers (bitmask) and byte-compare the fold.
+TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
+  const auto reference = Fold(TwoTierCell());
+  ASSERT_EQ(TwoTierCell().num_tiers(), 2u);
+
+  // Spill the base (mask 1), the delta (mask 2) or both, and byte-compare
+  // the fold.
   SpillStore store(dir_);
-  const size_t tiers = resident.num_tiers();
-  for (uint32_t mask = 1; mask < (1u << tiers); ++mask) {
-    TieredCountRuns mixed;
-    for (const auto& delta : deltas) mixed.Append(MakeRun(delta), policy);
+  for (uint32_t mask = 1; mask < 4; ++mask) {
+    SCOPED_TRACE("mask " + std::to_string(mask));
+    TieredCountRuns mixed = TwoTierCell();
     std::string error;
-    for (size_t t = 0; t < tiers; ++t) {
+    for (size_t t = 0; t < 2; ++t) {
       if (mask & (1u << t)) {
         ASSERT_TRUE(mixed.SpillTier(t, store, &error)) << error;
         ASSERT_TRUE(mixed.tier_spilled(t));
       }
     }
-    ASSERT_EQ(Fold(mixed), reference) << "mask=" << mask;
-    // Count() reads through the same views.
-    ASSERT_EQ(mixed.Count(reference.front().first),
-              reference.front().second);
+    ASSERT_EQ(Fold(mixed), reference);
   }
   EXPECT_EQ(CountDirEntries(dir_), 0u) << "dropped stores must unlink";
 }
 
 TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns store;
-  store.Append(MakeRun(MakeDeltaStream(3, 1, 2000, 100000)[0]), policy);
-  store.Append(MakeRun(MakeDeltaStream(4, 1, 50, 100000)[0]), policy);
-  const size_t before = store.resident_bytes();
-  ASSERT_EQ(before, TieredCountRuns::BytesForEntries(store.total_entries()));
+  TieredCountRuns store = TwoTierCell();
+  ASSERT_EQ(store.resident_bytes(),
+            TieredCountRuns::BytesForEntries(store.tier_size(0) +
+                                             store.tier_size(1)));
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
   EXPECT_EQ(store.resident_bytes(),
             TieredCountRuns::BytesForEntries(store.tier_size(1)));
-  EXPECT_EQ(store.num_spilled_tiers(), 1u);
+  EXPECT_TRUE(store.tier_spilled(0));
+  EXPECT_FALSE(store.tier_spilled(1));
   // Spilling an already-spilled tier is a successful no-op.
   ASSERT_TRUE(store.SpillTier(0, spill, &error));
   EXPECT_EQ(spill.stats().tiers_spilled, 1u);
 }
 
 TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
-  TierPolicy policy{8, 0.0};
   TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12, 12}), policy);
-  store.Append(MakeRun({11, 13}), policy);
+  store.Append(MakeRun({10, 11, 12, 12, 14, 16, 18, 20, 22, 24}));
+  store.Append(MakeRun({11, 13}));
+  ASSERT_EQ(store.num_tiers(), 2u);
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
   ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
   store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
-  EXPECT_EQ(store.num_spilled_tiers(), 0u);
+  EXPECT_FALSE(store.tier_spilled(0));
+  EXPECT_FALSE(store.tier_spilled(1));
   EXPECT_EQ(CountDirEntries(dir_), 0u) << "materialize must drop the files";
-  EXPECT_EQ(store.Count(10), 1u);
-  EXPECT_EQ(store.Count(11), 0u);
-  EXPECT_EQ(store.Count(12), 2u);
-  EXPECT_EQ(store.Count(13), 0u);
+  const std::vector<std::pair<uint64_t, uint32_t>> expected = {
+      {10, 1}, {12, 2}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
+  EXPECT_EQ(Fold(store), expected);
 }
 
-TEST_F(SpillStoreTest, AppendCascadeMaterializesSpilledTarget) {
-  TierPolicy cascade{1, 4.0};  // every append folds into the single run
-  TierPolicy keep{8, 0.0};
+// A delta appended onto a spilled delta merges into it, and a fold into a
+// spilled base rewrites the base: both are materialized first.
+TEST_F(SpillStoreTest, AppendMaterializesSpilledTargets) {
   TieredCountRuns store;
-  store.Append(MakeRun({1, 2, 3}), keep);
+  store.Append(MakeRun({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  store.Append(MakeRun({2}));
+  ASSERT_EQ(store.num_tiers(), 2u);
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  store.Append(MakeRun({2, 4}), cascade);
+  ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+
+  store.Append(MakeRun({11}));  // delta of 2: 10 > 8, no fold
+  ASSERT_EQ(store.num_tiers(), 2u);
+  EXPECT_TRUE(store.tier_spilled(0));
+  EXPECT_FALSE(store.tier_spilled(1));
+  EXPECT_EQ(CountDirEntries(dir_), 1u);
+
+  store.Append(MakeRun({12, 13}));  // delta of 4: 10 <= 16, folds
   EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(store.num_spilled_tiers(), 0u);
-  EXPECT_EQ(store.Count(2), 2u);
-  EXPECT_EQ(store.Count(4), 1u);
+  EXPECT_FALSE(store.tier_spilled(0));
+  EXPECT_EQ(CountDirEntries(dir_), 0u);
+  const auto folded = Fold(store);
+  ASSERT_EQ(folded.size(), 13u);
+  EXPECT_EQ(folded[1], (std::pair<uint64_t, uint32_t>{2, 2}));
 }
 
-// The fault sweep: each injected failure mode, fired at every spill
-// boundary of a multi-tier store, must (a) fail that one spill, (b) keep
-// the tier resident, (c) leave no file behind for the failed spill, and
-// (d) keep the fold byte-identical to the all-resident store.
+// The fault sweep: each injected failure mode, fired at either spill of a
+// two-tier cell, must (a) fail that one spill, (b) keep the tier resident,
+// (c) leave no file behind for the failed spill, and (d) keep the fold
+// byte-identical to the all-resident cell.
 TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
-  const auto deltas = MakeDeltaStream(11, 5, 600, 400);
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns reference_store;
-  for (const auto& delta : deltas) {
-    reference_store.Append(MakeRun(delta), policy);
-  }
-  const auto reference = Fold(reference_store);
-  const size_t tiers = reference_store.num_tiers();
-  ASSERT_GE(tiers, 3u);
+  const auto reference = Fold(TwoTierCell());
 
   for (const char* fault : {"io:spill_write_fail", "io:spill_truncate",
                             "io:mmap_fail", "io:enospc_after=0"}) {
-    for (size_t boundary = 1; boundary <= tiers; ++boundary) {
+    for (size_t boundary = 1; boundary <= 2; ++boundary) {
       SCOPED_TRACE(std::string(fault) + " at spill #" +
                    std::to_string(boundary));
-      TieredCountRuns store;
-      for (const auto& delta : deltas) store.Append(MakeRun(delta), policy);
+      TieredCountRuns store = TwoTierCell();
       SpillStore spill(dir_);
       std::string arm_error;
       // enospc_after is a threshold point (fails every hit past N); the
@@ -214,7 +219,7 @@ TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
       ASSERT_TRUE(ArmFaults(spec, &arm_error)) << arm_error;
 
       size_t failures = 0;
-      for (size_t t = 0; t < tiers; ++t) {
+      for (size_t t = 0; t < 2; ++t) {
         std::string error;
         if (!store.SpillTier(t, spill, &error)) {
           ++failures;

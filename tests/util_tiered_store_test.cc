@@ -1,7 +1,7 @@
-// TieredCountRuns: the LSM tier stack must present exactly the aggregate of
-// the fully merged run — same keys, same totals, ascending order — for
-// every append/compaction policy, and the size-ratio policy must bound the
-// resident tier count.
+// TieredCountRuns: a score cell as a base run plus at most one delta. It
+// must present exactly the aggregate of every delta appended — same keys,
+// same totals, ascending order — and after each append the delta must be
+// empty or under a quarter of the base.
 #include "reconcile/util/tiered_store.h"
 
 #include <cstdint>
@@ -16,22 +16,15 @@
 namespace reconcile {
 namespace {
 
-// Random delta stream with overlapping keys across deltas.
-std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
-                                                   size_t num_deltas,
-                                                   size_t delta_size,
-                                                   uint64_t key_space) {
-  Rng rng(seed);
-  std::vector<std::vector<uint64_t>> deltas(num_deltas);
-  for (auto& delta : deltas) {
-    for (size_t i = 0; i < delta_size; ++i) {
-      delta.push_back(rng.UniformInt(key_space));
-    }
-  }
-  return deltas;
+// Keys lo, lo + 1, ..., hi - 1, once each.
+SortedCountRun Range(uint64_t lo, uint64_t hi) {
+  std::vector<uint64_t> raw;
+  for (uint64_t key = lo; key < hi; ++key) raw.push_back(key);
+  return MakeRun(raw);
 }
 
-std::map<uint64_t, uint32_t> Materialize(const TieredCountRuns& store) {
+// The aggregate as `ForEach` presents it; checks ascending, distinct keys.
+std::map<uint64_t, uint32_t> Aggregate(const TieredCountRuns& store) {
   std::map<uint64_t, uint32_t> out;
   uint64_t last_key = 0;
   bool first = true;
@@ -46,120 +39,115 @@ std::map<uint64_t, uint32_t> Materialize(const TieredCountRuns& store) {
   return out;
 }
 
-TEST(TieredStoreTest, AggregateMatchesReferenceForAllPolicies) {
-  const auto deltas = MakeDeltaStream(77, 9, 500, 300);
-  std::map<uint64_t, uint32_t> reference;
-  for (const auto& delta : deltas) {
-    for (uint64_t key : delta) ++reference[key];
-  }
-  for (int max_tiers : {1, 2, 4, 16}) {
-    for (double ratio : {0.0, 1.0, 2.0, 4.0, 1e9}) {
-      TierPolicy policy{max_tiers, ratio};
-      TieredCountRuns store;
-      for (const auto& delta : deltas) {
-        store.Append(MakeRun(delta), policy);
-        EXPECT_LE(store.num_tiers(), static_cast<size_t>(max_tiers))
-            << "max_tiers=" << max_tiers << " ratio=" << ratio;
+TEST(TieredStoreTest, AggregateAndShapeAfterEveryAppend) {
+  size_t two_tier_appends = 0;
+  size_t folds = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    TieredCountRuns store;
+    std::map<uint64_t, uint32_t> reference;
+    for (int round = 0; round < 12; ++round) {
+      // Delta sizes spread over two orders of magnitude, so some deltas fold
+      // into the base and some stay beside it.
+      const size_t size = static_cast<size_t>(rng.UniformIntInRange(0, 600)) /
+                          (1 + rng.UniformInt(40));
+      std::vector<uint64_t> raw;
+      for (size_t i = 0; i < size; ++i) raw.push_back(rng.UniformInt(2000));
+      for (uint64_t key : raw) ++reference[key];
+      const size_t tiers_before = store.num_tiers();
+      store.Append(MakeRun(raw));
+
+      ASSERT_LE(store.num_tiers(), 2u);
+      EXPECT_EQ(store.empty(), reference.empty());
+      if (store.num_tiers() == 2) {
+        ++two_tier_appends;
+        EXPECT_LT(4 * store.tier_size(1), store.tier_size(0))
+            << "the delta must stay under a quarter of the base";
+      } else if (tiers_before == 2 || (tiers_before == 1 && !raw.empty())) {
+        ++folds;
       }
-      EXPECT_EQ(Materialize(store), reference)
-          << "max_tiers=" << max_tiers << " ratio=" << ratio;
+      ASSERT_EQ(Aggregate(store), reference) << "round " << round;
     }
   }
+  EXPECT_GT(two_tier_appends, 0u);
+  EXPECT_GT(folds, 0u);
 }
 
-TEST(TieredStoreTest, SingleTierPolicyKeepsOneRun) {
-  TierPolicy policy{1, 4.0};
+TEST(TieredStoreTest, DeltaFoldsOnceItReachesAQuarterOfTheBase) {
   TieredCountRuns store;
-  for (const auto& delta : MakeDeltaStream(3, 6, 100, 64)) {
-    store.Append(MakeRun(delta), policy);
-    EXPECT_EQ(store.num_tiers(), 1u);
-  }
+  store.Append(Range(0, 400));
+  ASSERT_EQ(store.num_tiers(), 1u);
+  store.Append(Range(1000, 1099));  // 400 > 4 * 99: stays beside the base
+  ASSERT_EQ(store.num_tiers(), 2u);
+  EXPECT_EQ(store.tier_size(0), 400u);
+  EXPECT_EQ(store.tier_size(1), 99u);
+  store.Append(Range(2000, 2001));  // the delta reaches 100: folds
+  ASSERT_EQ(store.num_tiers(), 1u);
+  EXPECT_EQ(store.tier_size(0), 500u);
 }
 
-TEST(TieredStoreTest, GeometricDeltasStayInSeparateTiers) {
-  // With ratio 2, each delta 4x smaller than its predecessor must not
-  // trigger a cascade: 4000 is > 2 * 1000, etc.
-  TierPolicy policy{8, 2.0};
-  TieredCountRuns store;
-  size_t size = 4000;
-  for (int i = 0; i < 4; ++i, size /= 4) {
-    std::vector<uint64_t> raw;
-    // Distinct key ranges per delta keep run sizes equal to raw sizes.
-    for (size_t j = 0; j < size; ++j) {
-      raw.push_back(static_cast<uint64_t>(i) * 1000000 + j);
-    }
-    store.Append(MakeRun(raw), policy);
-  }
-  EXPECT_EQ(store.num_tiers(), 4u);
-}
-
-TEST(TieredStoreTest, EqualSizedDeltasCascade) {
-  // With ratio 4, appending equal-sized deltas merges every time: the new
-  // tier is always within 4x of its predecessor.
-  TierPolicy policy{8, 4.0};
+TEST(TieredStoreTest, EqualSizedDeltasFoldEveryTime) {
   TieredCountRuns store;
   for (int i = 0; i < 6; ++i) {
-    std::vector<uint64_t> raw;
-    for (uint64_t j = 0; j < 64; ++j) raw.push_back(j);
-    store.Append(MakeRun(raw), policy);
+    store.Append(Range(0, 64));
     EXPECT_EQ(store.num_tiers(), 1u);
   }
-  EXPECT_EQ(store.Count(0), 6u);
+  const std::map<uint64_t, uint32_t> aggregate = Aggregate(store);
+  ASSERT_EQ(aggregate.size(), 64u);
+  for (const auto& [key, count] : aggregate) EXPECT_EQ(count, 6u) << key;
 }
 
-TEST(TieredStoreTest, CountSumsAcrossTiers) {
-  TierPolicy policy{8, 0.0};  // ratio trigger off: never cascade below the cap
+TEST(TieredStoreTest, FilterAppliesToBothTiers) {
   TieredCountRuns store;
-  store.Append(MakeRun({1, 2, 2, 3}), policy);
-  store.Append(MakeRun({2, 3, 4}), policy);
-  store.Append(MakeRun({3}), policy);
-  EXPECT_EQ(store.Count(1), 1u);
-  EXPECT_EQ(store.Count(2), 3u);
-  EXPECT_EQ(store.Count(3), 3u);
-  EXPECT_EQ(store.Count(4), 1u);
-  EXPECT_EQ(store.Count(99), 0u);
-}
-
-TEST(TieredStoreTest, FilterAppliesAcrossTiersAndDropsEmpties) {
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12}), policy);
-  store.Append(MakeRun({10, 13}), policy);
-  store.Append(MakeRun({11}), policy);
-  ASSERT_EQ(store.num_tiers(), 3u);
+  store.Append(MakeRun({10, 11, 12, 14, 16, 18, 20, 22, 24}));
+  store.Append(MakeRun({10, 13}));
+  ASSERT_EQ(store.num_tiers(), 2u);
   store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
-  EXPECT_EQ(store.Count(10), 2u);
-  EXPECT_EQ(store.Count(11), 0u);
-  EXPECT_EQ(store.Count(12), 1u);
-  EXPECT_EQ(store.Count(13), 0u);
-  // The third tier held only key 11 and must be gone.
+  const std::map<uint64_t, uint32_t> expected = {
+      {10, 2}, {12, 1}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
+  EXPECT_EQ(Aggregate(store), expected);
   EXPECT_EQ(store.num_tiers(), 2u);
+  EXPECT_EQ(store.tier_size(1), 1u);
+}
+
+TEST(TieredStoreTest, FilterThatEmptiesTheDeltaKeepsTheBase) {
+  TieredCountRuns store;
+  store.Append(Range(0, 10));
+  store.Append(MakeRun({100}));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  store.Filter([](uint64_t key, uint32_t) { return key < 100; });
+  EXPECT_EQ(store.num_tiers(), 1u);
+  EXPECT_EQ(store.tier_size(0), 10u);
+}
+
+TEST(TieredStoreTest, FilterThatEmptiesTheBasePromotesTheDelta) {
+  TieredCountRuns store;
+  store.Append(MakeRun({2, 4, 6, 8, 10, 12}));
+  store.Append(MakeRun({3}));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  store.Filter([](uint64_t key, uint32_t) { return key % 2 == 1; });
+  ASSERT_EQ(store.num_tiers(), 1u);
+  EXPECT_EQ(store.tier_size(0), 1u);
+  EXPECT_EQ(Aggregate(store), (std::map<uint64_t, uint32_t>{{3, 1}}));
+  // The promoted run is the base now: an equal-sized delta folds into it.
+  store.Append(MakeRun({5}));
+  EXPECT_EQ(store.num_tiers(), 1u);
+  EXPECT_EQ(Aggregate(store), (std::map<uint64_t, uint32_t>{{3, 1}, {5, 1}}));
   store.Filter([](uint64_t, uint32_t) { return false; });
   EXPECT_TRUE(store.empty());
-}
-
-TEST(TieredStoreTest, CompactFoldsToOneTierWithSameAggregate) {
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns store;
-  const auto deltas = MakeDeltaStream(5, 5, 200, 100);
-  for (const auto& delta : deltas) store.Append(MakeRun(delta), policy);
-  const std::map<uint64_t, uint32_t> before = Materialize(store);
-  ASSERT_GT(store.num_tiers(), 1u);
-  store.Compact();
-  EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(Materialize(store), before);
+  EXPECT_EQ(store.num_tiers(), 0u);
 }
 
 TEST(TieredStoreTest, EmptyDeltasAreDropped) {
-  TierPolicy policy{4, 4.0};
   TieredCountRuns store;
-  store.Append(SortedCountRun{}, policy);
+  store.Append(SortedCountRun{});
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.num_tiers(), 0u);
-  store.Append(MakeRun({7}), policy);
-  store.Append(SortedCountRun{}, policy);
+  store.Append(MakeRun({7}));
+  store.Append(SortedCountRun{});
   EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(store.total_entries(), 1u);
+  EXPECT_EQ(store.tier_size(0), 1u);
 }
 
 }  // namespace

@@ -106,9 +106,11 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --no-bucketing  --param bucketing=false                     [false]
 
 Crash safety (core matcher; see DESIGN.md §2.4):
-  --checkpoint-dir    --param checkpoint-dir=... — snapshot the full round
-                  state into this directory (state-round-NNNNNN.ckpt,
-                  written atomically) after each checkpointed round
+  --checkpoint-dir    --param checkpoint-dir=... — snapshot the round
+                  cursor and the committed links into this directory
+                  (state-round-NNNNNN.ckpt, written atomically) after
+                  each checkpointed round; a resume rebuilds the scores
+                  from the links
   --checkpoint-every  --param checkpoint-every=N — checkpoint cadence in
                   completed rounds                             [1]
   --checkpoint-keep   --param checkpoint-keep=K — after each successful

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +121,37 @@ Exit codes:
   1  runtime I/O failure (unreadable input, malformed delta log)
   2  usage error
 )";
+
+// Range checks for the integer flags, run before any graph is read: a value
+// outside its type's range would otherwise wrap (--threshold=-1 becoming
+// 4294967295) or be clamped silently. False (after one stderr line naming
+// the flag and its range) on the first value out of range.
+bool IntFlagsInRange(const Flags& flags) {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  struct Range {
+    const char* flag;
+    int64_t lo;
+    int64_t hi;
+    const char* text;
+  };
+  const Range ranges[] = {
+      {"threshold", 0, std::numeric_limits<uint32_t>::max(),
+       "[0, 4294967295]"},
+      {"iterations", 1, kIntMax, "[1, 2147483647]"},
+      {"batch-deltas", 0, std::numeric_limits<int64_t>::max(), ">= 0"},
+      {"checkpoint-every", 1, kIntMax, "[1, 2147483647]"},
+      {"checkpoint-keep", 0, kIntMax, "[0, 2147483647]"},
+  };
+  for (const Range& range : ranges) {
+    if (!flags.Has(range.flag)) continue;
+    const int64_t value = flags.GetInt(range.flag, 0);
+    if (value >= range.lo && value <= range.hi) continue;
+    std::fprintf(stderr, "--%s=%s is out of range (want %s)\n", range.flag,
+                 flags.GetString(range.flag, "").c_str(), range.text);
+    return false;
+  }
+  return true;
+}
 
 bool LoadGraph(const std::string& path, Graph* out) {
   EdgeList edges;
@@ -245,16 +277,14 @@ int RunServe(const Flags& flags) {
     return 2;
   }
 
+  if (!IntFlagsInRange(flags)) return 2;
+
   ServeConfig config;
   MatcherConfig& mc = config.matcher;
   mc.min_score = static_cast<uint32_t>(flags.GetInt("threshold", 2));
   mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
   mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  if (mc.num_iterations < 1) {
-    std::fprintf(stderr, "--iterations must be >= 1\n");
-    return 2;
-  }
   if (flags.Has("fault")) {
     std::string error;
     if (!ArmFaults(flags.GetString("fault", ""), &error)) {
@@ -305,7 +335,7 @@ int RunServe(const Flags& flags) {
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
   const bool checkpointing = !checkpoint_dir.empty();
   const int checkpoint_every =
-      std::max(1, static_cast<int>(flags.GetInt("checkpoint-every", 1)));
+      static_cast<int>(flags.GetInt("checkpoint-every", 1));
   const int checkpoint_keep =
       static_cast<int>(flags.GetInt("checkpoint-keep", 0));
   bool resumed = false;
