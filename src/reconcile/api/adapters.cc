@@ -6,7 +6,6 @@
 
 #include "reconcile/api/registry.h"
 #include "reconcile/api/spec.h"
-#include "reconcile/util/fault.h"
 
 namespace reconcile {
 
@@ -71,13 +70,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   config.score_dir = reader.GetString("score-dir", config.score_dir);
   if (config.memory_budget_bytes > 0 && config.score_dir.empty()) {
     reader.AddError("parameter 'memory-budget' requires 'score-dir'");
-  }
-  config.fault_spec = reader.GetString("fault", config.fault_spec);
-  if (!config.fault_spec.empty()) {
-    std::string fault_error;
-    if (!ValidateFaultSpec(config.fault_spec, &fault_error)) {
-      reader.AddError("parameter 'fault' is malformed: " + fault_error);
-    }
   }
   if (config.num_iterations < 1) {
     reader.AddError("parameter 'iterations' must be >= 1");
@@ -253,7 +245,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
                  "threads, stop-when-stable, checkpoint-dir, "
                  "checkpoint-every, checkpoint-keep, resume, memory-budget, "
-                 "score-dir, fault",
+                 "score-dir",
        .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(

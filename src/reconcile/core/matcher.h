@@ -13,7 +13,11 @@
 
 namespace reconcile {
 
-/// Tuning knobs for the User-Matching algorithm (paper §3.2).
+/// Tuning knobs for the User-Matching algorithm (paper §3.2). Five change
+/// what it computes, and a snapshot load rejects a mismatch in them:
+/// `min_score`, `num_iterations`, `use_degree_bucketing`,
+/// `min_bucket_exponent` and `stop_when_stable`. The rest never change the
+/// matching. No field arms faults (`util/fault.h` names the two ways).
 struct MatcherConfig {
   /// Number of outer iterations `k`. The paper notes k = 1 or 2 suffices.
   int num_iterations = 2;
@@ -73,12 +77,12 @@ struct MatcherConfig {
   /// start if none survives) — never a crash. The resumed run commits the
   /// same links as an uninterrupted one: matchings are bit-identical.
   bool resume = false;
-  /// Deterministic fault injection for crash-safety tests (see
-  /// `util/fault.h` for the spec grammar, e.g. `crash:after_round=3` or
-  /// `io:checkpoint_write_fail`). Empty = no faults armed here (the
-  /// `RECONCILE_FAULT` env var still applies process-wide).
-  std::string fault_spec;
 };
+
+/// File-name prefix of the batch matcher's checkpoints
+/// (`state-round-NNNNNN.ckpt`, the counter being the completed rounds; see
+/// the checkpoint-file helpers in `util/checkpoint.h`).
+inline constexpr char kMatcherCheckpointPrefix[] = "state-round-";
 
 /// Runs User-Matching: expands the seed links into a one-to-one partial
 /// mapping between the nodes of `g1` and `g2`.

@@ -562,11 +562,7 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   // Config fingerprint: the knobs that change what the matcher computes.
   // The thread count is matching-invariant and intentionally absent — see
   // the class comment.
-  writer.AppendU32(config_.min_score);
-  writer.AppendI32(config_.num_iterations);
-  writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
-  writer.AppendI32(config_.min_bucket_exponent);
-  writer.AppendU8(config_.stop_when_stable ? 1 : 0);
+  AppendMatchingSemantics(config_, &writer);
   // Round cursor.
   writer.AppendI32(iteration_);
   writer.AppendI32(current_bucket_);
@@ -587,52 +583,25 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   return writer.Commit(path, error);
 }
 
-bool MatcherState::RebuildMaps(
-    const std::vector<std::pair<NodeId, NodeId>>& links,
-    std::vector<NodeId>* map_1to2, std::vector<NodeId>* map_2to1,
-    std::string* error) const {
-  map_1to2->assign(g1_.num_nodes(), kInvalidNode);
-  map_2to1->assign(g2_.num_nodes(), kInvalidNode);
-  for (const auto& [u, v] : links) {
-    if (u >= g1_.num_nodes() || v >= g2_.num_nodes()) {
-      *error = "link (" + std::to_string(u) + ", " + std::to_string(v) +
-               ") out of range";
-      return false;
-    }
-    if ((*map_1to2)[u] != kInvalidNode || (*map_2to1)[v] != kInvalidNode) {
-      *error = "link (" + std::to_string(u) + ", " + std::to_string(v) +
-               ") conflicts with an earlier link";
-      return false;
-    }
-    (*map_1to2)[u] = v;
-    (*map_2to1)[v] = u;
-  }
-  return true;
-}
-
 bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   RECONCILE_CHECK(seeded_) << "LoadSnapshot before SeedLinks";
 
   SnapshotReader reader;
   if (!reader.Open(path, error)) return false;
+  auto reject = [&path, error](const std::string& why) {
+    *error = path + ": " + why;
+    return false;
+  };
 
   SnapshotReader::Section* meta = reader.Find(kSectionMeta);
-  if (meta == nullptr) {
-    *error = path + ": missing META section";
-    return false;
-  }
+  if (meta == nullptr) return reject("missing META section");
 
   // META: parse and validate everything before touching any member.
   uint32_t state_version = 0;
-  if (!meta->ReadU32(&state_version)) {
-    *error = path + ": truncated META";
-    return false;
-  }
+  if (!meta->ReadU32(&state_version)) return reject("truncated META");
   if (state_version != kMatcherStateVersion) {
-    *error = path + ": matcher state version " +
-             std::to_string(state_version) + " (want " +
-             std::to_string(kMatcherStateVersion) + ")";
-    return false;
+    return reject("matcher state version " + std::to_string(state_version) +
+                  " (want " + std::to_string(kMatcherStateVersion) + ")");
   }
   uint64_t n1 = 0, e1 = 0, fp1 = 0, n2 = 0, e2 = 0, fp2 = 0;
   meta->ReadU64(&n1);
@@ -641,14 +610,7 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   meta->ReadU64(&n2);
   meta->ReadU64(&e2);
   meta->ReadU64(&fp2);
-  uint32_t min_score = 0;
-  int32_t num_iterations = 0, min_bucket_exponent = 0;
-  uint8_t bucketing = 0, stop_when_stable = 0;
-  meta->ReadU32(&min_score);
-  meta->ReadI32(&num_iterations);
-  meta->ReadU8(&bucketing);
-  meta->ReadI32(&min_bucket_exponent);
-  meta->ReadU8(&stop_when_stable);
+  const bool same_semantics = ReadMatchingSemantics(meta, config_);
   int32_t iteration = 0, current_bucket = 0, top_exponent = 0,
           bottom_exponent = 0, completed_rounds = 0;
   uint64_t new_links_this_iteration = 0, num_seeds = 0, emitted_links = 0,
@@ -664,68 +626,45 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   meta->ReadU64(&num_seeds);
   meta->ReadU64(&emitted_links);
   if (!meta->ReadU64(&num_links) || !meta->ok()) {
-    *error = path + ": truncated META";
-    return false;
+    return reject("truncated META");
   }
 
   if (n1 != g1_.num_nodes() || e1 != g1_.num_edges() || fp1 != graph_fp1_ ||
       n2 != g2_.num_nodes() || e2 != g2_.num_edges() || fp2 != graph_fp2_) {
-    *error = path + ": snapshot was taken against a different graph pair";
-    return false;
+    return reject("snapshot was taken against a different graph pair");
   }
-  const bool config_matches =
-      min_score == config_.min_score &&
-      num_iterations == config_.num_iterations &&
-      (bucketing != 0) == config_.use_degree_bucketing &&
-      min_bucket_exponent == config_.min_bucket_exponent &&
-      (stop_when_stable != 0) == config_.stop_when_stable;
-  if (!config_matches) {
-    *error = path +
-             ": snapshot config mismatch (threshold/iterations/bucketing "
-             "differ from this run — resume with the configuration the "
-             "checkpoint was written under)";
-    return false;
-  }
+  if (!same_semantics) return reject(kSemanticsMismatch);
   const bool cursor_sane =
       top_exponent == top_exponent_ && bottom_exponent == bottom_exponent_ &&
-      iteration >= 1 && iteration <= num_iterations &&
-      (bucketing != 0
+      iteration >= 1 && iteration <= config_.num_iterations &&
+      (config_.use_degree_bucketing
            ? current_bucket >= bottom_exponent && current_bucket <= top_exponent
-           : current_bucket == min_bucket_exponent) &&
+           : current_bucket == config_.min_bucket_exponent) &&
       completed_rounds >= 0 && num_seeds <= num_links &&
       emitted_links <= num_links;
-  if (!cursor_sane) {
-    *error = path + ": snapshot round cursor is inconsistent";
-    return false;
-  }
+  if (!cursor_sane) return reject("snapshot round cursor is inconsistent");
   if (num_seeds != num_seeds_) {
-    *error = path + ": snapshot has " + std::to_string(num_seeds) +
-             " seeds, this run has " + std::to_string(num_seeds_);
-    return false;
+    return reject("snapshot has " + std::to_string(num_seeds) +
+                  " seeds, this run has " + std::to_string(num_seeds_));
   }
 
   // LINKS: the committed link log; its seed prefix must equal this run's
   // seeds, and the log must rebuild into a consistent one-to-one mapping.
   SnapshotReader::Section* links_section = reader.Find(kSectionLinks);
-  if (links_section == nullptr) {
-    *error = path + ": missing LINKS section";
-    return false;
-  }
+  if (links_section == nullptr) return reject("missing LINKS section");
   std::vector<std::pair<NodeId, NodeId>> links;
   if (!links_section->ReadVector(&links) || links.size() != num_links) {
-    *error = path + ": LINKS section does not match its declared size";
-    return false;
+    return reject("LINKS section does not match its declared size");
   }
-  for (size_t i = 0; i < num_seeds_; ++i) {
-    if (links[i] != links_[i]) {
-      *error = path + ": snapshot seed links differ from this run's seeds";
-      return false;
-    }
+  if (!std::equal(links_.begin(), links_.begin() + num_seeds_,
+                  links.begin())) {
+    return reject("snapshot seed links differ from this run's seeds");
   }
   std::vector<NodeId> map_1to2, map_2to1;
-  if (!RebuildMaps(links, &map_1to2, &map_2to1, error)) {
-    *error = path + ": " + *error;
-    return false;
+  std::string link_error;
+  if (!MapsFromLinks(links, g1_.num_nodes(), g2_.num_nodes(), &map_1to2,
+                     &map_2to1, &link_error)) {
+    return reject(link_error);
   }
 
   // Everything validated — commit.
@@ -761,6 +700,53 @@ void MatcherState::RebuildScores() {
   PhaseStats scratch;
   EmitLinks(0, emitted_links_, &scratch);
   CompactScores();
+}
+
+void AppendMatchingSemantics(const MatcherConfig& config,
+                             SnapshotWriter* writer) {
+  writer->AppendU32(config.min_score);
+  writer->AppendI32(config.num_iterations);
+  writer->AppendU8(config.use_degree_bucketing ? 1 : 0);
+  writer->AppendI32(config.min_bucket_exponent);
+  writer->AppendU8(config.stop_when_stable ? 1 : 0);
+}
+
+bool ReadMatchingSemantics(SnapshotReader::Section* section,
+                           const MatcherConfig& config) {
+  uint32_t min_score = 0;
+  int32_t num_iterations = 0, min_bucket_exponent = 0;
+  uint8_t bucketing = 0, stop_when_stable = 0;
+  section->ReadU32(&min_score);
+  section->ReadI32(&num_iterations);
+  section->ReadU8(&bucketing);
+  section->ReadI32(&min_bucket_exponent);
+  section->ReadU8(&stop_when_stable);
+  return section->ok() && min_score == config.min_score &&
+         num_iterations == config.num_iterations &&
+         (bucketing != 0) == config.use_degree_bucketing &&
+         min_bucket_exponent == config.min_bucket_exponent &&
+         (stop_when_stable != 0) == config.stop_when_stable;
+}
+
+bool MapsFromLinks(std::span<const std::pair<NodeId, NodeId>> links,
+                   NodeId n1, NodeId n2, std::vector<NodeId>* map_1to2,
+                   std::vector<NodeId>* map_2to1, std::string* error) {
+  map_1to2->assign(n1, kInvalidNode);
+  map_2to1->assign(n2, kInvalidNode);
+  for (const auto& [u, v] : links) {
+    auto reject = [&error, u, v](const char* why) {
+      *error = "link (" + std::to_string(u) + ", " + std::to_string(v) +
+               ") " + why;
+      return false;
+    };
+    if (u >= n1 || v >= n2) return reject("out of range");
+    if ((*map_1to2)[u] != kInvalidNode || (*map_2to1)[v] != kInvalidNode) {
+      return reject("conflicts with an earlier link");
+    }
+    (*map_1to2)[u] = v;
+    (*map_2to1)[v] = u;
+  }
+  return true;
 }
 
 }  // namespace reconcile

@@ -14,6 +14,7 @@
 #include "reconcile/core/selection.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
+#include "reconcile/util/checkpoint.h"
 #include "reconcile/util/thread_pool.h"
 #include "reconcile/util/tiered_store.h"
 
@@ -41,17 +42,13 @@ namespace reconcile {
 /// of `core_oracle_fuzz_test` against the paper-literal oracle, and by the
 /// `integration_kill_resume_test` subprocess harness across thread counts).
 ///
-/// Only the link log and the round cursor are durable. The score cells are
-/// derived state: every witness count is a sum over the emitted links, so
-/// `LoadSnapshot` rebuilds them by re-emitting those links. Snapshot format:
-/// a `SnapshotWriter` file (versioned header, per-section CRC32 — see
-/// `util/checkpoint.h`) with META (state version, graph and config
-/// fingerprints, round cursor) and LINKS (the committed link log; seeds are
-/// its prefix, and the node maps are rebuilt from it on load). The thread
-/// count cannot affect the matching and is deliberately *not* fingerprinted
-/// — a snapshot taken under one resumes under another; semantic knobs
-/// (threshold, iterations, bucketing) are, and a mismatch is a clean
-/// rejection. DESIGN.md §2.4 documents the layout and the resume invariant.
+/// Only the link log and the round cursor are durable: every witness count
+/// is a sum over the emitted links, so `LoadSnapshot` rebuilds the score
+/// cells by re-emitting them. A snapshot (META and LINKS sections, see
+/// `util/checkpoint.h`) is bound to its graph pair, its seeds (the log's
+/// prefix) and the semantic config, checked by the helpers below, but not
+/// to the thread count. DESIGN.md §2.4 documents the layout and the resume
+/// invariant.
 class MatcherState {
  public:
   MatcherState(const Graph& g1, const Graph& g2, const MatcherConfig& config);
@@ -115,12 +112,6 @@ class MatcherState {
   // Fills the round's spill telemetry.
   void EnforceMemoryBudget(PhaseStats* stats);
 
-  // Rebuilds map_1to2_/map_2to1_ from a link log; false (with diagnostic)
-  // on out-of-range or duplicate endpoints.
-  bool RebuildMaps(const std::vector<std::pair<NodeId, NodeId>>& links,
-                   std::vector<NodeId>* map_1to2,
-                   std::vector<NodeId>* map_2to1, std::string* error) const;
-
   const Graph& g1_;
   const Graph& g2_;
   MatcherConfig config_;
@@ -166,6 +157,33 @@ class MatcherState {
   size_t num_seeds_ = 0;
   bool seeded_ = false;
 };
+
+// --- Snapshot checks that `MatcherState` and the serve session's
+// `IncrementalMatcher` share; each keeps its own section layout.
+
+/// Appends the five fields that change what User-Matching computes, in the
+/// order both snapshot formats store them: u32 threshold, i32 iterations,
+/// u8 bucketing, i32 min bucket exponent, u8 stop-when-stable.
+void AppendMatchingSemantics(const MatcherConfig& config,
+                             SnapshotWriter* writer);
+
+/// Reads the fields `AppendMatchingSemantics` wrote and returns whether they
+/// equal `config`'s. A short read poisons `section` (callers check `ok()`).
+bool ReadMatchingSemantics(SnapshotReader::Section* section,
+                           const MatcherConfig& config);
+
+/// The one rejection message for a snapshot whose semantics differ.
+inline constexpr char kSemanticsMismatch[] =
+    "snapshot config mismatch: it was taken under other matching semantics "
+    "(threshold, iterations, bucketing, min bucket exponent or "
+    "stop-when-stable); resume with the configuration it was written under";
+
+/// Node maps of a link log over graphs of `n1` and `n2` nodes. False, with
+/// the first bad link in `*error`, when a link is out of range or shares an
+/// endpoint with an earlier one; the maps are then unspecified.
+bool MapsFromLinks(std::span<const std::pair<NodeId, NodeId>> links,
+                   NodeId n1, NodeId n2, std::vector<NodeId>* map_1to2,
+                   std::vector<NodeId>* map_2to1, std::string* error);
 
 }  // namespace reconcile
 

@@ -39,6 +39,27 @@ void Table::Print(std::ostream& out) const {
   for (const std::vector<std::string>& row : rows_) print_row(row);
 }
 
+Table PhaseTable(std::span<const PhaseStats> phases) {
+  Table table({"iter", "bucket", "links in", "emissions", "pairs",
+               "pairs >= T", "open", "new", "emit s", "merge s", "scan s",
+               "select s"});
+  for (const PhaseStats& phase : phases) {
+    table.AddRow({std::to_string(phase.iteration),
+                  std::to_string(phase.bucket_exponent),
+                  std::to_string(phase.links_in),
+                  std::to_string(phase.emissions),
+                  std::to_string(phase.candidate_pairs),
+                  std::to_string(phase.observed_pairs),
+                  std::to_string(phase.open_pairs),
+                  std::to_string(phase.new_links),
+                  FormatDouble(phase.emit_seconds, 3),
+                  FormatDouble(phase.merge_seconds, 3),
+                  FormatDouble(phase.scan_seconds, 3),
+                  FormatDouble(phase.select_seconds, 3)});
+  }
+  return table;
+}
+
 std::string FormatDouble(double value, int digits) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(digits) << value;

@@ -2,8 +2,11 @@
 #define RECONCILE_EVAL_TABLE_H_
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "reconcile/core/result.h"
 
 namespace reconcile {
 
@@ -25,6 +28,11 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// The per-round table of a matcher run (`--phase-table` in both tools):
+/// iteration, bucket, links in, the pair counts (emissions, all scored,
+/// >= T, open) and new links, then the emit/merge/scan/select seconds.
+Table PhaseTable(std::span<const PhaseStats> phases);
 
 /// Formats a double with `digits` decimal places.
 std::string FormatDouble(double value, int digits);

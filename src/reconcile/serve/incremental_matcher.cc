@@ -161,11 +161,7 @@ bool IncrementalMatcher::SaveSnapshot(const std::string& path,
 
   writer.BeginSection(kSectionMeta);
   writer.AppendU32(kServeStateVersion);
-  writer.AppendU32(config_.matcher.min_score);
-  writer.AppendI32(config_.matcher.num_iterations);
-  writer.AppendU8(config_.matcher.use_degree_bucketing ? 1 : 0);
-  writer.AppendI32(config_.matcher.min_bucket_exponent);
-  writer.AppendU8(config_.matcher.stop_when_stable ? 1 : 0);
+  AppendMatchingSemantics(config_.matcher, &writer);
   writer.AppendI32(batches_applied_);
   writer.AppendU64(deltas_consumed_);
   writer.AppendU64(seeds_.size());
@@ -199,77 +195,53 @@ bool IncrementalMatcher::LoadSnapshot(const std::string& path,
                                       std::string* error) {
   SnapshotReader reader;
   if (!reader.Open(path, error)) return false;
+  auto reject = [error](const std::string& why) {
+    *error = why;
+    return false;
+  };
 
   SnapshotReader::Section* meta = reader.Find(kSectionMeta);
-  if (meta == nullptr) {
-    *error = "snapshot has no META section";
-    return false;
-  }
+  if (meta == nullptr) return reject("snapshot has no META section");
   uint32_t version = 0;
-  if (!meta->ReadU32(&version)) {
-    *error = "META section malformed";
-    return false;
-  }
+  if (!meta->ReadU32(&version)) return reject("META section malformed");
   if (version != kServeStateVersion) {
-    *error = "serve state version mismatch";
-    return false;
+    return reject("serve state version mismatch");
   }
-  uint32_t min_score = 0;
-  int32_t num_iterations = 0, min_bucket_exponent = 0, batches_applied = 0;
-  uint8_t bucketing = 0, stop_when_stable = 0;
+  const bool same_semantics = ReadMatchingSemantics(meta, config_.matcher);
+  int32_t batches_applied = 0;
   uint64_t deltas_consumed = 0, num_seeds = 0;
-  meta->ReadU32(&min_score);
-  meta->ReadI32(&num_iterations);
-  meta->ReadU8(&bucketing);
-  meta->ReadI32(&min_bucket_exponent);
-  meta->ReadU8(&stop_when_stable);
   meta->ReadI32(&batches_applied);
   meta->ReadU64(&deltas_consumed);
   meta->ReadU64(&num_seeds);
-  if (!meta->ok() || !meta->AtEnd()) {
-    *error = "META section malformed";
-    return false;
-  }
-  const MatcherConfig& mc = config_.matcher;
-  if (min_score != mc.min_score || num_iterations != mc.num_iterations ||
-      (bucketing != 0) != mc.use_degree_bucketing ||
-      min_bucket_exponent != mc.min_bucket_exponent ||
-      (stop_when_stable != 0) != mc.stop_when_stable) {
-    *error = "snapshot was taken under different matching semantics";
-    return false;
-  }
+  if (!meta->ok() || !meta->AtEnd()) return reject("META section malformed");
+  if (!same_semantics) return reject(kSemanticsMismatch);
   if (num_seeds != seeds_.size()) {
-    *error = "snapshot seed count mismatch";
-    return false;
+    return reject("snapshot seed count mismatch");
   }
 
-  auto load_graph = [&reader, error](uint32_t id, const char* name,
-                                     Graph* out) -> bool {
+  auto load_graph = [&reader, &reject](uint32_t id, const std::string& name,
+                                       Graph* out) -> bool {
     SnapshotReader::Section* section = reader.Find(id);
     if (section == nullptr) {
-      *error = std::string("snapshot has no ") + name + " section";
-      return false;
+      return reject("snapshot has no " + name + " section");
     }
     uint64_t num_nodes = 0;
     std::vector<Edge> edges;
     if (!section->ReadU64(&num_nodes) || !section->ReadVector(&edges) ||
         !section->AtEnd()) {
-      *error = std::string(name) + " section malformed";
-      return false;
+      return reject(name + " section malformed");
     }
     EdgeList list(static_cast<NodeId>(num_nodes));
     list.Reserve(edges.size());
     for (const auto& [u, v] : edges) {
       if (u >= num_nodes || v >= num_nodes || u == v) {
-        *error = std::string(name) + " section has an out-of-range edge";
-        return false;
+        return reject(name + " section has an out-of-range edge");
       }
       list.Add(u, v);
     }
     *out = Graph::FromEdgeList(std::move(list), nullptr);
     if (out->num_nodes() != num_nodes || out->num_edges() != edges.size()) {
-      *error = std::string(name) + " section has duplicate edges";
-      return false;
+      return reject(name + " section has duplicate edges");
     }
     return true;
   };
@@ -278,30 +250,20 @@ bool IncrementalMatcher::LoadSnapshot(const std::string& path,
   if (!load_graph(kSectionGraph2, "GRAPH2", &g2)) return false;
 
   SnapshotReader::Section* links_section = reader.Find(kSectionLinks);
-  if (links_section == nullptr) {
-    *error = "snapshot has no LINKS section";
-    return false;
-  }
+  if (links_section == nullptr) return reject("snapshot has no LINKS section");
   std::vector<std::pair<NodeId, NodeId>> links;
   if (!links_section->ReadVector(&links) || !links_section->AtEnd()) {
-    *error = "LINKS section malformed";
-    return false;
+    return reject("LINKS section malformed");
   }
-  std::vector<NodeId> map_1to2(g1.num_nodes(), kInvalidNode);
-  std::vector<NodeId> map_2to1(g2.num_nodes(), kInvalidNode);
-  for (const auto& [u, v] : links) {
-    if (u >= g1.num_nodes() || v >= g2.num_nodes() ||
-        map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
-      *error = "LINKS section is not a one-to-one in-range matching";
-      return false;
-    }
-    map_1to2[u] = v;
-    map_2to1[v] = u;
+  std::vector<NodeId> map_1to2, map_2to1;
+  std::string link_error;
+  if (!MapsFromLinks(links, g1.num_nodes(), g2.num_nodes(), &map_1to2,
+                     &map_2to1, &link_error)) {
+    return reject("LINKS section: " + link_error);
   }
   for (const auto& [u, v] : seeds_) {
     if (u >= map_1to2.size() || map_1to2[u] != v) {
-      *error = "snapshot links do not contain the provided seeds";
-      return false;
+      return reject("snapshot links do not contain the provided seeds");
     }
   }
 

@@ -18,16 +18,17 @@
 
 namespace reconcile {
 
-/// Checkpoint filename prefix for serve sessions ("serve-batch-NNNNNN.ckpt",
-/// via the prefix-parameterized helpers in util/checkpoint.h).
+/// File-name prefix of serve checkpoints (`serve-batch-NNNNNN.ckpt`, the
+/// counter being the applied batches; see the checkpoint-file helpers in
+/// util/checkpoint.h).
 inline constexpr char kServeCheckpointPrefix[] = "serve-batch-";
 
 struct ServeConfig {
   /// Matching semantics and execution knobs, with the same meaning as for
   /// the batch matcher: every batch runs `MatcherState` under this config.
-  /// The crash-safety fields (`checkpoint_*`, `resume`, `fault_spec`) are
-  /// read only by `UserMatching`, not here; serve sessions checkpoint
-  /// through `SaveSnapshot`.
+  /// The crash-safety fields (`checkpoint_*`, `resume`) are read only by
+  /// `UserMatching`, not here; a serve driver checkpoints through
+  /// `SaveSnapshot` and `LoadSnapshot`.
   MatcherConfig matcher;
 };
 

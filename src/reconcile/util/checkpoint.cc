@@ -60,7 +60,6 @@ bool FsyncDirOf(const std::string& path) {
   return ok;
 }
 
-constexpr char kCheckpointPrefix[] = "state-round-";
 constexpr char kCheckpointSuffix[] = ".ckpt";
 
 }  // namespace
@@ -129,12 +128,8 @@ bool SnapshotWriter::Commit(const std::string& path,
   // Torn-write fault: persist only the first half under the final name via
   // the normal rename path, then report success — what a crash on a
   // non-atomic filesystem would leave behind.
-  size_t write_size = blob.size();
-  bool truncate_fault = false;
-  if (FaultPointHit("checkpoint_truncate")) {
-    write_size = blob.size() / 2;
-    truncate_fault = true;
-  }
+  const size_t write_size =
+      FaultPointHit("checkpoint_truncate") ? blob.size() / 2 : blob.size();
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -142,27 +137,21 @@ bool SnapshotWriter::Commit(const std::string& path,
     *error = "cannot create " + tmp + ": " + ErrnoString();
     return false;
   }
+  // Every later failure removes the temp file; `fd` is closed unless the
+  // failing step was the close itself.
+  auto fail = [&](const std::string& what, bool close_fd) {
+    *error = what + " failed: " + ErrnoString();
+    if (close_fd) ::close(fd);
+    ::unlink(tmp.c_str());
+    return false;
+  };
   if (!WriteAll(fd, blob.data(), write_size)) {
-    *error = "write to " + tmp + " failed: " + ErrnoString();
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
+    return fail("write to " + tmp, true);
   }
-  if (::fsync(fd) != 0) {
-    *error = "fsync of " + tmp + " failed: " + ErrnoString();
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (::close(fd) != 0) {
-    *error = "close of " + tmp + " failed: " + ErrnoString();
-    ::unlink(tmp.c_str());
-    return false;
-  }
+  if (::fsync(fd) != 0) return fail("fsync of " + tmp, true);
+  if (::close(fd) != 0) return fail("close of " + tmp, false);
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    *error = "rename " + tmp + " -> " + path + " failed: " + ErrnoString();
-    ::unlink(tmp.c_str());
-    return false;
+    return fail("rename " + tmp + " -> " + path, false);
   }
   // Make the rename itself durable. Failure here is not fatal to the
   // caller: the file is visible and valid, only its durability is weaker.
@@ -170,7 +159,6 @@ bool SnapshotWriter::Commit(const std::string& path,
     RECONCILE_LOG(Warning) << "directory fsync after committing " << path
                            << " failed: " << ErrnoString();
   }
-  (void)truncate_fault;
   return true;
 }
 
@@ -285,19 +273,15 @@ SnapshotReader::Section* SnapshotReader::Find(uint32_t id) {
   return nullptr;
 }
 
-std::string CheckpointPathWithPrefix(const std::string& dir,
-                                     const std::string& prefix, int round) {
+std::string CheckpointPath(const std::string& dir, const std::string& prefix,
+                           int counter) {
   char digits[32];
-  std::snprintf(digits, sizeof(digits), "%06d", round);
+  std::snprintf(digits, sizeof(digits), "%06d", counter);
   return dir + "/" + prefix + digits + kCheckpointSuffix;
 }
 
-std::string CheckpointPath(const std::string& dir, int round) {
-  return CheckpointPathWithPrefix(dir, kCheckpointPrefix, round);
-}
-
-std::vector<CheckpointFile> ListCheckpointsWithPrefix(
-    const std::string& dir, const std::string& prefix) {
+std::vector<CheckpointFile> ListCheckpoints(const std::string& dir,
+                                            const std::string& prefix) {
   std::vector<CheckpointFile> found;
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return found;
@@ -330,16 +314,10 @@ std::vector<CheckpointFile> ListCheckpointsWithPrefix(
   return found;
 }
 
-std::vector<CheckpointFile> ListCheckpoints(const std::string& dir) {
-  return ListCheckpointsWithPrefix(dir, kCheckpointPrefix);
-}
-
-size_t PruneCheckpointsWithPrefix(const std::string& dir,
-                                  const std::string& prefix, int keep,
-                                  std::string* error) {
+size_t PruneCheckpoints(const std::string& dir, const std::string& prefix,
+                        int keep, std::string* error) {
   if (keep <= 0) return 0;
-  std::vector<CheckpointFile> checkpoints =
-      ListCheckpointsWithPrefix(dir, prefix);
+  std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir, prefix);
   if (checkpoints.size() <= static_cast<size_t>(keep)) return 0;
   size_t removed = 0;
   const size_t excess = checkpoints.size() - static_cast<size_t>(keep);
@@ -353,8 +331,49 @@ size_t PruneCheckpointsWithPrefix(const std::string& dir,
   return removed;
 }
 
-size_t PruneCheckpoints(const std::string& dir, int keep, std::string* error) {
-  return PruneCheckpointsWithPrefix(dir, kCheckpointPrefix, keep, error);
+std::string ResumeFromNewestCheckpoint(const std::string& dir,
+                                       const std::string& prefix, int keep,
+                                       const SnapshotFileFn& load) {
+  const std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir, prefix);
+  int newer = 0;
+  for (auto it = checkpoints.rbegin(); it != checkpoints.rend();
+       ++it, ++newer) {
+    std::string error;
+    if (!load(it->path, &error)) {
+      RECONCILE_LOG(Warning) << "skipping checkpoint " << it->path << ": "
+                             << error;
+      continue;
+    }
+    if (keep > 0) {
+      std::string prune_error;
+      PruneCheckpoints(dir, prefix, std::max(keep, newer + 1), &prune_error);
+      if (!prune_error.empty()) {
+        RECONCILE_LOG(Warning)
+            << "checkpoint prune on resume failed (non-fatal): "
+            << prune_error;
+      }
+    }
+    return it->path;
+  }
+  RECONCILE_LOG(Warning) << "no usable " << prefix << "NNNNNN"
+                         << kCheckpointSuffix << " checkpoint in " << dir
+                         << "; starting fresh";
+  return "";
+}
+
+bool WriteCheckpoint(const std::string& dir, const std::string& prefix,
+                     int counter, int keep, const SnapshotFileFn& save) {
+  std::string error;
+  if (!save(CheckpointPath(dir, prefix, counter), &error)) {
+    RECONCILE_LOG(Warning) << "checkpoint write failed: " << error;
+    return false;
+  }
+  PruneCheckpoints(dir, prefix, keep, &error);
+  if (!error.empty()) {
+    RECONCILE_LOG(Warning) << "checkpoint prune failed (non-fatal): "
+                           << error;
+  }
+  return true;
 }
 
 bool EnsureDir(const std::string& dir, std::string* error) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -128,38 +129,46 @@ class SnapshotReader {
   std::vector<Section> sections_;
 };
 
-/// `dir`/state-round-NNNNNN.ckpt — the canonical checkpoint name for the
-/// state after `round` completed rounds.
-std::string CheckpointPath(const std::string& dir, int round);
+/// Checkpoint files are `dir`/<prefix>NNNNNN.ckpt: a family per prefix
+/// (`kMatcherCheckpointPrefix`, `kServeCheckpointPrefix`) keyed by a
+/// six-digit zero-padded counter.
+std::string CheckpointPath(const std::string& dir, const std::string& prefix,
+                           int counter);
 
 struct CheckpointFile {
   int round = 0;
   std::string path;
 };
 
-/// Checkpoint files in `dir`, ascending by round. Unparseable names are
+/// The family in `dir`, ascending by counter. Unparseable names are
 /// skipped; a missing/unreadable dir yields an empty list.
-std::vector<CheckpointFile> ListCheckpoints(const std::string& dir);
+std::vector<CheckpointFile> ListCheckpoints(const std::string& dir,
+                                            const std::string& prefix);
 
-/// Retention: deletes all but the newest `keep` checkpoints in `dir`
-/// (`keep` <= 0 is a no-op — keep everything). Returns the number of files
-/// removed; an unlink failure skips that file and fills `*error` with the
-/// first diagnostic (callers treat prune failures as non-fatal — the extra
-/// snapshot costs disk, not correctness).
-size_t PruneCheckpoints(const std::string& dir, int keep, std::string* error);
+/// Deletes all but the newest `keep` files of the family (`keep` <= 0
+/// keeps all). Returns the count removed; an unlink failure skips that
+/// file and fills `*error` once (non-fatal: an extra file costs disk only).
+size_t PruneCheckpoints(const std::string& dir, const std::string& prefix,
+                        int keep, std::string* error);
 
-/// Prefix-parameterized variants of the three helpers above, for
-/// subsystems that keep their own checkpoint families in a directory
-/// (`reconcile_serve` uses prefix "serve-batch-"; the batch matcher's
-/// "state-round-" functions delegate here). The `.ckpt` suffix and the
-/// six-digit zero-padded counter are shared.
-std::string CheckpointPathWithPrefix(const std::string& dir,
-                                     const std::string& prefix, int round);
-std::vector<CheckpointFile> ListCheckpointsWithPrefix(
-    const std::string& dir, const std::string& prefix);
-size_t PruneCheckpointsWithPrefix(const std::string& dir,
-                                  const std::string& prefix, int keep,
-                                  std::string* error);
+/// Loads or saves the snapshot at `path`; false with `*error` on failure.
+using SnapshotFileFn =
+    std::function<bool(const std::string& path, std::string* error)>;
+
+/// The resume walk of both drivers: tries the family newest first and
+/// returns the path of the first file `load` accepts, or "" (start fresh).
+/// Each rejected file is one warning, as is a walk that loads nothing.
+/// With `keep` > 0 a load prunes to max(keep, newer files + 1): the files
+/// a killed run left past `keep` go, and the loaded one stays.
+std::string ResumeFromNewestCheckpoint(const std::string& dir,
+                                       const std::string& prefix, int keep,
+                                       const SnapshotFileFn& load);
+
+/// Save-then-prune: writes checkpoint `counter` through `save` and, only
+/// after a successful write, prunes the family to the newest `keep`. A
+/// failed write or prune is one warning. Returns whether the write worked.
+bool WriteCheckpoint(const std::string& dir, const std::string& prefix,
+                     int counter, int keep, const SnapshotFileFn& save);
 
 /// mkdir -p. Returns false with a diagnostic if a component cannot be
 /// created.

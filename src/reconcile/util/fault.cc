@@ -153,16 +153,6 @@ bool ArmFaults(const std::string& spec, std::string* error) {
   return true;
 }
 
-bool ValidateFaultSpec(const std::string& spec, std::string* error) {
-  std::vector<FaultEntry> parsed;
-  std::string local_error;
-  if (!Injector::ParseSpec(spec, &parsed, &local_error)) {
-    if (error != nullptr) *error = local_error;
-    return false;
-  }
-  return true;
-}
-
 void DisarmFaults() {
   Injector& injector = Injector::Get();
   std::lock_guard<std::mutex> lock(injector.mu);

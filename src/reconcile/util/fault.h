@@ -30,9 +30,10 @@ namespace reconcile {
 ///                              shape of a disk filling up, where every
 ///                              write past the cliff fails, not just one
 ///
-/// Arming sources, in precedence order: `MatcherConfig::fault_spec` (armed
-/// by `UserMatching` when non-empty) overrides the `RECONCILE_FAULT`
-/// environment variable (read once, at first injector use).
+/// Arming sources: `ArmFaults` (what the tools' `--fault` flag and the
+/// test harnesses call) overrides the `RECONCILE_FAULT` environment
+/// variable, which is read once, at first injector use. Nothing in the
+/// library arms faults: no config field or registry param carries a spec.
 ///
 /// Known points (grep for the literals to find the hooks):
 ///   after_round            value point; value = completed round count
@@ -79,10 +80,6 @@ inline constexpr int kFaultCrashExitCode = 42;
 /// Returns false and fills `*error` on a malformed spec, leaving the
 /// previously armed set untouched.
 bool ArmFaults(const std::string& spec, std::string* error);
-
-/// Parses `spec` without arming anything — for config validation layers
-/// that want to reject a malformed spec early with a good diagnostic.
-bool ValidateFaultSpec(const std::string& spec, std::string* error);
 
 /// Disarms every fault and resets all hit counters.
 void DisarmFaults();

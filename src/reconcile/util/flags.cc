@@ -1,10 +1,21 @@
 #include "reconcile/util/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
-#include "reconcile/util/logging.h"
-
 namespace reconcile {
+
+namespace {
+
+[[noreturn]] void UsageError(const std::string& key, const std::string& value,
+                             const char* want) {
+  std::fprintf(stderr, "--%s=%s is not %s\n", key.c_str(), value.c_str(),
+               want);
+  std::exit(2);
+}
+
+}  // namespace
 
 bool Flags::Parse(int argc, const char* const argv[], std::string* error) {
   for (int i = 1; i < argc; ++i) {
@@ -51,9 +62,11 @@ int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
-  int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  RECONCILE_CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " is not an integer: " << it->second;
+  errno = 0;
+  const int64_t value = std::strtoll(it->second.c_str(), &end, 10);
+  if (it->second.empty() || *end != '\0' || errno == ERANGE) {
+    UsageError(key, it->second, "a 64-bit integer");
+  }
   return value;
 }
 
@@ -62,9 +75,10 @@ double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
-  double value = std::strtod(it->second.c_str(), &end);
-  RECONCILE_CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " is not a number: " << it->second;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (it->second.empty() || *end != '\0') {
+    UsageError(key, it->second, "a number");
+  }
   return value;
 }
 
@@ -75,8 +89,7 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  RECONCILE_LOG(Fatal) << "flag --" << key << " is not a boolean: " << v;
-  return default_value;
+  UsageError(key, v, "a boolean (true/false, 1/0 or yes/no)");
 }
 
 std::vector<std::string> Flags::UnusedKeys() const {

@@ -19,8 +19,11 @@ class Flags {
 
   bool Has(const std::string& key) const;
 
-  /// Typed getters with defaults. Fatal (RECONCILE_CHECK) if the value is
-  /// present but not parseable as the requested type.
+  /// Typed getters with defaults. A value that is present but does not
+  /// parse as the requested type (`--nodes=abc`, `--nodes=1e3` for an
+  /// integer, `--no-bucketing=maybe`) is a usage error: one stderr line
+  /// naming the flag and its value, then the process exits with code 2,
+  /// the tools' usage-error code.
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -42,6 +43,10 @@ std::string ErrnoString() {
   return std::strerror(errno);
 }
 
+// Spill file sequence numbers, shared by every store in the process: the
+// file names must not collide when two stores spill into one directory.
+std::atomic<uint64_t> next_spill_id{0};
+
 }  // namespace
 
 SpilledRun::~SpilledRun() {
@@ -50,11 +55,6 @@ SpilledRun::~SpilledRun() {
 }
 
 SpillStore::SpillStore(std::string dir) : dir_(std::move(dir)) {}
-
-SpillStore::~SpillStore() {
-  // Individual SpilledRuns unlink their own files; nothing else to clean.
-  // The directory itself is user-provided and is left in place.
-}
 
 std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
                                               std::string* error) {
@@ -76,7 +76,7 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
   char name[64];
   std::snprintf(name, sizeof(name), "spill-%ld-%llu.spill",
                 static_cast<long>(::getpid()),
-                static_cast<unsigned long long>(next_id_++));
+                static_cast<unsigned long long>(next_spill_id++));
   std::string path = dir_ + "/" + name;
 
   const size_t n = run.keys.size();

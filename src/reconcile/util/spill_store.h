@@ -38,10 +38,12 @@ struct SortedCountRun;
 /// `io:mmap_fail`, `io:enospc_after=N`, and the `spill_commit` value point
 /// for `crash:` kills mid-enforcement.
 ///
-/// Files are named `spill-<pid>-<seq>.spill`; the store unlinks every file
-/// it created on destruction (and each file as its tier is unspilled), so a
-/// clean exit — including a graceful SIGINT/SIGTERM stop — leaves the score
-/// directory empty. Only a hard crash leaves scratch behind, and a resumed
+/// Files are named `spill-<pid>-<seq>.spill`, with `seq` counted across
+/// every store of the process, so stores sharing a score directory never
+/// collide. Each `SpilledRun` unlinks its file when its tier is unspilled
+/// or its cell destroyed, so a clean exit — including a graceful
+/// SIGINT/SIGTERM stop — leaves the score directory empty (the directory
+/// itself stays). Only a hard crash leaves scratch behind, and a resumed
 /// process never reads stale spill files: checkpoints hold no score state
 /// (a resume rebuilds it from the links), so spill files are never part of
 /// durable state.
@@ -91,7 +93,6 @@ class SpillStore {
   /// Does not touch the filesystem; the directory is created lazily on the
   /// first spill (a run that never exceeds its budget never does I/O).
   explicit SpillStore(std::string dir);
-  ~SpillStore();
 
   SpillStore(const SpillStore&) = delete;
   SpillStore& operator=(const SpillStore&) = delete;
@@ -116,7 +117,6 @@ class SpillStore {
   std::string dir_;
   bool dir_ready_ = false;
   bool disabled_ = false;
-  uint64_t next_id_ = 0;
   SpillStats stats_;
 };
 

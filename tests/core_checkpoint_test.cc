@@ -379,10 +379,10 @@ TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
     std::string error;
     ASSERT_TRUE(EnsureDir(dir, &error)) << error;
     // Round 999999 stays the newest file whatever the resumed run writes.
-    WriteAsVersion2(path_, CheckpointPath(dir, 999999));
+    WriteAsVersion2(path_, CheckpointPath(dir, kMatcherCheckpointPrefix, 999999));
     if (with_older_snapshot) {
       const std::vector<char> bytes = Slurp(path_);
-      std::ofstream(CheckpointPath(dir, 2), std::ios::binary)
+      std::ofstream(CheckpointPath(dir, kMatcherCheckpointPrefix, 2), std::ios::binary)
           .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
     MatcherConfig config = config_;
@@ -395,7 +395,7 @@ TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
     // A run resumed after two rounds records only the rounds it ran.
     EXPECT_EQ(resumed.phases.size() + (with_older_snapshot ? 2 : 0),
               reference.phases.size());
-    for (const CheckpointFile& file : ListCheckpoints(dir)) {
+    for (const CheckpointFile& file : ListCheckpoints(dir, kMatcherCheckpointPrefix)) {
       std::remove(file.path.c_str());
     }
     std::remove(dir.c_str());

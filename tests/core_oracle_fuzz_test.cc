@@ -4,18 +4,29 @@
 // reproduces it. Per case the final maps and the round count must be
 // equal, and per round the new links, the open pairs and the emissions.
 //
-// Two execution modes that must not change the matching are drawn too:
+// Three execution modes that must not change the matching are drawn too:
 //  * resume — the run snapshots after a drawn round, and a fresh
 //    `MatcherState` under another thread count loads the snapshot and
 //    finishes it; the rounds before the pause, the resumed rounds and the
 //    final maps are checked as one run;
 //  * memory budget — a 1-byte budget spills score tiers every round, and
-//    the spill directory must be empty once the run is over.
+//    the spill directory must be empty once the run is over;
+//  * serve — the pair goes through an `IncrementalMatcher` with a drawn
+//    stream of edge batches, and after the initial match and every batch
+//    the served maps (and the rounds of the last rerun) must equal the
+//    oracle on the current graphs. The test keeps its own copy of those
+//    graphs, applying each batch by the documented rules rather than
+//    reading them back from the session. A third of the served cases save
+//    the session after a drawn batch, and a fresh session under another
+//    thread count loads it and serves the rest of the stream.
 #include <dirent.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -32,6 +43,7 @@
 #include "reconcile/gen/sbm.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/rng.h"
 #include "user_matching_oracle.h"
 
@@ -81,6 +93,19 @@ struct FuzzCase {
   int resume_threads = 0;
   // Runs under a 1-byte memory budget.
   bool budgeted = false;
+  // Served: the initial match and `num_batches` drawn batches go through a
+  // serve session (the pause and the budget above then do not apply). With
+  // `serve_snapshot` the session is saved after batch
+  // floor(snapshot_position * num_batches), 0 being the initial match, and
+  // a fresh session under `resume_threads` serves the rest.
+  bool served = false;
+  int num_batches = 0;
+  bool serve_snapshot = false;
+  double snapshot_position = 0.0;
+
+  int SnapshotBatch() const {
+    return static_cast<int>(snapshot_position * num_batches);
+  }
 
   std::string Describe() const {
     std::ostringstream out;
@@ -98,6 +123,15 @@ struct FuzzCase {
         << " min_bucket_exponent=" << config.min_bucket_exponent
         << " stop_when_stable=" << config.stop_when_stable
         << " threads=" << config.num_threads;
+    if (served) {
+      out << " served(batches=" << num_batches;
+      if (serve_snapshot) {
+        out << ", snapshot after batch " << SnapshotBatch()
+            << ", resume_threads=" << resume_threads;
+      }
+      out << ")";
+      return out.str();
+    }
     if (paused) {
       out << " paused(pause_at_iteration_end=" << pause_at_iteration_end
           << ", position=" << pause_position
@@ -142,6 +176,10 @@ FuzzCase DrawCase(uint64_t index, NodeId min_nodes, NodeId max_nodes) {
                             rng.UniformInt(3)) %
                            4);
   c.budgeted = rng.Bernoulli(0.25);
+  c.served = rng.Bernoulli(0.1);
+  c.num_batches = static_cast<int>(rng.UniformIntInRange(2, 4));
+  c.serve_snapshot = rng.Bernoulli(1.0 / 3.0);
+  c.snapshot_position = rng.UniformReal();
   return c;
 }
 
@@ -240,6 +278,137 @@ MatchResult RunPaused(const RealizationPair& pair,
   return after;
 }
 
+// The test's copy of one served graph. A batch applies here by the rules
+// `IncrementalMatcher::ApplyBatch` documents, not by its code: in order,
+// each insert makes its edge present and each delete absent, self-loops
+// are dropped, and the node range grows to cover every edge present after
+// the batch.
+struct ServedGraph {
+  NodeId num_nodes = 0;
+  std::set<std::pair<NodeId, NodeId>> edges;  // (smaller, larger) id
+
+  explicit ServedGraph(const Graph& g) : num_nodes(g.num_nodes()) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : g.Neighbors(u)) {
+        if (u < v) edges.emplace(u, v);
+      }
+    }
+  }
+
+  void Apply(const std::vector<EdgeDelta>& batch, int graph) {
+    for (const EdgeDelta& d : batch) {
+      if (d.graph != graph || d.u == d.v) continue;
+      const std::pair<NodeId, NodeId> edge(std::min(d.u, d.v),
+                                           std::max(d.u, d.v));
+      if (d.insert) {
+        edges.insert(edge);
+      } else {
+        edges.erase(edge);
+      }
+    }
+    for (const auto& [u, v] : edges) num_nodes = std::max(num_nodes, v + 1);
+  }
+
+  Graph Build() const {
+    EdgeList list(num_nodes);
+    for (const auto& [u, v] : edges) list.Add(u, v);
+    return Graph::FromEdgeList(std::move(list), nullptr);
+  }
+};
+
+// One drawn batch of 1-12 deltas over both graphs: deletes of present
+// edges, inserts of absent ones, repeats of an earlier delta of the batch,
+// self-loops, and inserts that reach up to 3 ids past a graph's end.
+std::vector<EdgeDelta> DrawBatch(Rng& rng, const ServedGraph (&graphs)[2]) {
+  std::vector<EdgeDelta> batch;
+  const int size = 1 + static_cast<int>(rng.UniformInt(12));
+  for (int i = 0; i < size; ++i) {
+    const int graph = 1 + static_cast<int>(rng.UniformInt(2));
+    const ServedGraph& g = graphs[graph - 1];
+    const NodeId n = std::max<NodeId>(g.num_nodes, 2);
+    const NodeId u = static_cast<NodeId>(rng.UniformInt(n));
+    switch (rng.UniformInt(5)) {
+      case 0: {  // delete a present edge
+        if (g.edges.empty()) break;
+        auto it = g.edges.begin();
+        std::advance(it, rng.UniformInt(g.edges.size()));
+        batch.push_back(EdgeDelta{graph, false, it->second, it->first});
+        break;
+      }
+      case 1: {  // insert an absent edge
+        const NodeId v = static_cast<NodeId>(rng.UniformInt(n));
+        if (u != v && !g.edges.count({std::min(u, v), std::max(u, v)})) {
+          batch.push_back(EdgeDelta{graph, true, u, v});
+        }
+        break;
+      }
+      case 2:  // repeat an earlier delta of this batch
+        if (!batch.empty()) {
+          batch.push_back(batch[rng.UniformInt(batch.size())]);
+        }
+        break;
+      case 3:  // self-loop
+        batch.push_back(EdgeDelta{graph, rng.Bernoulli(0.5), u, u});
+        break;
+      case 4:  // grow the node range
+        batch.push_back(EdgeDelta{
+            graph, true, u,
+            g.num_nodes + static_cast<NodeId>(rng.UniformInt(3))});
+        break;
+    }
+  }
+  return batch;
+}
+
+// A served case: the initial match, then each drawn batch, through one
+// session (two when the case snapshots). Returns the first difference from
+// the oracle on the current graphs, naming the batch (0 = initial match).
+std::string RunServed(const FuzzCase& c, const RealizationPair& pair,
+                      const std::vector<std::pair<NodeId, NodeId>>& seeds,
+                      uint64_t seed) {
+  Rng rng(HashMix64(seed + 0x5E7E));
+  ServedGraph graphs[2] = {ServedGraph(pair.g1), ServedGraph(pair.g2)};
+  ServeConfig config;
+  config.matcher = c.config;
+  auto session =
+      std::make_unique<IncrementalMatcher>(pair.g1, pair.g2, seeds, config);
+  const std::string path = testing::TempDir() + "/oracle_fuzz_serve.ckpt";
+  // The rounds of the last rerun: a batch that changes no edge keeps the
+  // matching, and with it the rounds that produced it.
+  std::vector<PhaseStats> rounds;
+  for (int b = 0; b <= c.num_batches; ++b) {
+    std::vector<EdgeDelta> batch;
+    if (b > 0) {
+      batch = DrawBatch(rng, graphs);
+      graphs[0].Apply(batch, 1);
+      graphs[1].Apply(batch, 2);
+    }
+    ServeBatchStats stats = session->ApplyBatch(batch);
+    if (!stats.rounds.empty()) rounds = std::move(stats.rounds);
+    MatchResult served = session->Result();
+    served.phases = rounds;
+    const oracle::Result expected =
+        oracle::UserMatching(graphs[0].Build(), graphs[1].Build(), seeds,
+                             OracleSettings(c.config));
+    const std::string difference = OracleDifference(served, expected);
+    if (!difference.empty()) {
+      return "after batch " + std::to_string(b) + ": " + difference;
+    }
+    if (c.serve_snapshot && b == c.SnapshotBatch()) {
+      std::string error;
+      if (!session->SaveSnapshot(path, &error)) return "snapshot: " + error;
+      ServeConfig resumed = config;
+      resumed.matcher.num_threads = c.resume_threads;
+      session = std::make_unique<IncrementalMatcher>(pair.g1, pair.g2, seeds,
+                                                     resumed);
+      const bool loaded = session->LoadSnapshot(path, &error);
+      std::remove(path.c_str());
+      if (!loaded) return "snapshot load: " + error;
+    }
+  }
+  return "";
+}
+
 // Runs one case; returns the difference (empty when the engine agrees) and
 // fills `*pause` with where the case paused.
 std::string RunCase(const FuzzCase& c, Pause* pause) {
@@ -253,6 +422,8 @@ std::string RunCase(const FuzzCase& c, Pause* pause) {
   seed_options.fraction = c.seed_fraction;
   seed_options.wrong_fraction = c.wrong_fraction;
   const auto seeds = GenerateSeeds(pair, seed_options, seed + 2);
+
+  if (c.served) return RunServed(c, pair, seeds, seed);
 
   const oracle::Result expected = oracle::UserMatching(
       pair.g1, pair.g2, seeds, OracleSettings(c.config));
@@ -307,15 +478,17 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
   constexpr int kReported = 5;
   int failures = 0;
   size_t paused = 0, paused_at_iteration_end = 0, budgeted = 0,
-         budgeted_and_paused = 0;
+         budgeted_and_paused = 0, served = 0, served_and_snapshotted = 0;
   for (uint64_t index = first; index < first + count; ++index) {
     const FuzzCase c = DrawCase(index, min_nodes, max_nodes);
     Pause pause;
     const std::string difference = RunCase(c, &pause);
     paused += pause.round > 0;
     paused_at_iteration_end += pause.round > 0 && pause.iteration_end;
-    budgeted += c.budgeted;
+    budgeted += c.budgeted && !c.served;
     budgeted_and_paused += c.budgeted && pause.round > 0;
+    served += c.served;
+    served_and_snapshotted += c.served && c.serve_snapshot;
     if (difference.empty()) continue;
     if (++failures <= kReported) {
       ADD_FAILURE() << c.Describe() << "\n  first difference: " << difference;
@@ -323,20 +496,21 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
   }
   std::printf(
       "%llu cases: %zu paused (%zu after an iteration's last round), %zu "
-      "budgeted (%zu also paused)\n",
+      "budgeted (%zu also paused), %zu served (%zu snapshotted)\n",
       static_cast<unsigned long long>(count), paused, paused_at_iteration_end,
-      budgeted, budgeted_and_paused);
+      budgeted, budgeted_and_paused, served, served_and_snapshotted);
   EXPECT_EQ(failures, 0) << failures << " of " << count
                          << " cases disagree with the oracle";
   EXPECT_GT(paused_at_iteration_end, 0u);
   EXPECT_GT(paused - paused_at_iteration_end, 0u);
   EXPECT_GT(budgeted_and_paused, 0u);
+  EXPECT_GT(served_and_snapshotted, 0u);
 }
 
 // Tier-1: tiny pairs only (the oracle recounts every round from all links,
 // so larger pairs are slow), at a fixed case count. About a quarter of the
-// cases pause and resume, and a quarter run under the budget; RunFuzz
-// prints how many of each ran.
+// cases pause and resume, a quarter run under the budget and a tenth are
+// served; RunFuzz prints how many of each ran.
 TEST(OracleFuzzTest, TinyPairsMatchTheOracle) { RunFuzz(0, 2000, 20, 120); }
 
 // More cases, and some pairs of 120-400 nodes. Run with

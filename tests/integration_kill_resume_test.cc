@@ -48,7 +48,7 @@ std::vector<char> Slurp(const std::string& path) {
 }
 
 void RemoveTree(const std::string& dir) {
-  for (const CheckpointFile& file : ListCheckpoints(dir)) {
+  for (const CheckpointFile& file : ListCheckpoints(dir, kMatcherCheckpointPrefix)) {
     std::remove(file.path.c_str());
   }
   ::rmdir(dir.c_str());
@@ -86,12 +86,17 @@ size_t CountDirEntries(const std::string& dir) {
 
 struct ChildSpec {
   MatcherConfig config;
+  std::string fault_spec;    // armed in the child before the run
   std::string matching_out;  // empty: the child writes no matching
   std::string rounds_out;    // empty: the child writes no round count
 };
 
 // CHILD-ONLY code path: regenerates the workload and runs the matcher.
 void ChildMain(const ChildSpec& spec) {
+  if (!spec.fault_spec.empty()) {
+    std::string error;
+    if (!ArmFaults(spec.fault_spec, &error)) _exit(9);
+  }
   Graph g = GenerateChungLu(PowerLawWeights(1000, 2.2, 12.0), kWorkloadSeed);
   IndependentSampleOptions options;
   options.s1 = 0.6;
@@ -161,9 +166,9 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   ChildSpec crash;
   crash.config = base;
   crash.config.checkpoint_dir = dir;
-  crash.config.fault_spec = "crash:after_round=5";
+  crash.fault_spec = "crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode) << tag;
-  ASSERT_FALSE(ListCheckpoints(dir).empty()) << tag;
+  ASSERT_FALSE(ListCheckpoints(dir, kMatcherCheckpointPrefix).empty()) << tag;
 
   ChildSpec resume;
   resume.config = base;
@@ -213,10 +218,10 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   ChildSpec crash;
   crash.config = base;
   crash.config.checkpoint_dir = dir;
-  crash.config.fault_spec =
+  crash.fault_spec =
       "io:checkpoint_write_fail=3;crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  const std::vector<CheckpointFile> left = ListCheckpoints(dir);
+  const std::vector<CheckpointFile> left = ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_FALSE(left.empty());
   EXPECT_LT(left.back().round, 5) << "round 3's write was injected to fail";
 
@@ -247,9 +252,9 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
   ChildSpec crash;
   crash.config = base;
   crash.config.checkpoint_dir = dir;
-  crash.config.fault_spec = "crash:after_round=5";
+  crash.fault_spec = "crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  std::vector<CheckpointFile> files = ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_GE(files.size(), 2u);
 
   // Truncate the newest snapshot to half — a torn write survived a crash.
@@ -288,12 +293,12 @@ TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
   ChildSpec crash;
   crash.config = base;
   crash.config.checkpoint_dir = dir;
-  crash.config.fault_spec = "crash:after_round=4";
+  crash.fault_spec = "crash:after_round=4";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
 
   // Garbage in every snapshot: resume must warn, fall back to the seeds,
   // and still finish — determinism makes even the fresh start identical.
-  for (const CheckpointFile& file : ListCheckpoints(dir)) {
+  for (const CheckpointFile& file : ListCheckpoints(dir, kMatcherCheckpointPrefix)) {
     std::ofstream(file.path, std::ios::binary | std::ios::trunc)
         << "not a snapshot";
   }
@@ -330,10 +335,10 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   stop.config = base;
   stop.config.checkpoint_dir = dir;
   stop.config.checkpoint_every_rounds = 100;  // only the stop writes one
-  stop.config.fault_spec = "stop:after_round=2";
+  stop.fault_spec = "stop:after_round=2";
   stop.matching_out = partial_out;
   ASSERT_EQ(RunChild(stop), 0) << "graceful stop must exit cleanly";
-  const std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  const std::vector<CheckpointFile> files = ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_EQ(files.size(), 1u) << "the stop must flush a final checkpoint";
   EXPECT_EQ(files[0].round, 2);
   // The partial matching exists but is shorter than the full one.
@@ -384,9 +389,9 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
 
   ChildSpec crash;
   crash.config = budgeted;
-  crash.config.fault_spec = "crash:spill_commit=40";
+  crash.fault_spec = "crash:spill_commit=40";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  ASSERT_FALSE(ListCheckpoints(dir).empty())
+  ASSERT_FALSE(ListCheckpoints(dir, kMatcherCheckpointPrefix).empty())
       << "the crash must land after at least one checkpoint";
   // A hard crash is the one case that leaves spill scratch behind (the
   // mapped runs were alive when the process died).
@@ -422,7 +427,7 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   clean.config.checkpoint_dir = dir;
   clean.matching_out = clean_out;
   ASSERT_EQ(RunChild(clean), 0);
-  std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  std::vector<CheckpointFile> files = ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_EQ(files.size(), 2u) << "retention must prune to the newest 2";
   EXPECT_EQ(files[1].round, files[0].round + 1)
       << "the survivors must be the newest consecutive snapshots";

@@ -47,7 +47,7 @@ std::vector<char> Slurp(const std::string& path) {
 
 void RemoveServeTree(const std::string& dir) {
   for (const CheckpointFile& file :
-       ListCheckpointsWithPrefix(dir, kServeCheckpointPrefix)) {
+       ListCheckpoints(dir, kServeCheckpointPrefix)) {
     std::remove(file.path.c_str());
   }
   ::rmdir(dir.c_str());
@@ -148,15 +148,12 @@ void ChildMain(const ChildSpec& spec) {
 
   bool resumed = false;
   if (spec.resume) {
-    const auto checkpoints =
-        ListCheckpointsWithPrefix(spec.checkpoint_dir, kServeCheckpointPrefix);
-    for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-      std::string error;
-      if (matcher.LoadSnapshot(it->path, &error)) {
-        resumed = true;
-        break;
-      }
-    }
+    resumed = !ResumeFromNewestCheckpoint(
+                   spec.checkpoint_dir, kServeCheckpointPrefix, /*keep=*/0,
+                   [&matcher](const std::string& path, std::string* error) {
+                     return matcher.LoadSnapshot(path, error);
+                   })
+                   .empty();
     if (!resumed) _exit(8);
   }
 
@@ -170,11 +167,14 @@ void ChildMain(const ChildSpec& spec) {
   auto checkpoint = [&] {
     if (spec.checkpoint_dir.empty()) return;
     matcher.set_deltas_consumed(reader.records_consumed());
-    const std::string path = CheckpointPathWithPrefix(
-        spec.checkpoint_dir, kServeCheckpointPrefix,
-        matcher.batches_applied());
-    std::string save_error;
-    if (!matcher.SaveSnapshot(path, &save_error)) _exit(7);
+    if (!WriteCheckpoint(
+            spec.checkpoint_dir, kServeCheckpointPrefix,
+            matcher.batches_applied(), /*keep=*/0,
+            [&matcher](const std::string& path, std::string* save_error) {
+              return matcher.SaveSnapshot(path, save_error);
+            })) {
+      _exit(7);
+    }
   };
 
   if (!resumed) {
@@ -232,7 +232,7 @@ void CheckServeKillResume(const std::string& crash_spec,
   crash.checkpoint_dir = dir;
   crash.fault_spec = crash_spec;
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode) << tag;
-  ASSERT_FALSE(ListCheckpointsWithPrefix(dir, kServeCheckpointPrefix).empty())
+  ASSERT_FALSE(ListCheckpoints(dir, kServeCheckpointPrefix).empty())
       << tag << ": the crash must land after at least one checkpoint";
 
   // The resume runs under another thread count: serve snapshots hold no
@@ -282,7 +282,7 @@ TEST(ServeKillResumeTest, CorruptNewestServeCheckpointFallsBackToOlder) {
   crash.checkpoint_dir = dir;
   crash.fault_spec = "crash:serve_apply=4";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  auto files = ListCheckpointsWithPrefix(dir, kServeCheckpointPrefix);
+  auto files = ListCheckpoints(dir, kServeCheckpointPrefix);
   ASSERT_GE(files.size(), 2u);
   {
     // Torn write: truncate the newest snapshot to half.

@@ -298,37 +298,138 @@ TEST(SnapshotTest, InjectedTornWriteIsDetectedOnOpen) {
   std::remove(path.c_str());
 }
 
+constexpr char kPrefix[] = "state-round-";
+
+// Commits a one-section snapshot holding `round` as checkpoint `round` of
+// the `prefix` family in `dir`.
+void CommitRound(const std::string& dir, const std::string& prefix,
+                 int round) {
+  SnapshotWriter writer;
+  writer.BeginSection(1);
+  writer.AppendU64(static_cast<uint64_t>(round));
+  writer.EndSection();
+  std::string error;
+  ASSERT_TRUE(writer.Commit(CheckpointPath(dir, prefix, round), &error))
+      << error;
+}
+
+std::vector<int> Rounds(const std::string& dir, const std::string& prefix) {
+  std::vector<int> rounds;
+  for (const CheckpointFile& file : ListCheckpoints(dir, prefix)) {
+    rounds.push_back(file.round);
+  }
+  return rounds;
+}
+
+void RemoveDir(const std::string& dir) {
+  for (const char* prefix : {kPrefix, "serve-batch-"}) {
+    for (const CheckpointFile& file : ListCheckpoints(dir, prefix)) {
+      std::remove(file.path.c_str());
+    }
+  }
+  ::rmdir(dir.c_str());
+}
+
 TEST(CheckpointDirTest, PathsListAndOrder) {
   const std::string dir = TempPath("ckpt_dir");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << "EnsureDir must be idempotent";
 
-  EXPECT_TRUE(ListCheckpoints(dir).empty());
-  EXPECT_TRUE(ListCheckpoints(dir + "/missing").empty());
+  EXPECT_TRUE(ListCheckpoints(dir, kPrefix).empty());
+  EXPECT_TRUE(ListCheckpoints(dir + "/missing", kPrefix).empty());
 
-  // Write rounds out of order plus decoys that must be skipped.
-  for (int round : {12, 3, 7}) {
-    SnapshotWriter writer;
-    writer.BeginSection(1);
-    writer.AppendU64(static_cast<uint64_t>(round));
-    writer.EndSection();
-    ASSERT_TRUE(writer.Commit(CheckpointPath(dir, round), &error)) << error;
-  }
+  // Write rounds out of order plus decoys that must be skipped, and a file
+  // of another family, which only its own prefix lists.
+  for (int round : {12, 3, 7}) CommitRound(dir, kPrefix, round);
+  CommitRound(dir, "serve-batch-", 5);
   { std::ofstream(dir + "/state-round-xyz.ckpt") << "decoy"; }
   { std::ofstream(dir + "/notes.txt") << "decoy"; }
 
-  std::vector<CheckpointFile> found = ListCheckpoints(dir);
+  std::vector<CheckpointFile> found = ListCheckpoints(dir, kPrefix);
   ASSERT_EQ(found.size(), 3u);
   EXPECT_EQ(found[0].round, 3);
   EXPECT_EQ(found[1].round, 7);
   EXPECT_EQ(found[2].round, 12);
-  EXPECT_EQ(found[2].path, CheckpointPath(dir, 12));
+  EXPECT_EQ(found[2].path, CheckpointPath(dir, kPrefix, 12));
+  EXPECT_EQ(found[2].path, dir + "/state-round-000012.ckpt");
+  EXPECT_EQ(Rounds(dir, "serve-batch-"), std::vector<int>{5});
 
-  for (const CheckpointFile& file : found) std::remove(file.path.c_str());
   std::remove((dir + "/state-round-xyz.ckpt").c_str());
   std::remove((dir + "/notes.txt").c_str());
-  ::rmdir(dir.c_str());
+  RemoveDir(dir);
+}
+
+// The resume walk tries files newest first, skips the ones the loader
+// rejects, stops at the first it accepts, and prunes to max(keep, newer + 1)
+// so the loaded file survives; other families are left alone.
+TEST(CheckpointDirTest, ResumeWalkLoadsTheNewestAcceptedFileAndPrunes) {
+  const std::string dir = TempPath("ckpt_resume");
+  std::string error;
+  ASSERT_TRUE(EnsureDir(dir, &error)) << error;
+  for (int round = 1; round <= 6; ++round) CommitRound(dir, kPrefix, round);
+  CommitRound(dir, "serve-batch-", 1);
+
+  // Rounds 5 and 6 play corrupt files.
+  const std::string corrupt[] = {CheckpointPath(dir, kPrefix, 5),
+                                 CheckpointPath(dir, kPrefix, 6)};
+  std::vector<std::string> tried;
+  auto load = [&](const std::string& path, std::string* why) {
+    tried.push_back(path);
+    if (path != corrupt[0] && path != corrupt[1]) return true;
+    *why = "rejected by the test";
+    return false;
+  };
+  EXPECT_EQ(ResumeFromNewestCheckpoint(dir, kPrefix, /*keep=*/1, load),
+            CheckpointPath(dir, kPrefix, 4));
+  EXPECT_EQ(tried, (std::vector<std::string>{CheckpointPath(dir, kPrefix, 6),
+                                             CheckpointPath(dir, kPrefix, 5),
+                                             CheckpointPath(dir, kPrefix, 4)}));
+  // keep=1, but two newer files were skipped: the newest 3 survive.
+  EXPECT_EQ(Rounds(dir, kPrefix), (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(Rounds(dir, "serve-batch-"), std::vector<int>{1});
+
+  // keep=0 never prunes; a walk that loads nothing returns "".
+  auto reject_all = [](const std::string&, std::string* why) {
+    *why = "rejected by the test";
+    return false;
+  };
+  EXPECT_EQ(ResumeFromNewestCheckpoint(dir, kPrefix, 0, reject_all), "");
+  EXPECT_EQ(Rounds(dir, kPrefix), (std::vector<int>{4, 5, 6}));
+  EXPECT_EQ(ResumeFromNewestCheckpoint(dir + "/missing", kPrefix, 2,
+                                       reject_all),
+            "");
+  RemoveDir(dir);
+}
+
+// Retention follows successful writes only: a failed save leaves every
+// older recovery point in place.
+TEST(CheckpointDirTest, WriteCheckpointPrunesOnlyAfterASuccessfulWrite) {
+  const std::string dir = TempPath("ckpt_write");
+  std::string error;
+  ASSERT_TRUE(EnsureDir(dir, &error)) << error;
+  auto save = [](const std::string& path, std::string* why) {
+    SnapshotWriter writer;
+    writer.BeginSection(1);
+    writer.AppendU64(7);
+    writer.EndSection();
+    return writer.Commit(path, why);
+  };
+  for (int round = 1; round <= 4; ++round) {
+    EXPECT_TRUE(WriteCheckpoint(dir, kPrefix, round, /*keep=*/0, save));
+  }
+  EXPECT_EQ(Rounds(dir, kPrefix), (std::vector<int>{1, 2, 3, 4}));
+
+  auto fail = [](const std::string&, std::string* why) {
+    *why = "injected by the test";
+    return false;
+  };
+  EXPECT_FALSE(WriteCheckpoint(dir, kPrefix, 5, /*keep=*/2, fail));
+  EXPECT_EQ(Rounds(dir, kPrefix), (std::vector<int>{1, 2, 3, 4}));
+
+  EXPECT_TRUE(WriteCheckpoint(dir, kPrefix, 5, /*keep=*/2, save));
+  EXPECT_EQ(Rounds(dir, kPrefix), (std::vector<int>{4, 5}));
+  RemoveDir(dir);
 }
 
 }  // namespace

@@ -34,18 +34,23 @@ TEST_F(FaultTest, EmptySpecArmsNothing) {
   EXPECT_FALSE(FaultPointHit("checkpoint_write_fail"));
 }
 
-TEST_F(FaultTest, ValidSpecsParse) {
-  std::string error;
-  EXPECT_TRUE(ValidateFaultSpec("crash:after_round=3", &error));
-  EXPECT_TRUE(ValidateFaultSpec("stop:after_round=2", &error));
-  EXPECT_TRUE(ValidateFaultSpec("io:checkpoint_write_fail", &error));
-  EXPECT_TRUE(ValidateFaultSpec("io:checkpoint_truncate=2", &error));
-  EXPECT_TRUE(ValidateFaultSpec(
+TEST_F(FaultTest, ValidSpecsArm) {
+  const char* good[] = {
+      "crash:after_round=3",
+      "stop:after_round=2",
+      "io:checkpoint_write_fail",
+      "io:checkpoint_truncate=2",
       "io:checkpoint_write_fail;stop:after_round=1,io:checkpoint_truncate=3",
-      &error));
-  // Threshold points (the `_after` suffix) accept 0: "fail every hit".
-  EXPECT_TRUE(ValidateFaultSpec("io:enospc_after=0", &error));
-  EXPECT_TRUE(ValidateFaultSpec("io:spill_write_fail=2", &error));
+      // Threshold points (the `_after` suffix) accept 0: "fail every hit".
+      "io:enospc_after=0",
+      "io:spill_write_fail=2",
+  };
+  for (const char* spec : good) {
+    std::string error;
+    EXPECT_TRUE(ArmFaults(spec, &error)) << spec << ": " << error;
+    EXPECT_NE(ArmedFaultSpec(), "") << spec;
+    DisarmFaults();
+  }
 }
 
 TEST_F(FaultTest, ThresholdPointFiresEveryHitPastTheValue) {
@@ -74,9 +79,8 @@ TEST_F(FaultTest, MalformedSpecsRejectedWithDiagnostic) {
   };
   for (const char* spec : bad) {
     std::string error;
-    EXPECT_FALSE(ValidateFaultSpec(spec, &error)) << spec;
-    EXPECT_FALSE(error.empty()) << spec;
     EXPECT_FALSE(ArmFaults(spec, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
   }
   // Nothing was armed by the failed attempts.
   EXPECT_EQ(ArmedFaultSpec(), "");

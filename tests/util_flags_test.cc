@@ -85,14 +85,25 @@ TEST(FlagsTest, LastValueWins) {
   EXPECT_EQ(flags.GetInt("k", 0), 2);
 }
 
-TEST(FlagsDeathTest, BadIntegerAborts) {
-  Flags flags = ParseOk({"--n=abc"});
-  EXPECT_DEATH(flags.GetInt("n", 0), "not an integer");
-}
-
-TEST(FlagsDeathTest, BadBoolAborts) {
-  Flags flags = ParseOk({"--b=maybe"});
-  EXPECT_DEATH(flags.GetBool("b", false), "not a boolean");
+// A malformed value is a usage error, as the tools document it: exit code
+// 2 and one stderr line naming the flag and its value, never an abort.
+TEST(FlagsDeathTest, MalformedValuesExitWithUsageError) {
+  Flags flags = ParseOk({"--n=abc", "--sci=1e3", "--huge=99999999999999999999",
+                         "--x=0.5y", "--b=maybe", "--empty="});
+  EXPECT_EXIT(flags.GetInt("n", 0), testing::ExitedWithCode(2),
+              "--n=abc is not a 64-bit integer");
+  EXPECT_EXIT(flags.GetInt("sci", 0), testing::ExitedWithCode(2),
+              "--sci=1e3 is not a 64-bit integer");
+  EXPECT_EXIT(flags.GetInt("huge", 0), testing::ExitedWithCode(2),
+              "--huge=99999999999999999999 is not a 64-bit integer");
+  EXPECT_EXIT(flags.GetDouble("x", 0.0), testing::ExitedWithCode(2),
+              "--x=0.5y is not a number");
+  EXPECT_EXIT(flags.GetDouble("empty", 0.0), testing::ExitedWithCode(2),
+              "--empty= is not a number");
+  EXPECT_EXIT(flags.GetBool("b", false), testing::ExitedWithCode(2),
+              "--b=maybe is not a boolean");
+  // The same spellings parse where they are valid.
+  EXPECT_DOUBLE_EQ(flags.GetDouble("sci", 0.0), 1000.0);
 }
 
 }  // namespace

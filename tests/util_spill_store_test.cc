@@ -8,9 +8,11 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -249,6 +251,44 @@ TEST_F(SpillStoreTest, EnospcThresholdFailsEverySpillPastTheCliff) {
   EXPECT_EQ(store.Spill(run, &error), nullptr);
   EXPECT_EQ(store.stats().tiers_spilled, 2u);
   EXPECT_EQ(store.stats().spill_failures, 2u);
+}
+
+// Two stores of one process spilling into one directory, as two matcher
+// states with the same score directory do: the file names must not collide,
+// every spill succeeds, each store reads back its own runs, and destroying
+// both leaves the directory empty.
+TEST_F(SpillStoreTest, TwoStoresShareADirectory) {
+  std::vector<SortedCountRun> runs[2];
+  {
+    // Declared first, so the runs go after the stores, as the matcher's
+    // cells go with its state.
+    std::vector<std::unique_ptr<SpilledRun>> spilled[2];
+    SpillStore stores[2] = {SpillStore(dir_), SpillStore(dir_)};
+    for (int i = 0; i < 6; ++i) {
+      for (int s = 0; s < 2; ++s) {
+        runs[s].push_back(
+            MakeRun(MakeDeltaStream(100 * s + i, 1, 300, 5000)[0]));
+        std::string error;
+        spilled[s].push_back(stores[s].Spill(runs[s].back(), &error));
+        ASSERT_NE(spilled[s].back(), nullptr)
+            << "store " << s << " spill " << i << ": " << error;
+      }
+    }
+    for (int s = 0; s < 2; ++s) {
+      EXPECT_EQ(stores[s].stats().tiers_spilled, 6u);
+      EXPECT_EQ(stores[s].stats().spill_failures, 0u);
+      for (size_t i = 0; i < runs[s].size(); ++i) {
+        const SpilledRun& run = *spilled[s][i];
+        ASSERT_EQ(run.size(), runs[s][i].size());
+        EXPECT_TRUE(std::equal(run.keys(), run.keys() + run.size(),
+                               runs[s][i].keys.begin()));
+        EXPECT_TRUE(std::equal(run.counts(), run.counts() + run.size(),
+                               runs[s][i].counts.begin()));
+      }
+    }
+    EXPECT_EQ(CountDirEntries(dir_), 12u);
+  }
+  EXPECT_EQ(CountDirEntries(dir_), 0u);
 }
 
 TEST_F(SpillStoreTest, DisableStopsSpillingWithoutTouchingDisk) {

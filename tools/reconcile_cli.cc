@@ -46,6 +46,7 @@
 #include "reconcile/sampling/independent.h"
 #include "reconcile/sampling/timeslice.h"
 #include "reconcile/seed/seeding.h"
+#include "reconcile/util/fault.h"
 #include "reconcile/util/flags.h"
 #include "reconcile/util/logging.h"
 #include "reconcile/util/shutdown.h"
@@ -122,11 +123,11 @@ Crash safety (core matcher; see DESIGN.md §2.4):
                   fall back to older ones (fresh start if none survives);
                   the resumed matching is bit-identical to an
                   uninterrupted run
-  --fault         --param fault=spec — deterministic fault injection for
-                  crash-safety testing (e.g. crash:after_round=3,
-                  io:checkpoint_write_fail, io:spill_write_fail,
-                  io:enospc_after=N; RECONCILE_FAULT env var does the
-                  same process-wide)
+  --fault         deterministic fault injection for crash-safety testing,
+                  armed process-wide before the run (e.g.
+                  crash:after_round=3, io:checkpoint_write_fail,
+                  io:spill_write_fail, io:enospc_after=N; overrides the
+                  RECONCILE_FAULT env var, which does the same)
 
 Out-of-core score store (core matcher; DESIGN.md §2.5):
   --memory-budget --param memory-budget=BYTES — hard budget for the
@@ -166,8 +167,6 @@ Output and misc:
                   open pairs (>= T, both ends unmatched) and
                   emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
-  --baseline      DEPRECATED alias: also run this algorithm
-                  after the main one (use --algorithm)        [none]
   --rng-seed      master RNG seed                             [42]
   --save-g1/--save-g2   write copies as text edge lists
   --save-matching write the final links (u v [seed], sorted)
@@ -175,8 +174,8 @@ Output and misc:
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
   1  runtime I/O failure (unreadable input, unwritable output)
-  2  usage error (unknown flag value, out-of-range scenario flag,
-     malformed --param, bad spec)
+  2  usage error (unknown or malformed flag value, out-of-range
+     scenario flag, malformed --param, bad spec)
 )";
 
 void PrintAlgorithms() {
@@ -233,9 +232,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.GetBool("resume", false)) {
     spec->Set("resume", "true");
   }
-  if (flags.Has("fault")) {
-    spec->Set("fault", flags.GetString("fault", ""));
-  }
   return true;
 }
 
@@ -288,15 +284,6 @@ bool ScenarioFlagsInRange(const Flags& flags, const std::string& model,
   return true;
 }
 
-// The deprecated --baseline=<key> comparison: map the old hand-tuned
-// configurations onto registry specs.
-ReconcilerSpec BaselineAliasSpec(const std::string& baseline) {
-  ReconcilerSpec spec(baseline);
-  if (baseline == "simple") spec.Set("threshold", "1");
-  if (baseline == "ns09") spec.Set("theta", "1");
-  return spec;
-}
-
 void PrintQuality(const MatchQuality& quality) {
   std::printf("  good %zu | bad %zu | precision %.2f%% | recall(all) %.2f%% | "
               "recall(new) %.2f%%\n",
@@ -320,9 +307,13 @@ int RunCli(const Flags& flags) {
   const std::string process = flags.GetString("process", "independent");
   const double scale = flags.GetDouble("scale", 0.25);
 
-  // --- Algorithm resolution (fail before the expensive pair build). ------
-  ReconcilerSpec spec;
+  // --- Faults and algorithm resolution (fail before the pair build). -----
   std::string error;
+  if (flags.Has("fault") && !ArmFaults(flags.GetString("fault", ""), &error)) {
+    std::fprintf(stderr, "bad --fault spec: %s\n", error.c_str());
+    return 2;
+  }
+  ReconcilerSpec spec;
   if (!BuildSpec(flags, &spec, &error)) {
     std::fprintf(stderr, "bad --algorithm/--param: %s\n", error.c_str());
     return 2;
@@ -509,24 +500,7 @@ int RunCli(const Flags& flags) {
   }
 
   if (flags.GetBool("phase-table", false)) {
-    Table table({"iter", "bucket", "links in", "emissions", "pairs",
-                 "pairs >= T", "open", "new", "emit s", "merge s", "scan s",
-                 "select s"});
-    for (const PhaseStats& phase : result.phases) {
-      table.AddRow({std::to_string(phase.iteration),
-                    std::to_string(phase.bucket_exponent),
-                    std::to_string(phase.links_in),
-                    std::to_string(phase.emissions),
-                    std::to_string(phase.candidate_pairs),
-                    std::to_string(phase.observed_pairs),
-                    std::to_string(phase.open_pairs),
-                    std::to_string(phase.new_links),
-                    FormatDouble(phase.emit_seconds, 3),
-                    FormatDouble(phase.merge_seconds, 3),
-                    FormatDouble(phase.scan_seconds, 3),
-                    FormatDouble(phase.select_seconds, 3)});
-    }
-    table.Print(std::cout);
+    PhaseTable(result.phases).Print(std::cout);
   }
 
   if (flags.GetBool("degree-table", false)) {
@@ -578,26 +552,6 @@ int RunCli(const Flags& flags) {
                     disagreement, std::string(reconciler->name()),
                     std::string(challenger->name()))
                     .c_str());
-  }
-
-  // --- Deprecated --baseline alias: run a second algorithm for comparison.
-  std::string baseline = flags.GetString("baseline", "none");
-  if (baseline != "none") {
-    ReconcilerSpec alias = BaselineAliasSpec(baseline);
-    std::fprintf(stderr,
-                 "warning: --baseline is deprecated; use "
-                 "--algorithm=%s (running it additionally for comparison)\n",
-                 alias.ToString().c_str());
-    std::unique_ptr<Reconciler> comparison =
-        Registry::Global().Create(alias, &error);
-    if (comparison == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
-    MatchResult b = comparison->Run(pair.g1, pair.g2, seeds);
-    std::printf("\n%s: %.2fs\n", comparison->Describe().c_str(),
-                b.total_seconds);
-    PrintQuality(Evaluate(pair, b));
   }
 
   for (const std::string& key : flags.UnusedKeys()) {

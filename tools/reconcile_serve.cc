@@ -18,7 +18,6 @@
 //   reconcile_serve --g1=a.txt --g2=b.txt --identity-seeds=500
 //       --deltas=stream.log --checkpoint-dir=ckpt --resume
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -160,7 +159,8 @@ bool LoadGraph(const std::string& path, Graph* out) {
   return true;
 }
 
-void PrintBatch(const ServeBatchStats& stats, bool initial) {
+// One telemetry line per batch, then the rerun's phase table if asked.
+void PrintBatch(const ServeBatchStats& stats, bool initial, bool phase_table) {
   std::printf(
       "%s%d: deltas %zu (%zu effective) | rounds %d | links %zu (+%zu/-%zu) "
       "| %.2fs\n",
@@ -168,98 +168,10 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
       stats.deltas_in, stats.deltas_applied, stats.replayed_rounds,
       stats.num_links, stats.links_added, stats.links_removed,
       stats.seconds);
+  if (phase_table && !stats.rounds.empty()) {
+    PhaseTable(stats.rounds).Print(std::cout);
+  }
   std::fflush(stdout);
-}
-
-void PrintPhaseTable(const ServeBatchStats& stats) {
-  if (stats.rounds.empty()) return;
-  Table table({"iter", "bucket", "links in", "emissions", "pairs",
-               "pairs >= T", "open", "new", "emit s", "merge s", "scan s",
-               "select s"});
-  for (const PhaseStats& phase : stats.rounds) {
-    table.AddRow({std::to_string(phase.iteration),
-                  std::to_string(phase.bucket_exponent),
-                  std::to_string(phase.links_in),
-                  std::to_string(phase.emissions),
-                  std::to_string(phase.candidate_pairs),
-                  std::to_string(phase.observed_pairs),
-                  std::to_string(phase.open_pairs),
-                  std::to_string(phase.new_links),
-                  FormatDouble(phase.emit_seconds, 3),
-                  FormatDouble(phase.merge_seconds, 3),
-                  FormatDouble(phase.scan_seconds, 3),
-                  FormatDouble(phase.select_seconds, 3)});
-  }
-  table.Print(std::cout);
-}
-
-// Persists the session keyed by applied-batch count, stamping the delta
-// cursor first so a resume fast-forwards the stream to exactly where this
-// snapshot's state left off. Write failures are non-fatal (the session
-// keeps serving, it loses this recovery point); retention prunes only
-// after a successful write.
-void WriteServeCheckpoint(IncrementalMatcher* matcher,
-                          const DeltaReader* reader, const std::string& dir,
-                          int keep) {
-  if (reader != nullptr) {
-    matcher->set_deltas_consumed(reader->records_consumed());
-  }
-  const std::string path = CheckpointPathWithPrefix(
-      dir, kServeCheckpointPrefix, matcher->batches_applied());
-  std::string error;
-  if (!matcher->SaveSnapshot(path, &error)) {
-    std::fprintf(stderr, "warning: checkpoint write failed: %s\n",
-                 error.c_str());
-    return;
-  }
-  std::string prune_error;
-  PruneCheckpointsWithPrefix(dir, kServeCheckpointPrefix, keep, &prune_error);
-  if (!prune_error.empty()) {
-    std::fprintf(stderr, "warning: checkpoint prune failed (non-fatal): %s\n",
-                 prune_error.c_str());
-  }
-}
-
-// Resume: newest valid snapshot wins; corrupt ones fall back to older
-// (fresh start if none survives). A successful resume also prunes —
-// keeping at least the just-resumed file — so snapshots written after the
-// last prune by a killed run cannot accumulate forever (same contract as
-// the batch matcher's resume).
-bool TryResumeServe(IncrementalMatcher* matcher, const std::string& dir,
-                    int keep) {
-  const std::vector<CheckpointFile> checkpoints =
-      ListCheckpointsWithPrefix(dir, kServeCheckpointPrefix);
-  int newer = 0;
-  for (auto it = checkpoints.rbegin(); it != checkpoints.rend();
-       ++it, ++newer) {
-    std::string error;
-    if (matcher->LoadSnapshot(it->path, &error)) {
-      std::printf("resumed from %s (%d batches applied, %zu links, "
-                  "%llu deltas consumed)\n",
-                  it->path.c_str(), matcher->batches_applied(),
-                  matcher->num_links(),
-                  static_cast<unsigned long long>(
-                      matcher->deltas_consumed()));
-      if (keep > 0) {
-        std::string prune_error;
-        PruneCheckpointsWithPrefix(dir, kServeCheckpointPrefix,
-                                   std::max(keep, newer + 1), &prune_error);
-        if (!prune_error.empty()) {
-          std::fprintf(stderr,
-                       "warning: checkpoint prune on resume failed "
-                       "(non-fatal): %s\n",
-                       prune_error.c_str());
-        }
-      }
-      return true;
-    }
-    std::fprintf(stderr, "warning: skipping checkpoint %s: %s\n",
-                 it->path.c_str(), error.c_str());
-  }
-  std::fprintf(stderr,
-               "warning: no usable serve checkpoint in %s; starting fresh\n",
-               dir.c_str());
-  return false;
 }
 
 int RunServe(const Flags& flags) {
@@ -347,7 +259,20 @@ int RunServe(const Flags& flags) {
       return 1;
     }
     if (flags.GetBool("resume", false)) {
-      resumed = TryResumeServe(&matcher, checkpoint_dir, checkpoint_keep);
+      const std::string path = ResumeFromNewestCheckpoint(
+          checkpoint_dir, kServeCheckpointPrefix, checkpoint_keep,
+          [&matcher](const std::string& path, std::string* error) {
+            return matcher.LoadSnapshot(path, error);
+          });
+      resumed = !path.empty();
+      if (resumed) {
+        std::printf("resumed from %s (%d batches applied, %zu links, "
+                    "%llu deltas consumed)\n",
+                    path.c_str(), matcher.batches_applied(),
+                    matcher.num_links(),
+                    static_cast<unsigned long long>(
+                        matcher.deltas_consumed()));
+      }
     }
   }
 
@@ -375,19 +300,26 @@ int RunServe(const Flags& flags) {
     }
   }
 
+  // Persists the session keyed by applied-batch count, stamping the delta
+  // cursor first so a resume fast-forwards the stream to exactly where
+  // this snapshot's state left off.
+  auto checkpoint = [&] {
+    if (have_stream) matcher.set_deltas_consumed(reader.records_consumed());
+    WriteCheckpoint(checkpoint_dir, kServeCheckpointPrefix,
+                    matcher.batches_applied(), checkpoint_keep,
+                    [&matcher](const std::string& path, std::string* error) {
+                      return matcher.SaveSnapshot(path, error);
+                    });
+  };
+
   // From here on SIGINT/SIGTERM request a graceful stop: the in-flight
   // batch completes, a final checkpoint is written, outputs are saved.
   InstallGracefulShutdownHandlers();
 
   if (!resumed) {
-    const ServeBatchStats stats = matcher.ApplyBatch({});
-    PrintBatch(stats, /*initial=*/true);
-    if (phase_table) PrintPhaseTable(stats);
+    PrintBatch(matcher.ApplyBatch({}), /*initial=*/true, phase_table);
     FaultValuePoint("after_batch", matcher.batches_applied());
-    if (checkpointing) {
-      WriteServeCheckpoint(&matcher, have_stream ? &reader : nullptr,
-                           checkpoint_dir, checkpoint_keep);
-    }
+    if (checkpointing) checkpoint();
   }
 
   bool stream_error = false;
@@ -403,16 +335,13 @@ int RunServe(const Flags& flags) {
         break;
       }
       if (!batch.empty()) {
-        const ServeBatchStats stats = matcher.ApplyBatch(batch);
-        PrintBatch(stats, /*initial=*/false);
-        if (phase_table) PrintPhaseTable(stats);
+        PrintBatch(matcher.ApplyBatch(batch), /*initial=*/false, phase_table);
         // Fault hook between re-matching and persisting the batch: a
         // `crash:after_batch=k` kill loses exactly this batch's state and
         // a resume must re-apply it from the stream.
         FaultValuePoint("after_batch", matcher.batches_applied());
         if (checkpointing && ++batches_since_checkpoint >= checkpoint_every) {
-          WriteServeCheckpoint(&matcher, &reader, checkpoint_dir,
-                               checkpoint_keep);
+          checkpoint();
           batches_since_checkpoint = 0;
         }
       }
@@ -423,10 +352,7 @@ int RunServe(const Flags& flags) {
                    "graceful stop after batch %d; resume with --resume\n",
                    matcher.batches_applied());
     }
-    if (checkpointing && batches_since_checkpoint > 0) {
-      WriteServeCheckpoint(&matcher, &reader, checkpoint_dir,
-                           checkpoint_keep);
-    }
+    if (checkpointing && batches_since_checkpoint > 0) checkpoint();
   }
 
   if (flags.Has("save-matching") &&
