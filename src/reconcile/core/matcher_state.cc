@@ -1,11 +1,13 @@
 #include "reconcile/core/matcher_state.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
 #include "reconcile/util/parallel_for.h"
+#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/timer.h"
 
 namespace reconcile {
@@ -17,6 +19,7 @@ namespace {
 // pairs eligible at bucket threshold 2^j are exactly those stored at levels
 // >= j.
 constexpr int kNumLevels = 33;
+static_assert(kNumLevels <= 64, "the row merge keeps one bit per level");
 
 int FloorLog2(NodeId x) {
   int log = 0;
@@ -70,11 +73,17 @@ std::vector<uint32_t> ShardTable(NodeId n1, int num_shards) {
   // load instead of a hash mix or a 64-bit divide. Each shard owns a
   // contiguous key interval, so per-shard runs stay disjoint and their
   // concatenation is globally sorted.
-  const uint64_t n = std::max<uint64_t>(1, n1);
+  // Shard s owns u in [ceil(s * n1 / S), ceil((s + 1) * n1 / S)), so the
+  // table fills range by range, with two divides per shard, not one per node.
+  const uint64_t n = n1;
+  const uint64_t shards = static_cast<uint64_t>(num_shards);
   std::vector<uint32_t> table(n1);
-  for (NodeId u = 0; u < n1; ++u) {
-    table[u] = static_cast<uint32_t>(static_cast<uint64_t>(u) *
-                                     static_cast<uint64_t>(num_shards) / n);
+  auto first = [n, shards](uint64_t shard) {
+    return static_cast<ptrdiff_t>((shard * n + shards - 1) / shards);
+  };
+  for (uint64_t shard = 0; shard < shards; ++shard) {
+    std::fill(table.begin() + first(shard), table.begin() + first(shard + 1),
+              static_cast<uint32_t>(shard));
   }
   return table;
 }
@@ -91,6 +100,25 @@ int ShardWidth(NodeId n1) {
   return static_cast<int>(
       std::clamp<NodeId>(n1 / kNodesPerShard, 1, kMaxShards));
 }
+
+bool TestBit(const std::vector<uint64_t>& bits, NodeId x) {
+  return (bits[x >> 6] >> (x & 63)) & 1;
+}
+
+// The score store's drop rule (see `KeepAll` in util/row_run.h): a pair
+// whose ends are both matched is dead. It cannot be accepted, and the bests
+// it feeds are those of matched nodes, which no accept reads, so leaving it
+// out of any emission or rewrite is exact. Only a row of a matched u can
+// hold one. It reads the matched-node bitsets, not the maps: it is asked
+// about every emitted pair of such a row, and at 1/32 of a map's size a
+// bitset stays in cache.
+struct DeadPairs {
+  const std::vector<uint64_t>& matched1;
+  const std::vector<uint64_t>& matched2;
+
+  bool Row(NodeId u) const { return TestBit(matched1, u); }
+  bool Entry(NodeId v) const { return TestBit(matched2, v); }
+};
 
 // The top degree-bucket exponent of the round schedule (0 when bucketing is
 // off or both graphs are empty).
@@ -113,6 +141,8 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       num_shards_(ShardWidth(g1.num_nodes())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
+      matched1_((g1.num_nodes() + 63) / 64, 0),
+      matched2_((g2.num_nodes() + 63) / 64, 0),
       selection_(g1.num_nodes(), g2.num_nodes()) {
   RECONCILE_CHECK_GE(config.min_bucket_exponent, 0);
   RECONCILE_CHECK_LE(config.min_bucket_exponent, 31);
@@ -160,6 +190,15 @@ void MatcherState::SeedLinks(
     map_2to1_[v] = u;
     links_.emplace_back(u, v);
   }
+  MarkMatched(0);
+}
+
+void MatcherState::MarkMatched(size_t first_link) {
+  for (size_t i = first_link; i < links_.size(); ++i) {
+    const auto [u, v] = links_[i];
+    matched1_[u >> 6] |= uint64_t{1} << (u & 63);
+    matched2_[v >> 6] |= uint64_t{1} << (v & 63);
+  }
 }
 
 size_t MatcherState::RunRound() {
@@ -195,23 +234,20 @@ void MatcherState::AdvanceCursor() {
                                                  : config_.min_bucket_exponent;
 }
 
-// Drops dead entries from the score cells between outer iterations, to keep
-// scans and memory proportional to the live frontier. A pair whose
-// endpoints are both matched is dead: it cannot be accepted, and the bests
-// it feeds are those of matched nodes, which no accept consults. Each tier
-// is filtered in place — no rebuild, order preserved; the predicate depends
-// on the key alone, so every key's cross-tier total is preserved.
+// Drops the dead pairs (`DeadPairs`) from every score cell between outer
+// iterations. Emission and every merge already leave them out, but a pair
+// stored while live dies in place once its second end is matched, and only
+// a rewrite removes it; this sweep rewrites the cells the rounds left alone.
 void MatcherState::CompactScores() {
-  const size_t cells =
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
-  ParallelForEach(&pool_, cells, [this](size_t cell) {
-    TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
-                                  [cell % static_cast<size_t>(num_shards_)];
-    if (store.empty()) return;
-    store.Filter([this](uint64_t key, uint32_t) {
-      return map_1to2_[PairFirst(key)] == kInvalidNode ||
-             map_2to1_[PairSecond(key)] == kInvalidNode;
-    });
+  std::vector<TieredCountRuns*> cells;
+  for (auto& level : runs_) {
+    for (TieredCountRuns& store : level) {
+      if (!store.empty()) cells.push_back(&store);
+    }
+  }
+  const DeadPairs dead{matched1_, matched2_};
+  ParallelForEach(&pool_, cells.size(), [&cells, &dead](size_t i) {
+    cells[i]->Filter(dead);
   });
 }
 
@@ -332,15 +368,17 @@ class RowMerger {
 //     each u's lists into ascending (v, count) and route every v at or
 //     above the degree floor to cell min(level1(u), level2(v)). The shard
 //     walks u in ascending order and each row's v ascend, so every
-//     (level, shard) cell's delta comes out sorted and counted.
+//     (level, shard) cell's delta comes out as rows (`RowRun`), sorted and
+//     counted. A dead pair (`DeadPairs`) counts as an emission but is not
+//     stored.
 //  3. Append (per cell): the delta becomes the base of an empty cell, or
 //     joins the cell's delta tier, which folds into the base run once it
-//     reaches a quarter of it.
+//     reaches a quarter of it. Both merges leave the dead pairs out.
 //
-// Each cell thus receives exactly the run that sorting and counting the
-// per-witness keys would give, once per round, so the cells do not depend
-// on how the delta was built. `emit_seconds` covers steps 1 and 2;
-// `merge_seconds` is the append alone.
+// Each cell thus receives the live part of the run that sorting and
+// counting the per-witness keys would give, once per round, so the cells
+// do not depend on how the delta was built. `emit_seconds` covers steps 1
+// and 2; `merge_seconds` is the append alone.
 void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
   if (begin == end) return;
 
@@ -367,10 +405,11 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
 
   // Per shard: the round's delta run for each level (no runs when the shard
   // gathered nothing), and its emission count.
-  std::vector<std::vector<SortedCountRun>> cells(num_shards);
+  const DeadPairs dead{matched1_, matched2_};
+  std::vector<std::vector<RowRun>> cells(num_shards);
   std::vector<uint64_t> shard_emissions(num_shards, 0);
   ParallelForEach(&pool_, num_shards, [this, &gathered, &cells,
-                                       &shard_emissions,
+                                       &shard_emissions, &dead,
                                        min_level](size_t shard) {
     size_t total = 0;
     for (const Gathered& g : gathered) {
@@ -386,7 +425,7 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
     std::vector<uint64_t> scratch;
     RadixSortU64(entries, scratch);
 
-    std::vector<SortedCountRun>& shard_cells = cells[shard];
+    std::vector<RowRun>& shard_cells = cells[shard];
     shard_cells.resize(kNumLevels);
     RowMerger merger;
     uint64_t emissions = 0;
@@ -395,16 +434,22 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
       size_t j = i + 1;
       while (j < entries.size() && PairFirst(entries[j]) == u) ++j;
       const uint8_t lu = level1_[u];
+      const bool row_may_die = dead.Row(u);
+      uint64_t levels = 0;  // the cells row u wrote to, one bit each
       merger.Merge(g2_, std::span<const uint64_t>(entries).subspan(i, j - i),
-                   [this, &shard_cells, &emissions, u, lu, min_level](
-                       NodeId v, uint32_t count) {
+                   [this, &shard_cells, &emissions, &dead, &levels, lu,
+                    row_may_die, min_level](NodeId v, uint32_t count) {
                      const uint8_t lv = level2_[v];
                      if (lv < min_level) return;
-                     SortedCountRun& run = shard_cells[std::min(lu, lv)];
-                     run.keys.push_back(PackPair(u, v));
-                     run.counts.push_back(count);
                      emissions += count;
+                     if (row_may_die && dead.Entry(v)) return;
+                     const int level = std::min(lu, lv);
+                     shard_cells[level].PushEntry(v, count);
+                     levels |= uint64_t{1} << level;
                    });
+      for (; levels != 0; levels &= levels - 1) {
+        shard_cells[std::countr_zero(levels)].CloseRow(u);
+      }
       i = j;
     }
     shard_emissions[shard] = emissions;
@@ -412,13 +457,18 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
   stats->emit_seconds += emit_timer.Seconds();
 
   Timer merge_timer;
-  ParallelForEach(&pool_, static_cast<size_t>(kNumLevels) * num_shards,
-                  [this, &cells, num_shards](size_t cell) {
-                    const size_t level = cell / num_shards;
-                    const size_t shard = cell % num_shards;
-                    if (cells[shard].empty()) return;
+  // One claim per non-empty delta, not per cell of the partition.
+  std::vector<std::pair<size_t, size_t>> deltas;  // (level, shard)
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    for (size_t level = 0; level < cells[shard].size(); ++level) {
+      if (!cells[shard][level].empty()) deltas.emplace_back(level, shard);
+    }
+  }
+  ParallelForEach(&pool_, deltas.size(),
+                  [this, &cells, &deltas, &dead](size_t i) {
+                    const auto [level, shard] = deltas[i];
                     runs_[level][shard].Append(
-                        std::move(cells[shard][level]));
+                        std::move(cells[shard][level]), dead);
                   });
   stats->merge_seconds += merge_timer.Seconds();
 
@@ -459,8 +509,7 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
       const TieredCountRuns& store = runs_[level][shard];
       resident += store.resident_bytes();
       for (size_t t = 0; t < store.num_tiers(); ++t) {
-        const size_t bytes =
-            TieredCountRuns::BytesForEntries(store.tier_size(t));
+        const size_t bytes = store.tier_bytes(t);
         if (store.tier_spilled(t)) {
           spilled_bytes += bytes;
         } else if (bytes > 0) {
@@ -521,12 +570,13 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   emitted_links_ = links_.size();
   EnforceMemoryBudget(&stats);
 
+  // The eligible cells, in (level, shard) order. An empty cell accepts
+  // nothing, so leaving it out keeps the link log and saves the selection
+  // passes a claim per empty cell of a wide partition.
   std::vector<const TieredCountRuns*> cells;
-  cells.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
-                static_cast<size_t>(num_shards_));
   for (int level = bucket_exponent; level < kNumLevels; ++level) {
     for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-      cells.push_back(&store);
+      if (!store.empty()) cells.push_back(&store);
     }
   }
   SelectionContext ctx;
@@ -536,6 +586,7 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   ctx.map_2to1 = &map_2to1_;
   ctx.links = &links_;
   const size_t accepted = selection_.SelectAndCommit(cells, ctx, &stats);
+  MarkMatched(links_.size() - accepted);
 
   stats.new_links = accepted;
   stats.seconds = timer.Seconds();
@@ -671,6 +722,7 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   links_ = std::move(links);
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
+  MarkMatched(0);
   emitted_links_ = static_cast<size_t>(emitted_links);
   iteration_ = iteration;
   current_bucket_ = current_bucket;
@@ -684,14 +736,14 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
 
 // The score store is derived state: each emitted link (a1, a2) added one
 // witness to every pair in N1(a1) x N2(a2), so re-emitting the emitted
-// prefix of the link log into empty cells restores every sum. The pairs
-// whose ends are now both matched are then dropped, as `CompactScores`
-// drops them. That is exact by the same argument: a dead pair feeds only
-// the bests of matched nodes, which no accept reads. The uninterrupted
-// store differs from the rebuilt one only by the pairs that died since the
-// last iteration boundary, so open pairs, accepts and the link-log order
-// do not change (`PhaseStats` notes the counters that do). Links accepted
-// in the last round stay pending for the next round's emission, and the
+// prefix of the link log into empty cells restores every sum. Emission
+// leaves out the pairs whose ends are both matched under the loaded maps,
+// so the rebuilt store holds only live pairs. That is exact by the
+// `DeadPairs` argument: a dead pair feeds only the bests of matched nodes,
+// which no accept reads. The uninterrupted store differs from the rebuilt
+// one only by dead pairs, so open pairs, accepts and the link-log order do
+// not change (`PhaseStats` notes the counters that do). Links accepted in
+// the last round stay pending for the next round's emission, and the
 // scratch stats keep the rebuild out of every round's counters.
 void MatcherState::RebuildScores() {
   for (auto& level : runs_) {
@@ -699,7 +751,6 @@ void MatcherState::RebuildScores() {
   }
   PhaseStats scratch;
   EmitLinks(0, emitted_links_, &scratch);
-  CompactScores();
 }
 
 void AppendMatchingSemantics(const MatcherConfig& config,

@@ -107,6 +107,8 @@ class MatcherState {
   // Emits the witnesses of links_[begin, end) into the score cells.
   void EmitLinks(size_t begin, size_t end, PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
+  // Sets the matched bits of links_[first_link, end).
+  void MarkMatched(size_t first_link);
   // Memory-budget enforcement: after a round's emission, spill the biggest
   // cold tiers until resident payload fits `config_.memory_budget_bytes`.
   // Fills the round's spill telemetry.
@@ -120,6 +122,10 @@ class MatcherState {
   int num_shards_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
+  // The matched nodes of each graph, one bit per node: the maps' key sets,
+  // for the score store's drop rule (see matcher_state.cc).
+  std::vector<uint64_t> matched1_;
+  std::vector<uint64_t> matched2_;
   std::vector<std::pair<NodeId, NodeId>> links_;
   std::vector<PhaseStats> phases_;
   // The mutual-unique-best selection (`core/selection.h`).

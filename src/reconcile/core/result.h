@@ -18,11 +18,14 @@ struct PhaseStats {
   size_t links_in = 0;      ///< Links available as witnesses this round.
   size_t emissions = 0;     ///< Candidate-pair witness emissions.
   /// Distinct candidate pairs scored. In User-Matching this counts the
-  /// stored pairs, and the store may still hold dead pairs (both endpoints
-  /// matched) until the next iteration boundary drops them. A resumed run
-  /// rebuilds its store without them, so its rounds may report fewer
-  /// `candidate_pairs` and `observed_pairs` than an uninterrupted run's;
-  /// `open_pairs`, `new_links` and `emissions` are the same.
+  /// stored pairs of the round's cells. Dead pairs (both endpoints matched)
+  /// are never stored by emission and leave a cell whenever a merge, a fold
+  /// or the between-iteration compaction rewrites it, so the store may hold
+  /// some until then. Which cells a round rewrites depends on the score
+  /// partition's width, and a resumed run rebuilds its store without dead
+  /// pairs, so `candidate_pairs` and `observed_pairs` may differ across
+  /// widths and between a resumed and an uninterrupted run (never across
+  /// thread counts); `open_pairs`, `new_links` and `emissions` do not.
   size_t candidate_pairs = 0;
   /// Candidate pairs scoring at least the threshold: the only ones
   /// User-Matching folds into its best tables, so at most `candidate_pairs`

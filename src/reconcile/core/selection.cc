@@ -22,7 +22,8 @@ size_t SelectionEngine::SelectAndCommit(
   // worker drew them. The observe fold is a CAS-max — commutative — and
   // each cell's open list is written only by the task that claimed it, so
   // the schedule is unobservable in the result. Pairs below the threshold
-  // are counted but never observed.
+  // are counted but never observed (the cell's `ForEach` screens most of
+  // them on their count bytes alone).
   //
   // The observe pass also keeps each cell's open pairs: score >= T with
   // both endpoints unmatched, the only pairs the accept pass can take. The
@@ -39,23 +40,20 @@ size_t SelectionEngine::SelectAndCommit(
       ctx.pool, cells.size(),
       [this, &ctx, &cells, &map_1to2, &map_2to1, &open_per_cell,
        &candidate_pairs, &observed_pairs](size_t i) {
-        size_t local_pairs = 0;
         size_t local_observed = 0;
         auto& open = open_per_cell[i];
-        cells[i]->ForEach([this, &ctx, &map_1to2, &map_2to1, &open,
-                          &local_pairs, &local_observed](uint64_t key,
-                                                         uint32_t score) {
-          ++local_pairs;
-          if (score < ctx.min_score) return;
-          ++local_observed;
-          const NodeId u = PairFirst(key);
-          const NodeId v = PairSecond(key);
-          best1_.Observe(u, score);
-          best2_.Observe(v, score);
-          if (map_1to2[u] == kInvalidNode && map_2to1[v] == kInvalidNode) {
-            open.emplace_back(key, score);
-          }
-        });
+        const size_t local_pairs = cells[i]->ForEach(
+            ctx.min_score, [this, &map_1to2, &map_2to1, &open,
+                            &local_observed](NodeId u, NodeId v,
+                                             uint32_t score) {
+              ++local_observed;
+              best1_.Observe(u, score);
+              best2_.Observe(v, score);
+              if (map_1to2[u] == kInvalidNode &&
+                  map_2to1[v] == kInvalidNode) {
+                open.emplace_back(PackPair(u, v), score);
+              }
+            });
         candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
         observed_pairs.fetch_add(local_observed, std::memory_order_relaxed);
       });

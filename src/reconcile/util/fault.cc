@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string_view>
 #include <vector>
 
 #include "reconcile/util/shutdown.h"
@@ -14,6 +15,62 @@ namespace reconcile {
 namespace {
 
 enum class FaultKind { kCrash, kStop, kIo };
+
+// How a point is declared: a value point (`FaultValuePoint`, armed by
+// crash: and stop:), an io point (`FaultPointHit`) or a threshold io point
+// (`FaultPointExhausted`); both io kinds are armed by io:.
+enum class PointKind { kValue, kIo, kIoThreshold };
+
+// The one table of fault points (the header's "Known points"): how each is
+// declared and which tools reach it. A spec naming a point outside it, or
+// one its tool never reaches, would arm a fault that can never fire.
+struct KnownPoint {
+  std::string_view name;
+  PointKind kind;
+  bool batch;  // reached by the batch matcher (`reconcile_cli`)
+  bool serve;  // reached by the serve loop (`reconcile_serve`)
+};
+
+constexpr KnownPoint kKnownPoints[] = {
+    {"after_round", PointKind::kValue, true, false},
+    {"checkpoint_write_fail", PointKind::kIo, true, true},
+    {"checkpoint_truncate", PointKind::kIo, true, true},
+    {"spill_write_fail", PointKind::kIo, true, false},
+    {"spill_truncate", PointKind::kIo, true, false},
+    {"mmap_fail", PointKind::kIo, true, false},
+    {"enospc_after", PointKind::kIoThreshold, true, false},
+    {"spill_commit", PointKind::kValue, true, false},
+    {"serve_apply", PointKind::kValue, false, true},
+    {"after_batch", PointKind::kValue, false, true},
+};
+
+const KnownPoint* FindPoint(std::string_view name) {
+  for (const KnownPoint& point : kKnownPoints) {
+    if (point.name == name) return &point;
+  }
+  return nullptr;
+}
+
+std::string KnownPointNames() {
+  std::string names;
+  for (const KnownPoint& point : kKnownPoints) {
+    if (!names.empty()) names += ", ";
+    names += point.name;
+  }
+  return names;
+}
+
+bool Reaches(FaultScope scope, const KnownPoint& point) {
+  switch (scope) {
+    case FaultScope::kAny:
+      return true;
+    case FaultScope::kBatch:
+      return point.batch;
+    case FaultScope::kServe:
+      return point.serve;
+  }
+  return false;
+}
 
 struct FaultEntry {
   FaultKind kind;
@@ -57,7 +114,7 @@ struct Injector {
     if (env == nullptr || env[0] == '\0') return;
     std::string error;
     std::vector<FaultEntry> parsed;
-    if (!ParseSpec(env, &parsed, &error)) {
+    if (!ParseSpec(env, FaultScope::kAny, &parsed, &error)) {
       std::fprintf(stderr, "warning: ignoring RECONCILE_FAULT: %s\n",
                    error.c_str());
       return;
@@ -65,7 +122,7 @@ struct Injector {
     entries = std::move(parsed);
   }
 
-  static bool ParseSpec(const std::string& spec,
+  static bool ParseSpec(const std::string& spec, FaultScope scope,
                         std::vector<FaultEntry>* out, std::string* error) {
     std::vector<FaultEntry> parsed;
     size_t begin = 0;
@@ -99,9 +156,31 @@ struct Injector {
       }
       std::string rest = item.substr(colon + 1);
       const size_t eq = rest.find('=');
+      entry.point = rest.substr(0, eq);
+      if (entry.point.empty()) {
+        *error = "fault entry '" + item + "' names no fault point";
+        return false;
+      }
+      const KnownPoint* point = FindPoint(entry.point);
+      if (point == nullptr) {
+        *error = "fault entry '" + item + "' names unknown point '" +
+                 entry.point + "' (known: " + KnownPointNames() + ")";
+        return false;
+      }
+      const bool io_point = point->kind != PointKind::kValue;
+      if (io_point != (entry.kind == FaultKind::kIo)) {
+        *error = "fault entry '" + item + "': '" + entry.point + "' is " +
+                 (io_point ? "an io point (use io:)"
+                           : "a value point (use crash: or stop:)");
+        return false;
+      }
+      if (!Reaches(scope, *point)) {
+        *error = "fault entry '" + item + "': this tool never reaches '" +
+                 entry.point + "'";
+        return false;
+      }
       if (eq != std::string::npos) {
         const std::string value = rest.substr(eq + 1);
-        entry.point = rest.substr(0, eq);
         char* parse_end = nullptr;
         entry.value = std::strtoll(value.c_str(), &parse_end, 10);
         if (value.empty() || parse_end == nullptr || *parse_end != '\0') {
@@ -112,22 +191,14 @@ struct Injector {
         // Threshold points (`FaultPointExhausted`, e.g. enospc_after)
         // accept 0 ("fail every hit"); ordinary hit-index points fire on
         // exactly hit N, so 0 there would silently never fire — reject it.
-        const bool threshold_point =
-            entry.point.size() >= 6 &&
-            entry.point.compare(entry.point.size() - 6, 6, "_after") == 0;
+        const bool threshold_point = point->kind == PointKind::kIoThreshold;
         const int64_t min_value = threshold_point ? 0 : 1;
-        if (entry.kind == FaultKind::kIo && entry.value < min_value) {
+        if (io_point && entry.value < min_value) {
           *error = "fault entry '" + item + "': io " +
                    (threshold_point ? "threshold must be >= 0"
                                     : "hit index must be >= 1");
           return false;
         }
-      } else {
-        entry.point = std::move(rest);
-      }
-      if (entry.point.empty()) {
-        *error = "fault entry '" + item + "' names no fault point";
-        return false;
       }
       parsed.push_back(std::move(entry));
       if (end == spec.size()) break;
@@ -139,10 +210,11 @@ struct Injector {
 
 }  // namespace
 
-bool ArmFaults(const std::string& spec, std::string* error) {
+bool ArmFaults(const std::string& spec, std::string* error,
+               FaultScope scope) {
   std::vector<FaultEntry> parsed;
   std::string local_error;
-  if (!Injector::ParseSpec(spec, &parsed, &local_error)) {
+  if (!Injector::ParseSpec(spec, scope, &parsed, &local_error)) {
     if (error != nullptr) *error = local_error;
     return false;
   }

@@ -35,8 +35,10 @@ namespace reconcile {
 /// variable, which is read once, at first injector use. Nothing in the
 /// library arms faults: no config field or registry param carries a spec.
 ///
-/// Known points (grep for the literals to find the hooks):
-///   after_round            value point; value = completed round count
+/// Known points (grep for the literals to find the hooks; `fault.cc` keeps
+/// them in one table with the tools that reach them):
+///   after_round            value point in `UserMatching`'s round loop;
+///                          value = completed round count
 ///   checkpoint_write_fail  io point in `SnapshotWriter::Commit` — the
 ///                          commit reports failure without writing
 ///   checkpoint_truncate    io point in `SnapshotWriter::Commit` — the
@@ -76,10 +78,24 @@ namespace reconcile {
 /// exits in kill/resume harnesses).
 inline constexpr int kFaultCrashExitCode = 42;
 
+/// The process a spec is armed in. Each tool reaches only some of the
+/// known points, and a spec naming one it never reaches could never fire.
+enum class FaultScope {
+  kAny,    ///< Any known point: test harnesses and `RECONCILE_FAULT`.
+  kBatch,  ///< `reconcile_cli`: never reaches serve_apply or after_batch.
+  kServe,  ///< `reconcile_serve`: never reaches after_round or the spill
+           ///< points (it runs unbudgeted).
+};
+
 /// Replaces the armed fault set with `spec` (empty spec = disarm all).
 /// Returns false and fills `*error` on a malformed spec, leaving the
-/// previously armed set untouched.
-bool ArmFaults(const std::string& spec, std::string* error);
+/// previously armed set untouched. Malformed: bad grammar, a point outside
+/// "Known points" above, a kind that does not fit its point (io: on a value
+/// point, crash: or stop: on an io point), or a point `scope` never reaches.
+/// `RECONCILE_FAULT` is checked the same way under `kAny`; a bad one is one
+/// warning and arms nothing.
+bool ArmFaults(const std::string& spec, std::string* error,
+               FaultScope scope = FaultScope::kAny);
 
 /// Disarms every fault and resets all hit counters.
 void DisarmFaults();

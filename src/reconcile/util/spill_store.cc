@@ -11,18 +11,13 @@
 #include <cstring>
 
 #include "reconcile/util/fault.h"
-#include "reconcile/util/radix_sort.h"
 
 namespace reconcile {
 
 namespace {
 
-constexpr uint64_t kSpillMagic = 0x52434e53'50494c31ull;  // "RCNSPIL1"
-constexpr size_t kHeaderBytes = 2 * sizeof(uint64_t);
-
-size_t SpillFileBytes(size_t entries) {
-  return kHeaderBytes + entries * (sizeof(uint64_t) + sizeof(uint32_t));
-}
+constexpr uint64_t kSpillMagic = 0x52434e53'50494c32ull;  // "RCNSPIL2"
+constexpr size_t kHeaderBytes = 4 * sizeof(uint64_t);
 
 // write(2) with short-write and EINTR handling. Returns false on any error.
 bool WriteAll(int fd, const void* data, size_t length) {
@@ -56,7 +51,7 @@ SpilledRun::~SpilledRun() {
 
 SpillStore::SpillStore(std::string dir) : dir_(std::move(dir)) {}
 
-std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
+std::unique_ptr<SpilledRun> SpillStore::Spill(const RowRun& resident,
                                               std::string* error) {
   if (disabled_) {
     if (error != nullptr) *error = "spilling disabled for this store";
@@ -79,8 +74,18 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
                 static_cast<unsigned long long>(next_spill_id++));
   std::string path = dir_ + "/" + name;
 
-  const size_t n = run.keys.size();
-  const size_t expect_bytes = SpillFileBytes(n);
+  const RowRunView run = resident.view();
+  // The payload arrays in file order (see the header comment).
+  const struct {
+    const void* data;
+    size_t bytes;
+  } arrays[] = {
+      {run.rows, run.num_rows * sizeof(RunRow)},
+      {run.vs, run.size * sizeof(uint32_t)},
+      {run.escapes, run.num_escapes * sizeof(uint32_t)},
+      {run.counts, run.size * sizeof(uint8_t)},
+  };
+  const size_t expect_bytes = kHeaderBytes + RowRunBytes(run);
 
   // A lambda so every failure exit shares the unlink-and-count epilogue.
   auto fail = [&](int fd, const std::string& what) -> std::unique_ptr<SpilledRun> {
@@ -109,15 +114,17 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
     return fail(-1, "open " + path + ": " + ErrnoString());
   }
 
-  const uint64_t header[2] = {kSpillMagic, static_cast<uint64_t>(n)};
+  const uint64_t header[4] = {kSpillMagic, run.num_rows, run.size,
+                               run.num_escapes};
   bool ok = WriteAll(fd, header, sizeof(header));
   if (ok && inject_truncate) {
-    // Torn spill: write only half of the key payload, then pretend the
+    // Torn spill: write only half of the row payload, then pretend the
     // write completed. The size validation below must catch this.
-    ok = WriteAll(fd, run.keys.data(), n * sizeof(uint64_t) / 2);
-  } else if (ok) {
-    ok = WriteAll(fd, run.keys.data(), n * sizeof(uint64_t)) &&
-         WriteAll(fd, run.counts.data(), n * sizeof(uint32_t));
+    ok = WriteAll(fd, arrays[0].data, arrays[0].bytes / 2);
+  } else {
+    for (const auto& array : arrays) {
+      ok = ok && WriteAll(fd, array.data, array.bytes);
+    }
   }
   if (!ok && !inject_truncate) {
     return fail(fd, "write " + path + ": " + ErrnoString());
@@ -139,14 +146,13 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
                         std::to_string(expect_bytes) + " bytes)");
   }
 
-  void* base = nullptr;
+  void* base = MAP_FAILED;
   if (inject_mmap_fail) {
     errno = ENOMEM;
-  } else if (expect_bytes > 0) {
+  } else {
     base = ::mmap(nullptr, expect_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (base == MAP_FAILED) base = nullptr;
   }
-  if (base == nullptr && (inject_mmap_fail || expect_bytes > 0)) {
+  if (base == MAP_FAILED) {
     return fail(fd, "mmap " + path + ": " + ErrnoString());
   }
   ::close(fd);
@@ -154,22 +160,31 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
   auto spilled = std::unique_ptr<SpilledRun>(new SpilledRun());
   spilled->map_base_ = base;
   spilled->map_length_ = expect_bytes;
-  spilled->size_ = n;
   spilled->file_bytes_ = expect_bytes;
   spilled->path_ = std::move(path);
-  if (base != nullptr) {
-    const char* bytes = static_cast<const char*>(base);
-    const uint64_t* hdr = reinterpret_cast<const uint64_t*>(bytes);
-    if (hdr[0] != kSpillMagic || hdr[1] != n) {
-      // Can only happen if the filesystem lied end to end; treat as torn.
-      ++stats_.spill_failures;
-      if (error != nullptr) *error = "corrupt spill header in " + spilled->path();
-      return nullptr;  // SpilledRun dtor unmaps + unlinks
-    }
-    spilled->keys_ = reinterpret_cast<const uint64_t*>(bytes + kHeaderBytes);
-    spilled->counts_ = reinterpret_cast<const uint32_t*>(
-        bytes + kHeaderBytes + n * sizeof(uint64_t));
+  const char* bytes = static_cast<const char*>(base);
+  const uint64_t* hdr = reinterpret_cast<const uint64_t*>(bytes);
+  if (hdr[0] != kSpillMagic || hdr[1] != run.num_rows || hdr[2] != run.size ||
+      hdr[3] != run.num_escapes) {
+    // Can only happen if the filesystem lied end to end; treat as torn.
+    ++stats_.spill_failures;
+    if (error != nullptr) *error = "corrupt spill header in " + spilled->path();
+    return nullptr;  // SpilledRun dtor unmaps + unlinks
   }
+  const char* next = bytes + kHeaderBytes;
+  auto take = [&next](size_t array_bytes) {
+    const char* at = next;
+    next += array_bytes;
+    return at;
+  };
+  RowRunView& view = spilled->view_;
+  view.num_rows = run.num_rows;
+  view.size = run.size;
+  view.num_escapes = run.num_escapes;
+  view.rows = reinterpret_cast<const RunRow*>(take(arrays[0].bytes));
+  view.vs = reinterpret_cast<const uint32_t*>(take(arrays[1].bytes));
+  view.escapes = reinterpret_cast<const uint32_t*>(take(arrays[2].bytes));
+  view.counts = reinterpret_cast<const uint8_t*>(take(arrays[3].bytes));
 
   ++stats_.tiers_spilled;
   stats_.bytes_spilled += expect_bytes;

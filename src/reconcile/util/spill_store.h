@@ -5,20 +5,19 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
+
+#include "reconcile/util/row_run.h"
 
 namespace reconcile {
 
-struct SortedCountRun;
-
 /// Out-of-core backing store for the matcher's score cells.
 ///
-/// At the paper's target scale the per-(level, shard) sorted runs dominate
-/// RAM. `SpillStore` moves whole runs (tiers) to disk: a tier is written as
-/// one flat file under a score directory and mapped back read-only, so the
-/// matcher keeps only a pointer-sized view resident while the selection
-/// `ForEach` merge streams the same bytes it would have read from the
-/// resident vectors. Scans over spilled tiers are purely sequential — exactly the
+/// At the paper's target scale the per-(level, shard) row-major runs
+/// (`util/row_run.h`) dominate RAM. `SpillStore` moves whole runs (tiers)
+/// to disk: a tier is written as one flat file under a score directory and
+/// mapped back read-only, so the matcher keeps only a pointer-sized view
+/// resident while the selection `ForEach` merge streams the same bytes it
+/// would have read from the resident vectors. Scans over spilled tiers are purely sequential — exactly the
 /// access pattern mmap streaming rewards and the sorted score store's design
 /// premise — so matchings are bit-identical to the all-resident run by
 /// construction.
@@ -26,7 +25,11 @@ struct SortedCountRun;
 /// File format (host-endian, same-architecture scratch — spill files are
 /// transient per-process state, not durable interchange):
 ///
-///   [magic u64][entry count u64][keys u64 × n][counts u32 × n]
+///   [magic u64][rows u64 R][entries u64 n][escapes u64 E]
+///   [rows (u32 u, u32 end) × R][v u32 × n][escaped counts u32 × E]
+///   [count bytes u8 × n]
+///
+/// — the run's four arrays in the order that keeps every one aligned.
 ///
 /// The writer fsyncs and validates the on-disk length before mapping; a torn
 /// or short file is a clean spill failure, never a wrong view. Every failure
@@ -48,8 +51,8 @@ struct SortedCountRun;
 /// (a resume rebuilds it from the links), so spill files are never part of
 /// durable state.
 
-/// A read-only, file-backed sorted `(key, count)` run: the spilled form of
-/// one tier of a score cell. Owns the mapping and the backing file (unlinked on
+/// A read-only, file-backed row-major run: the spilled form of one tier of
+/// a score cell. Owns the mapping and the backing file (unlinked on
 /// destruction). Move-only.
 class SpilledRun {
  public:
@@ -57,9 +60,9 @@ class SpilledRun {
   SpilledRun(const SpilledRun&) = delete;
   SpilledRun& operator=(const SpilledRun&) = delete;
 
-  const uint64_t* keys() const { return keys_; }
-  const uint32_t* counts() const { return counts_; }
-  size_t size() const { return size_; }
+  /// The run, read through the mapping.
+  const RowRunView& view() const { return view_; }
+  size_t size() const { return view_.size; }
   /// Bytes of the backing file (what the spill freed, modulo page cache).
   size_t file_bytes() const { return file_bytes_; }
   const std::string& path() const { return path_; }
@@ -68,9 +71,7 @@ class SpilledRun {
   friend class SpillStore;
   SpilledRun() = default;
 
-  const uint64_t* keys_ = nullptr;
-  const uint32_t* counts_ = nullptr;
-  size_t size_ = 0;
+  RowRunView view_;
   size_t file_bytes_ = 0;
   void* map_base_ = nullptr;
   size_t map_length_ = 0;
@@ -101,8 +102,7 @@ class SpillStore {
   /// null with `*error` set on any failure (injected or real); no file is
   /// left behind on failure. After `Disable()` (or once `disabled()` trips
   /// internally), returns null immediately without touching the disk.
-  std::unique_ptr<SpilledRun> Spill(const SortedCountRun& run,
-                                    std::string* error);
+  std::unique_ptr<SpilledRun> Spill(const RowRun& run, std::string* error);
 
   /// Permanently stops spilling for this store (graceful degradation after
   /// repeated failures — the run continues all-resident).

@@ -1,6 +1,7 @@
 #ifndef RECONCILE_UTIL_TIERED_STORE_H_
 #define RECONCILE_UTIL_TIERED_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -8,91 +9,107 @@
 #include <string>
 #include <utility>
 
-#include "reconcile/util/radix_sort.h"
+#include "reconcile/util/row_run.h"
 #include "reconcile/util/spill_store.h"
 
 namespace reconcile {
 
-/// One score cell's `(key, count)` aggregate as at most two sorted runs
-/// (tiers): a big base run and one delta. Round deltas land in the delta;
-/// the base is only rewritten when the delta has grown to a quarter of it,
-/// so late low-yield rounds stop paying a full-run merge each round, and a
-/// scan never folds more than two runs.
+/// One score cell's pair counts as at most two row-major runs (tiers, see
+/// `util/row_run.h`): a big base run and one delta. Round deltas land in the
+/// delta; the base is only rewritten when the delta has grown to a quarter
+/// of it, so late low-yield rounds stop paying a full-run merge each round,
+/// and a scan never folds more than two runs.
 ///
-/// A key may appear in both tiers; `ForEach` merges them on the fly,
-/// summing the counts, so consumers see exactly the single-run aggregate.
+/// A pair may appear in both tiers; `ForEach` merges them on the fly,
+/// summing the counts in u32, so consumers see one total per pair.
 ///
-/// Each tier lives either resident (a `SortedCountRun`) or spilled (an
-/// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
-/// enforcement layer moves tiers to disk via `SpillTier`, and the store
-/// materializes a spilled tier back whenever an operation must rewrite it
-/// (a merge, `Filter`). Reads never distinguish the two forms.
+/// Every rewrite of a tier (a merge, the fold, `Filter`) leaves out the
+/// entries its drop rule names (see `KeepAll`). The tiers are rewritten at
+/// different times, so a pair the rule names may survive in one tier with a
+/// partial total; the matcher's rule names only dead pairs, whose totals no
+/// accept reads.
+///
+/// Each tier lives either resident (a `RowRun`) or spilled (an mmap'd
+/// `SpilledRun`, see `util/spill_store.h`); the memory-budget enforcement
+/// layer moves tiers to disk via `SpillTier`, and a rewrite reads a spilled
+/// tier straight from its mapping and leaves the result resident. Reads
+/// never distinguish the two forms.
 class TieredCountRuns {
  public:
-  /// Resident footprint of a run of `entries` entries (flat key + count
-  /// payload; the store's accounting unit — vector headers and malloc slop
-  /// are noise at spill-worthy sizes).
-  static size_t BytesForEntries(size_t entries) {
-    return entries * (sizeof(uint64_t) + sizeof(uint32_t));
-  }
-
   /// Adds a round delta. Into an empty cell it becomes the base; otherwise
   /// it merges into the delta tier, and the delta folds into the base once
   /// the base is at most `kFoldRatio` times the delta's size. Afterwards the
   /// delta is empty or under 1 / `kFoldRatio` of the base. Empty deltas are
-  /// dropped.
+  /// dropped, and a delta that lands in an empty tier is adopted as it is.
   ///
   /// The ratio keeps tier sizes geometrically separated, so total merge
   /// traffic is O(N log N) instead of the O(N · rounds) of merging every
   /// round into one run. A sweep of other shapes (one to four tiers; ratios
   /// 0, 2 and 8) measured none faster beyond noise, and a single run 27%
   /// slower on Chung-Lu 200k (DESIGN.md §2.2).
-  void Append(SortedCountRun&& delta) {
+  template <typename Drop = KeepAll>
+  void Append(RowRun&& delta, const Drop& drop = Drop{}) {
     if (delta.empty()) return;
     if (base_.size() == 0) {
       base_.resident = std::move(delta);
       return;
     }
-    delta_.MergeIn(std::move(delta));
+    if (delta_.size() == 0) {
+      delta_.resident = std::move(delta);
+    } else {
+      delta_.Rewrite(delta.view(), drop);
+    }
     if (base_.size() <= kFoldRatio * delta_.size()) {
-      base_.MergeIn(std::move(delta_.resident));
+      base_.Rewrite(delta_.view(), drop);
       delta_ = Tier{};
     }
   }
 
-  /// Invokes `fn(key, total_count)` once per distinct key, in ascending key
-  /// order, with the two tiers' counts summed — whether they are resident
-  /// or spilled (mmap makes the pointer walk identical).
+  /// Invokes `fn(u, v, total)` once per distinct pair whose total over both
+  /// tiers is at least `min_total`, in ascending (u, v) order. Returns the
+  /// number of distinct pairs stored, those below `min_total` included.
+  /// Rows held by one tier alone are screened on their count bytes a
+  /// stretch at a time: an entry whose byte is below min(`min_total`, 255)
+  /// is skipped without reading its `v` or its row.
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    const View a = base_.view();
-    const View b = delta_.view();
-    size_t i = 0, j = 0;
-    while (i < a.size && j < b.size) {
-      const uint64_t ka = a.keys[i];
-      const uint64_t kb = b.keys[j];
-      if (ka < kb) {
-        fn(ka, a.counts[i++]);
-      } else if (kb < ka) {
-        fn(kb, b.counts[j++]);
-      } else {
-        fn(ka, a.counts[i++] + b.counts[j++]);
-      }
-    }
-    for (; i < a.size; ++i) fn(a.keys[i], a.counts[i]);
-    for (; j < b.size; ++j) fn(b.keys[j], b.counts[j]);
+  size_t ForEach(uint32_t min_total, Fn&& fn) const {
+    const uint32_t screen = std::min(min_total, kEscapedCount);
+    size_t pairs = 0;
+    WalkRows(
+        base_.view(), delta_.view(),
+        [&fn, &pairs, min_total, screen](row_run_internal::Cursor& c,
+                                         uint64_t limit) {
+          const RowRunView& run = c.run;
+          const size_t last = c.RowsBelow(limit);
+          const size_t end = run.rows[last - 1].end;
+          size_t row = c.row;  // advanced lazily, only to place a hit
+          for (size_t i = c.entry; i < end; ++i) {
+            if (run.counts[i] < screen) continue;
+            const uint32_t total = c.Count(i);
+            if (total < min_total) continue;
+            while (run.rows[row].end <= i) ++row;
+            fn(run.rows[row].u, run.vs[i], total);
+          }
+          pairs += end - c.entry;
+          c.row = last;
+          c.entry = end;
+        },
+        [&fn, &pairs, min_total](uint32_t u, uint32_t v, uint32_t total) {
+          ++pairs;
+          if (total >= min_total) fn(u, v, total);
+        },
+        [](uint32_t) {});
+    return pairs;
   }
 
-  /// Keeps only entries with `pred(key, tier_count)`. The predicate sees the
-  /// per-tier count, so it must decide on the key alone (the matcher's
-  /// liveness sweep does). A base the filter empties is replaced by the
-  /// delta. Spilled tiers are materialized first — a filter rewrites the
-  /// run, and the budget layer re-decides placement on its next pass.
-  template <typename Pred>
-  void Filter(Pred&& pred) {
+  /// Leaves out of both tiers the entries `drop` names. A base the filter
+  /// empties is replaced by the delta. A spilled tier is read from its
+  /// mapping and comes back resident; the budget layer re-decides placement
+  /// on its next pass.
+  template <typename Drop>
+  void Filter(const Drop& drop) {
     for (Tier* tier : {&base_, &delta_}) {
-      tier->Materialize();
-      tier->resident.Filter(pred);
+      if (tier->size() > 0) tier->Rewrite(RowRunView{}, drop);
       if (tier->size() == 0) *tier = Tier{};  // frees the emptied buffers
     }
     if (base_.size() == 0) std::swap(base_, delta_);
@@ -108,7 +125,7 @@ class TieredCountRuns {
     std::unique_ptr<SpilledRun> spilled = store.Spill(tier.resident, error);
     if (spilled == nullptr) return false;
     tier.spilled = std::move(spilled);
-    tier.resident = SortedCountRun{};
+    tier.resident = RowRun{};
     return true;
   }
 
@@ -117,8 +134,13 @@ class TieredCountRuns {
   size_t num_tiers() const {
     return (base_.size() > 0 ? 1 : 0) + (delta_.size() > 0 ? 1 : 0);
   }
+  /// Entries (stored pairs) of tier `index`.
   size_t tier_size(size_t index) const {
     return (index == 0 ? base_ : delta_).size();
+  }
+  /// Payload bytes of tier `index`, resident or spilled (`RowRunBytes`).
+  size_t tier_bytes(size_t index) const {
+    return RowRunBytes((index == 0 ? base_ : delta_).view());
   }
   bool tier_spilled(size_t index) const {
     return (index == 0 ? base_ : delta_).spilled != nullptr;
@@ -128,8 +150,8 @@ class TieredCountRuns {
   /// their pages are file-backed and evictable).
   size_t resident_bytes() const {
     size_t total = 0;
-    for (const Tier* tier : {&base_, &delta_}) {
-      if (tier->spilled == nullptr) total += BytesForEntries(tier->size());
+    for (size_t t = 0; t < 2; ++t) {
+      if (!tier_spilled(t)) total += tier_bytes(t);
     }
     return total;
   }
@@ -137,41 +159,22 @@ class TieredCountRuns {
  private:
   static constexpr size_t kFoldRatio = 4;
 
-  struct View {
-    const uint64_t* keys = nullptr;
-    const uint32_t* counts = nullptr;
-    size_t size = 0;
-  };
-
   struct Tier {
-    SortedCountRun resident;              // authoritative when not spilled
+    RowRun resident;                      // authoritative when not spilled
     std::unique_ptr<SpilledRun> spilled;  // non-null => resident is empty
 
-    size_t size() const {
-      return spilled != nullptr ? spilled->size() : resident.size();
+    RowRunView view() const {
+      return spilled != nullptr ? spilled->view() : resident.view();
     }
+    size_t size() const { return view().size; }
 
-    View view() const {
-      if (spilled != nullptr) {
-        return View{spilled->keys(), spilled->counts(), spilled->size()};
-      }
-      return View{resident.keys.data(), resident.counts.data(),
-                  resident.size()};
-    }
-
-    // Copies a spilled tier back into resident vectors and drops the file.
-    void Materialize() {
-      if (spilled == nullptr) return;
-      resident.keys.assign(spilled->keys(), spilled->keys() + spilled->size());
-      resident.counts.assign(spilled->counts(),
-                             spilled->counts() + spilled->size());
+    // Replaces this tier by its merge with `other`, leaving out what `drop`
+    // names. A spilled tier is read from its mapping, which goes after.
+    template <typename Drop>
+    void Rewrite(const RowRunView& other, const Drop& drop) {
+      RowRun merged = MergeRowRuns(view(), other, drop);
       spilled.reset();
-    }
-
-    // Merges `run` into this tier, materializing it first if spilled.
-    void MergeIn(SortedCountRun&& run) {
-      Materialize();
-      MergeCountRuns(resident, std::move(run));
+      resident = std::move(merged);
     }
   };
 

@@ -4,13 +4,17 @@
 // reproduces it. Per case the final maps and the round count must be
 // equal, and per round the new links, the open pairs and the emissions.
 //
-// Three execution modes that must not change the matching are drawn too:
+// Four execution modes that must not change the matching are drawn too:
 //  * resume — the run snapshots after a drawn round, and a fresh
 //    `MatcherState` under another thread count loads the snapshot and
 //    finishes it; the rounds before the pause, the resumed rounds and the
 //    final maps are checked as one run;
 //  * memory budget — a 1-byte budget spills score tiers every round, and
 //    the spill directory must be empty once the run is over;
+//  * partition width — g1's ids are spread (`spread_ids.h`) by a stride
+//    that puts the score partition anywhere from 2 to 256 shards wide;
+//    spreading keeps the witnesses, the open pairs and the bucket schedule,
+//    so the unspread run must equal the oracle on the pair as drawn;
 //  * serve — the pair goes through an `IncrementalMatcher` with a drawn
 //    stream of edge batches, and after the initial match and every batch
 //    the served maps (and the rounds of the last rerun) must equal the
@@ -19,9 +23,15 @@
 //    reading them back from the session. A third of the served cases save
 //    the session after a drawn batch, and a fresh session under another
 //    thread count loads it and serves the rest of the stream.
+//
+// Tiny random pairs never bring a witness count near 255, where the score
+// store's one-byte counts escape to full counts, so constructed hub cases
+// (`EscapedCounts*`) cover that, each with and without a 1-byte budget.
 #include <dirent.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -41,10 +51,12 @@
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/gen/sbm.h"
+#include "reconcile/graph/edge_list.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/rng.h"
+#include "spread_ids.h"
 #include "user_matching_oracle.h"
 
 namespace reconcile {
@@ -93,6 +105,14 @@ struct FuzzCase {
   int resume_threads = 0;
   // Runs under a 1-byte memory budget.
   bool budgeted = false;
+  // The engine runs on g1 with its ids spread by `stride` (1: not spread),
+  // so the score partition is about nodes * stride / 512 shards wide.
+  NodeId stride = 1;
+
+  // The score partition width the engine runs at (`ShardWidth`).
+  NodeId Width() const {
+    return std::clamp<NodeId>(nodes * stride / 512, 1, 256);
+  }
   // Served: the initial match and `num_batches` drawn batches go through a
   // serve session (the pause and the budget above then do not apply). With
   // `serve_snapshot` the session is saved after batch
@@ -138,6 +158,7 @@ struct FuzzCase {
           << ", resume_threads=" << resume_threads << ")";
     }
     if (budgeted) out << " budget=1";
+    if (stride > 1) out << " stride=" << stride << " (width " << Width() << ")";
     return out.str();
   }
 };
@@ -180,6 +201,16 @@ FuzzCase DrawCase(uint64_t index, NodeId min_nodes, NodeId max_nodes) {
   c.num_batches = static_cast<int>(rng.UniformIntInRange(2, 4));
   c.serve_snapshot = rng.Bernoulli(1.0 / 3.0);
   c.snapshot_position = rng.UniformReal();
+  // About a quarter of the unserved cases spread g1's ids, by a stride that
+  // puts the partition width at a log-uniform draw from [2, 320]: widths
+  // from 2 up to the cap of 256. They are a third of the unbudgeted ones: a
+  // wide partition multiplies the tiers a 1-byte budget spills, and every
+  // spill fsyncs.
+  const bool spread = rng.Bernoulli(1.0 / 3.0);
+  const double width = 2.0 * std::pow(160.0, rng.UniformReal());
+  if (spread && !c.served && !c.budgeted) {
+    c.stride = static_cast<NodeId>(std::ceil(512.0 * width / c.nodes));
+  }
   return c;
 }
 
@@ -203,6 +234,13 @@ Graph Underlying(const FuzzCase& c, uint64_t seed) {
           PowerLawWeights(c.nodes, c.exponent, c.avg_degree), seed);
   }
   return Graph();
+}
+
+// A scratch path under the gtest temp dir, unique to this process, so two
+// runs of the suite at once (two build trees) do not share snapshots or
+// spill directories.
+std::string ScratchPath(const std::string& name) {
+  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
 }
 
 size_t CountDirEntries(const std::string& dir) {
@@ -246,7 +284,7 @@ Pause PauseRound(const FuzzCase& c, const oracle::Result& expected) {
 // Runs `pause_round` rounds, snapshots to `path`, and finishes the run in a
 // fresh state under `resume_threads`. The result carries the rounds of both
 // states and the final maps; `*error` is set if the snapshot fails.
-MatchResult RunPaused(const RealizationPair& pair,
+MatchResult RunPaused(const Graph& g1, const Graph& g2,
                       const std::vector<std::pair<NodeId, NodeId>>& seeds,
                       const MatcherConfig& config, size_t pause_round,
                       int resume_threads, const std::string& path,
@@ -256,7 +294,7 @@ MatchResult RunPaused(const RealizationPair& pair,
     // Destroyed before the resumed state starts, as the process that wrote
     // the snapshot would be: two spill stores alive in one process name
     // their files alike.
-    MatcherState state(pair.g1, pair.g2, config);
+    MatcherState state(g1, g2, config);
     state.SeedLinks(seeds);
     for (size_t r = 0; r < pause_round && !state.Done(); ++r) {
       state.RunRound();
@@ -266,7 +304,7 @@ MatchResult RunPaused(const RealizationPair& pair,
   }
   MatcherConfig resumed_config = config;
   resumed_config.num_threads = resume_threads;
-  MatcherState state(pair.g1, pair.g2, resumed_config);
+  MatcherState state(g1, g2, resumed_config);
   state.SeedLinks(seeds);
   const bool loaded = state.LoadSnapshot(path, error);
   std::remove(path.c_str());
@@ -372,7 +410,7 @@ std::string RunServed(const FuzzCase& c, const RealizationPair& pair,
   config.matcher = c.config;
   auto session =
       std::make_unique<IncrementalMatcher>(pair.g1, pair.g2, seeds, config);
-  const std::string path = testing::TempDir() + "/oracle_fuzz_serve.ckpt";
+  const std::string path = ScratchPath("oracle_fuzz_serve.ckpt");
   // The rounds of the last rerun: a batch that changes no edge keeps the
   // matching, and with it the rounds that produced it.
   std::vector<PhaseStats> rounds;
@@ -429,22 +467,27 @@ std::string RunCase(const FuzzCase& c, Pause* pause) {
       pair.g1, pair.g2, seeds, OracleSettings(c.config));
 
   MatcherConfig config = c.config;
-  const std::string spill_dir = testing::TempDir() + "/oracle_fuzz_spill";
+  const std::string spill_dir = ScratchPath("oracle_fuzz_spill");
   if (c.budgeted) {
     config.memory_budget_bytes = 1;
     config.score_dir = spill_dir;
   }
   if (c.paused) *pause = PauseRound(c, expected);
   const size_t pause_round = pause->round;
+  const Graph spread_g1 = c.stride > 1 ? SpreadIds(pair.g1, c.stride) : Graph();
+  const Graph& g1 = c.stride > 1 ? spread_g1 : pair.g1;
+  const auto engine_seeds = SpreadSeeds(seeds, c.stride);
   MatchResult engine;
   if (pause_round > 0) {
     std::string error;
-    engine = RunPaused(pair, seeds, config, pause_round, c.resume_threads,
-                       testing::TempDir() + "/oracle_fuzz.ckpt", &error);
+    engine = RunPaused(g1, pair.g2, engine_seeds, config, pause_round,
+                       c.resume_threads,
+                       ScratchPath("oracle_fuzz.ckpt"), &error);
     if (!error.empty()) return "snapshot: " + error;
   } else {
-    engine = UserMatching(pair.g1, pair.g2, seeds, config);
+    engine = UserMatching(g1, pair.g2, engine_seeds, config);
   }
+  if (c.stride > 1) engine = Unspread(std::move(engine), c.stride);
 
   std::string paused;
   if (pause_round > 0) {
@@ -478,7 +521,9 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
   constexpr int kReported = 5;
   int failures = 0;
   size_t paused = 0, paused_at_iteration_end = 0, budgeted = 0,
-         budgeted_and_paused = 0, served = 0, served_and_snapshotted = 0;
+         budgeted_and_paused = 0, served = 0, served_and_snapshotted = 0,
+         spread = 0;
+  NodeId min_width = 256, max_width = 1;
   for (uint64_t index = first; index < first + count; ++index) {
     const FuzzCase c = DrawCase(index, min_nodes, max_nodes);
     Pause pause;
@@ -489,6 +534,11 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
     budgeted_and_paused += c.budgeted && pause.round > 0;
     served += c.served;
     served_and_snapshotted += c.served && c.serve_snapshot;
+    if (c.stride > 1) {
+      ++spread;
+      min_width = std::min(min_width, c.Width());
+      max_width = std::max(max_width, c.Width());
+    }
     if (difference.empty()) continue;
     if (++failures <= kReported) {
       ADD_FAILURE() << c.Describe() << "\n  first difference: " << difference;
@@ -496,15 +546,129 @@ void RunFuzz(uint64_t first, uint64_t count, NodeId min_nodes,
   }
   std::printf(
       "%llu cases: %zu paused (%zu after an iteration's last round), %zu "
-      "budgeted (%zu also paused), %zu served (%zu snapshotted)\n",
+      "budgeted (%zu also paused), %zu served (%zu snapshotted), %zu spread "
+      "(partition widths %u-%u)\n",
       static_cast<unsigned long long>(count), paused, paused_at_iteration_end,
-      budgeted, budgeted_and_paused, served, served_and_snapshotted);
+      budgeted, budgeted_and_paused, served, served_and_snapshotted, spread,
+      min_width, max_width);
+  ::rmdir(ScratchPath("oracle_fuzz_spill").c_str());
   EXPECT_EQ(failures, 0) << failures << " of " << count
                          << " cases disagree with the oracle";
   EXPECT_GT(paused_at_iteration_end, 0u);
   EXPECT_GT(paused - paused_at_iteration_end, 0u);
   EXPECT_GT(budgeted_and_paused, 0u);
   EXPECT_GT(served_and_snapshotted, 0u);
+  EXPECT_GT(spread, 0u);
+}
+
+// --- Witness counts past 255 ---------------------------------------------
+// Constructed pairs whose accept hinges on a total of 255 or more: the score
+// store keeps one count byte per pair and escapes such totals to a side list
+// (`util/row_run.h`), so a store that saturated at 255 would tie the hub
+// with its rival and accept nothing.
+
+Graph BuildGraph(NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  EdgeList list(n);
+  for (const auto& [u, v] : edges) list.Add(u, v);
+  return Graph::FromEdgeList(std::move(list), nullptr);
+}
+
+struct ConstructedPair {
+  Graph g1;
+  Graph g2;
+  std::vector<std::pair<NodeId, NodeId>> seeds;
+};
+
+// g1: hub 0 with leaves 1..`leaves`. g2: hub 0 and rival 1 with leaves
+// 2..`leaves` + 1; the hub is adjacent to every leaf and the rival to the
+// first `rival_leaves`. Leaf k of g1 is seeded with leaf k of g2, so one
+// emission gives (hub, hub) `leaves` witnesses and (hub, rival)
+// `rival_leaves`.
+ConstructedPair HubPair(NodeId leaves, NodeId rival_leaves) {
+  std::vector<std::pair<NodeId, NodeId>> e1, e2;
+  ConstructedPair p;
+  for (NodeId k = 1; k <= leaves; ++k) {
+    e1.emplace_back(0, k);
+    e2.emplace_back(0, k + 1);
+    if (k <= rival_leaves) e2.emplace_back(1, k + 1);
+    p.seeds.emplace_back(k, k + 1);
+  }
+  p.g1 = BuildGraph(leaves + 1, e1);
+  p.g2 = BuildGraph(leaves + 2, e2);
+  return p;
+}
+
+// Checks the oracle accepts (0, 0) — the link a saturated count would
+// lose — then the engine against the oracle, with and without a 1-byte
+// memory budget.
+void ExpectHubLinkAsTheOracle(const ConstructedPair& p, MatcherConfig config) {
+  const oracle::Result expected =
+      oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
+  ASSERT_EQ(expected.map_1to2[0], 0u) << "the case no longer hinges on 255+";
+  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
+  config.memory_budget_bytes = 1;
+  config.score_dir = ScratchPath("oracle_escape_spill");
+  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
+  EXPECT_EQ(CountDirEntries(config.score_dir), 0u);
+  ::rmdir(config.score_dir.c_str());
+}
+
+TEST(EscapedCountsTest, ThreeHundredWitnessesInOneEmission) {
+  MatcherConfig config;
+  config.num_threads = 2;
+  ExpectHubLinkAsTheOracle(HubPair(300, 260), config);
+}
+
+// One round without bucketing, so the accept ends the run before the hub
+// link's 70,000 x 70,000 witnesses would be emitted.
+TEST(EscapedCountsTest, SeventyThousandWitnessesFromSeededHubs) {
+  MatcherConfig config;
+  config.num_threads = 3;
+  config.use_degree_bucketing = false;
+  config.num_iterations = 1;
+  ExpectHubLinkAsTheOracle(HubPair(70000, 60000), config);
+}
+
+// Iteration 1 gives (hub, hub) 200 witnesses against 270 for each of two
+// rivals, a tie that accepts nothing at the hub, and accepts 100 side
+// links (x1_i, x2_i). Iteration 2 emits those: each adds one witness to
+// (hub, hub), which reaches 300 only as the sum of the two rounds and wins.
+// Both totals sit in one small cell, so the second round's delta folds into
+// the base and the fold writes the escaped 300.
+//   g1: hub 0; a1_k = 1 + k (k < 270) and x1_i = 271 + i (i < 100) on the
+//       hub; s1_i = 371 + i on x1_i.
+//   g2: hub 0, rivals 1 and 2; a2_k = 3 + k on both rivals, and on the hub
+//       for k < 200; x2_i = 273 + i on the hub; s2_i = 373 + i on x2_i.
+//   Seeds (a1_k, a2_k) and (s1_i, s2_i).
+TEST(EscapedCountsTest, TotalCrossesTheEscapeOnlyAcrossTwoRounds) {
+  std::vector<std::pair<NodeId, NodeId>> e1, e2;
+  ConstructedPair p;
+  for (NodeId k = 0; k < 270; ++k) {
+    e1.emplace_back(0, 1 + k);
+    e2.emplace_back(1, 3 + k);
+    e2.emplace_back(2, 3 + k);
+    if (k < 200) e2.emplace_back(0, 3 + k);
+    p.seeds.emplace_back(1 + k, 3 + k);
+  }
+  for (NodeId i = 0; i < 100; ++i) {
+    e1.emplace_back(0, 271 + i);
+    e1.emplace_back(271 + i, 371 + i);
+    e2.emplace_back(0, 273 + i);
+    e2.emplace_back(273 + i, 373 + i);
+    p.seeds.emplace_back(371 + i, 373 + i);
+  }
+  p.g1 = BuildGraph(471, e1);
+  p.g2 = BuildGraph(473, e2);
+  MatcherConfig config;
+  config.num_threads = 2;
+  config.min_score = 1;
+  config.use_degree_bucketing = false;
+  config.num_iterations = 2;
+  const oracle::Result expected =
+      oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
+  ASSERT_EQ(expected.rounds.size(), 2u);
+  EXPECT_EQ(expected.rounds[0].new_links.size(), 100u);
+  ExpectHubLinkAsTheOracle(p, config);
 }
 
 // Tier-1: tiny pairs only (the oracle recounts every round from all links,

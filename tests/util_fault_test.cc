@@ -1,5 +1,7 @@
 // Deterministic fault injection: the spec parser must accept the documented
-// grammar and reject malformed entries without arming anything, io points
+// grammar and reject malformed entries (bad grammar, unknown points, kinds
+// that do not fit their point, points the arming tool never reaches)
+// without arming anything, io points
 // must fire on exactly their armed 1-based hit, stop points must request a
 // graceful stop, and disarming must silence everything. (The crash kind is
 // covered end to end by integration_kill_resume_test, which can afford to
@@ -75,7 +77,7 @@ TEST_F(FaultTest, MalformedSpecsRejectedWithDiagnostic) {
       "explode:after_round=1", // unknown kind
       "crash:",                // no point
       "crash:after_round=x",   // non-integer value
-      "io:point=0",            // io hit index must be >= 1
+      "io:checkpoint_write_fail=0",  // io hit index must be >= 1
   };
   for (const char* spec : bad) {
     std::string error;
@@ -84,6 +86,56 @@ TEST_F(FaultTest, MalformedSpecsRejectedWithDiagnostic) {
   }
   // Nothing was armed by the failed attempts.
   EXPECT_EQ(ArmedFaultSpec(), "");
+}
+
+// A spec that names a point no code declares, or arms a point with a kind
+// its hook never checks, could never fire: it is malformed.
+TEST_F(FaultTest, UnknownPointsAndMismatchedKindsRejected) {
+  const char* bad[] = {
+      "crash:after_rnd=3",               // typo'd value point
+      "io:checkpoint_write_failure",     // typo'd io point
+      "io:after_round=1",                // io: on a value point
+      "crash:checkpoint_write_fail=1",   // crash: on an io point
+      "stop:enospc_after=2",             // stop: on a threshold io point
+      "io:spill_write_fail;crash:nope",  // one bad entry spoils the spec
+  };
+  for (const char* spec : bad) {
+    std::string error;
+    EXPECT_FALSE(ArmFaults(spec, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+  EXPECT_EQ(ArmedFaultSpec(), "");
+}
+
+// Each tool reaches only its own points: the batch matcher never serves a
+// batch, and the serve loop never reports a completed round or spills.
+TEST_F(FaultTest, ScopeRejectsPointsTheToolNeverReaches) {
+  struct Case {
+    const char* spec;
+    FaultScope scope;
+    bool armed;
+  };
+  const Case cases[] = {
+      {"crash:after_round=1", FaultScope::kServe, false},
+      {"io:spill_write_fail", FaultScope::kServe, false},
+      {"crash:spill_commit=1", FaultScope::kServe, false},
+      {"crash:serve_apply=1", FaultScope::kBatch, false},
+      {"crash:after_batch=2", FaultScope::kBatch, false},
+      {"crash:after_round=1", FaultScope::kBatch, true},
+      {"io:enospc_after=0", FaultScope::kBatch, true},
+      {"stop:serve_apply=2", FaultScope::kServe, true},
+      {"crash:after_batch=3", FaultScope::kServe, true},
+      {"io:checkpoint_truncate", FaultScope::kServe, true},
+      {"io:checkpoint_truncate", FaultScope::kBatch, true},
+      {"crash:after_batch=3;crash:after_round=1", FaultScope::kAny, true},
+  };
+  for (const Case& c : cases) {
+    std::string error;
+    EXPECT_EQ(ArmFaults(c.spec, &error, c.scope), c.armed)
+        << c.spec << ": " << error;
+    EXPECT_EQ(error.empty(), c.armed) << c.spec;
+    DisarmFaults();
+  }
 }
 
 TEST_F(FaultTest, MalformedArmLeavesPreviousSetIntact) {

@@ -20,13 +20,13 @@
 
 #include "make_run.h"
 #include "reconcile/util/fault.h"
-#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/tiered_store.h"
 
 namespace reconcile {
 namespace {
 
+// Pairs drawn from `key_space` slots, 50 to a row.
 std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
                                                    size_t num_deltas,
                                                    size_t delta_size,
@@ -35,7 +35,9 @@ std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
   std::vector<std::vector<uint64_t>> deltas(num_deltas);
   for (auto& delta : deltas) {
     for (size_t i = 0; i < delta_size; ++i) {
-      delta.push_back(rng.UniformInt(key_space));
+      const uint64_t slot = rng.UniformInt(key_space);
+      delta.push_back(PackPair(static_cast<NodeId>(slot / 50),
+                               static_cast<NodeId>(slot % 50)));
     }
   }
   return deltas;
@@ -45,9 +47,30 @@ std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
 // produces, in order.
 std::vector<std::pair<uint64_t, uint32_t>> Fold(const TieredCountRuns& s) {
   std::vector<std::pair<uint64_t, uint32_t>> out;
-  s.ForEach([&out](uint64_t key, uint32_t count) { out.emplace_back(key, count); });
+  s.ForEach(0, [&out](NodeId u, NodeId v, uint32_t count) {
+    out.emplace_back(PackPair(u, v), count);
+  });
   return out;
 }
+
+// Whether two views hold the same run, array by array.
+bool SameRun(const RowRunView& a, const RowRunView& b) {
+  return a.num_rows == b.num_rows && a.size == b.size &&
+         a.num_escapes == b.num_escapes &&
+         std::equal(a.rows, a.rows + a.num_rows, b.rows,
+                    [](const RunRow& x, const RunRow& y) {
+                      return x.u == y.u && x.end == y.end;
+                    }) &&
+         std::equal(a.vs, a.vs + a.size, b.vs) &&
+         std::equal(a.counts, a.counts + a.size, b.counts) &&
+         std::equal(a.escapes, a.escapes + a.num_escapes, b.escapes);
+}
+
+// Drops the odd v of row 0.
+struct DropOddInRowZero {
+  bool Row(uint32_t u) const { return u == 0; }
+  bool Entry(uint32_t v) const { return v % 2 == 1; }
+};
 
 size_t CountDirEntries(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
@@ -87,16 +110,20 @@ class SpillStoreTest : public ::testing::Test {
 };
 
 TEST_F(SpillStoreTest, SpilledRunRoundTripsExactBytes) {
-  SortedCountRun run = MakeRun(MakeDeltaStream(1, 1, 5000, 1200)[0]);
+  std::map<uint64_t, uint32_t> totals;
+  const std::vector<uint64_t> keys = MakeDeltaStream(1, 1, 5000, 1200)[0];
+  for (uint64_t key : keys) ++totals[key];
+  totals[PackPair(3, 7)] = 70000;  // escaped counts travel too
+  totals[PackPair(9, 0)] = 255;
+  const RowRun run = RunOfTotals(totals);
   SpillStore store(dir_);
   std::string error;
   std::unique_ptr<SpilledRun> spilled = store.Spill(run, &error);
   ASSERT_NE(spilled, nullptr) << error;
   ASSERT_EQ(spilled->size(), run.size());
-  for (size_t i = 0; i < run.size(); ++i) {
-    ASSERT_EQ(spilled->keys()[i], run.keys[i]);
-    ASSERT_EQ(spilled->counts()[i], run.counts[i]);
-  }
+  EXPECT_EQ(spilled->view().num_escapes, 2u);
+  EXPECT_TRUE(SameRun(spilled->view(), run.view()));
+  EXPECT_EQ(spilled->file_bytes(), 32 + RowRunBytes(run.view()));
   EXPECT_EQ(store.stats().tiers_spilled, 1u);
   EXPECT_EQ(store.stats().spill_failures, 0u);
   EXPECT_EQ(CountDirEntries(dir_), 1u);
@@ -137,14 +164,13 @@ TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
 
 TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
   TieredCountRuns store = TwoTierCell();
-  ASSERT_EQ(store.resident_bytes(),
-            TieredCountRuns::BytesForEntries(store.tier_size(0) +
-                                             store.tier_size(1)));
+  ASSERT_EQ(store.resident_bytes(), store.tier_bytes(0) + store.tier_bytes(1));
   SpillStore spill(dir_);
   std::string error;
+  const size_t base_bytes = store.tier_bytes(0);
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  EXPECT_EQ(store.resident_bytes(),
-            TieredCountRuns::BytesForEntries(store.tier_size(1)));
+  EXPECT_EQ(store.tier_bytes(0), base_bytes);
+  EXPECT_EQ(store.resident_bytes(), store.tier_bytes(1));
   EXPECT_TRUE(store.tier_spilled(0));
   EXPECT_FALSE(store.tier_spilled(1));
   // Spilling an already-spilled tier is a successful no-op.
@@ -161,17 +187,18 @@ TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
   ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
-  store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
+  store.Filter(DropOddInRowZero{});
   EXPECT_FALSE(store.tier_spilled(0));
   EXPECT_FALSE(store.tier_spilled(1));
-  EXPECT_EQ(CountDirEntries(dir_), 0u) << "materialize must drop the files";
+  EXPECT_EQ(CountDirEntries(dir_), 0u) << "a rewrite must drop the files";
   const std::vector<std::pair<uint64_t, uint32_t>> expected = {
       {10, 1}, {12, 2}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
   EXPECT_EQ(Fold(store), expected);
 }
 
 // A delta appended onto a spilled delta merges into it, and a fold into a
-// spilled base rewrites the base: both are materialized first.
+// spilled base rewrites the base: both read the mapping and leave the
+// result resident.
 TEST_F(SpillStoreTest, AppendMaterializesSpilledTargets) {
   TieredCountRuns store;
   store.Append(MakeRun({1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
@@ -195,6 +222,52 @@ TEST_F(SpillStoreTest, AppendMaterializesSpilledTargets) {
   const auto folded = Fold(store);
   ASSERT_EQ(folded.size(), 13u);
   EXPECT_EQ(folded[1], (std::pair<uint64_t, uint32_t>{2, 2}));
+}
+
+// The pinned totals 254 + 1, 255 + 0, 200 + 100 and 70,000 with both tiers
+// spilled: the scan reads them through the mappings, a fold reads the
+// spilled tiers and writes the crossed totals resident, and a filter of a
+// spilled tier keeps every escape in step.
+TEST_F(SpillStoreTest, EscapedTotalsRoundTripThroughSpilledTiers) {
+  std::map<uint64_t, uint32_t> reference = {
+      {PackPair(0, 1), 400},   {PackPair(0, 4), 300},
+      {PackPair(1, 1), 254},   {PackPair(1, 2), 255},
+      {PackPair(1, 3), 200},   {PackPair(1, 4), 70000}};
+  for (NodeId v = 0; v < 14; ++v) reference[PackPair(2, v)] = 1;
+  TieredCountRuns store;
+  store.Append(RunOfTotals(reference));
+  const std::map<uint64_t, uint32_t> delta = {{PackPair(1, 1), 1},
+                                              {PackPair(1, 3), 100}};
+  store.Append(RunOfTotals(delta));
+  for (const auto& [key, total] : delta) reference[key] += total;
+  ASSERT_EQ(store.num_tiers(), 2u);
+  SpillStore spill(dir_);
+  std::string error;
+  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+  ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+  EXPECT_EQ(Aggregate(store), reference);
+
+  // Three more pairs take the delta to 5 of 20: the fold reads both
+  // mappings.
+  const std::map<uint64_t, uint32_t> more = {
+      {PackPair(1, 9), 1}, {PackPair(3, 0), 256}, {PackPair(3, 1), 1}};
+  store.Append(RunOfTotals(more));
+  for (const auto& [key, total] : more) reference[key] += total;
+  ASSERT_EQ(store.num_tiers(), 1u);
+  EXPECT_FALSE(store.tier_spilled(0));
+  EXPECT_EQ(CountDirEntries(dir_), 0u);
+  EXPECT_EQ(Aggregate(store), reference);
+
+  // Spill the folded base and filter it from the mapping: escaped (0, 1)
+  // goes, ahead of escaped (0, 4).
+  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+  store.Filter(DropOddInRowZero{});
+  reference.erase(PackPair(0, 1));
+  EXPECT_EQ(Aggregate(store), reference);
+  EXPECT_EQ(reference[PackPair(1, 1)], 255u);
+  EXPECT_EQ(reference[PackPair(1, 2)], 255u);
+  EXPECT_EQ(reference[PackPair(1, 3)], 300u);
+  EXPECT_EQ(reference[PackPair(1, 4)], 70000u);
 }
 
 // The fault sweep: each injected failure mode, fired at either spill of a
@@ -243,7 +316,7 @@ TEST_F(SpillStoreTest, EnospcThresholdFailsEverySpillPastTheCliff) {
   std::string error;
   ASSERT_TRUE(ArmFaults("io:enospc_after=2", &error)) << error;
   SpillStore store(dir_);
-  SortedCountRun run = MakeRun({1, 2, 3});
+  RowRun run = MakeRun({1, 2, 3});
   EXPECT_NE(store.Spill(run, &error), nullptr);
   EXPECT_NE(store.Spill(run, &error), nullptr);
   // The disk is now "full": every later spill fails, not just one.
@@ -258,7 +331,7 @@ TEST_F(SpillStoreTest, EnospcThresholdFailsEverySpillPastTheCliff) {
 // every spill succeeds, each store reads back its own runs, and destroying
 // both leaves the directory empty.
 TEST_F(SpillStoreTest, TwoStoresShareADirectory) {
-  std::vector<SortedCountRun> runs[2];
+  std::vector<RowRun> runs[2];
   {
     // Declared first, so the runs go after the stores, as the matcher's
     // cells go with its state.
@@ -278,12 +351,7 @@ TEST_F(SpillStoreTest, TwoStoresShareADirectory) {
       EXPECT_EQ(stores[s].stats().tiers_spilled, 6u);
       EXPECT_EQ(stores[s].stats().spill_failures, 0u);
       for (size_t i = 0; i < runs[s].size(); ++i) {
-        const SpilledRun& run = *spilled[s][i];
-        ASSERT_EQ(run.size(), runs[s][i].size());
-        EXPECT_TRUE(std::equal(run.keys(), run.keys() + run.size(),
-                               runs[s][i].keys.begin()));
-        EXPECT_TRUE(std::equal(run.counts(), run.counts() + run.size(),
-                               runs[s][i].counts.begin()));
+        EXPECT_TRUE(SameRun(spilled[s][i]->view(), runs[s][i].view()));
       }
     }
     EXPECT_EQ(CountDirEntries(dir_), 12u);
@@ -294,7 +362,7 @@ TEST_F(SpillStoreTest, TwoStoresShareADirectory) {
 TEST_F(SpillStoreTest, DisableStopsSpillingWithoutTouchingDisk) {
   SpillStore store(dir_);
   store.Disable();
-  SortedCountRun run = MakeRun({5, 6});
+  RowRun run = MakeRun({5, 6});
   std::string error;
   EXPECT_EQ(store.Spill(run, &error), nullptr);
   EXPECT_EQ(CountDirEntries(dir_), 0u);
@@ -302,7 +370,7 @@ TEST_F(SpillStoreTest, DisableStopsSpillingWithoutTouchingDisk) {
 
 TEST_F(SpillStoreTest, UnwritableDirectoryIsACleanFailure) {
   SpillStore store("/proc/definitely-not-writable/spill");
-  SortedCountRun run = MakeRun({1});
+  RowRun run = MakeRun({1});
   std::string error;
   EXPECT_EQ(store.Spill(run, &error), nullptr);
   EXPECT_FALSE(error.empty());

@@ -127,7 +127,10 @@ Crash safety (core matcher; see DESIGN.md §2.4):
                   armed process-wide before the run (e.g.
                   crash:after_round=3, io:checkpoint_write_fail,
                   io:spill_write_fail, io:enospc_after=N; overrides the
-                  RECONCILE_FAULT env var, which does the same)
+                  RECONCILE_FAULT env var, which does the same). An
+                  unknown point, a kind that does not fit its point, or
+                  a serve-only point (serve_apply, after_batch) is a
+                  usage error
 
 Out-of-core score store (core matcher; DESIGN.md §2.5):
   --memory-budget --param memory-budget=BYTES — hard budget for the
@@ -309,8 +312,10 @@ int RunCli(const Flags& flags) {
 
   // --- Faults and algorithm resolution (fail before the pair build). -----
   std::string error;
-  if (flags.Has("fault") && !ArmFaults(flags.GetString("fault", ""), &error)) {
-    std::fprintf(stderr, "bad --fault spec: %s\n", error.c_str());
+  if (flags.Has("fault") &&
+      !ArmFaults(flags.GetString("fault", ""), &error, FaultScope::kBatch)) {
+    std::fprintf(stderr, "--fault=%s: %s\n",
+                 flags.GetString("fault", "").c_str(), error.c_str());
     return 2;
   }
   ReconcilerSpec spec;

@@ -93,13 +93,17 @@ Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-every  checkpoint cadence in applied batches    [1]
   --checkpoint-keep   prune all but the newest K snapshots after each
                   successful write and on resume (0 = keep all) [0]
-  --resume        restore the newest valid serve snapshot (under any
-                  --threads), fast-forward the delta stream past
-                  the records it already consumed, and continue; the
-                  resumed session is bit-identical to an uninterrupted one
+  --resume        restore the newest valid serve snapshot in
+                  --checkpoint-dir (required; under any --threads),
+                  fast-forward the delta stream past the records it
+                  already consumed, and continue; the resumed session
+                  is bit-identical to an uninterrupted one
   --fault         deterministic fault injection (crash:serve_apply=K
                   kills mid-batch, crash:after_batch=K between the match
-                  and the checkpoint; io: specs as in reconcile_cli)
+                  and the checkpoint; io:checkpoint_write_fail and
+                  io:checkpoint_truncate as in reconcile_cli). A spec
+                  naming a point serve never reaches (after_round, the
+                  spill points) is a usage error
 
 On SIGINT/SIGTERM (or a stop: fault) the server finishes the in-flight
 batch, matcher run included, writes a final checkpoint (when configured)
@@ -199,10 +203,22 @@ int RunServe(const Flags& flags) {
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   if (flags.Has("fault")) {
     std::string error;
-    if (!ArmFaults(flags.GetString("fault", ""), &error)) {
-      std::fprintf(stderr, "bad --fault spec: %s\n", error.c_str());
+    if (!ArmFaults(flags.GetString("fault", ""), &error,
+                   FaultScope::kServe)) {
+      std::fprintf(stderr, "--fault=%s: %s\n",
+                   flags.GetString("fault", "").c_str(), error.c_str());
       return 2;
     }
+  }
+  const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
+  const bool checkpointing = !checkpoint_dir.empty();
+  const bool resume = flags.GetBool("resume", false);
+  if (resume && !checkpointing) {
+    std::fprintf(stderr,
+                 "--resume=%s needs --checkpoint-dir: there is no checkpoint "
+                 "to resume from\n",
+                 flags.GetString("resume", "").c_str());
+    return 2;
   }
 
   Graph g1, g2;
@@ -244,8 +260,6 @@ int RunServe(const Flags& flags) {
 
   IncrementalMatcher matcher(std::move(g1), std::move(g2), seeds, config);
 
-  const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
-  const bool checkpointing = !checkpoint_dir.empty();
   const int checkpoint_every =
       static_cast<int>(flags.GetInt("checkpoint-every", 1));
   const int checkpoint_keep =
@@ -258,7 +272,7 @@ int RunServe(const Flags& flags) {
                    error.c_str());
       return 1;
     }
-    if (flags.GetBool("resume", false)) {
+    if (resume) {
       const std::string path = ResumeFromNewestCheckpoint(
           checkpoint_dir, kServeCheckpointPrefix, checkpoint_keep,
           [&matcher](const std::string& path, std::string* error) {
