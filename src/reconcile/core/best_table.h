@@ -16,13 +16,19 @@ namespace reconcile {
 ///   [ epoch : 30 ][ score : 32 ][ ties : 2 ]
 ///
 ///  * `score` is the maximum candidate score observed for the node in the
-///    current round;
-///  * `ties` counts how many candidate pairs achieve it, saturating at 3 —
+///    current outer iteration;
+///  * `ties` counts how many observations achieve it, saturating at 3 —
 ///    the selection rule only distinguishes "exactly one" from "more than
 ///    one", so two bits suffice;
-///  * `epoch` stamps the round the entry was last written in. Entries from
-///    older rounds read as (score 0, ties 0), which turns the per-round
-///    O(num_nodes) `Clear()` into an O(1) epoch bump.
+///  * `epoch` stamps the iteration the entry was last written in. Entries
+///    from older iterations read as (score 0, ties 0), which turns the
+///    per-iteration O(num_nodes) `Clear()` into an O(1) epoch bump.
+///
+/// Within an iteration a pair may be observed again at a higher total, once
+/// per round that raises it (`core/selection.h`). Each earlier observation
+/// is then strictly below the pair's current total, so it can neither be
+/// the node's best nor tie it, and the word equals that of observing every
+/// pair once at its current total.
 ///
 namespace best_internal {
 
@@ -64,8 +70,8 @@ inline constexpr uint64_t Fold(uint64_t word, uint64_t epoch, uint32_t score) {
 /// update strictly increases the word — so the CAS loop terminates and the
 /// final state equals `Fold` applied serially to the same observation
 /// multiset in any order. `NextEpoch` must not race with
-/// `Observe`/`IsUniqueBest`; the matcher bumps it between rounds, outside
-/// the parallel region.
+/// `Observe`/`IsUniqueBest`; the matcher bumps it when an iteration starts,
+/// outside the parallel region.
 class AtomicBestTable {
  public:
   explicit AtomicBestTable(size_t num_nodes) : words_(num_nodes) {}

@@ -373,13 +373,19 @@ class RowMerger {
 //     stored.
 //  3. Append (per cell): the delta becomes the base of an empty cell, or
 //     joins the cell's delta tier, which folds into the base run once it
-//     reaches a quarter of it. Both merges leave the dead pairs out.
+//     reaches a quarter of it. Both merges leave the dead pairs out. A cell
+//     at a level `covered` or up, one the best tables already hold, also
+//     hands each delta pair's new total to selection
+//     (`SelectionEngine::DeltaObserver`), which keeps the cell's open pairs
+//     in `(*observed)[level * width + shard]` and counts the pairs as read.
 //
 // Each cell thus receives the live part of the run that sorting and
 // counting the per-witness keys would give, once per round, so the cells
 // do not depend on how the delta was built. `emit_seconds` covers steps 1
-// and 2; `merge_seconds` is the append alone.
-void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
+// and 2; `merge_seconds` is the append, observing included.
+void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
+                             int covered,
+                             std::vector<SelectionCell>* observed) {
   if (begin == end) return;
 
   const int min_level = config_.min_bucket_exponent;
@@ -464,12 +470,26 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats) {
       if (!cells[shard][level].empty()) deltas.emplace_back(level, shard);
     }
   }
-  ParallelForEach(&pool_, deltas.size(),
-                  [this, &cells, &deltas, &dead](size_t i) {
-                    const auto [level, shard] = deltas[i];
-                    runs_[level][shard].Append(
-                        std::move(cells[shard][level]), dead);
-                  });
+  const SelectionContext ctx = Context();
+  std::vector<size_t> reads(deltas.size(), 0), folds(deltas.size(), 0);
+  ParallelForEach(&pool_, deltas.size(), [&](size_t i) {
+    const auto [level, shard] = deltas[i];
+    RowRun& run = cells[shard][level];
+    TieredCountRuns& store = runs_[level][shard];
+    if (static_cast<int>(level) < covered) {
+      store.Append(std::move(run), dead);
+      return;
+    }
+    reads[i] = run.size();
+    std::vector<std::pair<uint64_t, uint32_t>>* open =
+        &(*observed)[level * num_shards + shard].open;
+    store.Append(std::move(run), dead,
+                 selection_.DeltaObserver(ctx, open, &folds[i]));
+  });
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    stats->candidate_pairs += reads[i];
+    stats->observed_pairs += folds[i];
+  }
   stats->merge_seconds += merge_timer.Seconds();
 
   for (uint64_t emissions : shard_emissions) {
@@ -556,8 +576,34 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   stats->spilled_score_bytes = spilled_bytes;
 }
 
+// The lowest level the best tables already hold: earlier rounds of this
+// iteration made levels [CoveredLevel(), kNumLevels) eligible. kNumLevels
+// (nothing) in an iteration's first round, which without bucketing is every
+// round.
+int MatcherState::CoveredLevel() const {
+  const bool first =
+      !config_.use_degree_bucketing || current_bucket_ == top_exponent_;
+  return first ? kNumLevels : current_bucket_ + 1;
+}
+
+SelectionContext MatcherState::Context() {
+  SelectionContext ctx;
+  ctx.pool = &pool_;
+  ctx.min_score = config_.min_score;
+  ctx.map_1to2 = &map_1to2_;
+  ctx.map_2to1 = &map_2to1_;
+  ctx.links = &links_;
+  return ctx;
+}
+
 // One scoring round at bucket exponent `bucket_exponent` (candidates must
 // have degree >= 2^bucket_exponent on both sides). Returns links accepted.
+//
+// The best tables live for the iteration (`core/selection.h`), so the round
+// folds in only what changed: (ii) during the append, the new totals of
+// the delta's pairs on the levels the tables already hold; (i) after it,
+// every pair of the levels this round makes eligible, [bucket,
+// CoveredLevel()). `merge_seconds` covers (ii), `scan_seconds` (i).
 size_t MatcherState::Round(int iteration, int bucket_exponent) {
   Timer timer;
   PhaseStats stats;
@@ -566,26 +612,31 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   stats.links_in = links_.size();
   stats.num_threads = pool_.num_threads();
 
-  EmitLinks(emitted_links_, links_.size(), &stats);
+  const int covered = CoveredLevel();
+  if (covered == kNumLevels) selection_.StartIteration();
+  const size_t num_shards = static_cast<size_t>(num_shards_);
+  // Every cell of the partition, in (level, shard) order.
+  std::vector<SelectionCell> cells(kNumLevels * num_shards);
+
+  EmitLinks(emitted_links_, links_.size(), &stats, covered, &cells);
   emitted_links_ = links_.size();
   EnforceMemoryBudget(&stats);
 
-  // The eligible cells, in (level, shard) order. An empty cell accepts
-  // nothing, so leaving it out keeps the link log and saves the selection
-  // passes a claim per empty cell of a wide partition.
-  std::vector<const TieredCountRuns*> cells;
-  for (int level = bucket_exponent; level < kNumLevels; ++level) {
-    for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-      if (!store.empty()) cells.push_back(&store);
+  for (int level = bucket_exponent; level < covered; ++level) {
+    for (size_t shard = 0; shard < num_shards; ++shard) {
+      const TieredCountRuns& store = runs_[static_cast<size_t>(level)][shard];
+      if (!store.empty()) {
+        cells[static_cast<size_t>(level) * num_shards + shard].scan = &store;
+      }
     }
   }
-  SelectionContext ctx;
-  ctx.pool = &pool_;
-  ctx.min_score = config_.min_score;
-  ctx.map_1to2 = &map_1to2_;
-  ctx.map_2to1 = &map_2to1_;
-  ctx.links = &links_;
-  const size_t accepted = selection_.SelectAndCommit(cells, ctx, &stats);
+  // A cell with nothing to read or test accepts nothing, so leaving it out
+  // keeps the link log and saves the passes a claim per empty cell of a
+  // wide partition.
+  std::erase_if(cells, [](const SelectionCell& c) {
+    return c.scan == nullptr && c.open.empty();
+  });
+  const size_t accepted = selection_.SelectAndCommit(cells, Context(), &stats);
   MarkMatched(links_.size() - accepted);
 
   stats.new_links = accepted;
@@ -730,7 +781,10 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   completed_rounds_ = completed_rounds;
   done_ = done != 0;
   phases_.clear();
-  if (!done_) RebuildScores();
+  if (!done_) {
+    RebuildScores();
+    ReseedBests();
+  }
   return true;
 }
 
@@ -750,7 +804,25 @@ void MatcherState::RebuildScores() {
     for (TieredCountRuns& store : level) store = TieredCountRuns{};
   }
   PhaseStats scratch;
-  EmitLinks(0, emitted_links_, &scratch);
+  EmitLinks(0, emitted_links_, &scratch, kNumLevels, nullptr);
+}
+
+// The best tables are derived state too: an uninterrupted run's tables hold
+// every pair at or above T of the levels earlier rounds of this iteration
+// made eligible, each at its current total (`core/selection.h`). Reading
+// those levels of the rebuilt store once gives the same (best, ties) for
+// every unmatched node; the two differ only at matched nodes, through the
+// dead pairs the rebuild leaves out, and no accept reads those. At an
+// iteration's first round the round itself starts the tables.
+void MatcherState::ReseedBests() {
+  selection_.StartIteration();
+  std::vector<SelectionCell> cells;
+  for (int level = CoveredLevel(); level < kNumLevels; ++level) {
+    for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
+      if (!store.empty()) cells.push_back(SelectionCell{&store, {}});
+    }
+  }
+  selection_.Reseed(cells, Context());
 }
 
 void AppendMatchingSemantics(const MatcherConfig& config,

@@ -97,15 +97,27 @@ class MatcherState {
   /// Finalizes into a `MatchResult` (moves the maps out; the state is spent).
   MatchResult TakeResult(double total_seconds);
 
+  /// The selection's best tables, read-only (`SelectionEngine::best1`):
+  /// after a round, each unmatched node's best score at or above T over
+  /// that round's eligible pairs, and whether exactly one pair reaches it.
+  const SelectionEngine& selection() const { return selection_; }
+
  private:
   // --- One round (see matcher_state.cc) ----------------------------------
   size_t Round(int iteration, int bucket_exponent);
+  int CoveredLevel() const;
+  SelectionContext Context();
   void AdvanceCursor();
   void CompactScores();
   // Re-derives the score cells from the emitted links (see LoadSnapshot).
   void RebuildScores();
-  // Emits the witnesses of links_[begin, end) into the score cells.
-  void EmitLinks(size_t begin, size_t end, PhaseStats* stats);
+  // Re-derives the best tables from the rebuilt cells (see LoadSnapshot).
+  void ReseedBests();
+  // Emits the witnesses of links_[begin, end) into the score cells, and
+  // hands the new totals on levels `covered` and up to selection, into
+  // `observed` (see matcher_state.cc).
+  void EmitLinks(size_t begin, size_t end, PhaseStats* stats, int covered,
+                 std::vector<SelectionCell>* observed);
   size_t EmitGrain(size_t num_items) const;
   // Sets the matched bits of links_[first_link, end).
   void MarkMatched(size_t first_link);

@@ -17,34 +17,40 @@ struct PhaseStats {
   int bucket_exponent = 0;  ///< Round matched nodes with degree >= 2^this.
   size_t links_in = 0;      ///< Links available as witnesses this round.
   size_t emissions = 0;     ///< Candidate-pair witness emissions.
-  /// Distinct candidate pairs scored. In User-Matching this counts the
-  /// stored pairs of the round's cells. Dead pairs (both endpoints matched)
-  /// are never stored by emission and leave a cell whenever a merge, a fold
-  /// or the between-iteration compaction rewrites it, so the store may hold
-  /// some until then. Which cells a round rewrites depends on the score
-  /// partition's width, and a resumed run rebuilds its store without dead
-  /// pairs, so `candidate_pairs` and `observed_pairs` may differ across
-  /// widths and between a resumed and an uninterrupted run (never across
-  /// thread counts); `open_pairs`, `new_links` and `emissions` do not.
+  /// Distinct candidate pairs scored. In User-Matching, the pairs selection
+  /// reads (`core/selection.h`): every stored pair of the levels the round
+  /// makes eligible, plus the round's delta pairs on levels earlier rounds
+  /// of its iteration made eligible, whose new totals it looks up. Dead
+  /// pairs (both endpoints matched) are never stored by emission and leave
+  /// a cell whenever a merge, a fold or the between-iteration compaction
+  /// rewrites it, so the store may hold some until then. Which cells a
+  /// round rewrites depends on the score partition's width, and a resumed
+  /// run rebuilds its store without dead pairs, so `candidate_pairs` and
+  /// `observed_pairs` may differ across widths and between a resumed and an
+  /// uninterrupted run (never across thread counts); `open_pairs`,
+  /// `new_links` and `emissions` do not.
   size_t candidate_pairs = 0;
-  /// Candidate pairs scoring at least the threshold: the only ones
+  /// The pairs read that score at least the threshold: the only ones
   /// User-Matching folds into its best tables, so at most `candidate_pairs`
   /// and at least `new_links`. Zero for algorithms without that pass.
   size_t observed_pairs = 0;
-  /// Pairs scoring at least the threshold with both endpoints unmatched:
-  /// the live candidates, the only pairs the accept pass can take. At most
-  /// `observed_pairs` and at least `new_links`. Zero for algorithms without
-  /// that pass.
+  /// The candidates the accept pass tests: the pairs read that score at
+  /// least the threshold with both endpoints unmatched. The other open
+  /// pairs were tested in an earlier round of the iteration at the same
+  /// score and cannot pass now. At most `observed_pairs` and at least
+  /// `new_links`. Zero for algorithms without that pass.
   size_t open_pairs = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): emit (building the round's score
   // delta: the gather over the pending links and the row merge), merge
   // (appending the delta to the score cells, with any fold of a cell's
-  // delta into its base run), scan (the best-table observe pass, which also
-  // keeps each cell's open pairs) and select (the accept and commit
-  // passes). The four do not sum exactly to `seconds`: cell bookkeeping
-  // and the memory-budget pass sit between them.
+  // delta into its base run, and observing the new totals on the levels
+  // already eligible), scan (reading the levels the round makes eligible
+  // into the best tables, keeping each cell's open pairs) and select (the
+  // accept and commit passes). The four are disjoint spans of the round,
+  // so they sum to at most `seconds`: cell bookkeeping and the
+  // memory-budget pass sit between them.
   double emit_seconds = 0.0;
   double merge_seconds = 0.0;
   double scan_seconds = 0.0;

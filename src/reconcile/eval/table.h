@@ -30,8 +30,9 @@ class Table {
 };
 
 /// The per-round table of a matcher run (`--phase-table` in both tools):
-/// iteration, bucket, links in, the pair counts (emissions, all scored,
-/// >= T, open) and new links, then the emit/merge/scan/select seconds.
+/// iteration, bucket, links in, the pair counts (emissions, the pairs
+/// selection read, those >= T, the open ones it tested) and new links,
+/// then the emit/merge/scan/select seconds.
 Table PhaseTable(std::span<const PhaseStats> phases);
 
 /// Formats a double with `digits` decimal places.

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "reconcile/util/logging.h"
@@ -97,9 +98,9 @@ class RowRun {
     }
   }
 
-  template <typename Drop>
+  template <typename Drop, typename Observe>
   friend RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                             const Drop& drop);
+                             const Drop& drop, Observe&& observe);
 
  private:
 
@@ -164,16 +165,90 @@ struct Cursor {
 // Above every u: a span that runs to the end of its run.
 inline constexpr uint64_t kNoLimit = uint64_t{1} << 32;
 
+// Calls `fn(u, v, count)` for every entry of rows [c.row, last), in order,
+// and leaves the cursor on row `last`.
+template <typename Fn>
+void ForEachEntry(Cursor& c, size_t last, Fn&& fn) {
+  for (; c.row < last; c.NextRow()) {
+    for (size_t i = c.entry; i < c.end(); ++i) fn(c.u(), c.run.vs[i], c.Count(i));
+  }
+}
+
+// The first index in [first, last) whose key (`key_at(i)`, ascending) is
+// not below `key`, found by galloping from `first`: O(log distance), so a
+// walk over ascending keys pays about the log of each step.
+template <typename KeyAt>
+size_t Gallop(size_t first, size_t last, uint32_t key, KeyAt&& key_at) {
+  size_t lo = first, hi = first, step = 1;
+  while (hi < last && key_at(hi) < key) {  // every index below lo is below
+    lo = hi + 1;
+    hi += step;
+    step *= 2;
+  }
+  hi = std::min(hi, last);
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (key_at(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace row_run_internal
+
+/// Looks up stored counts by (u, v), the keys ascending from call to call:
+/// gallops to row u, then to v inside the row. An entry whose byte is
+/// `kEscapedCount` needs its index in the escape list: the lookup counts
+/// the 255 bytes between the last escape it placed and the entry, which
+/// only a run with escapes can need, so one ascending escape cursor serves
+/// the whole walk.
+class RowLookup {
+ public:
+  explicit RowLookup(const RowRunView& run) : run_(run) {}
+
+  /// The count of (u, v), or 0 when the run does not hold it. (u, v) must
+  /// be above the previous call's.
+  uint32_t Count(uint32_t u, uint32_t v) {
+    using row_run_internal::Gallop;
+    if (row_ == run_.num_rows) return 0;
+    if (run_.rows[row_].u != u) {
+      row_ = Gallop(row_, run_.num_rows, u,
+                    [this](size_t r) { return run_.rows[r].u; });
+      if (row_ == run_.num_rows) return 0;
+      entry_ = row_ == 0 ? 0 : run_.rows[row_ - 1].end;
+      if (run_.rows[row_].u != u) return 0;
+    }
+    const size_t end = run_.rows[row_].end;
+    entry_ = Gallop(entry_, end, v, [this](size_t i) { return run_.vs[i]; });
+    if (entry_ == end || run_.vs[entry_] != v) return 0;
+    const uint32_t count = run_.counts[entry_];
+    if (count != kEscapedCount) return count;
+    escape_ += static_cast<size_t>(std::count(run_.counts + counted_,
+                                              run_.counts + entry_,
+                                              uint8_t{kEscapedCount}));
+    counted_ = entry_ + 1;
+    return run_.escapes[escape_++];
+  }
+
+ private:
+  RowRunView run_;
+  size_t row_ = 0;      // the first row whose u is not below the last one's
+  size_t entry_ = 0;    // in row_, not past the first entry to look at
+  size_t counted_ = 0;  // the 255 bytes before here are in `escape_`
+  size_t escape_ = 0;
+};
 
 /// Walks two runs together in ascending u, the shape every reader of a
 /// two-tier cell shares. The rows of one run below the other run's next
 /// row go to `single(cursor, limit)` as one span, which must consume every
 /// row of the cursor's run with u below `limit` (at least one): decode its
 /// entries in order and leave the cursor on the next row. A row both runs
-/// hold is merged by v: `pair(u, v, total)` once per distinct v in
-/// ascending order, the totals of a v in both rows summed in u32, then
-/// `row_done(u)`.
+/// hold is merged by v: `pair(u, v, total, in_b)` once per distinct v in
+/// ascending order, the totals of a v in both rows summed in u32 and
+/// `in_b` true when b's row holds v, then `row_done(u)`.
 template <typename Single, typename Pair, typename RowDone>
 void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
               Pair&& pair, RowDone&& row_done) {
@@ -195,16 +270,16 @@ void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
       const uint32_t va = a.vs[i];
       const uint32_t vb = b.vs[j];
       if (va < vb) {
-        pair(u, va, ca.Count(i++));
+        pair(u, va, ca.Count(i++), false);
       } else if (vb < va) {
-        pair(u, vb, cb.Count(j++));
+        pair(u, vb, cb.Count(j++), true);
       } else {
         const uint32_t total = ca.Count(i++);
-        pair(u, va, total + cb.Count(j++));
+        pair(u, va, total + cb.Count(j++), true);
       }
     }
-    for (; i < i_end; ++i) pair(u, a.vs[i], ca.Count(i));
-    for (; j < j_end; ++j) pair(u, b.vs[j], cb.Count(j));
+    for (; i < i_end; ++i) pair(u, a.vs[i], ca.Count(i), false);
+    for (; j < j_end; ++j) pair(u, b.vs[j], cb.Count(j), true);
     row_done(u);
     ca.NextRow();
     cb.NextRow();
@@ -213,11 +288,14 @@ void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
 
 /// Merges two runs into one, summing the counts of pairs present in both
 /// and leaving out the entries `drop` names. Either view may be empty, so a
-/// one-run rewrite (a filter) is a merge with an empty run.
-template <typename Drop>
+/// one-run rewrite (a filter) is a merge with an empty run. Given an
+/// `observe`, calls `observe(u, v, total)` for every pair of b the output
+/// keeps, in ascending order, with its total in the output.
+template <typename Drop, typename Observe>
 RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                    const Drop& drop) {
+                    const Drop& drop, Observe&& observe) {
   using row_run_internal::Cursor;
+  constexpr bool kObserve = !std::is_null_pointer_v<std::decay_t<Observe>>;
   RowRun out;
   out.rows_.reserve(a.num_rows + b.num_rows);
   out.vs_.reserve(a.size + b.size);
@@ -226,11 +304,19 @@ RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
       a, b,
       // Rows of one run are copied as they are, a stretch at a time, except
       // the rows the rule may drop from.
-      [&out, &drop](Cursor& c, uint64_t limit) {
+      [&out, &drop, &observe, &b](Cursor& c, uint64_t limit) {
+        const bool observed = kObserve && &c.run == &b;
         while (!c.done() && c.u() < limit) {
           const size_t first = c.row;
           while (!c.done() && c.u() < limit && !drop.Row(c.u())) ++c.row;
           if (c.row > first) {
+            if constexpr (kObserve) {
+              if (observed) {
+                Cursor copy = c;
+                copy.row = first;
+                row_run_internal::ForEachEntry(copy, c.row, observe);
+              }
+            }
             out.CopyRows(c.run, first, c.row, c.entry, &c.escape);
             c.entry = c.run.rows[c.row - 1].end;
           }
@@ -238,17 +324,32 @@ RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
           const uint32_t u = c.u();
           for (size_t i = c.entry; i < c.end(); ++i) {
             const uint32_t count = c.Count(i);
-            if (!drop.Entry(c.run.vs[i])) out.PushEntry(c.run.vs[i], count);
+            if (drop.Entry(c.run.vs[i])) continue;
+            out.PushEntry(c.run.vs[i], count);
+            if constexpr (kObserve) {
+              if (observed) observe(u, c.run.vs[i], count);
+            }
           }
           out.CloseRow(u);
           c.NextRow();
         }
       },
-      [&out, &drop](uint32_t u, uint32_t v, uint32_t total) {
-        if (!(drop.Row(u) && drop.Entry(v))) out.PushEntry(v, total);
+      [&out, &drop, &observe](uint32_t u, uint32_t v, uint32_t total,
+                              bool in_b) {
+        if (drop.Row(u) && drop.Entry(v)) return;
+        out.PushEntry(v, total);
+        if constexpr (kObserve) {
+          if (in_b) observe(u, v, total);
+        }
       },
       [&out](uint32_t u) { out.CloseRow(u); });
   return out;
+}
+
+template <typename Drop>
+RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
+                    const Drop& drop) {
+  return MergeRowRuns(a, b, drop, nullptr);
 }
 
 }  // namespace reconcile

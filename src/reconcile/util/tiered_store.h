@@ -7,6 +7,7 @@
 #include <initializer_list>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "reconcile/util/row_run.h"
@@ -47,20 +48,42 @@ class TieredCountRuns {
   /// round into one run. A sweep of other shapes (one to four tiers; ratios
   /// 0, 2 and 8) measured none faster beyond noise, and a single run 27%
   /// slower on Chung-Lu 200k (DESIGN.md §2.2).
-  template <typename Drop = KeepAll>
-  void Append(RowRun&& delta, const Drop& drop = Drop{}) {
+  ///
+  /// Given an `observe`, calls `observe(u, v, total)` for every pair of
+  /// `delta`, in ascending (u, v) order, with its total once appended: the
+  /// merge into the delta tier gives the pair's total over that tier and
+  /// the delta, and the base's share is looked up by (u, v) (`RowLookup`),
+  /// through its mapping when spilled. Exact for every pair the drop rule
+  /// does not name: only those are sure to keep all of their stored counts.
+  template <typename Drop = KeepAll, typename Observe = std::nullptr_t>
+  void Append(RowRun&& delta, const Drop& drop = Drop{},
+              Observe&& observe = nullptr) {
+    constexpr bool kObserve = !std::is_null_pointer_v<std::decay_t<Observe>>;
     if (delta.empty()) return;
-    if (base_.size() == 0) {
-      base_.resident = std::move(delta);
-      return;
-    }
-    if (delta_.size() == 0) {
-      delta_.resident = std::move(delta);
+    RowLookup base(base_.view());
+    auto with_base = [&base, &observe](auto u, auto v, auto total) {
+      observe(u, v, total + base.Count(u, v));
+    };
+    if (delta_.size() > 0) {
+      if constexpr (kObserve) {
+        delta_.Rewrite(delta.view(), drop, with_base);
+      } else {
+        delta_.Rewrite(delta.view(), drop, nullptr);
+      }
     } else {
-      delta_.Rewrite(delta.view(), drop);
+      if constexpr (kObserve) {
+        const RowRunView run = delta.view();
+        row_run_internal::Cursor c{run};
+        row_run_internal::ForEachEntry(c, run.num_rows, with_base);
+      }
+      if (base_.size() == 0) {
+        base_.resident = std::move(delta);
+        return;
+      }
+      delta_.resident = std::move(delta);
     }
     if (base_.size() <= kFoldRatio * delta_.size()) {
-      base_.Rewrite(delta_.view(), drop);
+      base_.Rewrite(delta_.view(), drop, nullptr);
       delta_ = Tier{};
     }
   }
@@ -94,7 +117,8 @@ class TieredCountRuns {
           c.row = last;
           c.entry = end;
         },
-        [&fn, &pairs, min_total](uint32_t u, uint32_t v, uint32_t total) {
+        [&fn, &pairs, min_total](uint32_t u, uint32_t v, uint32_t total,
+                                 bool) {
           ++pairs;
           if (total >= min_total) fn(u, v, total);
         },
@@ -109,7 +133,7 @@ class TieredCountRuns {
   template <typename Drop>
   void Filter(const Drop& drop) {
     for (Tier* tier : {&base_, &delta_}) {
-      if (tier->size() > 0) tier->Rewrite(RowRunView{}, drop);
+      if (tier->size() > 0) tier->Rewrite(RowRunView{}, drop, nullptr);
       if (tier->size() == 0) *tier = Tier{};  // frees the emptied buffers
     }
     if (base_.size() == 0) std::swap(base_, delta_);
@@ -169,10 +193,12 @@ class TieredCountRuns {
     size_t size() const { return view().size; }
 
     // Replaces this tier by its merge with `other`, leaving out what `drop`
-    // names. A spilled tier is read from its mapping, which goes after.
-    template <typename Drop>
-    void Rewrite(const RowRunView& other, const Drop& drop) {
-      RowRun merged = MergeRowRuns(view(), other, drop);
+    // names, and observing `other`'s pairs (`MergeRowRuns`). A spilled tier
+    // is read from its mapping, which goes after.
+    template <typename Drop, typename Observe>
+    void Rewrite(const RowRunView& other, const Drop& drop,
+                 Observe&& observe) {
+      RowRun merged = MergeRowRuns(view(), other, drop, observe);
       spilled.reset();
       resident = std::move(merged);
     }

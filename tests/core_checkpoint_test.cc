@@ -20,14 +20,11 @@
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
+#include "scratch_path.h"
 #include "spread_ids.h"
 
 namespace reconcile {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -66,7 +63,7 @@ MatchResult RunToCompletion(const Workload& w, const MatcherConfig& config) {
 // a brand-new state, run both to completion — identical matchings.
 void CheckResumeEquivalence(const Workload& w, const MatcherConfig& config,
                             int pause_after, const std::string& tag) {
-  const std::string path = TempPath("resume_" + tag + ".ckpt");
+  const std::string path = ScratchPath("resume_" + tag + ".ckpt");
 
   MatcherState original(w.pair.g1, w.pair.g2, config);
   original.SeedLinks(w.seeds);
@@ -132,7 +129,7 @@ TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   MatcherConfig writer_config;
   writer_config.num_threads = 5;
 
-  const std::string path = TempPath("portable.ckpt");
+  const std::string path = ScratchPath("portable.ckpt");
   MatcherState original(w.pair.g1, w.pair.g2, writer_config);
   original.SeedLinks(w.seeds);
   original.RunRound();
@@ -161,8 +158,8 @@ TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
 
-  const std::string first = TempPath("golden_first.ckpt");
-  const std::string second = TempPath("golden_second.ckpt");
+  const std::string first = ScratchPath("golden_first.ckpt");
+  const std::string second = ScratchPath("golden_second.ckpt");
   MatcherState original(w.pair.g1, w.pair.g2, config);
   original.SeedLinks(w.seeds);
   original.RunRound();
@@ -187,12 +184,12 @@ TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
 // round.
 TEST(MatcherStateTest, SnapshotHoldsOnlyMetaAndLinks) {
   Workload w = MakeWorkload(9009);
-  const std::string spill_dir = TempPath("sections_spill");
+  const std::string spill_dir = ScratchPath("sections_spill");
   MatcherConfig budgeted;
   budgeted.memory_budget_bytes = 1;
   budgeted.score_dir = spill_dir;
-  const std::string plain = TempPath("sections_plain.ckpt");
-  const std::string budget = TempPath("sections_budget.ckpt");
+  const std::string plain = ScratchPath("sections_plain.ckpt");
+  const std::string budget = ScratchPath("sections_budget.ckpt");
   size_t tiers_spilled = 0;
   for (const bool with_budget : {false, true}) {
     MatcherState state(w.pair.g1, w.pair.g2,
@@ -223,7 +220,7 @@ TEST(MatcherStateTest, SnapshotHoldsOnlyMetaAndLinks) {
 TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
   Workload w = MakeWorkload(9007);
   MatcherConfig config;
-  const std::string path = TempPath("cursor.ckpt");
+  const std::string path = ScratchPath("cursor.ckpt");
 
   MatcherState original(w.pair.g1, w.pair.g2, config);
   original.SeedLinks(w.seeds);
@@ -286,7 +283,7 @@ class SnapshotRejectionTest : public testing::Test {
  protected:
   void SetUp() override {
     w_ = MakeWorkload(9008);
-    path_ = TempPath("reject.ckpt");
+    path_ = ScratchPath("reject.ckpt");
     MatcherState state(w_.pair.g1, w_.pair.g2, config_);
     state.SeedLinks(w_.seeds);
     state.RunRound();
@@ -321,7 +318,7 @@ class SnapshotRejectionTest : public testing::Test {
 
 TEST_F(SnapshotRejectionTest, TruncatedSnapshotRejected) {
   const std::vector<char> whole = Slurp(path_);
-  const std::string cut = TempPath("reject_cut.ckpt");
+  const std::string cut = ScratchPath("reject_cut.ckpt");
   std::ofstream(cut, std::ios::binary)
       .write(whole.data(), static_cast<std::streamsize>(whole.size() / 2));
   ExpectRejectedAndStateIntact(cut, "");
@@ -331,7 +328,7 @@ TEST_F(SnapshotRejectionTest, TruncatedSnapshotRejected) {
 TEST_F(SnapshotRejectionTest, BitFlippedSnapshotRejected) {
   std::vector<char> bytes = Slurp(path_);
   bytes[bytes.size() / 2] ^= 0x40;  // lands in a section payload
-  const std::string flipped = TempPath("reject_flip.ckpt");
+  const std::string flipped = ScratchPath("reject_flip.ckpt");
   std::ofstream(flipped, std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   ExpectRejectedAndStateIntact(flipped, "");
@@ -361,7 +358,7 @@ TEST_F(SnapshotRejectionTest, WrongConfigRejected) {
 // Version 3 dropped the score section and the shard width; a version-2
 // file is rejected with one message naming the version.
 TEST_F(SnapshotRejectionTest, OlderStateVersionRejected) {
-  const std::string old = TempPath("reject_v2.ckpt");
+  const std::string old = ScratchPath("reject_v2.ckpt");
   WriteAsVersion2(path_, old);
   ExpectRejectedAndStateIntact(old, "matcher state version 2 (want 3)");
   std::remove(old.c_str());
@@ -375,7 +372,7 @@ TEST_F(SnapshotRejectionTest, ResumeFallsBackPastOlderStateVersion) {
   for (bool with_older_snapshot : {true, false}) {
     SCOPED_TRACE("with_older_snapshot=" + std::to_string(with_older_snapshot));
     const std::string dir =
-        TempPath("v2_resume_" + std::to_string(with_older_snapshot));
+        ScratchPath("v2_resume_" + std::to_string(with_older_snapshot));
     std::string error;
     ASSERT_TRUE(EnsureDir(dir, &error)) << error;
     // Round 999999 stays the newest file whatever the resumed run writes.
@@ -416,7 +413,7 @@ TEST_F(SnapshotRejectionTest, MissingFileRejected) {
   MatcherState state(w_.pair.g1, w_.pair.g2, config_);
   state.SeedLinks(w_.seeds);
   std::string error;
-  ASSERT_FALSE(state.LoadSnapshot(TempPath("no_such.ckpt"), &error));
+  ASSERT_FALSE(state.LoadSnapshot(ScratchPath("no_such.ckpt"), &error));
   EXPECT_FALSE(error.empty());
 }
 

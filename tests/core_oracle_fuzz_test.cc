@@ -2,7 +2,10 @@
 // (`user_matching_oracle.h`). Each case draws a graph pair and a matcher
 // configuration from its index alone, so the index a failure prints
 // reproduces it. Per case the final maps and the round count must be
-// equal, and per round the new links, the open pairs and the emissions.
+// equal, and per round the new links, the open pairs the accept pass tests
+// and the emissions. Every unserved case drives a `MatcherState` round by
+// round and, after each round, compares every unmatched node's best score
+// and its uniqueness with the oracle's (`BestsDifference`).
 //
 // Four execution modes that must not change the matching are drawn too:
 //  * resume — the run snapshots after a drawn round, and a fresh
@@ -56,6 +59,7 @@
 #include "reconcile/seed/seeding.h"
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/rng.h"
+#include "scratch_path.h"
 #include "spread_ids.h"
 #include "user_matching_oracle.h"
 
@@ -236,13 +240,6 @@ Graph Underlying(const FuzzCase& c, uint64_t seed) {
   return Graph();
 }
 
-// A scratch path under the gtest temp dir, unique to this process, so two
-// runs of the suite at once (two build trees) do not share snapshots or
-// spill directories.
-std::string ScratchPath(const std::string& name) {
-  return testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
-}
-
 size_t CountDirEntries(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return 0;
@@ -281,35 +278,66 @@ Pause PauseRound(const FuzzCase& c, const oracle::Result& expected) {
                ends};
 }
 
-// Runs `pause_round` rounds, snapshots to `path`, and finishes the run in a
-// fresh state under `resume_threads`. The result carries the rounds of both
-// states and the final maps; `*error` is set if the snapshot fails.
-MatchResult RunPaused(const Graph& g1, const Graph& g2,
+// Runs `state` until it is done or has completed `stop_round` rounds, and
+// after every round checks its best tables against the oracle's standings
+// (`BestsDifference`; g1 ids spread by `stride`). Returns the first
+// difference.
+std::string RunRounds(MatcherState& state, const oracle::Result& expected,
+                      NodeId stride, size_t stop_round) {
+  while (!state.Done() &&
+         static_cast<size_t>(state.completed_rounds()) < stop_round) {
+    state.RunRound();
+    const size_t r = static_cast<size_t>(state.completed_rounds()) - 1;
+    if (r >= expected.rounds.size()) break;  // the round count differs
+    const std::string difference =
+        BestsDifference(state, expected.rounds[r], stride);
+    if (!difference.empty()) {
+      return "round " + std::to_string(r + 1) + " standings: " + difference;
+    }
+  }
+  return "";
+}
+
+// Runs the engine round by round, checking its tables after every round
+// (`RunRounds`). With `pause_round` > 0 it snapshots to `path` after that
+// many rounds and finishes the run in a fresh state under `resume_threads`;
+// the result then carries the rounds of both states and the final maps.
+// `*error` is set if the snapshot fails or a table differs.
+MatchResult RunEngine(const Graph& g1, const Graph& g2,
                       const std::vector<std::pair<NodeId, NodeId>>& seeds,
-                      const MatcherConfig& config, size_t pause_round,
-                      int resume_threads, const std::string& path,
-                      std::string* error) {
+                      const MatcherConfig& config,
+                      const oracle::Result& expected, NodeId stride,
+                      size_t pause_round, int resume_threads,
+                      const std::string& path, std::string* error) {
   MatchResult before;
-  {
+  if (pause_round > 0) {
     // Destroyed before the resumed state starts, as the process that wrote
     // the snapshot would be: two spill stores alive in one process name
     // their files alike.
     MatcherState state(g1, g2, config);
     state.SeedLinks(seeds);
-    for (size_t r = 0; r < pause_round && !state.Done(); ++r) {
-      state.RunRound();
+    *error = RunRounds(state, expected, stride, pause_round);
+    if (!error->empty()) return {};
+    if (!state.SaveSnapshot(path, error)) {
+      *error = "snapshot: " + *error;
+      return {};
     }
-    if (!state.SaveSnapshot(path, error)) return {};
     before = state.TakeResult(0.0);
   }
   MatcherConfig resumed_config = config;
-  resumed_config.num_threads = resume_threads;
+  if (pause_round > 0) resumed_config.num_threads = resume_threads;
   MatcherState state(g1, g2, resumed_config);
   state.SeedLinks(seeds);
-  const bool loaded = state.LoadSnapshot(path, error);
-  std::remove(path.c_str());
-  if (!loaded) return {};
-  while (!state.Done()) state.RunRound();
+  if (pause_round > 0) {
+    const bool loaded = state.LoadSnapshot(path, error);
+    std::remove(path.c_str());
+    if (!loaded) {
+      *error = "snapshot: " + *error;
+      return {};
+    }
+  }
+  *error = RunRounds(state, expected, stride, SIZE_MAX);
+  if (!error->empty()) return {};
   MatchResult after = state.TakeResult(0.0);
   after.phases.insert(after.phases.begin(), before.phases.begin(),
                       before.phases.end());
@@ -477,34 +505,32 @@ std::string RunCase(const FuzzCase& c, Pause* pause) {
   const Graph spread_g1 = c.stride > 1 ? SpreadIds(pair.g1, c.stride) : Graph();
   const Graph& g1 = c.stride > 1 ? spread_g1 : pair.g1;
   const auto engine_seeds = SpreadSeeds(seeds, c.stride);
-  MatchResult engine;
-  if (pause_round > 0) {
-    std::string error;
-    engine = RunPaused(g1, pair.g2, engine_seeds, config, pause_round,
-                       c.resume_threads,
-                       ScratchPath("oracle_fuzz.ckpt"), &error);
-    if (!error.empty()) return "snapshot: " + error;
-  } else {
-    engine = UserMatching(g1, pair.g2, engine_seeds, config);
-  }
-  if (c.stride > 1) engine = Unspread(std::move(engine), c.stride);
-
   std::string paused;
   if (pause_round > 0) {
     paused = " (paused after round " + std::to_string(pause_round) +
              (pause->iteration_end ? ", the last of its iteration)"
                                    : ", inside its iteration)");
   }
+  std::string error;
+  MatchResult engine = RunEngine(g1, pair.g2, engine_seeds, config, expected,
+                                 c.stride, pause_round, c.resume_threads,
+                                 ScratchPath("oracle_fuzz.ckpt"), &error);
+  if (!error.empty()) return error + paused;
+  if (c.stride > 1) engine = Unspread(std::move(engine), c.stride);
+
   const std::string difference = OracleDifference(engine, expected);
   if (!difference.empty()) return difference + paused;
   if (c.budgeted) {
-    size_t emissions = 0;
+    // Selection reads every stored pair in some round (`candidate_pairs`).
+    // An emission need not store one: a pair whose ends are both matched
+    // is counted but left out.
+    bool stored = false;
     size_t tiers_spilled = 0;
     for (const PhaseStats& phase : engine.phases) {
-      emissions += phase.emissions;
+      stored |= phase.candidate_pairs > 0;
       tiers_spilled += phase.tiers_spilled;
     }
-    if (emissions > 0 && tiers_spilled == 0) {
+    if (stored && tiers_spilled == 0) {
       return "the budgeted run stored pairs but spilled no tier" + paused;
     }
     if (CountDirEntries(spill_dir) != 0) {
@@ -598,19 +624,26 @@ ConstructedPair HubPair(NodeId leaves, NodeId rival_leaves) {
   return p;
 }
 
+// Checks the engine against the oracle, with and without a 1-byte memory
+// budget; under the budget every tier is spilled after each round's append,
+// so the next round's lookups read the spilled tiers.
+void ExpectMatchesOracleWithAndWithoutBudget(const ConstructedPair& p,
+                                             MatcherConfig config) {
+  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
+  config.memory_budget_bytes = 1;
+  config.score_dir = ScratchPath("oracle_constructed_spill");
+  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
+  EXPECT_EQ(CountDirEntries(config.score_dir), 0u);
+  ::rmdir(config.score_dir.c_str());
+}
+
 // Checks the oracle accepts (0, 0) — the link a saturated count would
-// lose — then the engine against the oracle, with and without a 1-byte
-// memory budget.
+// lose — then the engine against the oracle.
 void ExpectHubLinkAsTheOracle(const ConstructedPair& p, MatcherConfig config) {
   const oracle::Result expected =
       oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
   ASSERT_EQ(expected.map_1to2[0], 0u) << "the case no longer hinges on 255+";
-  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
-  config.memory_budget_bytes = 1;
-  config.score_dir = ScratchPath("oracle_escape_spill");
-  ExpectMatchesOracle(p.g1, p.g2, p.seeds, config);
-  EXPECT_EQ(CountDirEntries(config.score_dir), 0u);
-  ::rmdir(config.score_dir.c_str());
+  ExpectMatchesOracleWithAndWithoutBudget(p, config);
 }
 
 TEST(EscapedCountsTest, ThreeHundredWitnessesInOneEmission) {
@@ -669,6 +702,146 @@ TEST(EscapedCountsTest, TotalCrossesTheEscapeOnlyAcrossTwoRounds) {
   ASSERT_EQ(expected.rounds.size(), 2u);
   EXPECT_EQ(expected.rounds[0].new_links.size(), 100u);
   ExpectHubLinkAsTheOracle(p, config);
+}
+
+// Iteration 1's bucket-8 round gives g1's hub a total of 270 with both its
+// rival and its partner in g2, a tie that accepts nothing, and accepts
+// (h, z) at 256. All three totals escape, in one cell, the hub's row after
+// h's. The bucket-2 round accepts the side link (x1, x2), and the bucket-1
+// round emits it: (hub, partner) gains one witness on level 8, which an
+// earlier round of the iteration made eligible, so the round looks its
+// total up instead of reading the level again. The lookup lands on the
+// cell's third escaped count: 271 beats the rival's 270 only if the escape
+// cursor counted the two before it (the first would give 257).
+//   g1: h = 0 on 256 leaves 2..257; hub = 1 on 270 leaves 258..527 and
+//       x1 = 528; x1 on p_i = 529 + i (i < 4).
+//   g2: z = 0 on 256 leaves 3..258; rival 1 and partner 2 on 270 leaves
+//       259..528; x2 = 529 on the partner; q_i = 530 + i on x2.
+//   Seeds pair each g1 leaf with the g2 leaf one id up.
+TEST(EscapedCountsTest, EscapedTotalGainsWitnessesOnAnEligibleLevel) {
+  std::vector<std::pair<NodeId, NodeId>> e1, e2;
+  ConstructedPair p;
+  for (NodeId k = 0; k < 256; ++k) {
+    e1.emplace_back(0, 2 + k);
+    e2.emplace_back(0, 3 + k);
+  }
+  for (NodeId k = 0; k < 270; ++k) {
+    e1.emplace_back(1, 258 + k);
+    e2.emplace_back(1, 259 + k);
+    e2.emplace_back(2, 259 + k);
+  }
+  e1.emplace_back(1, 528);
+  e2.emplace_back(2, 529);
+  for (NodeId i = 0; i < 4; ++i) {
+    e1.emplace_back(528, 529 + i);
+    e2.emplace_back(529, 530 + i);
+  }
+  for (NodeId leaf = 2; leaf < 533; ++leaf) {
+    if (leaf != 528) p.seeds.emplace_back(leaf, leaf + 1);
+  }
+  p.g1 = BuildGraph(533, e1);
+  p.g2 = BuildGraph(534, e2);
+  MatcherConfig config;
+  config.num_threads = 2;
+  config.num_iterations = 1;
+  const oracle::Result expected =
+      oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
+  ASSERT_EQ(expected.rounds.size(), 9u);  // buckets 8 down to 0
+  ASSERT_EQ(expected.rounds[0].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{0, 0}}));
+  ASSERT_EQ(expected.rounds[6].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{528, 529}}));
+  ASSERT_EQ(expected.rounds[7].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{1, 2}}));
+  ExpectMatchesOracleWithAndWithoutBudget(p, config);
+}
+
+// --- Rules that hold across the rounds of one iteration -------------------
+// The best tables live for an iteration, and a round folds in only the
+// levels it makes eligible and the new totals of its delta. Tiny random
+// pairs seldom hinge on that, so these constructed cases do: each asserts
+// on the oracle that it still hinges, then checks the engine against it
+// with and without a 1-byte budget (`core/selection.h`).
+
+// Iteration 1's bucket-2 round gives u = 0 a total of 2 with its rival
+// w = 1 and 1 with v = 0, and w ties u's 2 with u2 = 1, so nothing is
+// accepted at u; the round accepts the side links (x1, x2) and (y1, y2).
+// The bucket-1 round emits them: (u, v) gains two witnesses on level 2,
+// already eligible, and overtakes the rival with 3. The table keeps u's
+// stale 1 and 2 from the first round, which the new 3 must outrank.
+//   g1: u = 0 on a1..a3 = 2..4, x1 = 5 and y1 = 6; u2 = 1 on a1, a2 and
+//       fillers 7, 8; x1 on p_i = 9 + i, y1 on r_i = 13 + i (i < 4).
+//   g2: v = 0 on b3 = 4, x2 = 5, y2 = 6 and filler 7; w = 1 on b1 = 2,
+//       b2 = 3 and fillers 8, 9; x2 on q_i = 10 + i, y2 on s_i = 14 + i.
+//   Seeds (a_k, b_k), (p_i, q_i) and (r_i, s_i).
+TEST(AcrossRoundsTest, PairOvertakesItsRivalThroughALaterDelta) {
+  ConstructedPair p;
+  const std::vector<std::pair<NodeId, NodeId>> e1 = {
+      {0, 2},  {0, 3},  {0, 4},  {0, 5},  {0, 6},  {1, 2},  {1, 3},
+      {1, 7},  {1, 8},  {5, 9},  {5, 10}, {5, 11}, {5, 12}, {6, 13},
+      {6, 14}, {6, 15}, {6, 16}};
+  const std::vector<std::pair<NodeId, NodeId>> e2 = {
+      {0, 4},  {0, 5},  {0, 6},  {0, 7},  {1, 2},  {1, 3},  {1, 8},
+      {1, 9},  {5, 10}, {5, 11}, {5, 12}, {5, 13}, {6, 14}, {6, 15},
+      {6, 16}, {6, 17}};
+  p.g1 = BuildGraph(17, e1);
+  p.g2 = BuildGraph(18, e2);
+  p.seeds = {{2, 2}, {3, 3}, {4, 4}};
+  for (NodeId i = 0; i < 4; ++i) {
+    p.seeds.emplace_back(9 + i, 10 + i);
+    p.seeds.emplace_back(13 + i, 14 + i);
+  }
+  MatcherConfig config;
+  config.num_threads = 3;
+  config.min_score = 1;
+  config.num_iterations = 1;
+  const oracle::Result expected =
+      oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
+  ASSERT_EQ(expected.rounds.size(), 3u);  // buckets 2, 1, 0
+  ASSERT_EQ(expected.rounds[0].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{5, 5}, {6, 6}}));
+  ASSERT_EQ(expected.rounds[1].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{0, 0}}));
+  ExpectMatchesOracleWithAndWithoutBudget(p, config);
+}
+
+// T = 2. Iteration 1's bucket-2 round gives u = 0 a total of 2 with v = 0,
+// u's unique best, but v's best is 3 with u3 = 1, which is accepted; it
+// also accepts the side link (x1, x2). The bucket-1 round emits them: the
+// rival (u, w), at 1 and so never folded, crosses T on level 2 and would be
+// w's unique best, but it ties u's best with (u, v), folded one round
+// earlier and unchanged since. The tie formed across two rounds blocks it.
+//   g1: u = 0 on a1..a3 = 2..4 and x1 = 5; u3 = 1 on c1..c3 = 6..8 and
+//       filler 9; x1 on p_i = 10 + i (i < 4).
+//   g2: v = 0 on b1 = 2, b2 = 3 and d1..d3 = 6..8; w = 1 on b3 = 4, x2 = 5
+//       and fillers 9, 10; x2 on q_i = 11 + i.
+//   Seeds (a_k, b_k), (c_k, d_k) and (p_i, q_i).
+TEST(AcrossRoundsTest, TieFormedAcrossTwoRoundsBlocksTheAccept) {
+  ConstructedPair p;
+  const std::vector<std::pair<NodeId, NodeId>> e1 = {
+      {0, 2}, {0, 3}, {0, 4},  {0, 5},  {1, 6},  {1, 7},
+      {1, 8}, {1, 9}, {5, 10}, {5, 11}, {5, 12}, {5, 13}};
+  const std::vector<std::pair<NodeId, NodeId>> e2 = {
+      {0, 2}, {0, 3}, {0, 6},  {0, 7},  {0, 8},  {1, 4},  {1, 5},
+      {1, 9}, {1, 10}, {5, 11}, {5, 12}, {5, 13}, {5, 14}};
+  p.g1 = BuildGraph(14, e1);
+  p.g2 = BuildGraph(15, e2);
+  p.seeds = {{2, 2}, {3, 3}, {4, 4}, {6, 6}, {7, 7}, {8, 8}};
+  for (NodeId i = 0; i < 4; ++i) p.seeds.emplace_back(10 + i, 11 + i);
+  MatcherConfig config;
+  config.num_threads = 2;
+  config.min_score = 2;
+  config.num_iterations = 1;
+  const oracle::Result expected =
+      oracle::UserMatching(p.g1, p.g2, p.seeds, OracleSettings(config));
+  ASSERT_GE(expected.rounds.size(), 2u);
+  ASSERT_EQ(expected.rounds[0].new_links,
+            (std::vector<std::pair<NodeId, NodeId>>{{1, 0}, {5, 5}}));
+  // (u, w) is open in the bucket-1 round, and u and w stay unmatched.
+  EXPECT_EQ(expected.rounds[1].new_open_pairs, 1u);
+  ASSERT_TRUE(expected.rounds[1].new_links.empty());
+  EXPECT_EQ(expected.map_1to2[0], kInvalidNode);
+  ExpectMatchesOracleWithAndWithoutBudget(p, config);
 }
 
 // Tier-1: tiny pairs only (the oracle recounts every round from all links,

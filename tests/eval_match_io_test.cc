@@ -6,12 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_path.h"
+
 namespace reconcile {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 MatchResult MakeResult() {
   MatchResult result;
@@ -28,7 +26,7 @@ MatchResult MakeResult() {
 }
 
 TEST(MatchIoTest, RoundTripPreservesLinksAndSeedMarks) {
-  const std::string path = TempPath("match_roundtrip.txt");
+  const std::string path = ScratchPath("match_roundtrip.txt");
   MatchResult result = MakeResult();
   ASSERT_TRUE(WriteMatchingText(result, path));
 
@@ -45,7 +43,7 @@ TEST(MatchIoTest, RoundTripPreservesLinksAndSeedMarks) {
 }
 
 TEST(MatchIoTest, SeedsFileRoundTrip) {
-  const std::string path = TempPath("seeds.txt");
+  const std::string path = ScratchPath("seeds.txt");
   std::vector<std::pair<NodeId, NodeId>> seeds = {{7, 9}, {1, 2}};
   ASSERT_TRUE(WriteSeedsText(seeds, path));
   std::vector<std::pair<NodeId, NodeId>> links, read_seeds;
@@ -61,7 +59,7 @@ TEST(MatchIoTest, MissingFileFails) {
 }
 
 TEST(MatchIoTest, MalformedLineFailsWithoutTouchingOutputs) {
-  const std::string path = TempPath("match_bad.txt");
+  const std::string path = ScratchPath("match_bad.txt");
   {
     std::ofstream out(path);
     out << "1 2\nbogus line\n";
@@ -75,7 +73,7 @@ TEST(MatchIoTest, MalformedLineFailsWithoutTouchingOutputs) {
 }
 
 TEST(MatchIoTest, OutOfRangeNodeIdFails) {
-  const std::string path = TempPath("match_range.txt");
+  const std::string path = ScratchPath("match_range.txt");
   {
     std::ofstream out(path);
     out << "4294967295 0\n";  // kInvalidNode as an endpoint
@@ -86,7 +84,7 @@ TEST(MatchIoTest, OutOfRangeNodeIdFails) {
 }
 
 TEST(MatchIoTest, CommentsIgnoredAndNullOutputsAllowed) {
-  const std::string path = TempPath("match_comments.txt");
+  const std::string path = ScratchPath("match_comments.txt");
   {
     std::ofstream out(path);
     out << "# header\n1 2 seed\n# trailing\n3 4\n";

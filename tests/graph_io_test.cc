@@ -15,13 +15,10 @@
 
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/util/rng.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 bool SameGraph(const Graph& a, const Graph& b) {
   if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {
@@ -47,7 +44,7 @@ TEST(GraphIoTest, TextRoundTrip) {
   }
   const Graph g = Graph::FromEdgeList(std::move(padded));
   ASSERT_EQ(g.degree(g.num_nodes() - 1), 0u);
-  std::string path = TempPath("roundtrip.txt");
+  std::string path = ScratchPath("roundtrip.txt");
   ASSERT_TRUE(WriteEdgeListText(g, path));
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListText(path, &edges));
@@ -57,7 +54,7 @@ TEST(GraphIoTest, TextRoundTrip) {
 }
 
 TEST(GraphIoTest, TextHeaderNodeCountOverflowFails) {
-  std::string path = TempPath("hdr_overflow.txt");
+  std::string path = ScratchPath("hdr_overflow.txt");
   {
     std::ofstream out(path);
     out << "# nodes=4294967296 edges=1\n0 1\n";  // 2^32: past the id space
@@ -69,7 +66,7 @@ TEST(GraphIoTest, TextHeaderNodeCountOverflowFails) {
 
 TEST(GraphIoTest, BinaryRoundTripExact) {
   Graph g = GenerateErdosRenyi(300, 0.03, 5);
-  std::string path = TempPath("roundtrip.bin");
+  std::string path = ScratchPath("roundtrip.bin");
   ASSERT_TRUE(WriteEdgeListBinary(g, path));
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListBinary(path, &edges));
@@ -79,7 +76,7 @@ TEST(GraphIoTest, BinaryRoundTripExact) {
 }
 
 TEST(GraphIoTest, TextCommentsAndBlankLinesIgnored) {
-  std::string path = TempPath("comments.txt");
+  std::string path = ScratchPath("comments.txt");
   {
     std::ofstream out(path);
     out << "# a comment\n\n0 1\n# another\n1 2\n";
@@ -99,7 +96,7 @@ TEST(GraphIoTest, MissingFileFailsGracefully) {
 }
 
 TEST(GraphIoTest, MalformedTextFails) {
-  std::string path = TempPath("malformed.txt");
+  std::string path = ScratchPath("malformed.txt");
   {
     std::ofstream out(path);
     out << "0 notanumber\n";
@@ -111,7 +108,7 @@ TEST(GraphIoTest, MalformedTextFails) {
 
 TEST(GraphIoTest, TruncatedBinaryFails) {
   Graph g = GenerateErdosRenyi(100, 0.05, 9);
-  std::string path = TempPath("truncated.bin");
+  std::string path = ScratchPath("truncated.bin");
   ASSERT_TRUE(WriteEdgeListBinary(g, path));
   // Truncate the file to half.
   {
@@ -127,7 +124,7 @@ TEST(GraphIoTest, TruncatedBinaryFails) {
 }
 
 TEST(GraphIoTest, BadMagicFails) {
-  std::string path = TempPath("badmagic.bin");
+  std::string path = ScratchPath("badmagic.bin");
   {
     std::ofstream out(path, std::ios::binary);
     uint64_t junk[3] = {0xdeadbeef, 10, 1};
@@ -144,7 +141,7 @@ TEST(GraphIoTest, BadMagicFails) {
 // stderr diagnostic), never a crash, and leaves `*out` untouched. ---
 
 TEST(GraphIoTest, TextHeaderEdgeCountMismatchFails) {
-  std::string path = TempPath("hdr_edges.txt");
+  std::string path = ScratchPath("hdr_edges.txt");
   {
     std::ofstream out(path);
     out << "# nodes=3 edges=3\n0 1\n1 2\n";  // body holds only 2
@@ -155,7 +152,7 @@ TEST(GraphIoTest, TextHeaderEdgeCountMismatchFails) {
 }
 
 TEST(GraphIoTest, TextHeaderNodeCountMismatchFails) {
-  std::string path = TempPath("hdr_nodes.txt");
+  std::string path = ScratchPath("hdr_nodes.txt");
   {
     std::ofstream out(path);
     out << "# nodes=2 edges=1\n0 5\n";  // node 5 beyond the declared 2
@@ -166,7 +163,7 @@ TEST(GraphIoTest, TextHeaderNodeCountMismatchFails) {
 }
 
 TEST(GraphIoTest, TextNodeIdOverflowFails) {
-  std::string path = TempPath("overflow.txt");
+  std::string path = ScratchPath("overflow.txt");
   {
     std::ofstream out(path);
     // kInvalidNode itself and a value far past 32 bits.
@@ -183,7 +180,7 @@ TEST(GraphIoTest, TextNodeIdOverflowFails) {
 }
 
 TEST(GraphIoTest, FailedLoadLeavesOutputUntouched) {
-  std::string good = TempPath("good.txt");
+  std::string good = ScratchPath("good.txt");
   {
     std::ofstream out(good);
     out << "0 1\n1 2\n2 3\n";
@@ -191,7 +188,7 @@ TEST(GraphIoTest, FailedLoadLeavesOutputUntouched) {
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListText(good, &edges));
   ASSERT_EQ(edges.size(), 3u);
-  std::string bad = TempPath("bad.txt");
+  std::string bad = ScratchPath("bad.txt");
   {
     std::ofstream out(bad);
     out << "0 x\n";
@@ -206,7 +203,7 @@ TEST(GraphIoTest, BinaryHugeDeclaredEdgeCountFailsWithoutAllocating) {
   // Header claims 2^40 edges over an 8-byte payload: the size cross-check
   // must reject this before any reservation happens (an absurd Reserve
   // would OOM long before the read loop noticed the truncation).
-  std::string path = TempPath("huge.bin");
+  std::string path = ScratchPath("huge.bin");
   {
     std::ofstream out(path, std::ios::binary);
     uint64_t header[3] = {0x5245434f4e474601ULL, 10, 1ULL << 40};
@@ -220,7 +217,7 @@ TEST(GraphIoTest, BinaryHugeDeclaredEdgeCountFailsWithoutAllocating) {
 }
 
 TEST(GraphIoTest, BinaryNodeCountOverflowFails) {
-  std::string path = TempPath("hugenodes.bin");
+  std::string path = ScratchPath("hugenodes.bin");
   {
     std::ofstream out(path, std::ios::binary);
     uint64_t header[3] = {0x5245434f4e474601ULL, 1ULL << 40, 0};
@@ -232,7 +229,7 @@ TEST(GraphIoTest, BinaryNodeCountOverflowFails) {
 }
 
 TEST(GraphIoTest, BinaryOutOfRangeEndpointFails) {
-  std::string path = TempPath("range.bin");
+  std::string path = ScratchPath("range.bin");
   {
     std::ofstream out(path, std::ios::binary);
     uint64_t header[3] = {0x5245434f4e474601ULL, 2, 1};
@@ -247,7 +244,7 @@ TEST(GraphIoTest, BinaryOutOfRangeEndpointFails) {
 
 TEST(GraphIoTest, BinaryTrailingBytesFail) {
   Graph g = GenerateErdosRenyi(50, 0.1, 11);
-  std::string path = TempPath("trailing.bin");
+  std::string path = ScratchPath("trailing.bin");
   ASSERT_TRUE(WriteEdgeListBinary(g, path));
   // A partial record (4 bytes) and a whole extra record both get caught:
   // the first by the whole-records check, the second by the count check.
@@ -269,7 +266,7 @@ TEST(GraphIoTest, BinaryTrailingBytesFail) {
 
 TEST(GraphIoTest, EmptyGraphRoundTrips) {
   Graph g;
-  std::string path = TempPath("empty.bin");
+  std::string path = ScratchPath("empty.bin");
   ASSERT_TRUE(WriteEdgeListBinary(g, path));
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListBinary(path, &edges));
@@ -377,7 +374,7 @@ std::string ReadBytes(const std::string& path) {
 
 // Loads `bytes` with both parsers and expects identical outcomes.
 void ExpectSameAsReference(const std::string& bytes) {
-  const std::string path = TempPath("reference_compare.txt");
+  const std::string path = ScratchPath("reference_compare.txt");
   WriteBytes(path, bytes);
   const LoadOutcome chunked = Load(&ReadEdgeListText, path);
   const LoadOutcome reference = Load(&ReferenceReadEdgeListText, path);
@@ -480,7 +477,7 @@ TEST(GraphIoTest, TextMessyMultiChunkFileParses) {
   if (bytes.back() == '\r') bytes.pop_back();
   bytes.replace(marker, 5, std::to_string(expected.size()));
 
-  const std::string path = TempPath("messy.txt");
+  const std::string path = ScratchPath("messy.txt");
   WriteBytes(path, bytes);
   EdgeList edges;
   ASSERT_TRUE(ReadEdgeListText(path, &edges));
@@ -498,7 +495,7 @@ TEST(GraphIoTest, TextMalformedLineNamesExactLine) {
   constexpr size_t kLines = 110000;
   const std::string good = "12345 678\n";
   const std::string bad = "12345 abc\n";
-  const std::string path = TempPath("malformed_at.txt");
+  const std::string path = ScratchPath("malformed_at.txt");
   for (size_t k : {size_t{1}, size_t{104857}, size_t{104858}, size_t{104859},
                    size_t{104860}, kLines}) {
     std::string bytes;
@@ -527,7 +524,7 @@ TEST(GraphIoTest, TextMalformedLineNamesExactLine) {
 }
 
 TEST(GraphIoTest, TextEmptyAndCommentOnlyFilesLoadEmpty) {
-  const std::string path = TempPath("empty.txt");
+  const std::string path = ScratchPath("empty.txt");
   for (const std::string& bytes :
        {std::string(), std::string("# only a comment\n#and another"),
         std::string("\n\n# x\n\n")}) {
@@ -548,7 +545,7 @@ TEST(GraphIoTest, TextEmptyAndCommentOnlyFilesLoadEmpty) {
 TEST(GraphIoTest, TextReadsFromPipe) {
   // Larger than a pipe's buffer and than one chunk, so the read loop has to
   // grow its buffer and wait for the writer.
-  const std::string path = TempPath("edges.fifo");
+  const std::string path = ScratchPath("edges.fifo");
   std::remove(path.c_str());
   if (::mkfifo(path.c_str(), 0600) != 0) GTEST_SKIP() << "mkfifo failed";
   std::string bytes;
@@ -573,7 +570,7 @@ TEST(GraphIoTest, TextWriterExactBytes) {
   list.Add(0, 2);
   list.Add(2, 1);
   const Graph g = Graph::FromEdgeList(std::move(list));
-  const std::string path = TempPath("exact.txt");
+  const std::string path = ScratchPath("exact.txt");
   ASSERT_TRUE(WriteEdgeListText(g, path));
   EXPECT_EQ(ReadBytes(path), "# nodes=5 edges=4\n0 1\n0 2\n1 2\n2 3\n");
   std::remove(path.c_str());

@@ -31,15 +31,12 @@
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
 
 constexpr uint64_t kWorkloadSeed = 4242;
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -150,11 +147,11 @@ size_t ReadCount(const std::string& path) {
 // the score partition is sized by the graph, so no thread count can make
 // the checkpoints mismatch, and a fresh start would run every round again.
 void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
-  const std::string dir = TempPath("kr_" + tag);
-  const std::string clean_out = TempPath("kr_" + tag + "_clean.txt");
-  const std::string resumed_out = TempPath("kr_" + tag + "_resumed.txt");
-  const std::string clean_rounds = TempPath("kr_" + tag + "_clean.rounds");
-  const std::string resumed_rounds = TempPath("kr_" + tag + "_resumed.rounds");
+  const std::string dir = ScratchPath("kr_" + tag);
+  const std::string clean_out = ScratchPath("kr_" + tag + "_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_" + tag + "_resumed.txt");
+  const std::string clean_rounds = ScratchPath("kr_" + tag + "_clean.rounds");
+  const std::string resumed_rounds = ScratchPath("kr_" + tag + "_resumed.rounds");
 
   ChildSpec clean;
   clean.config = base;
@@ -206,9 +203,9 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   // round 5. Recovery resumes from the newest surviving snapshot and
   // replays the lost rounds — the final matching is still identical.
   MatcherConfig base = WithThreads(4);
-  const std::string dir = TempPath("kr_writefail");
-  const std::string clean_out = TempPath("kr_writefail_clean.txt");
-  const std::string resumed_out = TempPath("kr_writefail_resumed.txt");
+  const std::string dir = ScratchPath("kr_writefail");
+  const std::string clean_out = ScratchPath("kr_writefail_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_writefail_resumed.txt");
 
   ChildSpec clean;
   clean.config = base;
@@ -240,9 +237,9 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
 
 TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
   MatcherConfig base = WithThreads(4);
-  const std::string dir = TempPath("kr_corrupt");
-  const std::string clean_out = TempPath("kr_corrupt_clean.txt");
-  const std::string resumed_out = TempPath("kr_corrupt_resumed.txt");
+  const std::string dir = ScratchPath("kr_corrupt");
+  const std::string clean_out = ScratchPath("kr_corrupt_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_corrupt_resumed.txt");
 
   ChildSpec clean;
   clean.config = base;
@@ -281,9 +278,9 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
 
 TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
   MatcherConfig base = WithThreads(4);
-  const std::string dir = TempPath("kr_allcorrupt");
-  const std::string clean_out = TempPath("kr_allcorrupt_clean.txt");
-  const std::string resumed_out = TempPath("kr_allcorrupt_resumed.txt");
+  const std::string dir = ScratchPath("kr_allcorrupt");
+  const std::string clean_out = ScratchPath("kr_allcorrupt_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_allcorrupt_resumed.txt");
 
   ChildSpec clean;
   clean.config = base;
@@ -321,10 +318,10 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   // round, writes a final checkpoint, exits 0 with a partial matching; a
   // resume run completes it identically to a never-stopped run.
   MatcherConfig base = WithThreads(4);
-  const std::string dir = TempPath("kr_stop");
-  const std::string clean_out = TempPath("kr_stop_clean.txt");
-  const std::string partial_out = TempPath("kr_stop_partial.txt");
-  const std::string resumed_out = TempPath("kr_stop_resumed.txt");
+  const std::string dir = ScratchPath("kr_stop");
+  const std::string clean_out = ScratchPath("kr_stop_clean.txt");
+  const std::string partial_out = ScratchPath("kr_stop_partial.txt");
+  const std::string resumed_out = ScratchPath("kr_stop_resumed.txt");
 
   ChildSpec clean;
   clean.config = base;
@@ -370,10 +367,10 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
   // UNBUDGETED clean run — proving both crash recovery and that the
   // checkpoint format is representation-independent.
   MatcherConfig base = WithThreads(4);
-  const std::string dir = TempPath("kr_spill");
-  const std::string scratch = TempPath("kr_spill_scratch");
-  const std::string clean_out = TempPath("kr_spill_clean.txt");
-  const std::string resumed_out = TempPath("kr_spill_resumed.txt");
+  const std::string dir = ScratchPath("kr_spill");
+  const std::string scratch = ScratchPath("kr_spill_scratch");
+  const std::string clean_out = ScratchPath("kr_spill_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_spill_resumed.txt");
   std::string error;
   ASSERT_TRUE(EnsureDir(scratch, &error)) << error;
 
@@ -418,9 +415,9 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   // construction inside the retained window).
   MatcherConfig base = WithThreads(4);
   base.checkpoint_keep = 2;
-  const std::string dir = TempPath("kr_keep");
-  const std::string clean_out = TempPath("kr_keep_clean.txt");
-  const std::string resumed_out = TempPath("kr_keep_resumed.txt");
+  const std::string dir = ScratchPath("kr_keep");
+  const std::string clean_out = ScratchPath("kr_keep_clean.txt");
+  const std::string resumed_out = ScratchPath("kr_keep_resumed.txt");
 
   ChildSpec clean;
   clean.config = base;

@@ -29,15 +29,12 @@
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
 
 constexpr uint64_t kWorkloadSeed = 4242;
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -215,10 +212,10 @@ int RunChild(const ChildSpec& spec) {
 // matcher run.
 void CheckServeKillResume(const std::string& crash_spec,
                           const std::string& tag) {
-  const std::string dir = TempPath("skr_" + tag);
-  const std::string log = TempPath("skr_" + tag + ".log");
-  const std::string clean_out = TempPath("skr_" + tag + "_clean.txt");
-  const std::string resumed_out = TempPath("skr_" + tag + "_resumed.txt");
+  const std::string dir = ScratchPath("skr_" + tag);
+  const std::string log = ScratchPath("skr_" + tag + ".log");
+  const std::string clean_out = ScratchPath("skr_" + tag + "_clean.txt");
+  const std::string resumed_out = ScratchPath("skr_" + tag + "_resumed.txt");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
 
@@ -265,10 +262,10 @@ TEST(ServeKillResumeTest, CrashInLaterBatchResumesBitIdentical) {
 }
 
 TEST(ServeKillResumeTest, CorruptNewestServeCheckpointFallsBackToOlder) {
-  const std::string dir = TempPath("skr_corrupt");
-  const std::string log = TempPath("skr_corrupt.log");
-  const std::string clean_out = TempPath("skr_corrupt_clean.txt");
-  const std::string resumed_out = TempPath("skr_corrupt_resumed.txt");
+  const std::string dir = ScratchPath("skr_corrupt");
+  const std::string log = ScratchPath("skr_corrupt.log");
+  const std::string clean_out = ScratchPath("skr_corrupt_clean.txt");
+  const std::string resumed_out = ScratchPath("skr_corrupt_resumed.txt");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
 

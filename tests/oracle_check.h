@@ -1,6 +1,8 @@
 // Compares a `UserMatching` run with the paper-literal oracle
 // (`user_matching_oracle.h`): the final maps, the round count, and per
-// round the new links, the open pairs and the emissions.
+// round the new links, the open pairs the accept pass tests and the
+// emissions; and, after a round of a `MatcherState`, every unmatched node's
+// best score and whether it is unique.
 #ifndef RECONCILE_TESTS_ORACLE_CHECK_H_
 #define RECONCILE_TESTS_ORACLE_CHECK_H_
 
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/core/matcher.h"
+#include "reconcile/core/matcher_state.h"
 #include "reconcile/core/result.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
@@ -31,7 +34,10 @@ inline oracle::Settings OracleSettings(const MatcherConfig& config) {
 }
 
 /// Empty when `engine` agrees with `expected`; otherwise the first
-/// difference: a round's counters, the round count, or the maps.
+/// difference: a round's counters, the round count, or the maps. The
+/// engine's `open_pairs` are the pairs its accept pass tests: the open pairs
+/// whose score changed since the previous round of the iteration, or that
+/// it made eligible, which the oracle counts as `new_open_pairs`.
 inline std::string OracleDifference(const MatchResult& engine,
                                     const oracle::Result& expected) {
   std::ostringstream out;
@@ -42,14 +48,14 @@ inline std::string OracleDifference(const MatchResult& engine,
     if (got.iteration != want.iteration ||
         got.bucket_exponent != want.bucket_exponent ||
         got.new_links != want.new_links.size() ||
-        got.open_pairs != want.open_pairs ||
+        got.open_pairs != want.new_open_pairs ||
         got.emissions != want.emissions) {
       out << "round " << r + 1 << " (iteration, bucket, new_links, "
           << "open_pairs, emissions): engine (" << got.iteration << ", "
           << got.bucket_exponent << ", " << got.new_links << ", "
           << got.open_pairs << ", " << got.emissions << ") oracle ("
           << want.iteration << ", " << want.bucket_exponent << ", "
-          << want.new_links.size() << ", " << want.open_pairs << ", "
+          << want.new_links.size() << ", " << want.new_open_pairs << ", "
           << want.emissions << ")";
       return out.str();
     }
@@ -64,6 +70,35 @@ inline std::string OracleDifference(const MatchResult& engine,
     return "final maps differ";
   }
   return "";
+}
+
+/// Empty when the best tables of `state`, just after it ran the round
+/// `want` describes, give every node unmatched after it the oracle's
+/// standing; otherwise the first node that differs. The engine's g1 ids are
+/// the oracle's times `stride` (`spread_ids.h`).
+inline std::string BestsDifference(const MatcherState& state,
+                                   const oracle::Round& want,
+                                   NodeId stride = 1) {
+  auto check = [](const AtomicBestTable& table,
+                  const std::vector<std::pair<NodeId, oracle::NodeBest>>& nodes,
+                  NodeId scale, const char* graph) -> std::string {
+    for (const auto& [node, expected] : nodes) {
+      const uint32_t best = table.BestScore(node * scale);
+      const oracle::NodeBest got{best,
+                                 best > 0 && table.IsUniqueBest(node * scale, best)};
+      if (got == expected) continue;
+      std::ostringstream out;
+      out << graph << " node " << node << " (best, unique): engine (" << got.score
+          << ", " << got.unique << ") oracle (" << expected.score << ", "
+          << expected.unique << ")";
+      return out.str();
+    }
+    return "";
+  };
+  const std::string first =
+      check(state.selection().best1(), want.unmatched1, stride, "g1");
+  return first.empty() ? check(state.selection().best2(), want.unmatched2, 1, "g2")
+                       : first;
 }
 
 /// Runs both and expects agreement.

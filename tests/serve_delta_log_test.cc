@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "scratch_path.h"
+
 namespace reconcile {
 namespace {
 
 std::string WriteLog(const std::string& name, const std::string& text) {
-  const std::string path = testing::TempDir() + "/" + name;
+  const std::string path = ScratchPath(name);
   std::ofstream out(path, std::ios::trunc);
   out << text;
   return path;

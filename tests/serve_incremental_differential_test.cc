@@ -27,6 +27,7 @@
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/shutdown.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
@@ -230,8 +231,8 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
   live.ApplyBatch(script[0]);
   live.ApplyBatch(script[1]);
 
-  const std::string path = testing::TempDir() + "/serve_roundtrip_" +
-                           std::string(param.name) + ".ckpt";
+  const std::string path =
+      ScratchPath("serve_roundtrip_" + std::string(param.name) + ".ckpt");
   std::string error;
   ASSERT_TRUE(live.SaveSnapshot(path, &error)) << error;
 
@@ -286,8 +287,8 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
   v1.AppendU64(seeds.size());  // links
   v1.AppendU64(0);  // rounds
   v1.EndSection();
-  const std::string v1_path = testing::TempDir() + "/serve_v1_" +
-                              std::string(param.name) + ".ckpt";
+  const std::string v1_path =
+      ScratchPath("serve_v1_" + std::string(param.name) + ".ckpt");
   ASSERT_TRUE(v1.Commit(v1_path, &error)) << error;
   IncrementalMatcher old_format(pair.g1, pair.g2, seeds, config);
   EXPECT_FALSE(old_format.LoadSnapshot(v1_path, &error));

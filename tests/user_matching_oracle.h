@@ -36,13 +36,31 @@ struct Settings {
   bool stop_when_stable = true;
 };
 
+/// A node's standing after a round: its best score over the round's eligible
+/// pairs when that is at least T (0 otherwise), and whether exactly one pair
+/// reaches it.
+struct NodeBest {
+  uint32_t score = 0;
+  bool unique = false;
+
+  bool operator==(const NodeBest&) const = default;
+};
+
 struct Round {
   int iteration = 0;
   int bucket_exponent = 0;
   /// Links accepted this round, in (g1 node, g2 node) order.
   std::vector<std::pair<NodeId, NodeId>> new_links;
-  /// Eligible pairs scoring at least T with both endpoints unmatched.
-  size_t open_pairs = 0;
+  /// Open pairs (eligible, scoring at least T, both endpoints unmatched)
+  /// that were ineligible in the previous round of the same iteration or
+  /// scored differently there; every open pair in an iteration's first
+  /// round. The rest were open in that round with the same score, and the
+  /// rule turned them down there.
+  size_t new_open_pairs = 0;
+  /// The g1 (g2) nodes still unmatched after the round, ascending, each
+  /// with its standing.
+  std::vector<std::pair<NodeId, NodeBest>> unmatched1;
+  std::vector<std::pair<NodeId, NodeBest>> unmatched2;
   /// Witness pairs contributed by the links the previous round accepted
   /// (the seeds, in round 1), over nodes of degree at least
   /// 2^min_bucket_exponent: the delta an incremental engine adds.
@@ -119,6 +137,8 @@ inline Result UserMatching(const Graph& g1, const Graph& g2,
 
   for (int iteration = 1; iteration <= settings.num_iterations; ++iteration) {
     size_t found_this_iteration = 0;
+    // The previous round's scores within this iteration, by pair.
+    std::vector<std::pair<std::pair<NodeId, NodeId>, uint32_t>> previous;
     for (int j : buckets) {
       Round round;
       round.iteration = iteration;
@@ -184,7 +204,13 @@ inline Result UserMatching(const Graph& g1, const Graph& g2,
             result.map_2to1[v] != kInvalidNode) {
           continue;
         }
-        ++round.open_pairs;
+        const auto before = std::lower_bound(
+            previous.begin(), previous.end(), pair,
+            [](const auto& entry, const auto& key) { return entry.first < key; });
+        if (before == previous.end() || before->first != pair ||
+            before->second != s) {
+          ++round.new_open_pairs;
+        }
         if (s == best1[u] && at_best1[u] == 1 && s == best2[v] &&
             at_best2[v] == 1) {
           round.new_links.emplace_back(u, v);
@@ -195,6 +221,21 @@ inline Result UserMatching(const Graph& g1, const Graph& g2,
         result.map_2to1[v] = u;
         links.emplace_back(u, v);
       }
+      auto standing = [&settings](uint32_t best, size_t at_best) {
+        return best >= settings.min_score ? NodeBest{best, at_best == 1}
+                                          : NodeBest{};
+      };
+      for (NodeId u = 0; u < g1.num_nodes(); ++u) {
+        if (result.map_1to2[u] == kInvalidNode) {
+          round.unmatched1.emplace_back(u, standing(best1[u], at_best1[u]));
+        }
+      }
+      for (NodeId v = 0; v < g2.num_nodes(); ++v) {
+        if (result.map_2to1[v] == kInvalidNode) {
+          round.unmatched2.emplace_back(v, standing(best2[v], at_best2[v]));
+        }
+      }
+      previous = std::move(score);
       found_this_iteration += round.new_links.size();
       previous_round = round.new_links;
       result.rounds.push_back(std::move(round));

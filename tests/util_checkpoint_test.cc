@@ -16,13 +16,10 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/util/fault.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -64,7 +61,7 @@ TEST(Crc32Test, MatchesKnownVector) {
 }
 
 TEST(SnapshotTest, RoundTrip) {
-  const std::string path = TempPath("roundtrip.ckpt");
+  const std::string path = ScratchPath("roundtrip.ckpt");
   WriteSample(path);
 
   SnapshotReader reader;
@@ -108,7 +105,7 @@ TEST(SnapshotTest, RoundTrip) {
 // A vector that never allocated has a null data(); reading an empty vector
 // into it must not hand that pointer to memcpy (UBSan reports the call).
 TEST(SnapshotTest, EmptyVectorReadsIntoAnUnallocatedVector) {
-  const std::string path = TempPath("empty_vector.ckpt");
+  const std::string path = ScratchPath("empty_vector.ckpt");
   SnapshotWriter writer;
   writer.BeginSection(1);
   writer.AppendVector(std::vector<uint64_t>{});
@@ -128,7 +125,7 @@ TEST(SnapshotTest, EmptyVectorReadsIntoAnUnallocatedVector) {
 }
 
 TEST(SnapshotTest, ReadPastEndFailsCleanly) {
-  const std::string path = TempPath("pastend.ckpt");
+  const std::string path = ScratchPath("pastend.ckpt");
   WriteSample(path);
   SnapshotReader reader;
   std::string error;
@@ -145,10 +142,10 @@ TEST(SnapshotTest, ReadPastEndFailsCleanly) {
 }
 
 TEST(SnapshotTest, TruncationAtEveryBoundaryRejected) {
-  const std::string path = TempPath("trunc.ckpt");
+  const std::string path = ScratchPath("trunc.ckpt");
   WriteSample(path);
   const std::vector<char> whole = Slurp(path);
-  const std::string cut = TempPath("trunc_cut.ckpt");
+  const std::string cut = ScratchPath("trunc_cut.ckpt");
   // Every strictly shorter prefix must be rejected (empty file included).
   for (size_t keep : {size_t{0}, size_t{4}, size_t{8}, size_t{12},
                       size_t{16}, whole.size() / 2, whole.size() - 1}) {
@@ -165,10 +162,10 @@ TEST(SnapshotTest, TruncationAtEveryBoundaryRejected) {
 }
 
 TEST(SnapshotTest, BitFlipAnywhereRejected) {
-  const std::string path = TempPath("flip.ckpt");
+  const std::string path = ScratchPath("flip.ckpt");
   WriteSample(path);
   const std::vector<char> whole = Slurp(path);
-  const std::string flipped = TempPath("flip_out.ckpt");
+  const std::string flipped = ScratchPath("flip_out.ckpt");
   // Flip one bit in every byte position in turn. The only field the format
   // deliberately leaves outside any checksum is the section *id* (a flipped
   // id yields a structurally valid file whose sections are simply not
@@ -195,7 +192,7 @@ TEST(SnapshotTest, BitFlipAnywhereRejected) {
 }
 
 TEST(SnapshotTest, VersionSkewRejected) {
-  const std::string path = TempPath("skew.ckpt");
+  const std::string path = ScratchPath("skew.ckpt");
   WriteSample(path);
   std::vector<char> bytes = Slurp(path);
   // The format version is the u32 after the u64 magic.
@@ -209,7 +206,7 @@ TEST(SnapshotTest, VersionSkewRejected) {
 }
 
 TEST(SnapshotTest, TrailingGarbageRejected) {
-  const std::string path = TempPath("trailing.ckpt");
+  const std::string path = ScratchPath("trailing.ckpt");
   WriteSample(path);
   std::vector<char> bytes = Slurp(path);
   bytes.push_back('x');
@@ -228,7 +225,7 @@ TEST(SnapshotTest, HugeDeclaredVectorFailsWithoutAllocating) {
   writer.AppendU64(~0ull);  // absurd element count
   writer.AppendU64(123);    // 8 bytes of "payload"
   writer.EndSection();
-  const std::string path = TempPath("huge.ckpt");
+  const std::string path = ScratchPath("huge.ckpt");
   std::string error;
   ASSERT_TRUE(writer.Commit(path, &error)) << error;
   SnapshotReader reader;
@@ -242,7 +239,7 @@ TEST(SnapshotTest, HugeDeclaredVectorFailsWithoutAllocating) {
 }
 
 TEST(SnapshotTest, CommitReplacesAtomically) {
-  const std::string path = TempPath("atomic.ckpt");
+  const std::string path = ScratchPath("atomic.ckpt");
   WriteSample(path);
   const std::vector<char> first = Slurp(path);
   // Overwrite with different content; the old file is fully replaced.
@@ -261,7 +258,7 @@ TEST(SnapshotTest, CommitReplacesAtomically) {
 }
 
 TEST(SnapshotTest, InjectedWriteFailureLeavesTargetIntact) {
-  const std::string path = TempPath("writefail.ckpt");
+  const std::string path = ScratchPath("writefail.ckpt");
   WriteSample(path);
   const std::vector<char> before = Slurp(path);
 
@@ -282,7 +279,7 @@ TEST(SnapshotTest, InjectedWriteFailureLeavesTargetIntact) {
 TEST(SnapshotTest, InjectedTornWriteIsDetectedOnOpen) {
   // checkpoint_truncate writes half the blob under the final name and
   // reports success — the reader must catch it.
-  const std::string path = TempPath("torn.ckpt");
+  const std::string path = ScratchPath("torn.ckpt");
   std::string error;
   ASSERT_TRUE(ArmFaults("io:checkpoint_truncate", &error));
   SnapshotWriter writer;
@@ -331,7 +328,7 @@ void RemoveDir(const std::string& dir) {
 }
 
 TEST(CheckpointDirTest, PathsListAndOrder) {
-  const std::string dir = TempPath("ckpt_dir");
+  const std::string dir = ScratchPath("ckpt_dir");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << "EnsureDir must be idempotent";
@@ -364,7 +361,7 @@ TEST(CheckpointDirTest, PathsListAndOrder) {
 // rejects, stops at the first it accepts, and prunes to max(keep, newer + 1)
 // so the loaded file survives; other families are left alone.
 TEST(CheckpointDirTest, ResumeWalkLoadsTheNewestAcceptedFileAndPrunes) {
-  const std::string dir = TempPath("ckpt_resume");
+  const std::string dir = ScratchPath("ckpt_resume");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
   for (int round = 1; round <= 6; ++round) CommitRound(dir, kPrefix, round);
@@ -405,7 +402,7 @@ TEST(CheckpointDirTest, ResumeWalkLoadsTheNewestAcceptedFileAndPrunes) {
 // Retention follows successful writes only: a failed save leaves every
 // older recovery point in place.
 TEST(CheckpointDirTest, WriteCheckpointPrunesOnlyAfterASuccessfulWrite) {
-  const std::string dir = TempPath("ckpt_write");
+  const std::string dir = ScratchPath("ckpt_write");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
   auto save = [](const std::string& path, std::string* why) {

@@ -166,8 +166,10 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: scored pairs, pairs >= T,
-                  open pairs (>= T, both ends unmatched) and
+  --phase-table   per-round table: the pairs selection reads (the
+                  levels the round makes eligible, and the delta's
+                  pairs on levels already eligible), those >= T, the
+                  open ones it tests (>= T, both ends unmatched) and
                   emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --rng-seed      master RNG seed                             [42]

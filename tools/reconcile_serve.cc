@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "reconcile/core/matcher_state.h"
 #include "reconcile/eval/match_io.h"
 #include "reconcile/eval/table.h"
 #include "reconcile/graph/graph.h"
@@ -113,7 +114,9 @@ Output:
   --save-matching write the served links (u v [seed]) after the stream
                   ends (and on graceful stop)
   --save-g1/--save-g2  write the final graphs as text edge lists
-  --phase-table   after each batch, the rerun's per-round phase table
+  --phase-table   after each batch, the rerun's per-round phase table:
+                  the pairs selection reads, those >= T, the open
+                  ones it tests and emit/merge/scan/select seconds
 
 Per-batch telemetry goes to stdout (rounds 0: no edge changed, no rerun):
   batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
@@ -239,6 +242,16 @@ int RunServe(const Flags& flags) {
     if (!ReadMatchingText(flags.GetString("seeds", ""), &seeds, &marked)) {
       std::fprintf(stderr, "cannot read --seeds=%s\n",
                    flags.GetString("seeds", "").c_str());
+      return 1;
+    }
+    // The session takes its seeds as trusted, so a seed past either graph
+    // or sharing a node with an earlier one stops here, with the file named.
+    std::vector<NodeId> map_1to2, map_2to1;
+    std::string error;
+    if (!MapsFromLinks(seeds, g1.num_nodes(), g2.num_nodes(), &map_1to2,
+                       &map_2to1, &error)) {
+      std::fprintf(stderr, "--seeds=%s: seed %s\n",
+                   flags.GetString("seeds", "").c_str(), error.c_str());
       return 1;
     }
   } else {
