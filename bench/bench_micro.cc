@@ -14,6 +14,7 @@
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/flat_hash_map.h"
 #include "reconcile/util/radix_sort.h"
+#include "reconcile/util/rng.h"
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
@@ -94,42 +95,69 @@ void BM_GraphBuildParallel4T(benchmark::State& state) {
 BENCHMARK(BM_GraphBuildSerial)->Arg(1 << 17);
 BENCHMARK(BM_GraphBuildParallel4T)->Arg(1 << 17);
 
-// Edge-list normalization (canonicalize + sort + dedup), serial vs pooled.
-// The input carries duplicates in both orientations plus self-loops so the
-// dedup sweep has real work.
-EdgeList MakeMessyBenchEdges(NodeId nodes) {
-  EdgeList base = MakeBenchEdges(nodes);
-  EdgeList messy(base.num_nodes());
-  messy.Reserve(base.size() * 2 + base.num_nodes() / 16);
-  for (const Edge& e : base.edges()) {
-    messy.Add(e.first, e.second);
-    messy.Add(e.second, e.first);  // duplicate, flipped orientation
+// `Graph::FromEdgeList` on the two shapes its inputs come in, Erdős–Rényi
+// with average degree 7 (an `ingest-er-2m` copy at 1 << 21 nodes):
+//  * sorted: canonical pairs in ascending order, as the edge-list writers,
+//    the samplers and the serve compaction emit them. Normalization only
+//    checks the list;
+//  * shuffled: the same edges in random order, half of them flipped, plus
+//    2% duplicates and 1000 self-loops, as a generator or a relabelling
+//    emits them. Normalization radix-sorts and dedups.
+// The list copy each iteration hands over is not timed.
+EdgeList MakeIngestEdges(NodeId nodes, bool shuffled) {
+  Graph source = GenerateErdosRenyi(nodes, 7.0 / static_cast<double>(nodes),
+                                    42);
+  EdgeList edges(source.num_nodes());
+  for (NodeId u = 0; u < source.num_nodes(); ++u) {
+    for (NodeId v : source.Neighbors(u)) {
+      if (v > u) edges.Add(u, v);
+    }
   }
-  for (NodeId v = 0; v < base.num_nodes(); v += 16) {
-    messy.Add(v, v);  // self-loop
+  if (!shuffled) return edges;
+  Rng rng(43);
+  std::vector<Edge>& list = edges.mutable_edges();
+  const size_t distinct = list.size();
+  for (size_t i = 0; i < distinct / 50; ++i) {
+    list.push_back(list[rng.UniformInt(distinct)]);
   }
-  return messy;
+  for (int i = 0; i < 1000; ++i) {
+    const NodeId v = static_cast<NodeId>(rng.UniformInt(nodes));
+    list.emplace_back(v, v);
+  }
+  for (size_t i = list.size(); i > 1; --i) {
+    if (rng.Bernoulli(0.5)) std::swap(list[i - 1].first, list[i - 1].second);
+    std::swap(list[i - 1], list[rng.UniformInt(i)]);
+  }
+  return edges;
 }
 
-void NormalizeBenchmark(benchmark::State& state, int threads) {
-  EdgeList edges = MakeMessyBenchEdges(static_cast<NodeId>(state.range(0)));
-  ThreadPool pool(threads);
+void FromEdgeListBenchmark(benchmark::State& state, bool shuffled) {
+  const EdgeList edges =
+      MakeIngestEdges(static_cast<NodeId>(state.range(0)), shuffled);
   for (auto _ : state) {
+    state.PauseTiming();
     EdgeList copy = edges;
-    copy.Normalize(threads > 1 ? &pool : nullptr);
-    benchmark::DoNotOptimize(copy.size());
+    state.ResumeTiming();
+    Graph g = Graph::FromEdgeList(std::move(copy));
+    benchmark::DoNotOptimize(g.num_edges());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(edges.size()));
 }
-void BM_EdgeListNormalizeSerial(benchmark::State& state) {
-  NormalizeBenchmark(state, 1);
+void BM_GraphFromEdgeListSorted(benchmark::State& state) {
+  FromEdgeListBenchmark(state, false);
 }
-void BM_EdgeListNormalizeParallel4T(benchmark::State& state) {
-  NormalizeBenchmark(state, 4);
+void BM_GraphFromEdgeListShuffled(benchmark::State& state) {
+  FromEdgeListBenchmark(state, true);
 }
-BENCHMARK(BM_EdgeListNormalizeSerial)->Arg(1 << 17);
-BENCHMARK(BM_EdgeListNormalizeParallel4T)->Arg(1 << 17);
+BENCHMARK(BM_GraphFromEdgeListSorted)
+    ->Arg(1 << 17)
+    ->Arg(1 << 21)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GraphFromEdgeListShuffled)
+    ->Arg(1 << 17)
+    ->Arg(1 << 21)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GenerateErdosRenyi(benchmark::State& state) {
   const NodeId n = static_cast<NodeId>(state.range(0));

@@ -1,21 +1,16 @@
 #include "reconcile/graph/edge_list.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "reconcile/util/parallel_for.h"
+#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 
-namespace {
-
-// Below this size the serial normalize wins over task setup.
-constexpr size_t kParallelNormalizeThreshold = 1u << 15;
-
-}  // namespace
-
 void EdgeList::Normalize() {
-  ThreadPool* pool = edges_.size() >= kParallelNormalizeThreshold &&
+  ThreadPool* pool = edges_.size() >= kParallelEdgeThreshold &&
                              ThreadPool::DefaultThreads() > 1
                          ? &ThreadPool::Shared()
                          : nullptr;
@@ -24,120 +19,74 @@ void EdgeList::Normalize() {
 
 void EdgeList::Normalize(ThreadPool* pool) {
   const size_t n = edges_.size();
-  if (pool == nullptr || pool->num_threads() < 2 || n < 2) {
-    for (Edge& e : edges_) {
+  // Fixed blocks, one per worker slot (a null pool is one block).
+  const size_t blocks =
+      std::min(static_cast<size_t>(ParallelSlots(pool)), n);
+  auto block_lo = [n, blocks](size_t b) { return n * b / blocks; };
+
+  // Check: canonicalize every pair in place, and test within each block
+  // that no pair is a self-loop and the pairs strictly ascend. A list that
+  // passes, with ascending block boundaries too, is its own normalized form.
+  // The boundaries are read only after the pass: during it, a block's first
+  // pair may still be swapping.
+  std::vector<uint8_t> block_ok(blocks);
+  ParallelForEach(pool, blocks, [&](size_t b) {
+    const size_t lo = block_lo(b), hi = block_lo(b + 1);
+    bool ok = true;
+    uint64_t previous = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      Edge& e = edges_[i];
       if (e.first > e.second) std::swap(e.first, e.second);
+      const uint64_t key = PackPair(e.first, e.second);
+      ok &= e.first < e.second && (i == lo || previous < key);
+      previous = key;
     }
-    std::sort(edges_.begin(), edges_.end());
-  } else {
-    // Parallel path. Chunk boundaries are fixed up front; sorting each
-    // chunk and merging pairwise yields the same fully sorted array as the
-    // serial sort, so the normalized list is thread-count independent.
-    const size_t grain = pool->GrainFor(n, 4096);
-    std::vector<size_t> bounds;
-    for (size_t b = 0; b < n; b += grain) bounds.push_back(b);
-    bounds.push_back(n);
-    const size_t num_chunks = bounds.size() - 1;
-
-    // Canonicalize endpoints and sort each chunk. Chunk boundaries are
-    // fixed; the loop only decides which worker runs which chunk (stealing
-    // evens out chunks that sort slower).
-    ParallelForWorkStealing(
-        pool, num_chunks, 1, [this, &bounds](size_t lo, size_t hi) {
-          for (size_t c = lo; c < hi; ++c) {
-            auto begin = edges_.begin() + static_cast<ptrdiff_t>(bounds[c]);
-            auto end = edges_.begin() + static_cast<ptrdiff_t>(bounds[c + 1]);
-            for (auto it = begin; it != end; ++it) {
-              if (it->first > it->second) std::swap(it->first, it->second);
-            }
-            std::sort(begin, end);
-          }
-        });
-
-    // Merge ladder: each pass merges adjacent sorted range pairs in
-    // parallel.
-    for (size_t width = 1; width < num_chunks; width *= 2) {
-      for (size_t lo = 0; lo + width < num_chunks; lo += 2 * width) {
-        const size_t mid = lo + width;
-        const size_t hi = std::min(num_chunks, lo + 2 * width);
-        pool->Submit([this, &bounds, lo, mid, hi] {
-          std::inplace_merge(
-              edges_.begin() + static_cast<ptrdiff_t>(bounds[lo]),
-              edges_.begin() + static_cast<ptrdiff_t>(bounds[mid]),
-              edges_.begin() + static_cast<ptrdiff_t>(bounds[hi]));
-        });
-      }
-      pool->Wait();
-    }
+    block_ok[b] = ok;
+  });
+  bool normalized =
+      std::all_of(block_ok.begin(), block_ok.end(), [](uint8_t ok) {
+        return ok != 0;
+      });
+  for (size_t b = 1; b < blocks && normalized; ++b) {
+    normalized = edges_[block_lo(b) - 1] < edges_[block_lo(b)];
   }
+  if (normalized) return;
 
-  DedupSweep(pool);
-}
-
-// Dedup + self-loop removal over the sorted edge array. An edge is kept iff
-// it is not a self-loop and differs from its predecessor *input* element —
-// equivalent to the classic "differs from the last kept edge" rule because
-// the array is sorted: if e equals its predecessor, that predecessor was
-// either kept (so e is a duplicate of the last kept edge) or was a
-// self-loop (then e is the same self-loop). The predicate is therefore a
-// pure function of (edges_[i-1], edges_[i]), which is what makes the
-// blocked parallel sweep possible.
-void EdgeList::DedupSweep(ThreadPool* pool) {
-  const size_t n = edges_.size();
-  auto keep = [this](size_t i) {
-    const Edge& e = edges_[i];
-    if (e.first == e.second) return false;
-    return i == 0 || !(edges_[i - 1] == e);
+  // Sort: radix-sort the packed pairs (already canonical), then unpack them
+  // into `edges_`. A key is kept iff it is no self-loop and differs from its
+  // predecessor, so each block counts its kept keys, a prefix over the
+  // counts places the blocks, and each block writes its own output range.
+  std::vector<uint64_t> keys(n);
+  ParallelForEach(pool, blocks, [&](size_t b) {
+    const size_t lo = block_lo(b), hi = block_lo(b + 1);
+    for (size_t i = lo; i < hi; ++i) {
+      keys[i] = PackPair(edges_[i].first, edges_[i].second);
+    }
+  });
+  {
+    std::vector<uint64_t> scratch;
+    RadixSortU64(keys, scratch, pool);
+  }
+  auto keep = [&keys](size_t i) {
+    return PairFirst(keys[i]) != PairSecond(keys[i]) &&
+           (i == 0 || keys[i - 1] != keys[i]);
   };
-
-  if (pool == nullptr || pool->num_threads() < 2 || n < 2) {
-    // Serial reference sweep (also the historical in-place code path).
-    size_t out = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!keep(i)) continue;
-      edges_[out++] = edges_[i];
+  std::vector<size_t> out(blocks + 1, 0);
+  ParallelForEach(pool, blocks, [&](size_t b) {
+    const size_t lo = block_lo(b), hi = block_lo(b + 1);
+    size_t kept = 0;
+    for (size_t i = lo; i < hi; ++i) kept += keep(i);
+    out[b + 1] = kept;
+  });
+  for (size_t b = 0; b < blocks; ++b) out[b + 1] += out[b];
+  ParallelForEach(pool, blocks, [&](size_t b) {
+    const size_t lo = block_lo(b), hi = block_lo(b + 1);
+    size_t at = out[b];
+    for (size_t i = lo; i < hi; ++i) {
+      if (keep(i)) edges_[at++] = {PairFirst(keys[i]), PairSecond(keys[i])};
     }
-    edges_.resize(out);
-    return;
-  }
-
-  // Blocked scan: per-block kept counts -> serial prefix over the block
-  // totals -> parallel compaction into a fresh array (in-place parallel
-  // compaction would let block b overwrite input another block has not
-  // consumed yet). Output order equals the serial sweep regardless of the
-  // block partition or thread count, because the keep predicate is local
-  // and blocks write disjoint pre-computed output ranges in input order.
-  const size_t grain = pool->GrainFor(n, 4096);
-  std::vector<size_t> bounds;
-  for (size_t b = 0; b < n; b += grain) bounds.push_back(b);
-  bounds.push_back(n);
-  const size_t num_blocks = bounds.size() - 1;
-
-  std::vector<size_t> offsets(num_blocks + 1, 0);
-  ParallelForWorkStealing(
-      pool, num_blocks, 1, [&bounds, &offsets, &keep](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b) {
-          size_t count = 0;
-          for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-            if (keep(i)) ++count;
-          }
-          offsets[b + 1] = count;
-        }
-      });
-  for (size_t b = 0; b < num_blocks; ++b) offsets[b + 1] += offsets[b];
-
-  std::vector<Edge> compacted(offsets[num_blocks]);
-  ParallelForWorkStealing(
-      pool, num_blocks, 1,
-      [this, &bounds, &offsets, &compacted, &keep](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b) {
-          size_t out = offsets[b];
-          for (size_t i = bounds[b]; i < bounds[b + 1]; ++i) {
-            if (keep(i)) compacted[out++] = edges_[i];
-          }
-        }
-      });
-  edges_ = std::move(compacted);
+  });
+  edges_.resize(out[blocks]);
 }
 
 }  // namespace reconcile

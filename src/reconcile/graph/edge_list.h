@@ -10,6 +10,11 @@ namespace reconcile {
 
 class ThreadPool;
 
+/// Edge lists at least this long are normalized, and their graphs built, on
+/// the process-wide shared pool when there is more than one CPU. Below it,
+/// handing out the passes costs more than it saves.
+inline constexpr size_t kParallelEdgeThreshold = size_t{1} << 15;
+
 /// Mutable collection of undirected edges used while constructing graphs.
 ///
 /// Generators append edges freely (duplicates and self-loops allowed); the
@@ -42,16 +47,19 @@ class EdgeList {
   }
 
   /// Sorts endpoint pairs canonically (min, max), drops self-loops and
-  /// duplicate edges. Idempotent. Large lists run the canonicalize, sort
-  /// and dedup passes on the process-wide shared pool; the result is
-  /// independent of the thread count.
+  /// duplicate edges. Idempotent. Lists of `kParallelEdgeThreshold` edges or
+  /// more run on the process-wide shared pool when there is more than one
+  /// CPU; the result is independent of the thread count.
   void Normalize();
 
-  /// Same, but runs the parallel passes on `pool` (chunked canonicalize,
-  /// chunk sorts, a log2(chunks) ladder of pairwise in-place merges, then a
-  /// blocked dedup/self-loop sweep: per-block keep counts, a serial prefix
-  /// over block totals, parallel compaction). `pool == nullptr` forces the
-  /// serial path.
+  /// Same, but runs on `pool` (`nullptr` runs the same passes as one block
+  /// on the calling thread). One pass over fixed blocks, one per worker
+  /// slot, canonicalizes each pair in place and checks that the list is
+  /// already normalized (no self-loop, strictly ascending); writers, the
+  /// samplers and the serve compaction all emit such lists, and those
+  /// return here. Otherwise the pairs are packed into u64 keys, radix-sorted
+  /// on the pool, and unpacked back into the list, dropping self-loops and
+  /// duplicates on the way. Allocates per edge, never per node.
   void Normalize(ThreadPool* pool);
 
   size_t size() const { return edges_.size(); }
@@ -61,11 +69,6 @@ class EdgeList {
   std::vector<Edge>& mutable_edges() { return edges_; }
 
  private:
-  /// Fused dedup + self-loop removal over the sorted array; parallel
-  /// (blocked scan) when `pool` has >= 2 threads, serial reference sweep
-  /// otherwise. Output is identical either way for any thread count.
-  void DedupSweep(ThreadPool* pool);
-
   std::vector<Edge> edges_;
   NodeId num_nodes_ = 0;
 };

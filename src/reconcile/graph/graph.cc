@@ -8,25 +8,17 @@
 
 namespace reconcile {
 
-namespace {
-
-// Below this many (normalized) edges a serial build beats spinning up / using
-// worker threads.
-constexpr size_t kParallelBuildThreshold = 1u << 15;
-
-}  // namespace
-
 Graph Graph::FromEdgeList(EdgeList edges) {
   // Large builds run on the process-wide shared pool instead of
   // constructing and joining a transient pool per call. Normalization gets
   // the pool based on the raw size; the build decision is re-checked after
   // dedup may have shrunk the list below the threshold.
-  ThreadPool* pool = edges.size() >= kParallelBuildThreshold &&
+  ThreadPool* pool = edges.size() >= kParallelEdgeThreshold &&
                              ThreadPool::DefaultThreads() > 1
                          ? &ThreadPool::Shared()
                          : nullptr;
   edges.Normalize(pool);
-  if (pool != nullptr && edges.size() < kParallelBuildThreshold) {
+  if (pool != nullptr && edges.size() < kParallelEdgeThreshold) {
     pool = nullptr;
   }
   return FromNormalized(std::move(edges), pool);

@@ -31,11 +31,13 @@ class Graph {
   Graph(Graph&&) = default;
   Graph& operator=(Graph&&) = default;
 
-  /// Builds a graph from `edges`. The edge list is normalized (copy taken);
-  /// the node count is max(edges.num_nodes(), largest endpoint + 1).
-  /// Large inputs are normalized and built in parallel on the process-wide
-  /// shared pool (`ThreadPool::Shared()`); the result is independent of the
-  /// thread count.
+  /// Builds a graph from `edges`, normalized in place by
+  /// `EdgeList::Normalize` (a list that is already normalized, as the
+  /// writers, samplers and serve compaction emit, is only checked); the node
+  /// count is max(edges.num_nodes(), largest endpoint + 1). Lists of
+  /// `kParallelEdgeThreshold` edges or more are normalized and built on the
+  /// process-wide shared pool (`ThreadPool::Shared()`) when there is more
+  /// than one CPU; the result is independent of the thread count.
   static Graph FromEdgeList(EdgeList edges);
 
   /// Same, but runs the passes on `pool`. After normalization, each worker

@@ -1,6 +1,7 @@
 #include "reconcile/graph/io.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -44,23 +45,69 @@ struct FileBytes {
   size_t size = 0;
 };
 
-// Reads all of `path` into `*bytes` with one bulk read loop. Regular files
-// are sized up front; pipes and other streams grow the buffer as needed.
+// Reads all of `path` into `*bytes`. A regular file is sized up front, and
+// its bytes up to that size are read by positional reads in parallel, one
+// range per worker slot: on the shared pool when the file is more than one
+// parse chunk and there is more than one CPU. The read loop then takes
+// whatever follows, so a file that grew meanwhile is still read whole;
+// pipes and other streams have only the loop, which grows the buffer as
+// needed.
 bool ReadWholeFile(const std::string& path, FileBytes* bytes) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
       std::fopen(path.c_str(), "rb"), &std::fclose);
   if (file == nullptr) return Fail(path, "cannot open for reading");
+  const int fd = ::fileno(file.get());
   struct stat file_info = {};
   size_t capacity = size_t{1} << 16;
-  if (::fstat(::fileno(file.get()), &file_info) == 0 &&
-      S_ISREG(file_info.st_mode) && file_info.st_size >= 0) {
+  size_t sized = 0;
+  if (::fstat(fd, &file_info) == 0 && S_ISREG(file_info.st_mode) &&
+      file_info.st_size >= 0) {
+    sized = static_cast<size_t>(file_info.st_size);
     // One spare byte, so a full buffer means "maybe more" and the loop's
     // next read sees end of file without growing.
-    capacity = static_cast<size_t>(file_info.st_size) + 1;
+    capacity = sized + 1;
   }
   // The bytes are read over, so the buffer is not zero-filled first.
   auto data = std::make_unique_for_overwrite<char[]>(capacity);
   size_t size = 0;
+  if (sized > 0) {
+    ThreadPool* pool =
+        sized > kParseChunkBytes && ThreadPool::DefaultThreads() > 1
+            ? &ThreadPool::Shared()
+            : nullptr;
+    const size_t ranges = static_cast<size_t>(ParallelSlots(pool));
+    auto range_lo = [sized, ranges](size_t r) { return sized * r / ranges; };
+    std::vector<size_t> got(ranges, 0);
+    std::vector<int> error(ranges, 0);
+    char* const buffer = data.get();
+    ParallelForEach(pool, ranges, [&](size_t r) {
+      const size_t hi = range_lo(r + 1);
+      size_t at = range_lo(r);
+      while (at < hi) {
+        const ssize_t n =
+            ::pread(fd, buffer + at, hi - at, static_cast<off_t>(at));
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {  // a read error, or the file shrank
+          if (n < 0) error[r] = errno;
+          break;
+        }
+        at += static_cast<size_t>(n);
+      }
+      got[r] = at - range_lo(r);
+    });
+    // The bytes end at the first range that came back short.
+    for (size_t r = 0; r < ranges; ++r) {
+      if (error[r] != 0) {
+        return Fail(path,
+                    std::string("read failed: ") + std::strerror(error[r]));
+      }
+      size += got[r];
+      if (got[r] < range_lo(r + 1) - range_lo(r)) break;
+    }
+    if (::fseeko(file.get(), static_cast<off_t>(size), SEEK_SET) != 0) {
+      return Fail(path, std::string("read failed: ") + std::strerror(errno));
+    }
+  }
   for (;;) {
     if (size == capacity) {
       auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity);
@@ -306,16 +353,12 @@ bool WriteEdgeListBinary(const Graph& g, const std::string& path) {
 }
 
 bool ReadEdgeListBinary(const std::string& path, EdgeList* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Fail(path, "cannot open for reading");
+  FileBytes file;
+  if (!ReadWholeFile(path, &file)) return false;
   // Size the declared edge count against the actual payload *before*
   // reserving anything: a corrupt header must not trigger a multi-gigabyte
-  // allocation or a long tail of doomed reads.
-  struct stat file_info = {};
-  if (::stat(path.c_str(), &file_info) != 0 || file_info.st_size < 0) {
-    return Fail(path, "cannot stat");
-  }
-  const uint64_t file_size = static_cast<uint64_t>(file_info.st_size);
+  // allocation.
+  const uint64_t file_size = file.size;
   constexpr uint64_t kHeaderBytes = 3 * sizeof(uint64_t);
   constexpr uint64_t kEdgeBytes = 2 * sizeof(uint32_t);
   if (file_size < kHeaderBytes) {
@@ -323,11 +366,9 @@ bool ReadEdgeListBinary(const std::string& path, EdgeList* out) {
                           " bytes, need " + std::to_string(kHeaderBytes) +
                           ")");
   }
-  uint64_t magic = 0, nodes = 0, edges = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&nodes), sizeof(nodes));
-  in.read(reinterpret_cast<char*>(&edges), sizeof(edges));
-  if (!in) return Fail(path, "truncated header");
+  uint64_t header[3];
+  std::memcpy(header, file.data.get(), sizeof(header));
+  const uint64_t magic = header[0], nodes = header[1], edges = header[2];
   if (magic != kBinaryMagic) {
     return Fail(path, "not a binary edge list (bad magic)");
   }
@@ -345,15 +386,13 @@ bool ReadEdgeListBinary(const std::string& path, EdgeList* out) {
   if ((file_size - kHeaderBytes) % kEdgeBytes != 0) {
     return Fail(path, "payload is not a whole number of edge records");
   }
+  // One pass over the payload: validate each record and append it.
   EdgeList result(static_cast<NodeId>(nodes));
   result.Reserve(edges);
-  for (uint64_t i = 0; i < edges; ++i) {
+  const char* record = file.data.get() + kHeaderBytes;
+  for (uint64_t i = 0; i < edges; ++i, record += kEdgeBytes) {
     uint32_t pair[2];
-    in.read(reinterpret_cast<char*>(pair), sizeof(pair));
-    if (!in) {
-      return Fail(path, "truncated at edge " + std::to_string(i) + " of " +
-                            std::to_string(edges));
-    }
+    std::memcpy(pair, record, sizeof(pair));
     if (pair[0] >= nodes || pair[1] >= nodes) {
       return Fail(path, "edge " + std::to_string(i) + " (" +
                             std::to_string(pair[0]) + ", " +

@@ -1,7 +1,14 @@
 #include "reconcile/graph/edge_list.h"
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/thread_pool.h"
 
@@ -94,96 +101,190 @@ TEST(EdgeListTest, NormalizeOnEmptyListIsNoOp) {
   EXPECT_TRUE(edges.empty());
 }
 
-// Messy random multigraph: duplicates (both orientations), self-loops,
-// skewed endpoints. Used to compare the serial and parallel normalize paths.
-EdgeList MakeMessyEdges(size_t n, uint64_t seed) {
+// --- Normalize against a reference written from the definition ---
+
+// The normalized form: canonical (min, max) pairs, no self-loops, sorted,
+// no duplicates.
+std::vector<Edge> ReferenceNormalize(std::vector<Edge> edges) {
+  for (Edge& e : edges) {
+    if (e.first > e.second) std::swap(e.first, e.second);
+  }
+  std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return edges;
+}
+
+// Pools of 1 to 7 threads, made once for the whole suite.
+ThreadPool* PoolOf(int threads) {
+  static std::vector<std::unique_ptr<ThreadPool>> pools = [] {
+    std::vector<std::unique_ptr<ThreadPool>> made;
+    for (int t = 1; t <= 7; ++t) {
+      made.push_back(std::make_unique<ThreadPool>(t));
+    }
+    return made;
+  }();
+  return pools[static_cast<size_t>(threads - 1)].get();
+}
+
+// Normalizes copies of `edges` with no pool and on pools of 1 to 7 threads;
+// each must equal the reference, keep the node count, and be left as it is
+// by a second Normalize.
+void ExpectNormalizesLikeReference(const EdgeList& edges,
+                                   const std::string& what) {
+  const std::vector<Edge> expected = ReferenceNormalize(edges.edges());
+  for (int threads = 0; threads <= 7; ++threads) {
+    ThreadPool* pool = threads == 0 ? nullptr : PoolOf(threads);
+    EdgeList copy = edges;
+    copy.Normalize(pool);
+    ASSERT_EQ(copy.edges(), expected) << what << ", threads " << threads;
+    EXPECT_EQ(copy.num_nodes(), edges.num_nodes()) << what;
+    copy.Normalize(pool);
+    ASSERT_EQ(copy.edges(), expected) << what << ", again, threads "
+                                      << threads;
+  }
+}
+
+// Random multigraph on `num_nodes` ids: duplicates in both orientations and
+// about 5% self-loops.
+EdgeList MakeMessyEdges(size_t n, NodeId num_nodes, uint64_t seed) {
   Rng rng(seed);
-  EdgeList edges(2000);
+  EdgeList edges(num_nodes);
   edges.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    NodeId u = static_cast<NodeId>(rng.UniformInt(2000));
-    NodeId v = rng.Bernoulli(0.05) ? u  // self-loop
-                                   : static_cast<NodeId>(rng.UniformInt(2000));
+    NodeId u = static_cast<NodeId>(rng.UniformInt(num_nodes));
+    NodeId v = rng.Bernoulli(0.05)
+                   ? u
+                   : static_cast<NodeId>(rng.UniformInt(num_nodes));
     if (rng.Bernoulli(0.5)) std::swap(u, v);
     edges.Add(u, v);
   }
   return edges;
 }
 
-TEST(EdgeListParallelNormalizeTest, MatchesSerialResult) {
-  for (size_t n : {10u, 1000u, 100000u}) {
-    EdgeList serial = MakeMessyEdges(n, 31 + n);
-    EdgeList parallel = serial;
-    serial.Normalize(nullptr);
-    ThreadPool pool(4);
-    parallel.Normalize(&pool);
-    EXPECT_EQ(parallel.edges(), serial.edges()) << "n=" << n;
-    EXPECT_EQ(parallel.num_nodes(), serial.num_nodes());
+EdgeList FromEdges(NodeId num_nodes, const std::vector<Edge>& list) {
+  EdgeList edges(num_nodes);
+  for (const auto& [u, v] : list) edges.Add(u, v);
+  return edges;
+}
+
+TEST(EdgeListNormalizeReferenceTest, RandomLists) {
+  // Sizes around the radix sort's cutoff and far above it.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{100},
+                   kRadixSortCutoff - 1, kRadixSortCutoff,
+                   kRadixSortCutoff + 1, size_t{5000}, size_t{100000}}) {
+    ExpectNormalizesLikeReference(MakeMessyEdges(n, 2000, 31 + n),
+                                  "n=" + std::to_string(n));
   }
 }
 
-TEST(EdgeListParallelNormalizeTest, ThreadCountInvariance) {
-  EdgeList reference = MakeMessyEdges(60000, 77);
-  reference.Normalize(nullptr);
-  for (int threads : {2, 3, 8}) {
-    EdgeList edges = MakeMessyEdges(60000, 77);
-    ThreadPool pool(threads);
-    edges.Normalize(&pool);
-    EXPECT_EQ(edges.edges(), reference.edges()) << "threads=" << threads;
-  }
-}
-
-TEST(EdgeListParallelNormalizeTest, IdempotentOnPool) {
-  EdgeList edges = MakeMessyEdges(50000, 99);
-  ThreadPool pool(4);
-  edges.Normalize(&pool);
-  std::vector<Edge> once = edges.edges();
-  edges.Normalize(&pool);
-  EXPECT_EQ(edges.edges(), once);
-}
-
-// Adversarial input for the blocked dedup sweep: a handful of distinct
-// edges each repeated thousands of times, plus self-loop runs — after the
-// sort, equal runs span many dedup blocks, so keep-decisions at block
-// boundaries (compare against the predecessor in the *previous* block) and
-// the prefix-sum offsets are all exercised. Any boundary bug duplicates or
-// drops an edge relative to the serial sweep.
-TEST(EdgeListParallelNormalizeTest, DedupRunsSpanningBlocksMatchSerial) {
+TEST(EdgeListNormalizeReferenceTest, HeavyRepeats) {
+  // About 20 distinct edges and 4 distinct self-loops, each repeated
+  // thousands of times: equal runs span every block.
   Rng rng(4242);
-  EdgeList reference(64);
-  reference.Reserve(120000);
+  EdgeList edges(64);
   for (size_t i = 0; i < 120000; ++i) {
-    // ~20 distinct undirected edges + ~4 distinct self-loops, heavily
-    // repeated in random order and random orientation.
     if (rng.Bernoulli(0.1)) {
-      NodeId u = static_cast<NodeId>(rng.UniformInt(4));
-      reference.Add(u, u);
+      const NodeId u = static_cast<NodeId>(rng.UniformInt(4));
+      edges.Add(u, u);
     } else {
       NodeId u = static_cast<NodeId>(rng.UniformInt(5));
       NodeId v = static_cast<NodeId>(5 + rng.UniformInt(4));
       if (rng.Bernoulli(0.5)) std::swap(u, v);
-      reference.Add(u, v);
+      edges.Add(u, v);
     }
   }
-  EdgeList serial = reference;
-  serial.Normalize(nullptr);
-  ASSERT_LE(serial.size(), 20u);  // dedup actually collapsed the runs
-  for (int threads : {2, 3, 5, 8}) {
-    EdgeList parallel = reference;
-    ThreadPool pool(threads);
-    parallel.Normalize(&pool);
-    EXPECT_EQ(parallel.edges(), serial.edges()) << "threads=" << threads;
+  ExpectNormalizesLikeReference(edges, "heavy repeats");
+}
+
+TEST(EdgeListNormalizeReferenceTest, AlreadyNormalizedLists) {
+  for (size_t n : {size_t{1}, size_t{7}, size_t{300}, size_t{60000}}) {
+    const EdgeList messy = MakeMessyEdges(n, 5000, 7 + n);
+    const EdgeList normalized =
+        FromEdges(messy.num_nodes(), ReferenceNormalize(messy.edges()));
+    ExpectNormalizesLikeReference(normalized,
+                                  "normalized, n=" + std::to_string(n));
   }
 }
 
-TEST(EdgeListParallelNormalizeTest, AutoPathCrossesThreshold) {
-  // Above the internal threshold Normalize() may use the shared pool; the
-  // result must be identical to the explicitly serial path either way.
-  EdgeList auto_edges = MakeMessyEdges(80000, 123);
-  EdgeList serial_edges = auto_edges;
-  auto_edges.Normalize();
-  serial_edges.Normalize(nullptr);
-  EXPECT_EQ(auto_edges.edges(), serial_edges.edges());
+// A normalized list with one defect at a block boundary of a `threads`
+// pool: the check runs one block per worker slot, and reads the boundary
+// pairs only after its pass. A duplicate or descent across a boundary is
+// invisible inside both blocks; a flipped pair must come out canonical; a
+// self-loop must go.
+TEST(EdgeListNormalizeReferenceTest, DefectAtEachBlockBoundary) {
+  const EdgeList messy = MakeMessyEdges(1500, 400, 99);
+  const std::vector<Edge> base = ReferenceNormalize(messy.edges());
+  const size_t n = base.size();
+  ASSERT_GE(n, 1000u);
+  for (int threads = 1; threads <= 7; ++threads) {
+    const size_t blocks = static_cast<size_t>(threads);
+    for (size_t b = 1; b < blocks; ++b) {
+      const size_t at = n * b / blocks;  // first pair of block b
+      std::vector<std::pair<std::string, std::vector<Edge>>> cases;
+      auto with = [&](const std::string& name, auto&& mutate) {
+        std::vector<Edge> list = base;
+        mutate(list);
+        cases.emplace_back(name, std::move(list));
+      };
+      with("duplicate", [&](std::vector<Edge>& l) { l[at] = l[at - 1]; });
+      with("flipped duplicate", [&](std::vector<Edge>& l) {
+        l[at] = {l[at - 1].second, l[at - 1].first};
+      });
+      with("descent", [&](std::vector<Edge>& l) {
+        std::swap(l[at - 1], l[at]);
+      });
+      for (size_t i : {at - 1, at}) {
+        const std::string side = i == at ? " after" : " before";
+        with("flipped" + side, [&](std::vector<Edge>& l) {
+          std::swap(l[i].first, l[i].second);
+        });
+        with("self-loop" + side, [&](std::vector<Edge>& l) {
+          l[i].second = l[i].first;
+        });
+      }
+      for (const auto& [name, list] : cases) {
+        EdgeList edges = FromEdges(messy.num_nodes(), list);
+        edges.Normalize(PoolOf(threads));
+        ASSERT_EQ(edges.edges(), ReferenceNormalize(list))
+            << name << " at boundary " << b << " of " << threads
+            << " blocks";
+      }
+    }
+  }
+}
+
+TEST(EdgeListNormalizeReferenceTest, IdBitWidths) {
+  // Ids of 1, 21 and 32 bits, the last up to 2^32 - 2: Normalize allocates
+  // per edge, never per node, so a 2^32 - 1 node range costs nothing.
+  for (int bits : {1, 21, 32}) {
+    const uint64_t bound =
+        bits == 32 ? uint64_t{kInvalidNode} : uint64_t{1} << bits;
+    Rng rng(static_cast<uint64_t>(bits));
+    EdgeList edges;
+    for (int i = 0; i < 40000; ++i) {
+      const NodeId u = static_cast<NodeId>(rng.UniformInt(bound));
+      const NodeId v = static_cast<NodeId>(rng.UniformInt(bound));
+      edges.Add(u, rng.Bernoulli(0.02) ? u : v);
+    }
+    const NodeId top = static_cast<NodeId>(bound - 1);
+    edges.Add(top, 0);
+    edges.Add(top, top);
+    edges.Add(0, top);
+    const std::string what = std::to_string(bits) + "-bit ids";
+    ExpectNormalizesLikeReference(edges, what);
+    ExpectNormalizesLikeReference(
+        FromEdges(edges.num_nodes(), ReferenceNormalize(edges.edges())),
+        "normalized " + what);
+  }
+}
+
+TEST(EdgeListNormalizeReferenceTest, AutoPathCrossesThreshold) {
+  // Above the threshold Normalize() may use the shared pool.
+  EdgeList edges = MakeMessyEdges(kParallelEdgeThreshold + 1000, 2000, 123);
+  const std::vector<Edge> expected = ReferenceNormalize(edges.edges());
+  edges.Normalize();
+  EXPECT_EQ(edges.edges(), expected);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "reconcile/graph/graph.h"
 
 #include <algorithm>
-#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "reconcile/gen/chung_lu.h"
+#include "reconcile/gen/erdos_renyi.h"
+#include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/thread_pool.h"
 
@@ -114,10 +118,85 @@ TEST(GraphTest, CopyAndMoveSemantics) {
   EXPECT_TRUE(moved.HasEdge(0, 1));
 }
 
-// Edge lists that stress the owner-computes CSR build, where each worker
-// slot fills one contiguous node range.
-std::vector<EdgeList> BuildInputs() {
-  std::vector<EdgeList> inputs;
+// The CSR a graph must have, built per node straight from the raw edges:
+// each node's distinct neighbours other than itself, ascending, with the
+// offsets their prefix sums.
+struct ReferenceCsr {
+  std::vector<size_t> offsets{0};
+  std::vector<NodeId> adjacency;
+  NodeId max_degree = 0;
+};
+
+ReferenceCsr BuildReference(const EdgeList& edges) {
+  std::vector<std::vector<NodeId>> neighbours(edges.num_nodes());
+  for (const auto& [u, v] : edges.edges()) {
+    if (u == v) continue;
+    neighbours[u].push_back(v);
+    neighbours[v].push_back(u);
+  }
+  ReferenceCsr csr;
+  for (std::vector<NodeId>& list : neighbours) {
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    csr.adjacency.insert(csr.adjacency.end(), list.begin(), list.end());
+    csr.offsets.push_back(csr.adjacency.size());
+    csr.max_degree = std::max(csr.max_degree, static_cast<NodeId>(list.size()));
+  }
+  return csr;
+}
+
+// `g`'s offsets, read back through its neighbour spans, and its adjacency.
+void ExpectSameCsr(const Graph& g, const ReferenceCsr& reference,
+                   const std::string& what) {
+  ASSERT_EQ(g.num_nodes() + size_t{1}, reference.offsets.size()) << what;
+  ASSERT_EQ(g.degree_sum(), reference.adjacency.size()) << what;
+  EXPECT_EQ(g.max_degree(), reference.max_degree) << what;
+  if (g.num_nodes() == 0) return;
+  const NodeId* base = g.Neighbors(0).data();
+  std::vector<size_t> offsets{0};
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const std::span<const NodeId> nbrs = g.Neighbors(v);
+    ASSERT_EQ(static_cast<size_t>(nbrs.data() - base), offsets.back())
+        << what << ": slices are not contiguous at node " << v;
+    offsets.push_back(offsets.back() + nbrs.size());
+  }
+  EXPECT_EQ(offsets, reference.offsets) << what;
+  const std::span<const NodeId> adjacency(base, g.degree_sum());
+  EXPECT_TRUE(std::equal(adjacency.begin(), adjacency.end(),
+                         reference.adjacency.begin(),
+                         reference.adjacency.end()))
+      << what << ": adjacency differs";
+}
+
+// A generated graph's edges made messy: every edge in a random orientation,
+// a tenth of them twice, a self-loop per hundred edges, in shuffled order,
+// and 37 isolated nodes past the last id.
+EdgeList MessyCopy(const Graph& g, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> list;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.Neighbors(u)) {
+      if (u >= v) continue;
+      list.emplace_back(u, v);
+      if (rng.Bernoulli(0.1)) list.emplace_back(v, u);
+      if (rng.Bernoulli(0.01)) list.emplace_back(u, u);
+    }
+  }
+  for (Edge& e : list) {
+    if (rng.Bernoulli(0.5)) std::swap(e.first, e.second);
+  }
+  for (size_t i = list.size(); i > 1; --i) {
+    std::swap(list[i - 1], list[rng.UniformInt(i)]);
+  }
+  EdgeList edges(g.num_nodes() + 37);
+  for (const auto& [u, v] : list) edges.Add(u, v);
+  return edges;
+}
+
+// Edge lists that stress normalization and the owner-computes CSR build,
+// where each worker slot fills one contiguous node range.
+std::vector<std::pair<std::string, EdgeList>> BuildInputs() {
+  std::vector<std::pair<std::string, EdgeList>> inputs;
 
   // Skewed random edges with self-loops and duplicates; a star hub
   // adjacent to every node below 1900; node 1950, whose neighbours are all
@@ -133,61 +212,57 @@ std::vector<EdgeList> BuildInputs() {
   const NodeId hub = 777;
   for (NodeId v = 0; v < 1900; ++v) mixed.Add(hub, v);
   for (NodeId u = 1000; u < 1900; u += 7) mixed.Add(1950, u);
-  inputs.push_back(std::move(mixed));
+  inputs.emplace_back("mixed", std::move(mixed));
 
   // A star whose hub is the last node: every edge is backward for it.
   EdgeList star;
   for (NodeId leaf = 0; leaf < 500; ++leaf) star.Add(leaf, 500);
-  inputs.push_back(std::move(star));
+  inputs.emplace_back("star", std::move(star));
 
   // Fewer nodes than ranges, a single edge, no edges, nothing at all.
   EdgeList tiny(3);
   tiny.Add(2, 0);
-  inputs.push_back(std::move(tiny));
+  inputs.emplace_back("tiny", std::move(tiny));
   EdgeList one;
   one.Add(0, 1);
-  inputs.push_back(std::move(one));
-  inputs.push_back(EdgeList(6));
-  inputs.push_back(EdgeList());
+  inputs.emplace_back("one edge", std::move(one));
+  inputs.emplace_back("no edges", EdgeList(6));
+  inputs.emplace_back("empty", EdgeList());
+
+  // Erdős–Rényi, Chung–Lu and preferential-attachment graphs, above the
+  // shared-pool threshold: messy, and as the writers emit them (sorted).
+  const std::vector<std::pair<std::string, Graph>> models = {
+      {"er", GenerateErdosRenyi(8000, 0.0015, 5)},
+      {"chung-lu", GenerateChungLu(PowerLawWeights(8000, 2.3, 16.0), 6)},
+      {"pa", GeneratePreferentialAttachment(8000, 5, 7)}};
+  for (const auto& [name, g] : models) {
+    EdgeList messy = MessyCopy(g, 11);
+    EdgeList sorted(messy.num_nodes());
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (NodeId v : g.Neighbors(u)) {
+        if (u < v) sorted.Add(u, v);
+      }
+    }
+    EXPECT_GT(sorted.size(), kParallelEdgeThreshold) << name;
+    inputs.emplace_back(name + " messy", std::move(messy));
+    inputs.emplace_back(name + " sorted", std::move(sorted));
+  }
   return inputs;
 }
 
-// The build must give the same graph for every pool, including sizes that
-// split the nodes into uneven ranges, and that graph must match a set-based
-// reference built straight from the raw edges.
-TEST(GraphTest, ParallelBuildMatchesSerial) {
-  for (const EdgeList& edges : BuildInputs()) {
-    std::vector<std::set<NodeId>> reference(edges.num_nodes());
-    for (const auto& [u, v] : edges.edges()) {
-      if (u == v) continue;
-      reference[u].insert(v);
-      reference[v].insert(u);
-    }
-    const Graph serial = Graph::FromEdgeList(edges, nullptr);
-    ASSERT_EQ(serial.num_nodes(), edges.num_nodes());
-    size_t max_degree = 0;
-    for (NodeId v = 0; v < serial.num_nodes(); ++v) {
-      const auto nbrs = serial.Neighbors(v);
-      ASSERT_TRUE(std::equal(nbrs.begin(), nbrs.end(), reference[v].begin(),
-                             reference[v].end()))
-          << "Neighbors differ from the reference at node " << v;
-      max_degree = std::max(max_degree, reference[v].size());
-    }
-    EXPECT_EQ(serial.max_degree(), max_degree);
-
-    for (int threads : {2, 3, 4, 5, 8}) {
+// Every build form (the shared-pool default, no pool, and pools that split
+// the nodes into uneven ranges) must give the offsets, adjacency and
+// maximum degree of the per-node reference.
+TEST(GraphTest, BuildMatchesPerNodeReference) {
+  for (const auto& [name, edges] : BuildInputs()) {
+    const ReferenceCsr reference = BuildReference(edges);
+    ExpectSameCsr(Graph::FromEdgeList(edges), reference, name + ", default");
+    ExpectSameCsr(Graph::FromEdgeList(edges, nullptr), reference,
+                  name + ", no pool");
+    for (int threads : {1, 2, 3, 4, 5, 7, 8}) {
       ThreadPool pool(threads);
-      const Graph parallel = Graph::FromEdgeList(edges, &pool);
-      ASSERT_EQ(parallel.num_nodes(), serial.num_nodes());
-      ASSERT_EQ(parallel.num_edges(), serial.num_edges());
-      EXPECT_EQ(parallel.max_degree(), serial.max_degree());
-      for (NodeId v = 0; v < serial.num_nodes(); ++v) {
-        ASSERT_EQ(parallel.degree(v), serial.degree(v)) << "node " << v;
-        const auto a = serial.Neighbors(v);
-        const auto b = parallel.Neighbors(v);
-        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-            << "Neighbors mismatch at node " << v << ", threads " << threads;
-      }
+      ExpectSameCsr(Graph::FromEdgeList(edges, &pool), reference,
+                    name + ", threads " + std::to_string(threads));
     }
   }
 }

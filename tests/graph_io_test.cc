@@ -563,6 +563,33 @@ TEST(GraphIoTest, TextReadsFromPipe) {
   EXPECT_EQ(edges.edges(), expected);
 }
 
+TEST(GraphIoTest, LargeRegularFilesReadWhole) {
+  // Several MiB, so a regular file splits into positional-read ranges, one
+  // per worker slot when there is more than one CPU, and the range ends
+  // fall inside lines. Text and binary must both come back whole and in
+  // order.
+  const Graph g = GenerateErdosRenyi(100000, 0.00008, 29);
+  const std::string text = ScratchPath("large.txt");
+  ASSERT_TRUE(WriteEdgeListText(g, text));
+  ASSERT_GT(std::filesystem::file_size(text), uintmax_t{4} << 20);
+  EdgeList edges;
+  ASSERT_TRUE(ReadEdgeListText(text, &edges));
+  const LoadOutcome expected = Load(&ReferenceReadEdgeListText, text);
+  std::remove(text.c_str());
+  ASSERT_TRUE(expected.ok);
+  EXPECT_EQ(edges.edges(), expected.edges);
+  EXPECT_EQ(edges.num_nodes(), expected.num_nodes);
+
+  const std::string binary = ScratchPath("large.bin");
+  ASSERT_TRUE(WriteEdgeListBinary(g, binary));
+  EdgeList from_binary;
+  ASSERT_TRUE(ReadEdgeListBinary(binary, &from_binary));
+  std::remove(binary.c_str());
+  EXPECT_EQ(from_binary.edges(), expected.edges);
+  EXPECT_EQ(from_binary.num_nodes(), g.num_nodes());
+  EXPECT_TRUE(SameGraph(g, Graph::FromEdgeList(std::move(edges))));
+}
+
 TEST(GraphIoTest, TextWriterExactBytes) {
   EdgeList list(5);  // node 4 is isolated
   list.Add(2, 3);

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "reconcile/util/rng.h"
+#include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 namespace {
@@ -71,6 +73,45 @@ TEST(RadixSortTest, ScratchReuseAcrossCalls) {
     RadixSortU64(keys, scratch);
     EXPECT_EQ(keys, expected);
   }
+}
+
+// The pool form: one block per worker slot, a prefix over (digit, block).
+// Pools of 1 to 7 threads split the keys into blocks of every shape here.
+void ExpectPoolSortsLike(const std::vector<uint64_t>& keys,
+                         const std::string& what) {
+  std::vector<uint64_t> expected = keys;
+  std::sort(expected.begin(), expected.end());
+  for (int threads = 1; threads <= 7; ++threads) {
+    ThreadPool pool(threads);
+    std::vector<uint64_t> sorted = keys;
+    std::vector<uint64_t> scratch;
+    RadixSortU64(sorted, scratch, &pool);
+    ASSERT_EQ(sorted, expected) << what << ", threads " << threads;
+  }
+}
+
+TEST(RadixSortPoolTest, MatchesStdSort) {
+  ExpectPoolSortsLike({}, "empty");
+  ExpectPoolSortsLike({42}, "singleton");
+  ExpectPoolSortsLike(RandomKeys(kRadixSortCutoff - 1, 21, ~0ULL),
+                      "below the cutoff");
+  ExpectPoolSortsLike(RandomKeys(kRadixSortCutoff, 22, ~0ULL), "at the cutoff");
+  ExpectPoolSortsLike(RandomKeys(50001, 23, ~0ULL), "full width");
+  ExpectPoolSortsLike(RandomKeys(30000, 24, 0x1fULL), "32 distinct values");
+  ExpectPoolSortsLike(std::vector<uint64_t>(20000, 0x0123456789abcdefULL),
+                      "all equal");
+  // Packed-pair shape: varying low bytes of each half, constant middle
+  // bytes (3 and 7), so those passes drop and the rest must chain.
+  ExpectPoolSortsLike(RandomKeys(40000, 25, 0x00ffffff00ffffffULL),
+                      "constant middle bytes");
+  // Only the top and bottom bytes vary: the first pass and the last.
+  ExpectPoolSortsLike(RandomKeys(40000, 26, 0xff000000000000ffULL),
+                      "outer bytes only");
+  std::vector<uint64_t> descending(10007);
+  for (size_t i = 0; i < descending.size(); ++i) {
+    descending[i] = (descending.size() - i) << 20;
+  }
+  ExpectPoolSortsLike(descending, "descending");
 }
 
 }  // namespace

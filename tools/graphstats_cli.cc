@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <new>
 #include <string>
 
 #include "reconcile/eval/table.h"
@@ -41,8 +42,9 @@ Flags:
 
 Exit codes:
   0  success
-  1  runtime I/O failure (missing, unreadable or malformed input file —
-     the loader prints a one-line diagnostic saying what was wrong)
+  1  runtime I/O failure (missing, unreadable or malformed input file,
+     or node ids implying a graph too large to allocate — one stderr
+     line names the file and what was wrong)
   2  usage error
 )";
 
@@ -67,11 +69,17 @@ int Run(int argc, const char* const argv[]) {
   const bool ok = flags.GetBool("binary", false)
                       ? ReadEdgeListBinary(path, &edges)
                       : ReadEdgeListText(path, &edges);
-  if (!ok) {
-    std::cerr << "failed to read " << path << "\n";
+  // The loader has printed its one line naming the file.
+  if (!ok) return 1;
+  const NodeId nodes = edges.num_nodes();
+  Graph g;
+  try {
+    g = Graph::FromEdgeList(std::move(edges));
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
+                 path.c_str(), nodes);
     return 1;
   }
-  Graph g = Graph::FromEdgeList(std::move(edges));
 
   StatisticsOptions options;
   options.power_law_dmin =

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <iostream>
 #include <limits>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,7 +125,8 @@ Per-batch telemetry goes to stdout (rounds 0: no edge changed, no rerun):
 
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
-  1  runtime I/O failure (unreadable input, malformed delta log)
+  1  runtime I/O failure (unreadable input, malformed delta log, node
+     ids implying a graph too large to allocate)
   2  usage error
 )";
 
@@ -159,10 +161,20 @@ bool IntFlagsInRange(const Flags& flags) {
   return true;
 }
 
+// Reads and builds one graph. Every failure is one stderr line naming the
+// file: the loader's for a file it cannot read or parse, this one for ids
+// that imply more nodes than the host can allocate.
 bool LoadGraph(const std::string& path, Graph* out) {
   EdgeList edges;
   if (!ReadEdgeListText(path, &edges)) return false;
-  *out = Graph::FromEdgeList(std::move(edges));
+  const NodeId nodes = edges.num_nodes();
+  try {
+    *out = Graph::FromEdgeList(std::move(edges));
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
+                 path.c_str(), nodes);
+    return false;
+  }
   return true;
 }
 
@@ -225,14 +237,8 @@ int RunServe(const Flags& flags) {
   }
 
   Graph g1, g2;
-  if (!LoadGraph(flags.GetString("g1", ""), &g1)) {
-    std::fprintf(stderr, "cannot read --g1=%s\n",
-                 flags.GetString("g1", "").c_str());
-    return 1;
-  }
-  if (!LoadGraph(flags.GetString("g2", ""), &g2)) {
-    std::fprintf(stderr, "cannot read --g2=%s\n",
-                 flags.GetString("g2", "").c_str());
+  if (!LoadGraph(flags.GetString("g1", ""), &g1) ||
+      !LoadGraph(flags.GetString("g2", ""), &g2)) {
     return 1;
   }
 
