@@ -1,6 +1,8 @@
 #include "reconcile/graph/graph.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <new>
 
 #include "reconcile/util/logging.h"
 #include "reconcile/util/parallel_for.h"
@@ -77,13 +79,23 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
   for (size_t r = 0; r < ranges; ++r) range_base[r + 1] += range_base[r];
 
   // Pass 2: each range turns its degrees into offsets from its base, then
-  // writes its slices: backward neighbours first, then the forward run.
+  // writes its slices: backward neighbours first, then the forward run. A
+  // range's cursors are allocated on its worker; an allocation failure
+  // there (a huge id) is rethrown on the calling thread, where a tool can
+  // catch it.
   g.adjacency_.resize(range_base[ranges]);
   std::vector<NodeId> range_max_degree(ranges, 0);
+  std::vector<uint8_t> range_out_of_memory(ranges, 0);
   ParallelForEach(pool, ranges, [&](size_t r) {
     const NodeId lo = range_lo(r), hi = range_lo(r + 1);
     const size_t run_begin = run_start(lo), run_end = run_start(hi);
-    std::vector<size_t> cursor(hi - lo);
+    std::vector<size_t> cursor;
+    try {
+      cursor.resize(hi - lo);
+    } catch (const std::bad_alloc&) {
+      range_out_of_memory[r] = 1;
+      return;
+    }
     size_t offset = range_base[r];
     NodeId max_degree = 0;
     for (NodeId v = lo; v < hi; ++v) {
@@ -103,6 +115,9 @@ Graph Graph::FromNormalized(EdgeList edges, ThreadPool* pool) {
       g.adjacency_[cursor[u - lo]++] = v;
     }
   });
+  for (uint8_t failed : range_out_of_memory) {
+    if (failed != 0) throw std::bad_alloc();
+  }
   g.max_degree_ =
       *std::max_element(range_max_degree.begin(), range_max_degree.end());
   return g;

@@ -37,7 +37,9 @@ class Graph {
   /// count is max(edges.num_nodes(), largest endpoint + 1). Lists of
   /// `kParallelEdgeThreshold` edges or more are normalized and built on the
   /// process-wide shared pool (`ThreadPool::Shared()`) when there is more
-  /// than one CPU; the result is independent of the thread count.
+  /// than one CPU; the result is independent of the thread count. An
+  /// allocation the host refuses (ids that imply too many nodes) throws
+  /// `std::bad_alloc` on the calling thread, also when a worker hit it.
   static Graph FromEdgeList(EdgeList edges);
 
   /// Same, but runs the passes on `pool`. After normalization, each worker

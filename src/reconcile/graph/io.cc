@@ -1,7 +1,6 @@
 #include "reconcile/graph/io.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -45,69 +44,42 @@ struct FileBytes {
   size_t size = 0;
 };
 
-// Reads all of `path` into `*bytes`. A regular file is sized up front, and
-// its bytes up to that size are read by positional reads in parallel, one
-// range per worker slot: on the shared pool when the file is more than one
-// parse chunk and there is more than one CPU. The read loop then takes
-// whatever follows, so a file that grew meanwhile is still read whole;
-// pipes and other streams have only the loop, which grows the buffer as
-// needed.
-bool ReadWholeFile(const std::string& path, FileBytes* bytes) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (file == nullptr) return Fail(path, "cannot open for reading");
-  const int fd = ::fileno(file.get());
+using File = std::unique_ptr<std::FILE, int (*)(std::FILE*)>;
+
+// Opens `path` for reading. A failure is reported and gives null.
+File OpenForReading(const std::string& path) {
+  File file(std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) Fail(path, "cannot open for reading");
+  return file;
+}
+
+// The size of `file` when it is a regular file; -1 for a pipe or other
+// stream.
+int64_t RegularFileSize(std::FILE* file) {
   struct stat file_info = {};
+  if (::fstat(::fileno(file), &file_info) != 0 ||
+      !S_ISREG(file_info.st_mode) || file_info.st_size < 0) {
+    return -1;
+  }
+  return static_cast<int64_t>(file_info.st_size);
+}
+
+// Reads `file` from its position to end of file into `*bytes` with one
+// bulk read loop. A regular file is sized up front; pipes and other streams
+// grow the buffer as needed.
+bool ReadToEnd(const std::string& path, std::FILE* file, FileBytes* bytes) {
+  const int64_t file_size = RegularFileSize(file);
+  const off_t start = ::ftello(file);
   size_t capacity = size_t{1} << 16;
-  size_t sized = 0;
-  if (::fstat(fd, &file_info) == 0 && S_ISREG(file_info.st_mode) &&
-      file_info.st_size >= 0) {
-    sized = static_cast<size_t>(file_info.st_size);
+  if (file_size >= 0 && start >= 0) {
     // One spare byte, so a full buffer means "maybe more" and the loop's
     // next read sees end of file without growing.
-    capacity = sized + 1;
+    capacity =
+        static_cast<size_t>(std::max<int64_t>(file_size - start, 0)) + 1;
   }
   // The bytes are read over, so the buffer is not zero-filled first.
   auto data = std::make_unique_for_overwrite<char[]>(capacity);
   size_t size = 0;
-  if (sized > 0) {
-    ThreadPool* pool =
-        sized > kParseChunkBytes && ThreadPool::DefaultThreads() > 1
-            ? &ThreadPool::Shared()
-            : nullptr;
-    const size_t ranges = static_cast<size_t>(ParallelSlots(pool));
-    auto range_lo = [sized, ranges](size_t r) { return sized * r / ranges; };
-    std::vector<size_t> got(ranges, 0);
-    std::vector<int> error(ranges, 0);
-    char* const buffer = data.get();
-    ParallelForEach(pool, ranges, [&](size_t r) {
-      const size_t hi = range_lo(r + 1);
-      size_t at = range_lo(r);
-      while (at < hi) {
-        const ssize_t n =
-            ::pread(fd, buffer + at, hi - at, static_cast<off_t>(at));
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) {  // a read error, or the file shrank
-          if (n < 0) error[r] = errno;
-          break;
-        }
-        at += static_cast<size_t>(n);
-      }
-      got[r] = at - range_lo(r);
-    });
-    // The bytes end at the first range that came back short.
-    for (size_t r = 0; r < ranges; ++r) {
-      if (error[r] != 0) {
-        return Fail(path,
-                    std::string("read failed: ") + std::strerror(error[r]));
-      }
-      size += got[r];
-      if (got[r] < range_lo(r + 1) - range_lo(r)) break;
-    }
-    if (::fseeko(file.get(), static_cast<off_t>(size), SEEK_SET) != 0) {
-      return Fail(path, std::string("read failed: ") + std::strerror(errno));
-    }
-  }
   for (;;) {
     if (size == capacity) {
       auto grown = std::make_unique_for_overwrite<char[]>(2 * capacity);
@@ -115,11 +87,10 @@ bool ReadWholeFile(const std::string& path, FileBytes* bytes) {
       data = std::move(grown);
       capacity *= 2;
     }
-    const size_t got =
-        std::fread(data.get() + size, 1, capacity - size, file.get());
+    const size_t got = std::fread(data.get() + size, 1, capacity - size, file);
     size += got;
     if (got > 0) continue;
-    if (std::ferror(file.get())) {
+    if (std::ferror(file)) {
       return Fail(path, std::string("read failed: ") + std::strerror(errno));
     }
     break;
@@ -250,7 +221,12 @@ bool WriteEdgeListText(const Graph& g, const std::string& path) {
 
 bool ReadEdgeListText(const std::string& path, EdgeList* out) {
   FileBytes file;
-  if (!ReadWholeFile(path, &file)) return false;
+  {
+    File input = OpenForReading(path);
+    if (input == nullptr || !ReadToEnd(path, input.get(), &file)) {
+      return false;
+    }
+  }
   const char* data = file.data.get();
   const char* data_end = data + file.size;
 
@@ -353,21 +329,24 @@ bool WriteEdgeListBinary(const Graph& g, const std::string& path) {
 }
 
 bool ReadEdgeListBinary(const std::string& path, EdgeList* out) {
-  FileBytes file;
-  if (!ReadWholeFile(path, &file)) return false;
-  // Size the declared edge count against the actual payload *before*
-  // reserving anything: a corrupt header must not trigger a multi-gigabyte
-  // allocation.
-  const uint64_t file_size = file.size;
   constexpr uint64_t kHeaderBytes = 3 * sizeof(uint64_t);
   constexpr uint64_t kEdgeBytes = 2 * sizeof(uint32_t);
-  if (file_size < kHeaderBytes) {
-    return Fail(path, "truncated header (" + std::to_string(file_size) +
+  File input = OpenForReading(path);
+  if (input == nullptr) return false;
+  // The header is checked before the payload is read: a file that is not a
+  // binary edge list costs its first 24 bytes, and a corrupt edge count
+  // cannot trigger a multi-gigabyte read or reservation.
+  uint64_t header[3];
+  const size_t header_bytes =
+      std::fread(header, 1, sizeof(header), input.get());
+  if (std::ferror(input.get())) {
+    return Fail(path, std::string("read failed: ") + std::strerror(errno));
+  }
+  if (header_bytes < kHeaderBytes) {
+    return Fail(path, "truncated header (" + std::to_string(header_bytes) +
                           " bytes, need " + std::to_string(kHeaderBytes) +
                           ")");
   }
-  uint64_t header[3];
-  std::memcpy(header, file.data.get(), sizeof(header));
   const uint64_t magic = header[0], nodes = header[1], edges = header[2];
   if (magic != kBinaryMagic) {
     return Fail(path, "not a binary edge list (bad magic)");
@@ -376,20 +355,37 @@ bool ReadEdgeListBinary(const std::string& path, EdgeList* out) {
     return Fail(path, "declared node count " + std::to_string(nodes) +
                           " overflows the 32-bit id space");
   }
-  const uint64_t payload_edges = (file_size - kHeaderBytes) / kEdgeBytes;
-  if (edges != payload_edges) {
-    return Fail(path, "header declares " + std::to_string(edges) +
-                          " edges but the payload holds " +
-                          std::to_string(payload_edges) +
-                          " (truncated or corrupted?)");
+  // The declared edge count against the payload: a regular file's size
+  // before the read, then the bytes read, which a pipe or a file changed
+  // meanwhile can make differ.
+  auto check_payload = [&](uint64_t payload_bytes) {
+    const uint64_t payload_edges = payload_bytes / kEdgeBytes;
+    if (edges != payload_edges) {
+      return Fail(path, "header declares " + std::to_string(edges) +
+                            " edges but the payload holds " +
+                            std::to_string(payload_edges) +
+                            " (truncated or corrupted?)");
+    }
+    if (payload_bytes % kEdgeBytes != 0) {
+      return Fail(path, "payload is not a whole number of edge records");
+    }
+    return true;
+  };
+  const int64_t file_size = RegularFileSize(input.get());
+  if (file_size >= static_cast<int64_t>(kHeaderBytes) &&
+      !check_payload(static_cast<uint64_t>(file_size) - kHeaderBytes)) {
+    return false;
   }
-  if ((file_size - kHeaderBytes) % kEdgeBytes != 0) {
-    return Fail(path, "payload is not a whole number of edge records");
+  FileBytes payload;
+  if (!ReadToEnd(path, input.get(), &payload) ||
+      !check_payload(payload.size)) {
+    return false;
   }
+  input.reset();
   // One pass over the payload: validate each record and append it.
   EdgeList result(static_cast<NodeId>(nodes));
   result.Reserve(edges);
-  const char* record = file.data.get() + kHeaderBytes;
+  const char* record = payload.data.get();
   for (uint64_t i = 0; i < edges; ++i, record += kEdgeBytes) {
     uint32_t pair[2];
     std::memcpy(pair, record, sizeof(pair));

@@ -29,8 +29,7 @@ bool WriteEdgeListText(const Graph& g, const std::string& path);
 /// Any other line, including one of blanks only, is malformed. Edges keep
 /// file order. Files larger than 1 MiB are cut into chunks at line starts
 /// and the chunks are parsed on the shared pool when there is more than one
-/// CPU; such a file, when it is a regular file, is also read by parallel
-/// positional reads. The result does not depend on the thread count.
+/// CPU. The result does not depend on the thread count.
 ///
 /// Returns false on I/O or parse failure; `*out` is untouched on failure.
 /// Every failure — unreadable file, unparsable line, node-id overflow, a
@@ -44,10 +43,12 @@ bool ReadEdgeListText(const std::string& path, EdgeList* out);
 /// including one that only the final flush reveals.
 bool WriteEdgeListBinary(const Graph& g, const std::string& path);
 
-/// Reads the binary format written by `WriteEdgeListBinary`: the file is
-/// read whole, as text files are, and the header is validated against the
-/// bytes read *before* the edges are reserved (a corrupt edge count cannot
-/// trigger an absurd reservation). Rejects bad magic, node-id
+/// Reads the binary format written by `WriteEdgeListBinary`. The 24-byte
+/// header is read and checked first — magic, node count, and for a regular
+/// file the edge count against the file's size — so a wrong file costs its
+/// header and a corrupt edge count cannot trigger an absurd read or
+/// reservation. Then the payload is read whole, as text files are, and
+/// validated and appended in one pass. Rejects bad magic, node-id
 /// overflow, out-of-range edge endpoints, truncated or trailing payload
 /// bytes — each with a one-line stderr diagnostic; `*out` is untouched on
 /// failure and malformed input never aborts.

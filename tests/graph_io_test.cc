@@ -563,11 +563,40 @@ TEST(GraphIoTest, TextReadsFromPipe) {
   EXPECT_EQ(edges.edges(), expected);
 }
 
+TEST(GraphIoTest, BinaryReadsFromPipe) {
+  // A pipe has no size to check the header against before the read, so the
+  // edge count is checked against the bytes read: a whole file loads as
+  // from disk, a truncated one fails.
+  const Graph g = GenerateErdosRenyi(20000, 0.0005, 31);
+  const std::string binary = ScratchPath("pipe_source.bin");
+  ASSERT_TRUE(WriteEdgeListBinary(g, binary));
+  const std::string bytes = ReadBytes(binary);
+  EdgeList expected;
+  ASSERT_TRUE(ReadEdgeListBinary(binary, &expected));
+  std::remove(binary.c_str());
+
+  const std::string path = ScratchPath("edges_bin.fifo");
+  for (const size_t size : {bytes.size(), bytes.size() - 5}) {
+    std::remove(path.c_str());
+    if (::mkfifo(path.c_str(), 0600) != 0) GTEST_SKIP() << "mkfifo failed";
+    std::thread writer(
+        [&path, &bytes, size] { WriteBytes(path, bytes.substr(0, size)); });
+    EdgeList edges;
+    const bool ok = ReadEdgeListBinary(path, &edges);
+    writer.join();
+    EXPECT_EQ(ok, size == bytes.size()) << size << " bytes";
+    if (ok) {
+      EXPECT_EQ(edges.edges(), expected.edges());
+      EXPECT_EQ(edges.num_nodes(), expected.num_nodes());
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(GraphIoTest, LargeRegularFilesReadWhole) {
-  // Several MiB, so a regular file splits into positional-read ranges, one
-  // per worker slot when there is more than one CPU, and the range ends
-  // fall inside lines. Text and binary must both come back whole and in
-  // order.
+  // Several MiB, so the text splits into several parse chunks whose ends
+  // fall inside lines, and the binary payload is read past its checked
+  // header. Text and binary must both come back whole and in order.
   const Graph g = GenerateErdosRenyi(100000, 0.00008, 29);
   const std::string text = ScratchPath("large.txt");
   ASSERT_TRUE(WriteEdgeListText(g, text));

@@ -75,7 +75,7 @@ TEST(RadixSortTest, ScratchReuseAcrossCalls) {
   }
 }
 
-// The pool form: one block per worker slot, a prefix over (digit, block).
+// On a pool: one block per worker slot, a prefix over (digit, block).
 // Pools of 1 to 7 threads split the keys into blocks of every shape here.
 void ExpectPoolSortsLike(const std::vector<uint64_t>& keys,
                          const std::string& what) {
