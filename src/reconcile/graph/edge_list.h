@@ -56,7 +56,7 @@ class EdgeList {
   /// on the calling thread). One pass over fixed blocks, one per worker
   /// slot, canonicalizes each pair in place and checks that the list is
   /// already normalized (no self-loop, strictly ascending); writers, the
-  /// samplers and the serve compaction all emit such lists, and those
+  /// samplers and the serve batch merge all emit such lists, and those
   /// return here. Otherwise the pairs are packed into u64 keys, radix-sorted
   /// on the pool, and unpacked back into the list, dropping self-loops and
   /// duplicates on the way. Allocates per edge, never per node.

@@ -33,7 +33,7 @@ class Graph {
 
   /// Builds a graph from `edges`, normalized in place by
   /// `EdgeList::Normalize` (a list that is already normalized, as the
-  /// writers, samplers and serve compaction emit, is only checked); the node
+  /// writers, samplers and serve batch merges emit, is only checked); the node
   /// count is max(edges.num_nodes(), largest endpoint + 1). Lists of
   /// `kParallelEdgeThreshold` edges or more are normalized and built on the
   /// process-wide shared pool (`ThreadPool::Shared()`) when there is more

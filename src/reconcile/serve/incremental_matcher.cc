@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 
 #include "reconcile/core/matcher_state.h"
@@ -36,7 +35,91 @@ size_t LinksNotIn(const std::vector<NodeId>& map,
   return count;
 }
 
+// One netted edge change of one side: the edge's canonical key
+// (`PackPair(min, max)`) and whether the batch adds or removes it.
+struct EdgeChange {
+  uint64_t key;
+  bool add;
+};
+
+// Nets the batch's records for `side` (0: graph 1) against `graph`: per
+// canonical edge the last record wins, and it is kept only when it flips
+// the edge's presence (`HasEdge` is false past the end). Self-loops are
+// dropped. Sorted by key.
+std::vector<EdgeChange> NetBatch(const std::vector<EdgeDelta>& deltas,
+                                 int side, const Graph& graph) {
+  std::vector<EdgeChange> changes;
+  for (const EdgeDelta& d : deltas) {
+    if ((d.graph == 1 ? 0 : 1) != side || d.u == d.v) continue;
+    changes.push_back(
+        {PackPair(std::min(d.u, d.v), std::max(d.u, d.v)), d.insert});
+  }
+  std::stable_sort(
+      changes.begin(), changes.end(),
+      [](const EdgeChange& a, const EdgeChange& b) { return a.key < b.key; });
+  size_t kept = 0;
+  for (size_t i = 0; i < changes.size(); ++i) {
+    if (i + 1 < changes.size() && changes[i + 1].key == changes[i].key) {
+      continue;  // a later record of the same edge wins
+    }
+    const NodeId u = PairFirst(changes[i].key), v = PairSecond(changes[i].key);
+    if (changes[i].add == graph.HasEdge(u, v)) continue;
+    // Growing to kInvalidNode + 1 nodes would wrap the node count to 0.
+    RECONCILE_CHECK_LT(v, kInvalidNode)
+        << "node id overflows the 32-bit id space";
+    changes[kept++] = changes[i];
+  }
+  changes.resize(kept);
+  return changes;
+}
+
+// The edges of `graph` with `changes` (netted against it, sorted) applied,
+// as a normalized list: one merge of the CSR's (u < v) edges, which come
+// out ascending, with the changes. A remove drops its edge and an add is
+// inserted. The node range is max(graph's, largest endpoint of an add + 1):
+// it covers every edge present after the batch and never shrinks.
+EdgeList MergeChanges(const Graph& graph,
+                      const std::vector<EdgeChange>& changes) {
+  NodeId num_nodes = graph.num_nodes();
+  size_t adds = 0;
+  for (const EdgeChange& change : changes) {
+    if (!change.add) continue;
+    ++adds;
+    num_nodes = std::max(num_nodes, PairSecond(change.key) + 1);
+  }
+  EdgeList edges(num_nodes);
+  edges.Reserve(graph.num_edges() + adds - (changes.size() - adds));
+  size_t next = 0;
+  auto add_before = [&](uint64_t key) {
+    for (; next < changes.size() && changes[next].key < key; ++next) {
+      RECONCILE_CHECK(changes[next].add);
+      edges.Add(PairFirst(changes[next].key), PairSecond(changes[next].key));
+    }
+  };
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const std::span<const NodeId> neighbors = graph.Neighbors(u);
+    for (auto it = std::upper_bound(neighbors.begin(), neighbors.end(), u);
+         it != neighbors.end(); ++it) {
+      const uint64_t key = PackPair(u, *it);
+      add_before(key);
+      if (next < changes.size() && changes[next].key == key) {
+        RECONCILE_CHECK(!changes[next].add);
+        ++next;
+        continue;
+      }
+      edges.Add(u, *it);
+    }
+  }
+  add_before(~uint64_t{0});  // ids stay below kInvalidNode, so keys too
+  RECONCILE_CHECK_EQ(next, changes.size());
+  return edges;
+}
+
 }  // namespace
+
+EdgeList OverlayGraph::Materialize() const {
+  return MergeChanges(graph_, {});
+}
 
 IncrementalMatcher::IncrementalMatcher(
     Graph g1, Graph g2, std::span<const std::pair<NodeId, NodeId>> seeds,
@@ -44,18 +127,17 @@ IncrementalMatcher::IncrementalMatcher(
     : config_(config),
       pool_(config.matcher.num_threads > 0 ? config.matcher.num_threads
                                            : ThreadPool::DefaultThreads()),
-      o1_(std::move(g1)),
-      o2_(std::move(g2)),
+      graphs_{OverlayGraph(std::move(g1)), OverlayGraph(std::move(g2))},
       seeds_(seeds.begin(), seeds.end()),
-      map_1to2_(o1_.num_nodes(), kInvalidNode),
-      map_2to1_(o2_.num_nodes(), kInvalidNode),
+      map_1to2_(graphs_[0].num_nodes(), kInvalidNode),
+      map_2to1_(graphs_[1].num_nodes(), kInvalidNode),
       num_links_(seeds.size()) {
   RECONCILE_CHECK_GE(config_.matcher.num_iterations, 1);
   RECONCILE_CHECK_GE(config_.matcher.min_bucket_exponent, 0);
   RECONCILE_CHECK_LE(config_.matcher.min_bucket_exponent, 31);
   for (const auto& [u, v] : seeds_) {
-    RECONCILE_CHECK_LT(u, o1_.num_nodes());
-    RECONCILE_CHECK_LT(v, o2_.num_nodes());
+    RECONCILE_CHECK_LT(u, graphs_[0].num_nodes());
+    RECONCILE_CHECK_LT(v, graphs_[1].num_nodes());
     RECONCILE_CHECK_EQ(map_1to2_[u], kInvalidNode)
         << "duplicate seed for g1 node " << u;
     RECONCILE_CHECK_EQ(map_2to1_[v], kInvalidNode)
@@ -72,48 +154,24 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
   stats.batch = batches_applied_ + 1;
   stats.deltas_in = deltas.size();
 
-  // Net out the batch: per canonical edge key, the presence before the
-  // batch and after it. Only edges whose presence *changed* end-to-end act
-  // on the session — an insert/delete pair inside one batch, a re-insert
-  // of a present edge, or a delete of an absent one are all no-ops.
-  std::unordered_map<uint64_t, bool> initial[2], current[2];
-  for (const EdgeDelta& d : deltas) {
-    if (d.u == d.v) continue;  // self-loops never enter the graphs
-    const int g = d.graph == 1 ? 0 : 1;
-    const OverlayGraph& o = g == 0 ? o1_ : o2_;
-    const uint64_t key = PackPair(std::min(d.u, d.v), std::max(d.u, d.v));
-    auto [it, inserted] = current[g].try_emplace(key, false);
-    if (inserted) {
-      const bool present = o.HasEdge(d.u, d.v);
-      initial[g].emplace(key, present);
-      it->second = present;
-    }
-    it->second = d.insert;
+  // Net the batch against each side's graph and build the next graph of
+  // each side that changed, on the pool. Both are built before either is
+  // committed, so an allocation failure leaves the session as it was.
+  Graph next[2];
+  bool changed[2] = {false, false};
+  for (int side = 0; side < 2; ++side) {
+    const Graph& graph = graphs_[side].graph();
+    const std::vector<EdgeChange> changes = NetBatch(deltas, side, graph);
+    if (changes.empty()) continue;
+    stats.deltas_applied += changes.size();
+    next[side] = Graph::FromEdgeList(MergeChanges(graph, changes), &pool_);
+    changed[side] = true;
   }
-  std::vector<uint64_t> changed1, changed2;
-  for (const auto& [key, now] : current[0]) {
-    if (now != initial[0][key]) changed1.push_back(key);
-  }
-  for (const auto& [key, now] : current[1]) {
-    if (now != initial[1][key]) changed2.push_back(key);
-  }
-  // Hash order is not deterministic; the overlay edits are.
-  std::sort(changed1.begin(), changed1.end());
-  std::sort(changed2.begin(), changed2.end());
-  stats.deltas_applied = changed1.size() + changed2.size();
-
-  for (uint64_t key : changed1) {
-    const NodeId u = PairFirst(key), v = PairSecond(key);
-    RECONCILE_CHECK(current[0][key] ? o1_.InsertEdge(u, v)
-                                    : o1_.DeleteEdge(u, v));
-  }
-  for (uint64_t key : changed2) {
-    const NodeId u = PairFirst(key), v = PairSecond(key);
-    RECONCILE_CHECK(current[1][key] ? o2_.InsertEdge(u, v)
-                                    : o2_.DeleteEdge(u, v));
+  for (int side = 0; side < 2; ++side) {
+    if (changed[side]) graphs_[side] = OverlayGraph(std::move(next[side]));
   }
 
-  // Mid-batch fault hook: the overlays hold the new graphs, the matching
+  // Mid-batch fault hook: the session holds the new graphs, the matching
   // is still the previous batch's. A `crash:serve_apply=k` kill here loses
   // the batch, which a resume re-applies from the stream.
   FaultValuePoint("serve_apply", stats.batch);
@@ -126,12 +184,11 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
 }
 
 void IncrementalMatcher::Rerun(ServeBatchStats* stats) {
-  o1_.Compact(&pool_);
-  o2_.Compact(&pool_);
   // MatcherState rather than UserMatching: UserMatching's round loop stops
   // early on a pending graceful stop, and a batch must not serve a partial
   // matching.
-  MatcherState state(o1_.base(), o2_.base(), config_.matcher);
+  MatcherState state(graphs_[0].graph(), graphs_[1].graph(),
+                     config_.matcher);
   state.SeedLinks(seeds_);
   while (!state.Done()) state.RunRound();
   MatchResult result = state.TakeResult(0.0);
@@ -171,12 +228,12 @@ bool IncrementalMatcher::SaveSnapshot(const std::string& path,
   // lists), so a resume needs no replay of the delta stream to rebuild
   // them.
   writer.BeginSection(kSectionGraph1);
-  writer.AppendU64(o1_.num_nodes());
-  writer.AppendVector(o1_.Materialize().edges());
+  writer.AppendU64(graphs_[0].num_nodes());
+  writer.AppendVector(graphs_[0].Materialize().edges());
   writer.EndSection();
   writer.BeginSection(kSectionGraph2);
-  writer.AppendU64(o2_.num_nodes());
-  writer.AppendVector(o2_.Materialize().edges());
+  writer.AppendU64(graphs_[1].num_nodes());
+  writer.AppendVector(graphs_[1].Materialize().edges());
   writer.EndSection();
 
   std::vector<std::pair<NodeId, NodeId>> links;
@@ -268,8 +325,8 @@ bool IncrementalMatcher::LoadSnapshot(const std::string& path,
   }
 
   // Everything validated — commit.
-  o1_ = OverlayGraph(std::move(g1));
-  o2_ = OverlayGraph(std::move(g2));
+  graphs_[0] = OverlayGraph(std::move(g1));
+  graphs_[1] = OverlayGraph(std::move(g2));
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
   num_links_ = links.size();

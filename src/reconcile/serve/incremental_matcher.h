@@ -10,10 +10,10 @@
 
 #include "reconcile/core/matcher.h"
 #include "reconcile/core/result.h"
+#include "reconcile/graph/edge_list.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
 #include "reconcile/serve/delta_log.h"
-#include "reconcile/serve/overlay_graph.h"
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
@@ -50,11 +50,41 @@ struct ServeBatchStats {
   std::vector<PhaseStats> rounds;  // per-phase stats of the rerun's rounds
 };
 
+/// A read-only view of one of the session's graphs, which is one immutable
+/// `Graph`. It is a type of its own, under this name, only because the
+/// end-to-end benchmark names it (`const OverlayGraph& g = session.g1()`).
+class OverlayGraph {
+ public:
+  explicit OverlayGraph(Graph graph) : graph_(std::move(graph)) {}
+
+  NodeId num_nodes() const { return graph_.num_nodes(); }
+  size_t num_edges() const { return graph_.num_edges(); }
+  NodeId degree(NodeId u) const { return graph_.degree(u); }
+
+  /// True iff the edge {u, v} is present; false for any id past the end.
+  bool HasEdge(NodeId u, NodeId v) const { return graph_.HasEdge(u, v); }
+
+  /// Neighbours of `u`, ascending, copied.
+  std::vector<NodeId> Neighbors(NodeId u) const {
+    const std::span<const NodeId> neighbors = graph_.Neighbors(u);
+    return {neighbors.begin(), neighbors.end()};
+  }
+
+  /// The edge set as a canonical (u < v) edge list whose node range is
+  /// `num_nodes()`. Edges come out sorted by (u, v).
+  EdgeList Materialize() const;
+
+  const Graph& graph() const { return graph_; }
+
+ private:
+  Graph graph_;
+};
+
 /// The continuous-reconciliation session: a live matching over a pair of
-/// delta-overlay graphs. Each `ApplyBatch` nets the batch out, applies it to
-/// the overlays, compacts them to CSR and re-runs the batch matcher
-/// (`MatcherState`) on the result, so the served matching equals a
-/// from-scratch run on the current graphs by construction
+/// immutable CSR graphs. Each `ApplyBatch` nets the batch against the
+/// graphs, rebuilds each changed side by one sorted merge and re-runs the
+/// batch matcher (`MatcherState`) on the result, so the served matching
+/// equals a from-scratch run on the current graphs by construction
 /// (`serve_incremental_differential_test` checks it after every batch, and
 /// `integration_serve_kill_resume_test` across kill/resume).
 ///
@@ -73,17 +103,22 @@ class IncrementalMatcher {
   IncrementalMatcher(const IncrementalMatcher&) = delete;
   IncrementalMatcher& operator=(const IncrementalMatcher&) = delete;
 
-  /// Applies one delta batch and re-matches. Self-loops and net no-ops
-  /// (insert of a present edge, a delete/insert pair inside the batch) are
-  /// absorbed; node ids beyond the current range grow the graphs. The
-  /// matcher runs when an edge changed or no batch has run yet, and always
-  /// to completion: a pending graceful stop is honoured between batches.
+  /// Applies one delta batch and re-matches. Per edge the batch's last
+  /// record wins; self-loops and net no-ops (insert of a present edge,
+  /// delete of an absent one, an insert/delete pair inside the batch) are
+  /// absorbed. A side's node range grows to the largest endpoint of an
+  /// applied insert + 1, and never shrinks. The matcher runs when an edge
+  /// changed or no batch has run yet, and always to completion: a pending
+  /// graceful stop is honoured between batches. Both new graphs are built
+  /// before either replaces its predecessor, so an allocation failure
+  /// (`std::bad_alloc`, ids implying too many nodes) leaves the session as
+  /// it was.
   ServeBatchStats ApplyBatch(const std::vector<EdgeDelta>& deltas);
 
   const std::vector<NodeId>& map_1to2() const { return map_1to2_; }
   const std::vector<NodeId>& map_2to1() const { return map_2to1_; }
-  const OverlayGraph& g1() const { return o1_; }
-  const OverlayGraph& g2() const { return o2_; }
+  const OverlayGraph& g1() const { return graphs_[0]; }
+  const OverlayGraph& g2() const { return graphs_[1]; }
   size_t num_links() const { return num_links_; }
   size_t num_seeds() const { return seeds_.size(); }
   int batches_applied() const { return batches_applied_; }
@@ -110,14 +145,13 @@ class IncrementalMatcher {
   bool LoadSnapshot(const std::string& path, std::string* error);
 
  private:
-  // Compacts both overlays and runs the batch matcher on them to Done().
+  // Runs the batch matcher on the current graphs to Done().
   void Rerun(ServeBatchStats* stats);
 
   ServeConfig config_;
-  ThreadPool pool_;  // overlay compaction
+  ThreadPool pool_;  // graph rebuilds
 
-  OverlayGraph o1_;
-  OverlayGraph o2_;
+  OverlayGraph graphs_[2];  // g1, g2
   std::vector<std::pair<NodeId, NodeId>> seeds_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;

@@ -64,10 +64,11 @@ namespace reconcile {
 ///   serve_apply            value point in `IncrementalMatcher::ApplyBatch`
 ///                          (value = 1-based batch number, the initial
 ///                          match counting as batch 1), fired after the
-///                          overlays absorbed the deltas but before the
-///                          matcher re-ran on them — the graphs are new,
-///                          the matching is the previous batch's. A
-///                          `stop:` here still finishes the batch
+///                          batch's graphs replaced the session's but
+///                          before the matcher re-ran on them — the graphs
+///                          are new, the matching is the previous
+///                          batch's. A `stop:` here still finishes the
+///                          batch
 ///   after_batch            value point in `reconcile_serve` between
 ///                          re-matching and writing the batch's
 ///                          checkpoint — a crash here loses exactly one

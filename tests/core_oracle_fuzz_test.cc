@@ -384,7 +384,9 @@ struct ServedGraph {
 
 // One drawn batch of 1-12 deltas over both graphs: deletes of present
 // edges, inserts of absent ones, repeats of an earlier delta of the batch,
-// self-loops, and inserts that reach up to 3 ids past a graph's end.
+// self-loops, inserts that reach up to 3 ids past a graph's end, and an
+// insert the batch deletes again, inside the range or past its end (which
+// must not grow it).
 std::vector<EdgeDelta> DrawBatch(Rng& rng, const ServedGraph (&graphs)[2]) {
   std::vector<EdgeDelta> batch;
   const int size = 1 + static_cast<int>(rng.UniformInt(12));
@@ -393,7 +395,7 @@ std::vector<EdgeDelta> DrawBatch(Rng& rng, const ServedGraph (&graphs)[2]) {
     const ServedGraph& g = graphs[graph - 1];
     const NodeId n = std::max<NodeId>(g.num_nodes, 2);
     const NodeId u = static_cast<NodeId>(rng.UniformInt(n));
-    switch (rng.UniformInt(5)) {
+    switch (rng.UniformInt(6)) {
       case 0: {  // delete a present edge
         if (g.edges.empty()) break;
         auto it = g.edges.begin();
@@ -421,6 +423,12 @@ std::vector<EdgeDelta> DrawBatch(Rng& rng, const ServedGraph (&graphs)[2]) {
             graph, true, u,
             g.num_nodes + static_cast<NodeId>(rng.UniformInt(3))});
         break;
+      case 5: {  // insert an edge, then delete it
+        const NodeId v = static_cast<NodeId>(rng.UniformInt(n + 3));
+        batch.push_back(EdgeDelta{graph, true, u, v});
+        batch.push_back(EdgeDelta{graph, false, v, u});
+        break;
+      }
     }
   }
   return batch;

@@ -1,6 +1,6 @@
 // End-to-end crash safety for the serve subsystem: a serve session killed
-// mid-batch (the `serve_apply` value point fires after the overlays
-// absorbed the deltas but BEFORE the matcher re-ran on them — the graphs
+// mid-batch (the `serve_apply` value point fires after the batch's graphs
+// replaced the session's but BEFORE the matcher re-ran on them — the graphs
 // are new, the matching is the previous batch's) must, when resumed from
 // its newest checkpoint, fast-forward the delta stream past the records
 // the snapshot already consumed, re-apply the lost batch and finish with a
@@ -208,7 +208,7 @@ int RunChild(const ChildSpec& spec) {
 }
 
 // One cycle per crash point. serve_apply=N fires inside the (N-1)-th delta
-// batch (the initial match is batch 1), between overlay absorption and the
+// batch (the initial match is batch 1), between the graphs' rebuild and the
 // matcher run.
 void CheckServeKillResume(const std::string& crash_spec,
                           const std::string& tag) {

@@ -60,20 +60,30 @@ struct SideModel {
   EdgeSet edges;
   NodeId num_nodes = 0;
 
-  // Sequential application with the overlay's growth rule: only an
-  // *effective* insert can extend the node range.
+  // Applies one record, in stream order.
   void Apply(const EdgeDelta& d) {
     if (d.u == d.v) return;
-    const auto key = Canon(d.u, d.v);
     if (d.insert) {
-      if (edges.insert(key).second) {
-        num_nodes = std::max({num_nodes, d.u + 1, d.v + 1});
-      }
+      edges.insert(Canon(d.u, d.v));
     } else {
-      edges.erase(key);
+      edges.erase(Canon(d.u, d.v));
     }
   }
+
+  // Closes a batch by the session's growth rule: the node range grows to
+  // cover the edges present after the batch, so an insert the same batch
+  // deletes again grows nothing.
+  void EndBatch() {
+    for (const auto& [u, v] : edges) num_nodes = std::max(num_nodes, v + 1);
+  }
 };
+
+void ApplyBatch(const std::vector<EdgeDelta>& batch, SideModel* model1,
+                SideModel* model2) {
+  for (const EdgeDelta& d : batch) (d.graph == 1 ? model1 : model2)->Apply(d);
+  model1->EndBatch();
+  model2->EndBatch();
+}
 
 struct GridCase {
   const char* name;
@@ -86,8 +96,9 @@ std::string CaseName(const testing::TestParamInfo<GridCase>& info) {
 
 // Deterministic delta script: several batches of deletes of present edges
 // (graph 1 and 2), fresh inserts, re-inserts of previously deleted edges,
-// node growth past the initial range, and one empty batch. Derived from the
-// current models so deletes always hit real edges.
+// node growth past the initial range beside an insert past it that the
+// same batch deletes again, and one empty batch. Derived from the current
+// models so deletes always hit real edges.
 std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
                                                     SideModel model2,
                                                     uint32_t seed) {
@@ -135,10 +146,15 @@ std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
       }
     }
     if (b == 4) {
-      // Grow both graphs: attach brand-new nodes to existing ones.
+      // Grow both graphs: attach brand-new nodes to existing ones. Graph
+      // 1's insert at +5 is deleted again, so it must not grow the range.
       push(1, true, model1.num_nodes + 2, rng() % model1.num_nodes);
       push(2, true, model2.num_nodes + 1, rng() % model2.num_nodes);
+      push(1, true, 0, model1.num_nodes + 5);
+      push(1, false, model1.num_nodes + 5, 0);
     }
+    model1.EndBatch();
+    model2.EndBatch();
     script.push_back(std::move(batch));
   }
   return script;
@@ -181,9 +197,7 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
   }
 
   for (size_t b = 0; b < script.size(); ++b) {
-    for (const EdgeDelta& d : script[b]) {
-      (d.graph == 1 ? model1 : model2).Apply(d);
-    }
+    ApplyBatch(script[b], &model1, &model2);
     const ServeBatchStats stats = matcher.ApplyBatch(script[b]);
     if (script[b].empty()) {
       EXPECT_EQ(stats.deltas_applied, 0u);
@@ -312,14 +326,13 @@ TEST_P(ServeDifferentialTest, GracefulStopMidBatchStillServesFullMatching) {
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
   SideModel model2{ToEdgeSet(pair.g2), pair.g2.num_nodes()};
   const auto script = MakeDeltaScript(model1, model2, 31);
-  for (const EdgeDelta& d : script[0]) {
-    (d.graph == 1 ? model1 : model2).Apply(d);
-  }
+  ApplyBatch(script[0], &model1, &model2);
 
   IncrementalMatcher matcher(pair.g1, pair.g2, seeds, config);
   matcher.ApplyBatch({});
-  // The stop lands after the overlays absorbed batch 2 and before the
-  // matcher ran on them; the batch must still finish its matcher run.
+  // The stop lands after batch 2's graphs replaced the session's and
+  // before the matcher ran on them; the batch must still finish its
+  // matcher run.
   std::string error;
   ASSERT_TRUE(ArmFaults("stop:serve_apply=2", &error)) << error;
   const ServeBatchStats stats = matcher.ApplyBatch(script[0]);

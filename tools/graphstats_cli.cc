@@ -48,39 +48,9 @@ Exit codes:
   2  usage error
 )";
 
-int Run(int argc, const char* const argv[]) {
-  Flags flags;
-  std::string error;
-  if (!flags.Parse(argc, argv, &error)) {
-    std::cerr << "flag error: " << error << "\n";
-    return 2;
-  }
-  if (flags.GetBool("help", false)) {
-    std::printf("%s", kUsage);
-    return 0;
-  }
-  if (flags.positional().size() != 1) {
-    std::cerr << "usage: graphstats_cli <edge-list-file> [--binary] [--ccdf] "
-                 "[--cores]\n";
-    return 2;
-  }
-  const std::string path = flags.positional()[0];
-  EdgeList edges;
-  const bool ok = flags.GetBool("binary", false)
-                      ? ReadEdgeListBinary(path, &edges)
-                      : ReadEdgeListText(path, &edges);
-  // The loader has printed its one line naming the file.
-  if (!ok) return 1;
-  const NodeId nodes = edges.num_nodes();
-  Graph g;
-  try {
-    g = Graph::FromEdgeList(std::move(edges));
-  } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
-                 path.c_str(), nodes);
-    return 1;
-  }
-
+// Prints the statistics table of `g`, then the CCDF and the k-core
+// profile if asked.
+void PrintStatistics(const Graph& g, const Flags& flags) {
   StatisticsOptions options;
   options.power_law_dmin =
       static_cast<NodeId>(flags.GetInt("power-law-dmin", 5));
@@ -125,6 +95,42 @@ int Run(int argc, const char* const argv[]) {
         if (c >= k) ++count;
       std::printf("  k = %-8u %zu\n", k, count);
     }
+  }
+}
+
+int Run(int argc, const char* const argv[]) {
+  Flags flags;
+  std::string error;
+  if (!flags.Parse(argc, argv, &error)) {
+    std::cerr << "flag error: " << error << "\n";
+    return 2;
+  }
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
+  if (flags.positional().size() != 1) {
+    std::cerr << "usage: graphstats_cli <edge-list-file> [--binary] [--ccdf] "
+                 "[--cores]\n";
+    return 2;
+  }
+  const std::string path = flags.positional()[0];
+  EdgeList edges;
+  const bool ok = flags.GetBool("binary", false)
+                      ? ReadEdgeListBinary(path, &edges)
+                      : ReadEdgeListText(path, &edges);
+  // The loader has printed its one line naming the file.
+  if (!ok) return 1;
+  // The build and the statistics allocate per node; ids implying more
+  // nodes than the host can allocate are one line naming the file.
+  const NodeId nodes = edges.num_nodes();
+  try {
+    const Graph g = Graph::FromEdgeList(std::move(edges));
+    PrintStatistics(g, flags);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
+                 path.c_str(), nodes);
+    return 1;
   }
   return 0;
 }

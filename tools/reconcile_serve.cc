@@ -193,91 +193,16 @@ void PrintBatch(const ServeBatchStats& stats, bool initial, bool phase_table) {
   std::fflush(stdout);
 }
 
-int RunServe(const Flags& flags) {
-  if (flags.GetBool("help", false)) {
-    std::printf("%s", kUsage);
-    return 0;
-  }
-  if (!flags.Has("g1") || !flags.Has("g2")) {
-    std::fprintf(stderr, "--g1 and --g2 are required (see --help)\n");
-    return 2;
-  }
-  if (flags.Has("seeds") == flags.Has("identity-seeds")) {
-    std::fprintf(stderr,
-                 "exactly one of --seeds / --identity-seeds is required\n");
-    return 2;
-  }
+// Serves the stream on a session over `g1` and `g2`: the initial match (or
+// a resume), then every batch, then the outputs. `*input` names what the
+// session is working on, for the caller's message if an allocation fails.
+int ServeSession(const Flags& flags, const ServeConfig& config, Graph g1,
+                 Graph g2, const std::vector<std::pair<NodeId, NodeId>>& seeds,
+                 std::string* input) {
+  IncrementalMatcher matcher(std::move(g1), std::move(g2), seeds, config);
 
-  if (!IntFlagsInRange(flags)) return 2;
-
-  ServeConfig config;
-  MatcherConfig& mc = config.matcher;
-  mc.min_score = static_cast<uint32_t>(flags.GetInt("threshold", 2));
-  mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
-  mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
-  mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  if (flags.Has("fault")) {
-    std::string error;
-    if (!ArmFaults(flags.GetString("fault", ""), &error,
-                   FaultScope::kServe)) {
-      std::fprintf(stderr, "--fault=%s: %s\n",
-                   flags.GetString("fault", "").c_str(), error.c_str());
-      return 2;
-    }
-  }
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
   const bool checkpointing = !checkpoint_dir.empty();
-  const bool resume = flags.GetBool("resume", false);
-  if (resume && !checkpointing) {
-    std::fprintf(stderr,
-                 "--resume=%s needs --checkpoint-dir: there is no checkpoint "
-                 "to resume from\n",
-                 flags.GetString("resume", "").c_str());
-    return 2;
-  }
-
-  Graph g1, g2;
-  if (!LoadGraph(flags.GetString("g1", ""), &g1) ||
-      !LoadGraph(flags.GetString("g2", ""), &g2)) {
-    return 1;
-  }
-
-  std::vector<std::pair<NodeId, NodeId>> seeds;
-  if (flags.Has("seeds")) {
-    std::vector<std::pair<NodeId, NodeId>> marked;
-    if (!ReadMatchingText(flags.GetString("seeds", ""), &seeds, &marked)) {
-      std::fprintf(stderr, "cannot read --seeds=%s\n",
-                   flags.GetString("seeds", "").c_str());
-      return 1;
-    }
-    // The session takes its seeds as trusted, so a seed past either graph
-    // or sharing a node with an earlier one stops here, with the file named.
-    std::vector<NodeId> map_1to2, map_2to1;
-    std::string error;
-    if (!MapsFromLinks(seeds, g1.num_nodes(), g2.num_nodes(), &map_1to2,
-                       &map_2to1, &error)) {
-      std::fprintf(stderr, "--seeds=%s: seed %s\n",
-                   flags.GetString("seeds", "").c_str(), error.c_str());
-      return 1;
-    }
-  } else {
-    const long long n = flags.GetInt("identity-seeds", 0);
-    if (n <= 0 || n > g1.num_nodes() || n > g2.num_nodes()) {
-      std::fprintf(stderr,
-                   "--identity-seeds=%lld out of range for the graphs\n", n);
-      return 2;
-    }
-    seeds.reserve(static_cast<size_t>(n));
-    for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
-      seeds.emplace_back(i, i);
-    }
-  }
-  std::printf("g1 %u nodes / %zu edges | g2 %u nodes / %zu edges | "
-              "seeds %zu\n",
-              g1.num_nodes(), g1.num_edges(), g2.num_nodes(), g2.num_edges(),
-              seeds.size());
-
-  IncrementalMatcher matcher(std::move(g1), std::move(g2), seeds, config);
 
   const int checkpoint_every =
       static_cast<int>(flags.GetInt("checkpoint-every", 1));
@@ -291,12 +216,15 @@ int RunServe(const Flags& flags) {
                    error.c_str());
       return 1;
     }
-    if (resume) {
+    if (flags.GetBool("resume", false)) {
+      const std::string graphs = *input;
+      *input = "--checkpoint-dir=" + checkpoint_dir;
       const std::string path = ResumeFromNewestCheckpoint(
           checkpoint_dir, kServeCheckpointPrefix, checkpoint_keep,
           [&matcher](const std::string& path, std::string* error) {
             return matcher.LoadSnapshot(path, error);
           });
+      *input = graphs;
       resumed = !path.empty();
       if (resumed) {
         std::printf("resumed from %s (%d batches applied, %zu links, "
@@ -368,6 +296,8 @@ int RunServe(const Flags& flags) {
         break;
       }
       if (!batch.empty()) {
+        *input = "--deltas=" + flags.GetString("deltas", "") + " batch " +
+                 std::to_string(matcher.batches_applied() + 1);
         PrintBatch(matcher.ApplyBatch(batch), /*initial=*/false, phase_table);
         // Fault hook between re-matching and persisting the batch: a
         // `crash:after_batch=k` kill loses exactly this batch's state and
@@ -395,17 +325,16 @@ int RunServe(const Flags& flags) {
                  flags.GetString("save-matching", "").c_str());
     return 1;
   }
-  auto save_graph = [](const OverlayGraph& o, const std::string& path) {
-    return WriteEdgeListText(Graph::FromEdgeList(o.Materialize()), path);
-  };
   if (flags.Has("save-g1") &&
-      !save_graph(matcher.g1(), flags.GetString("save-g1", ""))) {
+      !WriteEdgeListText(matcher.g1().graph(),
+                         flags.GetString("save-g1", ""))) {
     std::fprintf(stderr, "cannot write --save-g1=%s\n",
                  flags.GetString("save-g1", "").c_str());
     return 1;
   }
   if (flags.Has("save-g2") &&
-      !save_graph(matcher.g2(), flags.GetString("save-g2", ""))) {
+      !WriteEdgeListText(matcher.g2().graph(),
+                         flags.GetString("save-g2", ""))) {
     std::fprintf(stderr, "cannot write --save-g2=%s\n",
                  flags.GetString("save-g2", "").c_str());
     return 1;
@@ -415,6 +344,107 @@ int RunServe(const Flags& flags) {
     std::fprintf(stderr, "warning: unused flag --%s\n", key.c_str());
   }
   return stream_error ? 1 : 0;
+}
+
+int RunServe(const Flags& flags) {
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
+  if (!flags.Has("g1") || !flags.Has("g2")) {
+    std::fprintf(stderr, "--g1 and --g2 are required (see --help)\n");
+    return 2;
+  }
+  if (flags.Has("seeds") == flags.Has("identity-seeds")) {
+    std::fprintf(stderr,
+                 "exactly one of --seeds / --identity-seeds is required\n");
+    return 2;
+  }
+
+  if (!IntFlagsInRange(flags)) return 2;
+
+  ServeConfig config;
+  MatcherConfig& mc = config.matcher;
+  mc.min_score = static_cast<uint32_t>(flags.GetInt("threshold", 2));
+  mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
+  mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
+  mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
+  if (flags.Has("fault")) {
+    std::string error;
+    if (!ArmFaults(flags.GetString("fault", ""), &error,
+                   FaultScope::kServe)) {
+      std::fprintf(stderr, "--fault=%s: %s\n",
+                   flags.GetString("fault", "").c_str(), error.c_str());
+      return 2;
+    }
+  }
+  if (flags.GetBool("resume", false) &&
+      flags.GetString("checkpoint-dir", "").empty()) {
+    std::fprintf(stderr,
+                 "--resume=%s needs --checkpoint-dir: there is no checkpoint "
+                 "to resume from\n",
+                 flags.GetString("resume", "").c_str());
+    return 2;
+  }
+
+  Graph g1, g2;
+  if (!LoadGraph(flags.GetString("g1", ""), &g1) ||
+      !LoadGraph(flags.GetString("g2", ""), &g2)) {
+    return 1;
+  }
+
+  std::vector<std::pair<NodeId, NodeId>> seeds;
+  if (flags.Has("seeds")) {
+    std::vector<std::pair<NodeId, NodeId>> marked;
+    if (!ReadMatchingText(flags.GetString("seeds", ""), &seeds, &marked)) {
+      std::fprintf(stderr, "cannot read --seeds=%s\n",
+                   flags.GetString("seeds", "").c_str());
+      return 1;
+    }
+    // The session takes its seeds as trusted, so a seed past either graph
+    // or sharing a node with an earlier one stops here, with the file named.
+    std::vector<NodeId> map_1to2, map_2to1;
+    std::string error;
+    if (!MapsFromLinks(seeds, g1.num_nodes(), g2.num_nodes(), &map_1to2,
+                       &map_2to1, &error)) {
+      std::fprintf(stderr, "--seeds=%s: seed %s\n",
+                   flags.GetString("seeds", "").c_str(), error.c_str());
+      return 1;
+    }
+  } else {
+    const long long n = flags.GetInt("identity-seeds", 0);
+    if (n <= 0 || n > g1.num_nodes() || n > g2.num_nodes()) {
+      std::fprintf(stderr,
+                   "--identity-seeds=%lld out of range for the graphs\n", n);
+      return 2;
+    }
+    seeds.reserve(static_cast<size_t>(n));
+    for (NodeId i = 0; i < static_cast<NodeId>(n); ++i) {
+      seeds.emplace_back(i, i);
+    }
+  }
+  std::printf("g1 %u nodes / %zu edges | g2 %u nodes / %zu edges | "
+              "seeds %zu\n",
+              g1.num_nodes(), g1.num_edges(), g2.num_nodes(), g2.num_edges(),
+              seeds.size());
+
+  // Past the graphs' build the session allocates per-node state, the
+  // matcher's included, and each batch the graphs it grows to. An
+  // allocation the host refuses (ids implying too many nodes) is one line
+  // naming the input and exit 1, before that batch's checkpoint or any
+  // --save-* output, so the newest checkpoint stays the resume point.
+  std::string input = "--g1=" + flags.GetString("g1", "") +
+                      " --g2=" + flags.GetString("g2", "");
+  try {
+    return ServeSession(flags, config, std::move(g1), std::move(g2), seeds,
+                        &input);
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr,
+                 "error: %s: cannot allocate the session's graphs and "
+                 "state\n",
+                 input.c_str());
+    return 1;
+  }
 }
 
 }  // namespace
