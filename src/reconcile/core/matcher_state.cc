@@ -374,15 +374,16 @@ class RowMerger {
 //  3. Append (per cell): the delta becomes the base of an empty cell, or
 //     joins the cell's delta tier, which folds into the base run once it
 //     reaches a quarter of it. Both merges leave the dead pairs out. A cell
-//     at a level `covered` or up, one the best tables already hold, also
-//     hands each delta pair's new total to selection
-//     (`SelectionEngine::DeltaObserver`), which keeps the cell's open pairs
-//     in `(*observed)[level * width + shard]` and counts the pairs as read.
+//     at a level `covered` or up, one the best tables already hold, first
+//     hands each delta pair's total after the append to selection
+//     (`ForEachAfterAppend` into `SelectionEngine::DeltaObserver`), which
+//     keeps the cell's open pairs in `(*observed)[level * width + shard]`
+//     and counts the pairs as read.
 //
 // Each cell thus receives the live part of the run that sorting and
 // counting the per-witness keys would give, once per round, so the cells
 // do not depend on how the delta was built. `emit_seconds` covers steps 1
-// and 2; `merge_seconds` is the append, observing included.
+// and 2; `merge_seconds` is step 3, the lookups included.
 void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
                              int covered,
                              std::vector<SelectionCell>* observed) {
@@ -476,15 +477,14 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
     const auto [level, shard] = deltas[i];
     RowRun& run = cells[shard][level];
     TieredCountRuns& store = runs_[level][shard];
-    if (static_cast<int>(level) < covered) {
-      store.Append(std::move(run), dead);
-      return;
+    if (static_cast<int>(level) >= covered) {
+      reads[i] = run.size();
+      store.ForEachAfterAppend(
+          run.view(),
+          selection_.DeltaObserver(
+              ctx, &(*observed)[level * num_shards + shard].open, &folds[i]));
     }
-    reads[i] = run.size();
-    std::vector<std::pair<uint64_t, uint32_t>>* open =
-        &(*observed)[level * num_shards + shard].open;
-    store.Append(std::move(run), dead,
-                 selection_.DeltaObserver(ctx, open, &folds[i]));
+    store.Append(std::move(run), dead);
   });
   for (size_t i = 0; i < deltas.size(); ++i) {
     stats->candidate_pairs += reads[i];
@@ -600,10 +600,10 @@ SelectionContext MatcherState::Context() {
 // have degree >= 2^bucket_exponent on both sides). Returns links accepted.
 //
 // The best tables live for the iteration (`core/selection.h`), so the round
-// folds in only what changed: (ii) during the append, the new totals of
-// the delta's pairs on the levels the tables already hold; (i) after it,
-// every pair of the levels this round makes eligible, [bucket,
-// CoveredLevel()). `merge_seconds` covers (ii), `scan_seconds` (i).
+// folds in only what changed: (ii) just before each cell's append, the new
+// totals of the delta's pairs on the levels the tables already hold; (i)
+// after the append, every pair of the levels this round makes eligible,
+// [bucket, CoveredLevel()). `merge_seconds` covers (ii), `scan_seconds` (i).
 size_t MatcherState::Round(int iteration, int bucket_exponent) {
   Timer timer;
   PhaseStats stats;

@@ -47,10 +47,11 @@ struct SelectionCell {
 /// levels only widen, and a pair leaves the store only once both of its
 /// ends are matched. So a round folds in only what changed since the last
 /// one, in three passes, each claiming one cell at a time:
-///  * observe — (ii) `DeltaObserver`, as the round's delta is appended: the
-///    new totals of the delta's pairs on levels earlier rounds of the
-///    iteration made eligible, which the merge into a cell's delta tier
-///    gives up to the base's share, looked up by (u, v); and (i) in
+///  * observe — (ii) `DeltaObserver`, just before the round's delta is
+///    appended: the new totals of the delta's pairs on levels earlier
+///    rounds of the iteration made eligible, each its delta count plus its
+///    count in each tier of the cell, looked up by (u, v)
+///    (`TieredCountRuns::ForEachAfterAppend`); and (i) in
 ///    `SelectAndCommit`, after the append: every pair of the levels this
 ///    round makes eligible, read once. A pair observed again at a higher
 ///    total leaves the tables as if only its current total had been: each
@@ -85,11 +86,12 @@ class SelectionEngine {
   /// Starts an outer iteration: forgets every observation.
   void StartIteration();
 
-  /// (ii) The observer a cell's append calls with each pair of the round's
-  /// delta and the pair's total once appended (`TieredCountRuns::Append`):
-  /// folds the pairs at or above T into the tables, keeps the open ones in
-  /// `*open` and counts the folds in `*folds`. Cells may append in
-  /// parallel; `ctx`'s maps must not change meanwhile.
+  /// (ii) The observer of a cell's lookup pass, called with each pair of the
+  /// round's delta and the pair's total once appended
+  /// (`TieredCountRuns::ForEachAfterAppend`): folds the pairs at or above T
+  /// into the tables, keeps the open ones in `*open` and counts the folds
+  /// in `*folds`. Cells may run it in parallel; `ctx`'s maps must not
+  /// change meanwhile.
   auto DeltaObserver(const SelectionContext& ctx,
                      std::vector<std::pair<uint64_t, uint32_t>>* open,
                      size_t* folds) {

@@ -152,8 +152,13 @@ void RunWorkStealing(ThreadPool* pool, size_t n, size_t grain,
     }
   };
 
-  for (int i = 0; i < slots; ++i) {
-    pool->Submit([&worker, i] { worker(i); });
+  try {
+    for (int i = 0; i < slots; ++i) {
+      pool->Submit([&worker, i] { worker(i); });
+    }
+  } catch (...) {
+    pool->Wait();  // the workers submitted so far read this frame
+    throw;
   }
   pool->Wait();
 }

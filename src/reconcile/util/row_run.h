@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 #include "reconcile/util/logging.h"
@@ -98,9 +97,9 @@ class RowRun {
     }
   }
 
-  template <typename Drop, typename Observe>
+  template <typename Drop>
   friend RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                             const Drop& drop, Observe&& observe);
+                             const Drop& drop);
 
  private:
 
@@ -246,9 +245,9 @@ class RowLookup {
 /// row go to `single(cursor, limit)` as one span, which must consume every
 /// row of the cursor's run with u below `limit` (at least one): decode its
 /// entries in order and leave the cursor on the next row. A row both runs
-/// hold is merged by v: `pair(u, v, total, in_b)` once per distinct v in
-/// ascending order, the totals of a v in both rows summed in u32 and
-/// `in_b` true when b's row holds v, then `row_done(u)`.
+/// hold is merged by v: `pair(u, v, total)` once per distinct v in
+/// ascending order, the totals of a v in both rows summed in u32, then
+/// `row_done(u)`.
 template <typename Single, typename Pair, typename RowDone>
 void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
               Pair&& pair, RowDone&& row_done) {
@@ -270,16 +269,16 @@ void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
       const uint32_t va = a.vs[i];
       const uint32_t vb = b.vs[j];
       if (va < vb) {
-        pair(u, va, ca.Count(i++), false);
+        pair(u, va, ca.Count(i++));
       } else if (vb < va) {
-        pair(u, vb, cb.Count(j++), true);
+        pair(u, vb, cb.Count(j++));
       } else {
         const uint32_t total = ca.Count(i++);
-        pair(u, va, total + cb.Count(j++), true);
+        pair(u, va, total + cb.Count(j++));
       }
     }
-    for (; i < i_end; ++i) pair(u, a.vs[i], ca.Count(i), false);
-    for (; j < j_end; ++j) pair(u, b.vs[j], cb.Count(j), true);
+    for (; i < i_end; ++i) pair(u, a.vs[i], ca.Count(i));
+    for (; j < j_end; ++j) pair(u, b.vs[j], cb.Count(j));
     row_done(u);
     ca.NextRow();
     cb.NextRow();
@@ -288,14 +287,11 @@ void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
 
 /// Merges two runs into one, summing the counts of pairs present in both
 /// and leaving out the entries `drop` names. Either view may be empty, so a
-/// one-run rewrite (a filter) is a merge with an empty run. Given an
-/// `observe`, calls `observe(u, v, total)` for every pair of b the output
-/// keeps, in ascending order, with its total in the output.
-template <typename Drop, typename Observe>
+/// one-run rewrite (a filter) is a merge with an empty run.
+template <typename Drop>
 RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                    const Drop& drop, Observe&& observe) {
+                    const Drop& drop) {
   using row_run_internal::Cursor;
-  constexpr bool kObserve = !std::is_null_pointer_v<std::decay_t<Observe>>;
   RowRun out;
   out.rows_.reserve(a.num_rows + b.num_rows);
   out.vs_.reserve(a.size + b.size);
@@ -304,19 +300,11 @@ RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
       a, b,
       // Rows of one run are copied as they are, a stretch at a time, except
       // the rows the rule may drop from.
-      [&out, &drop, &observe, &b](Cursor& c, uint64_t limit) {
-        const bool observed = kObserve && &c.run == &b;
+      [&out, &drop](Cursor& c, uint64_t limit) {
         while (!c.done() && c.u() < limit) {
           const size_t first = c.row;
           while (!c.done() && c.u() < limit && !drop.Row(c.u())) ++c.row;
           if (c.row > first) {
-            if constexpr (kObserve) {
-              if (observed) {
-                Cursor copy = c;
-                copy.row = first;
-                row_run_internal::ForEachEntry(copy, c.row, observe);
-              }
-            }
             out.CopyRows(c.run, first, c.row, c.entry, &c.escape);
             c.entry = c.run.rows[c.row - 1].end;
           }
@@ -324,32 +312,17 @@ RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
           const uint32_t u = c.u();
           for (size_t i = c.entry; i < c.end(); ++i) {
             const uint32_t count = c.Count(i);
-            if (drop.Entry(c.run.vs[i])) continue;
-            out.PushEntry(c.run.vs[i], count);
-            if constexpr (kObserve) {
-              if (observed) observe(u, c.run.vs[i], count);
-            }
+            if (!drop.Entry(c.run.vs[i])) out.PushEntry(c.run.vs[i], count);
           }
           out.CloseRow(u);
           c.NextRow();
         }
       },
-      [&out, &drop, &observe](uint32_t u, uint32_t v, uint32_t total,
-                              bool in_b) {
-        if (drop.Row(u) && drop.Entry(v)) return;
-        out.PushEntry(v, total);
-        if constexpr (kObserve) {
-          if (in_b) observe(u, v, total);
-        }
+      [&out, &drop](uint32_t u, uint32_t v, uint32_t total) {
+        if (!(drop.Row(u) && drop.Entry(v))) out.PushEntry(v, total);
       },
       [&out](uint32_t u) { out.CloseRow(u); });
   return out;
-}
-
-template <typename Drop>
-RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                    const Drop& drop) {
-  return MergeRowRuns(a, b, drop, nullptr);
 }
 
 }  // namespace reconcile

@@ -1,18 +1,27 @@
 #include "reconcile/util/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace reconcile {
 
 ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(1, num_threads);
   workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  try {
+    for (int i = 0; i < n; ++i) {
+      workers_.emplace_back([this] { WorkerLoop(); });
+    }
+  } catch (...) {
+    // A joinable std::thread destroyed unjoined would terminate the process.
+    JoinWorkers();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { JoinWorkers(); }
+
+void ThreadPool::JoinWorkers() {
   {
     std::unique_lock<std::mutex> lock(mutex_);
     shutting_down_ = true;
@@ -30,8 +39,14 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  work_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    work_done_.wait(lock,
+                    [this] { return queue_.empty() && in_flight_ == 0; });
+    error = std::exchange(error_, nullptr);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 int ThreadPool::DefaultThreads() {
@@ -66,9 +81,15 @@ void ThreadPool::WorkerLoop() {
       queue_.pop();
       ++in_flight_;
     }
-    task();
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     {
       std::unique_lock<std::mutex> lock(mutex_);
+      if (error && !error_) error_ = std::move(error);
       --in_flight_;
       if (queue_.empty() && in_flight_ == 0) work_done_.notify_all();
     }

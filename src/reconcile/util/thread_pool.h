@@ -2,6 +2,7 @@
 #define RECONCILE_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -16,10 +17,13 @@ namespace reconcile {
 /// `util/parallel_for.h`. Tasks may be submitted from any thread; `Wait()`
 /// blocks until the queue is drained and all in-flight tasks finished. The
 /// pool is intentionally minimal: no futures, no task priorities — callers
-/// build their own barriers on top of `Wait()`.
+/// build their own barriers on top of `Wait()`. An exception a task throws
+/// ends that task only; `Wait()` hands the first one back to its caller.
 class ThreadPool {
  public:
   /// Creates a pool with `num_threads` workers (values < 1 are clamped to 1).
+  /// If a worker cannot be started, joins the ones that were and rethrows
+  /// (`std::system_error` from `std::thread`).
   explicit ThreadPool(int num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -31,7 +35,9 @@ class ThreadPool {
   /// Enqueues a task for execution.
   void Submit(std::function<void()> task);
 
-  /// Blocks until all submitted tasks have completed.
+  /// Blocks until all submitted tasks have completed, then rethrows the
+  /// first exception a task threw since the last `Wait`, if any. The pool
+  /// stays usable either way.
   void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
@@ -64,6 +70,8 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  // Stops the workers once the queue is drained and joins them.
+  void JoinWorkers();
 
   std::mutex mutex_;
   std::condition_variable work_available_;
@@ -72,6 +80,7 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   int in_flight_ = 0;
   bool shutting_down_ = false;
+  std::exception_ptr error_;  // the first a task threw since the last Wait
 };
 
 }  // namespace reconcile

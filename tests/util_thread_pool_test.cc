@@ -1,6 +1,18 @@
 #include "reconcile/util/thread_pool.h"
 
+#include <pthread.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <exception>
+#include <fstream>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -90,6 +102,78 @@ TEST(ThreadPoolTest, DestructorJoinsCleanly) {
     pool.Wait();
   }
   EXPECT_EQ(counter.load(), 20);
+}
+
+// A task that throws ends only itself: `Wait()` hands the exception to its
+// caller once every other task has run, hands it over once, and the pool
+// takes the next batch as before.
+TEST(ThreadPoolTest, WaitRethrowsATaskExceptionOnceEveryTaskRan) {
+  ThreadPool pool(4);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 40; ++i) {
+    pool.Submit([&ran, i] {
+      if (i == 7) throw std::bad_alloc();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ran.fetch_add(1);
+    });
+  }
+  EXPECT_THROW(pool.Wait(), std::bad_alloc);
+  EXPECT_EQ(ran.load(), 39);
+  pool.Wait();  // already handed back
+  pool.Submit([&ran] { ran.fetch_add(1); });
+  pool.Wait();
+  EXPECT_EQ(ran.load(), 40);
+}
+
+// Of several throwing tasks, `Wait()` rethrows one, and only one.
+TEST(ThreadPoolTest, WaitRethrowsOneOfSeveralExceptions) {
+  ThreadPool pool(3);
+  for (int i = 0; i < 6; ++i) {
+    pool.Submit([i] { throw std::runtime_error("task " + std::to_string(i)); });
+  }
+  try {
+    pool.Wait();
+    ADD_FAILURE() << "Wait() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("task ", 0), 0u) << e.what();
+  }
+  pool.Wait();
+}
+
+// The bytes of this process's address space.
+size_t AddressSpaceBytes() {
+  size_t pages = 0;
+  std::ifstream("/proc/self/statm") >> pages;
+  return pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+// A worker the host will not start: the constructor joins the workers it
+// started and throws, where destroying them unjoined would terminate the
+// process. A child process caps its address space at room for about two
+// more thread stacks, then asks for sixteen workers.
+TEST(ThreadPoolDeathTest, ConstructorThrowsWhenAWorkerCannotStart) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer runtimes map shadow memory a cap would refuse";
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        pthread_attr_t attr;
+        size_t stack = 0;
+        ::pthread_getattr_default_np(&attr);
+        ::pthread_attr_getstacksize(&attr, &stack);
+        rlimit cap{};
+        ::getrlimit(RLIMIT_AS, &cap);
+        cap.rlim_cur = AddressSpaceBytes() + 5 * stack / 2;
+        ::setrlimit(RLIMIT_AS, &cap);
+        try {
+          ThreadPool pool(16);
+          std::exit(2);
+        } catch (const std::exception&) {
+          std::exit(0);
+        }
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ThreadPoolTest, DefaultThreadsPositive) {

@@ -6,15 +6,21 @@
 // pairs a drop rule names may leave on any rewrite.
 #include "reconcile/util/tiered_store.h"
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "make_run.h"
 #include "reconcile/util/rng.h"
+#include "reconcile/util/spill_store.h"
+#include "scratch_path.h"
 
 namespace reconcile {
 namespace {
@@ -252,6 +258,84 @@ TEST(TieredStoreTest, RewritesLeaveNamedPairsOut) {
       }
     }
   }
+}
+
+// The lookup pass: before the append, `ForEachAfterAppend` reports each
+// delta pair's total as the delta's count plus one `RowLookup` per tier,
+// and that must be the total `ForEach(0)` shows for the pair after
+// `Append`. The cells are random and two-tier: both tiers and the deltas
+// hold totals of 255 and more (a lookup that lands on one must have
+// counted the escapes before it), rows and pairs only one tier or only the
+// delta holds, and, in every other trial, a base and a delta spilled, so
+// the lookups read the mappings.
+TEST(TieredStoreTest, LookupPassGivesEveryDeltaPairItsTotalAfterAppend) {
+  const std::string dir = ScratchPath("tiered_store_lookup_spill");
+  SpillStore spill(dir);
+  Rng rng(2029);
+  // About `draws` pairs in rows [0, rows) and columns [0, cols); one total
+  // in six is 255 or more.
+  auto random_totals = [&rng](size_t draws, uint64_t rows, uint64_t cols) {
+    std::map<uint64_t, uint32_t> totals;
+    for (size_t i = 0; i < draws; ++i) {
+      const uint64_t key = PackPair(static_cast<NodeId>(rng.UniformInt(rows)),
+                                    static_cast<NodeId>(rng.UniformInt(cols)));
+      totals[key] = rng.UniformInt(6) == 0
+                        ? static_cast<uint32_t>(rng.UniformIntInRange(255, 70000))
+                        : static_cast<uint32_t>(rng.UniformIntInRange(1, 254));
+    }
+    return totals;
+  };
+  size_t lookups = 0, escaped_hits = 0, spilled_cells = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    TieredCountRuns store;
+    // A base over rows 0-39 and a delta tier under a quarter of it that
+    // reaches rows 40-49, which the base does not hold.
+    std::map<uint64_t, uint32_t> stored = random_totals(400, 40, 60);
+    store.Append(RunOfTotals(stored));
+    const std::map<uint64_t, uint32_t> tier = random_totals(60, 50, 60);
+    for (const auto& [key, total] : tier) stored[key] += total;
+    store.Append(RunOfTotals(tier));
+    ASSERT_EQ(store.num_tiers(), 2u);
+    if (trial % 2 == 1) {
+      std::string error;
+      ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+      ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+      ASSERT_TRUE(store.tier_spilled(0) && store.tier_spilled(1));
+      ++spilled_cells;
+    }
+    // The delta reaches rows and columns neither tier holds; the larger
+    // ones fold the delta tier into the base.
+    const std::map<uint64_t, uint32_t> delta =
+        random_totals(1 + rng.UniformInt(150), 60, 70);
+    RowRun run = RunOfTotals(delta);
+    std::map<uint64_t, uint32_t> reported;
+    store.ForEachAfterAppend(
+        run.view(), [&reported](NodeId u, NodeId v, uint32_t total) {
+          if (!reported.empty()) {
+            EXPECT_GT(PackPair(u, v), reported.rbegin()->first)
+                << "the pass must ascend";
+          }
+          reported.emplace(PackPair(u, v), total);
+        });
+    ASSERT_EQ(reported.size(), delta.size());
+    for (const auto& [key, total] : delta) {
+      const auto it = stored.find(key);
+      if (it != stored.end() && it->second >= kEscapedCount) ++escaped_hits;
+    }
+    store.Append(std::move(run));
+    const std::map<uint64_t, uint32_t> after = Aggregate(store);
+    for (const auto& [key, total] : reported) {
+      ASSERT_EQ(after.count(key), 1u) << key;
+      EXPECT_EQ(total, after.at(key)) << "pair " << key;
+      EXPECT_EQ(total, stored[key] + delta.at(key)) << "pair " << key;
+      ++lookups;
+    }
+  }
+  ::rmdir(dir.c_str());
+  EXPECT_GT(lookups, 1000u);
+  EXPECT_GT(escaped_hits, 10u);
+  EXPECT_EQ(spilled_cells, 20u);
 }
 
 TEST(RowRunTest, MergeMatchesMapReference) {

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,6 +162,33 @@ TEST(ParallelProduceTest, EmptyRangeLeavesDefaultDeltas) {
   std::vector<int> deltas = ParallelProduce<int>(
       &pool, 0, 1, [](int& delta, size_t, size_t) { delta = -1; });
   for (int d : deltas) EXPECT_EQ(d, 0);
+}
+
+// A body that throws reaches the caller of the loop, after every worker
+// has stopped: at one index, at the first and the last, and at every index
+// (no worker left to drain the others' ranges). The pool then runs the next
+// loop over every index.
+TEST(WorkStealingTest, ExceptionInBodyReachesTheCaller) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 1000;
+  for (size_t bad : {size_t{437}, size_t{0}, kN - 1, kN}) {
+    SCOPED_TRACE("throwing at " + (bad == kN ? std::string("every index")
+                                             : std::to_string(bad)));
+    std::atomic<size_t> ran{0};
+    try {
+      ParallelForEach(&pool, kN, [&ran, bad](size_t i) {
+        if (bad == kN || i == bad) throw std::runtime_error("bad index");
+        ran.fetch_add(1);
+      });
+      ADD_FAILURE() << "the loop did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "bad index");
+    }
+    EXPECT_LT(ran.load(), kN);
+    std::vector<std::atomic<int>> touched(kN);
+    ParallelForEach(&pool, kN, [&touched](size_t i) { touched[i].fetch_add(1); });
+    for (size_t i = 0; i < kN; ++i) ASSERT_EQ(touched[i].load(), 1) << i;
+  }
 }
 
 }  // namespace

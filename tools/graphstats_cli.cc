@@ -14,7 +14,9 @@
 #include <cstdio>
 #include <iostream>
 #include <new>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "reconcile/eval/table.h"
 #include "reconcile/graph/io.h"
@@ -42,9 +44,10 @@ Flags:
 
 Exit codes:
   0  success
-  1  runtime I/O failure (missing, unreadable or malformed input file,
-     or node ids implying a graph too large to allocate — one stderr
-     line names the file and what was wrong)
+  1  runtime failure (missing, unreadable or malformed input file,
+     node ids implying a graph too large to allocate, or memory or a
+     worker thread the host refuses — one stderr line names the file
+     and what was wrong)
   2  usage error
 )";
 
@@ -115,21 +118,33 @@ int Run(int argc, const char* const argv[]) {
     return 2;
   }
   const std::string path = flags.positional()[0];
-  EdgeList edges;
-  const bool ok = flags.GetBool("binary", false)
-                      ? ReadEdgeListBinary(path, &edges)
-                      : ReadEdgeListText(path, &edges);
-  // The loader has printed its one line naming the file.
-  if (!ok) return 1;
-  // The build and the statistics allocate per node; ids implying more
-  // nodes than the host can allocate are one line naming the file.
-  const NodeId nodes = edges.num_nodes();
+  // The read, the build and the statistics allocate, in part on the shared
+  // pool's workers, which hand a failure back to this thread. Memory the
+  // host refuses (ids implying more nodes than it can allocate, say) or a
+  // worker it will not start is one line naming the file.
+  std::optional<NodeId> nodes;  // known once the list is read
   try {
+    EdgeList edges;
+    const bool ok = flags.GetBool("binary", false)
+                        ? ReadEdgeListBinary(path, &edges)
+                        : ReadEdgeListText(path, &edges);
+    // The loader has printed its one line naming the file.
+    if (!ok) return 1;
+    nodes = edges.num_nodes();
     const Graph g = Graph::FromEdgeList(std::move(edges));
     PrintStatistics(g, flags);
   } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
-                 path.c_str(), nodes);
+    if (nodes) {
+      std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
+                   path.c_str(), *nodes);
+    } else {
+      std::fprintf(stderr, "error: %s: cannot allocate the edge list\n",
+                   path.c_str());
+    }
+    return 1;
+  } catch (const std::system_error& e) {
+    std::fprintf(stderr, "error: %s: cannot start a worker thread (%s)\n",
+                 path.c_str(), e.what());
     return 1;
   }
   return 0;

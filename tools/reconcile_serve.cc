@@ -23,7 +23,9 @@
 #include <iostream>
 #include <limits>
 #include <new>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -125,8 +127,9 @@ Per-batch telemetry goes to stdout (rounds 0: no edge changed, no rerun):
 
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
-  1  runtime I/O failure (unreadable input, malformed delta log, node
-     ids implying a graph too large to allocate)
+  1  runtime failure (unreadable input, malformed delta log, node ids
+     implying a graph too large to allocate, or memory or a worker
+     thread the host refuses; one stderr line names the input)
   2  usage error
 )";
 
@@ -162,17 +165,29 @@ bool IntFlagsInRange(const Flags& flags) {
 }
 
 // Reads and builds one graph. Every failure is one stderr line naming the
-// file: the loader's for a file it cannot read or parse, this one for ids
-// that imply more nodes than the host can allocate.
+// file: the loader's for a file it cannot read or parse, this one for
+// memory the host refuses (ids that imply more nodes than it can allocate,
+// say) or a shared-pool worker it will not start. The parse and the build
+// run partly on that pool, which hands a failure back to this thread.
 bool LoadGraph(const std::string& path, Graph* out) {
-  EdgeList edges;
-  if (!ReadEdgeListText(path, &edges)) return false;
-  const NodeId nodes = edges.num_nodes();
+  std::optional<NodeId> nodes;  // known once the list is read
   try {
+    EdgeList edges;
+    if (!ReadEdgeListText(path, &edges)) return false;
+    nodes = edges.num_nodes();
     *out = Graph::FromEdgeList(std::move(edges));
   } catch (const std::bad_alloc&) {
-    std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
-                 path.c_str(), nodes);
+    if (nodes) {
+      std::fprintf(stderr, "error: %s: cannot allocate a graph of %u nodes\n",
+                   path.c_str(), *nodes);
+    } else {
+      std::fprintf(stderr, "error: %s: cannot allocate the edge list\n",
+                   path.c_str());
+    }
+    return false;
+  } catch (const std::system_error& e) {
+    std::fprintf(stderr, "error: %s: cannot start a worker thread (%s)\n",
+                 path.c_str(), e.what());
     return false;
   }
   return true;
@@ -429,10 +444,12 @@ int RunServe(const Flags& flags) {
               seeds.size());
 
   // Past the graphs' build the session allocates per-node state, the
-  // matcher's included, and each batch the graphs it grows to. An
-  // allocation the host refuses (ids implying too many nodes) is one line
-  // naming the input and exit 1, before that batch's checkpoint or any
-  // --save-* output, so the newest checkpoint stays the resume point.
+  // matcher's included, and each batch the graphs it grows to; every match
+  // starts the matcher's workers, whose allocation failures its pool hands
+  // back here. An allocation the host refuses (ids implying too many
+  // nodes) or a worker it will not start is one line naming the input and
+  // exit 1, before that batch's checkpoint or any --save-* output, so the
+  // newest checkpoint stays the resume point.
   std::string input = "--g1=" + flags.GetString("g1", "") +
                       " --g2=" + flags.GetString("g2", "");
   try {
@@ -443,6 +460,10 @@ int RunServe(const Flags& flags) {
                  "error: %s: cannot allocate the session's graphs and "
                  "state\n",
                  input.c_str());
+    return 1;
+  } catch (const std::system_error& e) {
+    std::fprintf(stderr, "error: %s: cannot start a worker thread (%s)\n",
+                 input.c_str(), e.what());
     return 1;
   }
 }
