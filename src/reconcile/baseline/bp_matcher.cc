@@ -66,7 +66,7 @@ CandidateGraph DiscoverCandidates(const Graph& g1, const Graph& g2,
     double weight;
   };
   std::vector<std::vector<Scored>> per_node(n);
-  ParallelForWorkStealing(
+  ParallelFor(
       &pool, n, pool.GrainFor(n), [&](size_t begin, size_t end) {
         struct Acc {
           NodeId candidate;
@@ -173,9 +173,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     result.map_2to1[v] = u;
   }
 
-  const int threads =
-      config.num_threads > 0 ? config.num_threads : ThreadPool::DefaultThreads();
-  ThreadPool pool(threads);
+  ThreadPool& pool = ThreadPool::Shared(config.num_threads);
 
   for (int sweep = 0; sweep < config.max_sweeps; ++sweep) {
     Timer sweep_timer;
@@ -186,7 +184,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     PhaseStats stats;
     stats.iteration = sweep + 1;
     stats.candidate_pairs = edges;
-    stats.num_threads = threads;
+    stats.num_threads = pool.num_threads();
     if (edges == 0) {
       stats.seconds = sweep_timer.Seconds();
       result.phases.push_back(stats);
@@ -209,7 +207,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     const size_t node_grain = pool.GrainFor(graph.active.size());
     const size_t rev_grain = pool.GrainFor(graph.rev_nodes.size());
     for (int iter = 0; iter < config.iterations; ++iter) {
-      ParallelForWorkStealing(
+      ParallelFor(
           &pool, graph.active.size(), node_grain,
           [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
@@ -221,7 +219,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
               top_u[i] = top;
             }
           });
-      ParallelForWorkStealing(
+      ParallelFor(
           &pool, graph.rev_nodes.size(), rev_grain,
           [&](size_t begin, size_t end) {
             for (size_t j = begin; j < end; ++j) {
@@ -235,7 +233,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
           });
       // Edge updates, iterated per side-1 node so each edge knows its
       // endpoints without a parallel binary search.
-      ParallelForWorkStealing(
+      ParallelFor(
           &pool, graph.active.size(), node_grain,
           [&](size_t begin, size_t end) {
             for (size_t i = begin; i < end; ++i) {
@@ -250,7 +248,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
               }
             }
           });
-      ParallelForWorkStealing(
+      ParallelFor(
           &pool, graph.rev_nodes.size(), rev_grain,
           [&](size_t begin, size_t end) {
             for (size_t j = begin; j < end; ++j) {
@@ -273,7 +271,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     // the first edge in fixed order) must favour u back, and the combined
     // belief must clear the floor.
     std::vector<size_t> pick_u(graph.active.size(), ~size_t{0});
-    ParallelForWorkStealing(
+    ParallelFor(
         &pool, graph.active.size(), node_grain,
         [&](size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
@@ -285,7 +283,7 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
           }
         });
     std::vector<size_t> pick_v(graph.rev_nodes.size(), ~size_t{0});
-    ParallelForWorkStealing(
+    ParallelFor(
         &pool, graph.rev_nodes.size(), rev_grain,
         [&](size_t begin, size_t end) {
           for (size_t j = begin; j < end; ++j) {

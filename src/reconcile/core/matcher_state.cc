@@ -136,8 +136,7 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
     : g1_(g1),
       g2_(g2),
       config_(config),
-      pool_(config.num_threads > 0 ? config.num_threads
-                                   : ThreadPool::DefaultThreads()),
+      pool_(ThreadPool::Shared(config.num_threads)),
       num_shards_(ShardWidth(g1.num_nodes())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
@@ -269,10 +268,10 @@ MatchResult MatcherState::TakeResult(double total_seconds) {
 // scans levels >= j. `tests/core_oracle_fuzz_test.cc` checks this against
 // a serial recount from all links every round.
 
-// Chunk size the work-stealing emission loop claims per lock acquisition.
-// Per-item cost is heavy-tailed on skewed graphs (a hub link emits
-// deg(hub)^2-ish pairs), so the grain aims at 64 claims per worker; claims
-// are a spinlock pop, so the extra traffic is cheap.
+// Chunk size the emission loop claims at a time. Per-item cost is
+// heavy-tailed on skewed graphs (a hub link emits deg(hub)^2-ish pairs), so
+// the grain aims at 64 claims per worker; a claim is one `fetch_add` on the
+// loop's cursor, so the extra traffic is cheap.
 size_t MatcherState::EmitGrain(size_t num_items) const {
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
 }

@@ -129,7 +129,7 @@ class MatcherState {
   const Graph& g1_;
   const Graph& g2_;
   MatcherConfig config_;
-  ThreadPool pool_;
+  ThreadPool& pool_;  // ThreadPool::Shared(config_.num_threads)
   // Score shards per degree level, from g1's node count (see ctor).
   int num_shards_;
   std::vector<NodeId> map_1to2_;

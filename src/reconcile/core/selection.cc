@@ -19,7 +19,7 @@ void SelectionEngine::StartIteration() {
 void SelectionEngine::Scan(std::vector<SelectionCell>& cells,
                            const SelectionContext& ctx, bool keep_open,
                            size_t* reads, size_t* folds) {
-  // Cells are claimed one at a time from the work-stealing loop, so a
+  // Cells are claimed one at a time from the loop's shared cursor, so a
   // handful of huge hub-level cells does not pin the round on whichever
   // worker drew them. The fold is a CAS-max — commutative — and each cell's
   // open list is written only by the task that claimed it, so the schedule

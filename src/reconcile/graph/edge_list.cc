@@ -10,10 +10,8 @@
 namespace reconcile {
 
 void EdgeList::Normalize() {
-  ThreadPool* pool = edges_.size() >= kParallelEdgeThreshold &&
-                             ThreadPool::DefaultThreads() > 1
-                         ? &ThreadPool::Shared()
-                         : nullptr;
+  ThreadPool* pool =
+      edges_.size() >= kParallelEdgeThreshold ? &ThreadPool::Shared() : nullptr;
   Normalize(pool);
 }
 

@@ -11,8 +11,8 @@ namespace reconcile {
 class ThreadPool;
 
 /// Edge lists at least this long are normalized, and their graphs built, on
-/// the process-wide shared pool when there is more than one CPU. Below it,
-/// handing out the passes costs more than it saves.
+/// the process-wide shared pool. Below it, handing out the passes costs more
+/// than it saves.
 inline constexpr size_t kParallelEdgeThreshold = size_t{1} << 15;
 
 /// Mutable collection of undirected edges used while constructing graphs.
@@ -48,8 +48,8 @@ class EdgeList {
 
   /// Sorts endpoint pairs canonically (min, max), drops self-loops and
   /// duplicate edges. Idempotent. Lists of `kParallelEdgeThreshold` edges or
-  /// more run on the process-wide shared pool when there is more than one
-  /// CPU; the result is independent of the thread count.
+  /// more run on the process-wide shared pool; the result is independent of
+  /// the thread count.
   void Normalize();
 
   /// Same, but runs on `pool` (`nullptr` runs the same passes as one block

@@ -14,10 +14,8 @@ Graph Graph::FromEdgeList(EdgeList edges) {
   // constructing and joining a transient pool per call. Normalization gets
   // the pool based on the raw size; the build decision is re-checked after
   // dedup may have shrunk the list below the threshold.
-  ThreadPool* pool = edges.size() >= kParallelEdgeThreshold &&
-                             ThreadPool::DefaultThreads() > 1
-                         ? &ThreadPool::Shared()
-                         : nullptr;
+  ThreadPool* pool =
+      edges.size() >= kParallelEdgeThreshold ? &ThreadPool::Shared() : nullptr;
   edges.Normalize(pool);
   if (pool != nullptr && edges.size() < kParallelEdgeThreshold) {
     pool = nullptr;

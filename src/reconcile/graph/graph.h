@@ -36,12 +36,12 @@ class Graph {
   /// writers, samplers and serve batch merges emit, is only checked); the node
   /// count is max(edges.num_nodes(), largest endpoint + 1). Lists of
   /// `kParallelEdgeThreshold` edges or more are normalized and built on the
-  /// process-wide shared pool (`ThreadPool::Shared()`) when there is more
-  /// than one CPU; the result is independent of the thread count. An
-  /// allocation the host refuses (ids that imply too many nodes) throws
-  /// `std::bad_alloc` on the calling thread, also when a worker hit it (the
-  /// pool hands it back), and a shared pool whose worker the host refuses
-  /// to start throws `std::system_error`.
+  /// process-wide shared pool (`ThreadPool::Shared()`); the result is
+  /// independent of the thread count. An allocation the host refuses (ids
+  /// that imply too many nodes) throws `std::bad_alloc` on the calling
+  /// thread, also when a worker hit it (the pool hands it back), and a
+  /// shared pool whose worker the host refuses to start throws
+  /// `std::system_error`.
   static Graph FromEdgeList(EdgeList edges);
 
   /// Same, but runs the passes on `pool`. After normalization, each worker

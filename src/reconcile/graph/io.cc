@@ -240,12 +240,9 @@ bool ReadEdgeListText(const std::string& path, EdgeList* out) {
   bounds.push_back(data_end);
   const size_t num_chunks = bounds.size() - 1;
 
-  // Same policy as `Graph::FromEdgeList`: the shared pool when there is
-  // more than one chunk and more than one CPU. Chunks are parsed
+  // The shared pool when there is more than one chunk. Chunks are parsed
   // independently, so the result does not depend on the thread count.
-  ThreadPool* pool = num_chunks > 1 && ThreadPool::DefaultThreads() > 1
-                         ? &ThreadPool::Shared()
-                         : nullptr;
+  ThreadPool* pool = num_chunks > 1 ? &ThreadPool::Shared() : nullptr;
   std::vector<TextChunk> chunks(num_chunks);
   ParallelForEach(pool, num_chunks, [&bounds, &chunks](size_t c) {
     ParseTextChunk(bounds[c], bounds[c + 1], &chunks[c]);

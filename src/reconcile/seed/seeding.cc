@@ -17,8 +17,8 @@ constexpr size_t kParallelSeedThreshold = 1u << 14;
 // Pure per-node uniform draw in [0, 1): a deterministic function of
 // (seed, salt, node) with no sequential generator state, so the decision
 // for a node is independent of evaluation order — the parallel and serial
-// sweeps produce identical seed sets for any thread count, grain or steal
-// schedule.
+// sweeps produce identical seed sets for any thread count, grain or claim
+// order.
 double NodeUniform(uint64_t seed, uint64_t salt, NodeId u) {
   uint64_t x =
       HashMix64(seed + 0x9e3779b97f4a7c15ULL * (salt + 1) + 0x2545f491ULL);
@@ -34,14 +34,12 @@ bool NodeBernoulli(double p, uint64_t seed, uint64_t salt, NodeId u) {
 }
 
 ThreadPool* SeedPool(size_t num_nodes) {
-  return num_nodes >= kParallelSeedThreshold && ThreadPool::DefaultThreads() > 1
-             ? &ThreadPool::Shared()
-             : nullptr;
+  return num_nodes >= kParallelSeedThreshold ? &ThreadPool::Shared() : nullptr;
 }
 
 // Ordered collect of the marked nodes into (node, map[node]) pairs, in
 // node-id order. Parallel yet bit-identical for any thread count, grain or
-// steal schedule: fixed blocks count their marks, a serial exclusive prefix
+// claim order: fixed blocks count their marks, a serial exclusive prefix
 // sum over the (few) block counts fixes every block's output offset, and
 // the blocks then fill disjoint slices of the pre-sized output — each
 // pair's position depends only on the mark vector, never on the schedule.
@@ -51,7 +49,7 @@ std::vector<std::pair<NodeId, NodeId>> CollectMarked(
   const size_t n = mark.size();
   const size_t num_blocks = n == 0 ? 0 : (n + grain - 1) / grain;
   std::vector<size_t> offset(num_blocks, 0);
-  ParallelForWorkStealing(
+  ParallelFor(
       pool, num_blocks, 1, [&mark, &offset, n, grain](size_t blo, size_t bhi) {
         for (size_t b = blo; b < bhi; ++b) {
           const size_t lo = b * grain;
@@ -68,7 +66,7 @@ std::vector<std::pair<NodeId, NodeId>> CollectMarked(
     total += count;
   }
   std::vector<std::pair<NodeId, NodeId>> out(total);
-  ParallelForWorkStealing(
+  ParallelFor(
       pool, num_blocks, 1,
       [&mark, &map_1to2, &offset, &out, n, grain](size_t blo, size_t bhi) {
         for (size_t b = blo; b < bhi; ++b) {
@@ -130,7 +128,7 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
   switch (options.bias) {
     case SeedBias::kUniform: {
       std::vector<char> take(n, 0);
-      ParallelForWorkStealing(
+      ParallelFor(
           pool, n, grain,
           [&pair, &take, &options, seed](size_t lo, size_t hi) {
             for (size_t u = lo; u < hi; ++u) {
@@ -152,7 +150,7 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
       const size_t num_blocks = n == 0 ? 0 : (n + grain - 1) / grain;
       std::vector<uint64_t> block_total(num_blocks, 0);
       std::vector<uint64_t> block_mapped(num_blocks, 0);
-      ParallelForWorkStealing(
+      ParallelFor(
           pool, num_blocks, 1,
           [&pair, &block_total, &block_mapped, n, grain](size_t blo,
                                                          size_t bhi) {
@@ -179,7 +177,7 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
       const double scale = options.fraction * static_cast<double>(mapped) /
                            static_cast<double>(total);
       std::vector<char> take(n, 0);
-      ParallelForWorkStealing(
+      ParallelFor(
           pool, n, grain, [&pair, &take, scale, seed](size_t lo, size_t hi) {
             for (size_t u = lo; u < hi; ++u) {
               const NodeId node = static_cast<NodeId>(u);
@@ -196,7 +194,7 @@ std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
     case SeedBias::kTopDegree: {
       RECONCILE_CHECK_GT(options.fixed_count, 0u);
       std::vector<char> valid(n, 0);
-      ParallelForWorkStealing(
+      ParallelFor(
           pool, n, grain, [&pair, &valid](size_t lo, size_t hi) {
             for (size_t u = lo; u < hi; ++u) {
               const NodeId node = static_cast<NodeId>(u);

@@ -39,7 +39,7 @@ struct SeedOptions {
 ///
 /// Per-node decisions are pure functions of (seed, node) evaluated on the
 /// process-wide shared pool for large inputs, so the seed set is identical
-/// for every thread count and steal schedule (and to the serial sweep on
+/// for every thread count and claim order (and to the serial sweep on
 /// small inputs).
 std::vector<std::pair<NodeId, NodeId>> GenerateSeeds(
     const RealizationPair& pair, const SeedOptions& options, uint64_t seed);

@@ -8,6 +8,7 @@
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/logging.h"
+#include "reconcile/util/thread_pool.h"
 #include "reconcile/util/timer.h"
 
 namespace reconcile {
@@ -125,8 +126,6 @@ IncrementalMatcher::IncrementalMatcher(
     Graph g1, Graph g2, std::span<const std::pair<NodeId, NodeId>> seeds,
     const ServeConfig& config)
     : config_(config),
-      pool_(config.matcher.num_threads > 0 ? config.matcher.num_threads
-                                           : ThreadPool::DefaultThreads()),
       graphs_{OverlayGraph(std::move(g1)), OverlayGraph(std::move(g2))},
       seeds_(seeds.begin(), seeds.end()),
       map_1to2_(graphs_[0].num_nodes(), kInvalidNode),
@@ -155,8 +154,9 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
   stats.deltas_in = deltas.size();
 
   // Net the batch against each side's graph and build the next graph of
-  // each side that changed, on the pool. Both are built before either is
-  // committed, so an allocation failure leaves the session as it was.
+  // each side that changed, on the matcher's pool. Both are built before
+  // either is committed, so an allocation failure leaves the session as it
+  // was.
   Graph next[2];
   bool changed[2] = {false, false};
   for (int side = 0; side < 2; ++side) {
@@ -164,7 +164,9 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
     const std::vector<EdgeChange> changes = NetBatch(deltas, side, graph);
     if (changes.empty()) continue;
     stats.deltas_applied += changes.size();
-    next[side] = Graph::FromEdgeList(MergeChanges(graph, changes), &pool_);
+    next[side] = Graph::FromEdgeList(
+        MergeChanges(graph, changes),
+        &ThreadPool::Shared(config_.matcher.num_threads));
     changed[side] = true;
   }
   for (int side = 0; side < 2; ++side) {

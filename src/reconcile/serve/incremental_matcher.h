@@ -14,7 +14,6 @@
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
 #include "reconcile/serve/delta_log.h"
-#include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
 
@@ -149,7 +148,6 @@ class IncrementalMatcher {
   void Rerun(ServeBatchStats* stats);
 
   ServeConfig config_;
-  ThreadPool pool_;  // graph rebuilds
 
   OverlayGraph graphs_[2];  // g1, g2
   std::vector<std::pair<NodeId, NodeId>> seeds_;

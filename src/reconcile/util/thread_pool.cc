@@ -1,9 +1,19 @@
 #include "reconcile/util/thread_pool.h"
 
 #include <algorithm>
+#include <map>
 #include <utility>
 
+#include "reconcile/util/logging.h"
+
 namespace reconcile {
+
+namespace {
+
+// The pool whose worker runs on this thread, if any.
+thread_local const ThreadPool* worker_of = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   int n = std::max(1, num_threads);
@@ -39,6 +49,8 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::Wait() {
+  RECONCILE_CHECK(worker_of != this)
+      << "a task waits on its own pool: nested parallel loops would hang";
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -54,9 +66,12 @@ int ThreadPool::DefaultThreads() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(DefaultThreads());
-  return pool;
+ThreadPool& ThreadPool::Shared(int num_threads) {
+  static std::mutex mutex;
+  static std::map<int, ThreadPool> pools;
+  const int n = num_threads > 0 ? num_threads : DefaultThreads();
+  std::lock_guard<std::mutex> lock(mutex);
+  return pools.try_emplace(n, n).first->second;
 }
 
 size_t ThreadPool::GrainSize(size_t n, int num_threads, size_t min_grain,
@@ -67,6 +82,7 @@ size_t ThreadPool::GrainSize(size_t n, int num_threads, size_t min_grain,
 }
 
 void ThreadPool::WorkerLoop() {
+  worker_of = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -37,7 +37,8 @@ class ThreadPool {
 
   /// Blocks until all submitted tasks have completed, then rethrows the
   /// first exception a task threw since the last `Wait`, if any. The pool
-  /// stays usable either way.
+  /// stays usable either way. Called from inside one of the pool's own
+  /// tasks it would wait for itself forever, so it dies with a FATAL check.
   void Wait();
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
@@ -45,16 +46,18 @@ class ThreadPool {
   /// Default parallelism: hardware concurrency, at least 1.
   static int DefaultThreads();
 
-  /// Process-wide shared pool with `DefaultThreads()` workers, created on
-  /// first use and alive for the rest of the process. For call sites that
-  /// have no pool of their own (auto-parallel graph builds, edge-list
-  /// normalization) — large one-shot operations no longer construct and
-  /// join a transient pool per call. `Wait()` barriers are pool-global, so
-  /// do not run concurrent barrier-style work on the shared pool from
-  /// multiple threads, and never from inside one of its own tasks;
-  /// subsystems with long-lived parallel phases (the matcher) keep their
-  /// own pools.
-  static ThreadPool& Shared();
+  /// The process-wide pool of `num_threads` workers (`DefaultThreads()` for
+  /// values < 1), created on first use and alive until the process exits.
+  /// Every parallel loop in the library runs on one of these: the matchers
+  /// (core and BP) and the serve session on the pool of their configured
+  /// thread count, graph loads and builds on `Shared()`. So a process holds
+  /// one pool per thread count it uses, and when the counts agree, all of
+  /// them share it. `Wait()` barriers are pool-global: do not run loops on
+  /// one pool from several threads at once, and never nest a loop that
+  /// submits in one of the pool's own tasks (its `Wait()` dies with a FATAL
+  /// check). A `fork()`ed child inherits the pools but not their workers,
+  /// so it must not submit to a pool created before the fork.
+  static ThreadPool& Shared(int num_threads = 0);
 
   /// Suggested chunk size for splitting `n` items into parallel tasks:
   /// targets `tasks_per_thread` tasks per worker (slack for load balancing

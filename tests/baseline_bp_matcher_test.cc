@@ -74,7 +74,7 @@ TEST(BpMatcherTest, SeedsAreKeptVerbatim) {
 // The determinism contract every execution dimension in this codebase
 // signs: matchings bit-identical across thread counts. BP message updates
 // read only the previous iteration's arrays, so the loop partition (and
-// the steal schedule) is unobservable.
+// the claim order) is unobservable.
 TEST(BpMatcherTest, BitIdenticalAcrossThreadCounts) {
   Fixture f = MakeFixture();
   BpConfig reference_config;

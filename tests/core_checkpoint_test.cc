@@ -106,10 +106,10 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
 }
 
 TEST(MatcherStateTest, ResumeEquivalenceWithFiveThreadsWidePartition) {
-  // Five workers stealing over a wide partition: g1's ids spread 128-fold
+  // Five workers claiming over a wide partition: g1's ids spread 128-fold
   // (`spread_ids.h`) resolve to the 256-shard cap, so the load rebuilds
   // 33 x 256 score cells and the resumed run must stay bit-identical under a
-  // steal schedule unlike the default's.
+  // claim order unlike the default's.
   Workload w = MakeWorkload(9004);
   constexpr NodeId kStride = 128;
   w.pair.g1 = SpreadIds(w.pair.g1, kStride);

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "reconcile/core/matcher_state.h"
 #include "reconcile/eval/metrics.h"
 #include "reconcile/gen/erdos_renyi.h"
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "oracle_check.h"
+#include "process_threads.h"
 #include "reconcile/seed/seeding.h"
 #include "spread_ids.h"
 
@@ -193,6 +195,26 @@ TEST(MatcherTest, DeterministicAcrossThreadAndShardCounts) {
                            kStride);
   EXPECT_EQ(a.map_1to2, b.map_1to2);
   EXPECT_EQ(a.map_2to1, b.map_2to1);
+}
+
+// Matchers run on the process's pool of their thread count: a second
+// MatcherState, run to the end, starts no thread.
+TEST(MatcherTest, ASecondMatcherStartsNoThreads) {
+  Graph g = GenerateErdosRenyi(300, 0.05, 5);
+  RealizationPair pair = SampleIndependent(g, {}, 7);
+  SeedOptions seed_options;
+  seed_options.fraction = 0.1;
+  const auto seeds = GenerateSeeds(pair, seed_options, 9);
+  MatcherConfig config;
+  config.num_threads = 3;
+  MatcherState first(pair.g1, pair.g2, config);
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  MatcherState second(pair.g1, pair.g2, config);
+  second.SeedLinks(seeds);
+  while (!second.Done()) second.RunRound();
+  EXPECT_GT(second.num_links(), seeds.size());
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 TEST(MatcherTest, BucketingMatchesHighDegreeFirst) {

@@ -1,6 +1,6 @@
-// Work-stealing and memory-budget equivalence: the matching must be
+// Thread-count and memory-budget equivalence: the matching must be
 // bit-identical to the 1-thread run for every thread count, score-partition
-// width, steal schedule and memory budget. Any divergence means a hot-path
+// width, claim order and memory budget. Any divergence means a hot-path
 // loop's aggregation stopped being partition-independent, or a tier fold or
 // spill lost or duplicated a count.
 #include <dirent.h>
@@ -28,7 +28,7 @@ struct Workload {
 };
 
 // Chung-Lu at exponent 2.2 gives real hubs, so per-item cost is skewed and
-// threads actually steal from each other.
+// which thread claims which chunk varies from run to run.
 Workload MakeWorkload(uint64_t rng_seed) {
   Graph g = rng_seed % 2 == 0
                 ? GenerateChungLu(PowerLawWeights(1600, 2.2, 12.0), rng_seed)
@@ -50,9 +50,9 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
 }
 
 // Threads x partition widths, each against the 1-thread run. Two and five
-// threads give different steal schedules over the same cells; the g1 id
+// threads give different claim orders over the same cells; the g1 id
 // strides give widths of about 3, 50 and 256 (`spread_ids.h`).
-TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
+TEST(ClaimOrderDeterminismTest, MatchesOneThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
     Workload w = MakeWorkload(rng_seed);
@@ -89,7 +89,7 @@ TEST(StealingDeterminismTest, MatchesOneThreadAcrossGrid) {
 // the scored pairs at or above the threshold: at most every scored pair,
 // and at least the open pairs (those with both endpoints unmatched), which
 // in turn are at least every link the round accepts.
-TEST(StealingDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
+TEST(ClaimOrderDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
   MatcherConfig serial_config;
   serial_config.num_threads = 1;
@@ -215,7 +215,7 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
 }
 
 // The ordered seed-collect sweep runs on the shared pool once the workload
-// crosses the parallel threshold, so its steal schedule differs run to run.
+// crosses the parallel threshold, so its claim order differs run to run.
 // The count / prefix-sum / fill shape must make that unobservable: repeated
 // generation returns the identical seed list, in node-id order, each pair
 // mapping through the ground truth. (Small workloads take the serial path,
@@ -245,7 +245,7 @@ TEST(SeedCollectDeterminismTest, ParallelCollectIsScheduleIndependent) {
         }
       }
     }
-    // Every rerun sees a different steal schedule on the shared pool; the
+    // Every rerun sees a different claim order on the shared pool; the
     // output must not.
     for (int run = 0; run < 4; ++run) {
       ASSERT_EQ(GenerateSeeds(pair, options, 7503), reference)

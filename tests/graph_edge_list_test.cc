@@ -1,7 +1,6 @@
 #include "reconcile/graph/edge_list.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,18 +114,6 @@ std::vector<Edge> ReferenceNormalize(std::vector<Edge> edges) {
   return edges;
 }
 
-// Pools of 1 to 7 threads, made once for the whole suite.
-ThreadPool* PoolOf(int threads) {
-  static std::vector<std::unique_ptr<ThreadPool>> pools = [] {
-    std::vector<std::unique_ptr<ThreadPool>> made;
-    for (int t = 1; t <= 7; ++t) {
-      made.push_back(std::make_unique<ThreadPool>(t));
-    }
-    return made;
-  }();
-  return pools[static_cast<size_t>(threads - 1)].get();
-}
-
 // Normalizes copies of `edges` with no pool and on pools of 1 to 7 threads;
 // each must equal the reference, keep the node count, and be left as it is
 // by a second Normalize.
@@ -134,7 +121,7 @@ void ExpectNormalizesLikeReference(const EdgeList& edges,
                                    const std::string& what) {
   const std::vector<Edge> expected = ReferenceNormalize(edges.edges());
   for (int threads = 0; threads <= 7; ++threads) {
-    ThreadPool* pool = threads == 0 ? nullptr : PoolOf(threads);
+    ThreadPool* pool = threads == 0 ? nullptr : &ThreadPool::Shared(threads);
     EdgeList copy = edges;
     copy.Normalize(pool);
     ASSERT_EQ(copy.edges(), expected) << what << ", threads " << threads;
@@ -245,7 +232,7 @@ TEST(EdgeListNormalizeReferenceTest, DefectAtEachBlockBoundary) {
       }
       for (const auto& [name, list] : cases) {
         EdgeList edges = FromEdges(messy.num_nodes(), list);
-        edges.Normalize(PoolOf(threads));
+        edges.Normalize(&ThreadPool::Shared(threads));
         ASSERT_EQ(edges.edges(), ReferenceNormalize(list))
             << name << " at boundary " << b << " of " << threads
             << " blocks";

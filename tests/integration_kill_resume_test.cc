@@ -192,7 +192,7 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
 }
 
 // Two thread counts, each resumed under the other, so the crashed and
-// resumed runs see different steal schedules than the 1-thread reference.
+// resumed runs see different claim orders than the 1-thread reference.
 TEST(KillResumeTest, ResumeBitIdentical) {
   CheckKillResume(WithThreads(2), "t2");
   CheckKillResume(WithThreads(5), "t5");

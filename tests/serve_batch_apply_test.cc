@@ -21,6 +21,7 @@
 #include "reconcile/serve/delta_log.h"
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/rng.h"
+#include "process_threads.h"
 
 namespace reconcile {
 namespace {
@@ -304,6 +305,22 @@ TEST(ServeBatchApplyTest, ABatchThatChangesNothing) {
   EXPECT_EQ(stats.links_added + stats.links_removed, 0u);
   ExpectSideEquals(session.g1(), sides[0]);
   ExpectSideEquals(session.g2(), sides[1]);
+}
+
+// A session rebuilds its graphs and reruns the matcher on the process's
+// pool of its thread count: a second session and its first batch start no
+// thread.
+TEST(ServeBatchApplyTest, ASecondSessionStartsNoThreads) {
+  Rng rng(5);
+  const SideModel side = RandomSide(60, 150, rng);
+  const std::vector<std::pair<NodeId, NodeId>> seeds = {{0, 0}, {1, 1}};
+  IncrementalMatcher first(side.Build(), side.Build(), seeds, Config(3));
+  first.ApplyBatch({});
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  IncrementalMatcher second(side.Build(), side.Build(), seeds, Config(3));
+  second.ApplyBatch({});
+  EXPECT_EQ(ProcessThreads(), before);
 }
 
 }  // namespace

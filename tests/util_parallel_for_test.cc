@@ -1,7 +1,7 @@
-// The work-stealing loop: every index of [0, n) must be executed exactly
-// once on a disjoint chunk no larger than the grain, for any thread count,
-// grain, and steal schedule — including adversarially skewed per-item work,
-// which is the loop's reason to exist.
+// The claim loop: every index of [0, n) must be executed exactly once on a
+// disjoint chunk no larger than the grain, for any thread count, grain, and
+// claim order — including adversarially skewed per-item work, which is why
+// chunks are claimed while the loop runs rather than split up front.
 #include "reconcile/util/parallel_for.h"
 
 #include <atomic>
@@ -15,18 +15,15 @@
 namespace reconcile {
 namespace {
 
-TEST(WorkStealingTest, CoversWholeRangeOnce) {
+TEST(ParallelForTest, CoversWholeRangeOnce) {
   for (int threads : {1, 2, 4, 7}) {
     ThreadPool pool(threads);
     for (size_t n : {size_t{1}, size_t{5}, size_t{1000}, size_t{4096}}) {
       for (size_t grain : {size_t{1}, size_t{37}, size_t{512}}) {
         std::vector<std::atomic<int>> touched(n);
-        ParallelForWorkStealing(&pool, n, grain,
-                                [&touched](size_t begin, size_t end) {
-                                  for (size_t i = begin; i < end; ++i) {
-                                    touched[i].fetch_add(1);
-                                  }
-                                });
+        ParallelFor(&pool, n, grain, [&touched](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+        });
         for (size_t i = 0; i < n; ++i) {
           ASSERT_EQ(touched[i].load(), 1)
               << "threads=" << threads << " n=" << n << " grain=" << grain
@@ -37,71 +34,64 @@ TEST(WorkStealingTest, CoversWholeRangeOnce) {
   }
 }
 
-TEST(WorkStealingTest, EmptyRangeIsNoOp) {
+TEST(ParallelForTest, EmptyRangeIsNoOp) {
   ThreadPool pool(3);
   bool called = false;
-  ParallelForWorkStealing(&pool, 0, 8,
-                          [&called](size_t, size_t) { called = true; });
+  ParallelFor(&pool, 0, 8, [&called](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(WorkStealingTest, NullPoolRunsSerially) {
+TEST(ParallelForTest, NullPoolRunsSerially) {
   std::atomic<size_t> total{0};
-  ParallelForWorkStealing(nullptr, 100, 7,
-                          [&total](size_t begin, size_t end) {
-                            total.fetch_add(end - begin);
-                          });
+  ParallelFor(nullptr, 100, 7, [&total](size_t begin, size_t end) {
+    total.fetch_add(end - begin);
+  });
   EXPECT_EQ(total.load(), 100u);
 }
 
-TEST(WorkStealingTest, GrainLargerThanRangeRunsInOneCall) {
+TEST(ParallelForTest, GrainLargerThanRangeRunsInOneCall) {
   ThreadPool pool(4);
   std::atomic<int> calls{0};
   std::atomic<size_t> total{0};
-  ParallelForWorkStealing(&pool, 5, 1000,
-                          [&calls, &total](size_t begin, size_t end) {
-                            calls.fetch_add(1);
-                            total.fetch_add(end - begin);
-                          });
+  ParallelFor(&pool, 5, 1000, [&calls, &total](size_t begin, size_t end) {
+    calls.fetch_add(1);
+    total.fetch_add(end - begin);
+  });
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(total.load(), 5u);
 }
 
-TEST(WorkStealingTest, ChunksRespectGrain) {
+TEST(ParallelForTest, ChunksRespectGrain) {
   ThreadPool pool(4);
   constexpr size_t kGrain = 16;
   std::atomic<int> oversized{0};
-  ParallelForWorkStealing(&pool, 10000, kGrain,
-                          [&oversized](size_t begin, size_t end) {
-                            // Initial per-worker split and steals may hand
-                            // out large *ranges*, but each fn call claims at
-                            // most one grain.
-                            if (end - begin > kGrain) oversized.fetch_add(1);
-                          });
+  ParallelFor(&pool, 10000, kGrain, [&oversized](size_t begin, size_t end) {
+    // Each fn call claims at most one grain.
+    if (end - begin > kGrain) oversized.fetch_add(1);
+  });
   EXPECT_EQ(oversized.load(), 0);
 }
 
-// Adversarial skew: item 0 costs ~10000x the others (a hub). The stealing
-// schedule must still cover everything exactly once.
-TEST(WorkStealingTest, SkewedItemCostStillCoversRange) {
+// Adversarial skew: item 0 costs ~10000x the others (a hub). The claims
+// must still cover everything exactly once.
+TEST(ParallelForTest, SkewedItemCostStillCoversRange) {
   ThreadPool pool(4);
   constexpr size_t kN = 2000;
   std::vector<std::atomic<int>> touched(kN);
   std::atomic<uint64_t> sink{0};
-  ParallelForWorkStealing(&pool, kN, 1,
-                          [&touched, &sink](size_t begin, size_t end) {
-                            for (size_t i = begin; i < end; ++i) {
-                              uint64_t burn = i == 0 ? 10000000 : 1000;
-                              uint64_t acc = 0;
-                              for (uint64_t j = 0; j < burn; ++j) acc += j;
-                              sink.fetch_add(acc, std::memory_order_relaxed);
-                              touched[i].fetch_add(1);
-                            }
-                          });
+  ParallelFor(&pool, kN, 1, [&touched, &sink](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      uint64_t burn = i == 0 ? 10000000 : 1000;
+      uint64_t acc = 0;
+      for (uint64_t j = 0; j < burn; ++j) acc += j;
+      sink.fetch_add(acc, std::memory_order_relaxed);
+      touched[i].fetch_add(1);
+    }
+  });
   for (size_t i = 0; i < kN; ++i) ASSERT_EQ(touched[i].load(), 1) << i;
 }
 
-TEST(WorkStealingSlotsTest, SlotsAreValidAndExclusive) {
+TEST(ParallelForSlotsTest, SlotsAreValidAndExclusive) {
   ThreadPool pool(4);
   const int slots = ParallelSlots(&pool);
   ASSERT_EQ(slots, 4);
@@ -109,7 +99,7 @@ TEST(WorkStealingSlotsTest, SlotsAreValidAndExclusive) {
   // only ever touched by one thread at a time.
   std::vector<uint64_t> per_slot(static_cast<size_t>(slots), 0);
   constexpr size_t kN = 100000;
-  ParallelForWorkStealingSlots(
+  ParallelForSlots(
       &pool, kN, 64, [&per_slot, slots](int slot, size_t begin, size_t end) {
         ASSERT_GE(slot, 0);
         ASSERT_LT(slot, slots);
@@ -120,12 +110,11 @@ TEST(WorkStealingSlotsTest, SlotsAreValidAndExclusive) {
   EXPECT_EQ(total, kN);
 }
 
-TEST(WorkStealingSlotsTest, SerialFallbackUsesSlotZero) {
+TEST(ParallelForSlotsTest, SerialFallbackUsesSlotZero) {
   std::vector<int> seen_slots;
-  ParallelForWorkStealingSlots(nullptr, 10, 3,
-                               [&seen_slots](int slot, size_t, size_t) {
-                                 seen_slots.push_back(slot);
-                               });
+  ParallelForSlots(nullptr, 10, 3, [&seen_slots](int slot, size_t, size_t) {
+    seen_slots.push_back(slot);
+  });
   ASSERT_EQ(seen_slots.size(), 1u);
   EXPECT_EQ(seen_slots[0], 0);
 }
@@ -166,9 +155,9 @@ TEST(ParallelProduceTest, EmptyRangeLeavesDefaultDeltas) {
 
 // A body that throws reaches the caller of the loop, after every worker
 // has stopped: at one index, at the first and the last, and at every index
-// (no worker left to drain the others' ranges). The pool then runs the next
+// (no task left to claim the rest). The pool then runs the next
 // loop over every index.
-TEST(WorkStealingTest, ExceptionInBodyReachesTheCaller) {
+TEST(ParallelForTest, ExceptionInBodyReachesTheCaller) {
   ThreadPool pool(4);
   constexpr size_t kN = 1000;
   for (size_t bad : {size_t{437}, size_t{0}, kN - 1, kN}) {

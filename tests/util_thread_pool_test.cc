@@ -176,15 +176,35 @@ TEST(ThreadPoolDeathTest, ConstructorThrowsWhenAWorkerCannotStart) {
       ::testing::ExitedWithCode(0), "");
 }
 
+// A task that waits on its own pool would wait for itself forever (a
+// nested parallel loop on a shared pool does): it dies with one FATAL line
+// instead. Threadsafe style, like the suite's other death test.
+TEST(ThreadPoolDeathTest, WaitFromInsideOwnTaskDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.Submit([&pool] { pool.Wait(); });
+        pool.Wait();
+      },
+      "waits on its own pool");
+}
+
 TEST(ThreadPoolTest, DefaultThreadsPositive) {
   EXPECT_GE(ThreadPool::DefaultThreads(), 1);
 }
 
+// One pool per thread count per process; 0 means the default count.
 TEST(ThreadPoolTest, SharedPoolIsAProcessWideSingleton) {
   ThreadPool& a = ThreadPool::Shared();
   ThreadPool& b = ThreadPool::Shared();
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.num_threads(), ThreadPool::DefaultThreads());
+  ThreadPool& three = ThreadPool::Shared(3);
+  EXPECT_EQ(&three, &ThreadPool::Shared(3));
+  EXPECT_EQ(three.num_threads(), 3);
+  EXPECT_EQ(&ThreadPool::Shared(0),
+            &ThreadPool::Shared(ThreadPool::DefaultThreads()));
 }
 
 TEST(ThreadPoolTest, SharedPoolRunsTasksAndIsReusable) {

@@ -444,12 +444,13 @@ int RunServe(const Flags& flags) {
               seeds.size());
 
   // Past the graphs' build the session allocates per-node state, the
-  // matcher's included, and each batch the graphs it grows to; every match
-  // starts the matcher's workers, whose allocation failures its pool hands
-  // back here. An allocation the host refuses (ids implying too many
-  // nodes) or a worker it will not start is one line naming the input and
-  // exit 1, before that batch's checkpoint or any --save-* output, so the
-  // newest checkpoint stays the resume point.
+  // matcher's included, and each batch the graphs it grows to; the first
+  // batch starts the workers of the session's pool, unless the graph load
+  // already did, and the pool hands their allocation failures back here.
+  // An allocation the host refuses (ids implying too many nodes) or a
+  // worker it will not start is one line naming the input and exit 1,
+  // before that batch's checkpoint or any --save-* output, so the newest
+  // checkpoint stays the resume point.
   std::string input = "--g1=" + flags.GetString("g1", "") +
                       " --g2=" + flags.GetString("g2", "");
   try {
