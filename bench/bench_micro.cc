@@ -98,7 +98,7 @@ BENCHMARK(BM_GraphBuildParallel4T)->Arg(1 << 17);
 // `Graph::FromEdgeList` on the two shapes its inputs come in, Erdős–Rényi
 // with average degree 7 (an `ingest-er-2m` copy at 1 << 21 nodes):
 //  * sorted: canonical pairs in ascending order, as the edge-list writers,
-//    the samplers and the serve compaction emit them. Normalization only
+//    the samplers and the serve rebuild emit them. Normalization only
 //    checks the list;
 //  * shuffled: the same edges in random order, half of them flipped, plus
 //    2% duplicates and 1000 self-loops, as a generator or a relabelling

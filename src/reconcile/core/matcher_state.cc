@@ -105,21 +105,6 @@ bool TestBit(const std::vector<uint64_t>& bits, NodeId x) {
   return (bits[x >> 6] >> (x & 63)) & 1;
 }
 
-// The score store's drop rule (see `KeepAll` in util/row_run.h): a pair
-// whose ends are both matched is dead. It cannot be accepted, and the bests
-// it feeds are those of matched nodes, which no accept reads, so leaving it
-// out of any emission or rewrite is exact. Only a row of a matched u can
-// hold one. It reads the matched-node bitsets, not the maps: it is asked
-// about every emitted pair of such a row, and at 1/32 of a map's size a
-// bitset stays in cache.
-struct DeadPairs {
-  const std::vector<uint64_t>& matched1;
-  const std::vector<uint64_t>& matched2;
-
-  bool Row(NodeId u) const { return TestBit(matched1, u); }
-  bool Entry(NodeId v) const { return TestBit(matched2, v); }
-};
-
 // The top degree-bucket exponent of the round schedule (0 when bucketing is
 // off or both graphs are empty).
 int TopBucketExponent(const Graph& g1, const Graph& g2,
@@ -213,8 +198,7 @@ size_t MatcherState::RunRound() {
 // Advances the flattened (iteration, bucket) cursor past the round that
 // just ran — the exact schedule the old driver loop produced: buckets
 // top..bottom per iteration (one round per iteration without bucketing),
-// stop at the iteration cap or on a stable iteration, compact the score
-// state between iterations.
+// stop at the iteration cap or on a stable iteration.
 void MatcherState::AdvanceCursor() {
   if (config_.use_degree_bucketing && current_bucket_ > bottom_exponent_) {
     --current_bucket_;
@@ -226,28 +210,10 @@ void MatcherState::AdvanceCursor() {
     done_ = true;
     return;
   }
-  CompactScores();
   ++iteration_;
   new_links_this_iteration_ = 0;
   current_bucket_ = config_.use_degree_bucketing ? top_exponent_
                                                  : config_.min_bucket_exponent;
-}
-
-// Drops the dead pairs (`DeadPairs`) from every score cell between outer
-// iterations. Emission and every merge already leave them out, but a pair
-// stored while live dies in place once its second end is matched, and only
-// a rewrite removes it; this sweep rewrites the cells the rounds left alone.
-void MatcherState::CompactScores() {
-  std::vector<TieredCountRuns*> cells;
-  for (auto& level : runs_) {
-    for (TieredCountRuns& store : level) {
-      if (!store.empty()) cells.push_back(&store);
-    }
-  }
-  const DeadPairs dead{matched1_, matched2_};
-  ParallelForEach(&pool_, cells.size(), [&cells, &dead](size_t i) {
-    cells[i]->Filter(dead);
-  });
 }
 
 MatchResult MatcherState::TakeResult(double total_seconds) {
@@ -368,21 +334,27 @@ class RowMerger {
 //     above the degree floor to cell min(level1(u), level2(v)). The shard
 //     walks u in ascending order and each row's v ascend, so every
 //     (level, shard) cell's delta comes out as rows (`RowRun`), sorted and
-//     counted. A dead pair (`DeadPairs`) counts as an emission but is not
-//     stored.
+//     counted. A dead pair, one whose ends are both matched, counts as an
+//     emission but is not stored. It cannot be accepted, and the bests it
+//     feeds are those of matched nodes, which no accept reads, so leaving
+//     it out is exact. Only a row of a matched u can hold one, and the test
+//     reads the matched-node bitsets, not the maps: it is asked about every
+//     emitted pair of such a row, and at 1/32 of a map's size a bitset
+//     stays in cache. This is the only place a dead pair is left out: one
+//     that dies after it is stored stays in its cell.
 //  3. Append (per cell): the delta becomes the base of an empty cell, or
 //     joins the cell's delta tier, which folds into the base run once it
-//     reaches a quarter of it. Both merges leave the dead pairs out. A cell
-//     at a level `covered` or up, one the best tables already hold, first
-//     hands each delta pair's total after the append to selection
-//     (`ForEachAfterAppend` into `SelectionEngine::DeltaObserver`), which
-//     keeps the cell's open pairs in `(*observed)[level * width + shard]`
-//     and counts the pairs as read.
+//     reaches a quarter of it. A cell at a level `covered` or up, one the
+//     best tables already hold, first hands each delta pair's total after
+//     the append to selection (`ForEachAfterAppend` into
+//     `SelectionEngine::DeltaObserver`), which keeps the cell's open pairs
+//     in `(*observed)[level * width + shard]` and counts the pairs as read.
 //
 // Each cell thus receives the live part of the run that sorting and
 // counting the per-witness keys would give, once per round, so the cells
-// do not depend on how the delta was built. `emit_seconds` covers steps 1
-// and 2; `merge_seconds` is step 3, the lookups included.
+// do not depend on how the delta was built, and their union does not
+// depend on the partition width. `emit_seconds` covers steps 1 and 2;
+// `merge_seconds` is step 3, the lookups included.
 void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
                              int covered,
                              std::vector<SelectionCell>* observed) {
@@ -411,11 +383,10 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
 
   // Per shard: the round's delta run for each level (no runs when the shard
   // gathered nothing), and its emission count.
-  const DeadPairs dead{matched1_, matched2_};
   std::vector<std::vector<RowRun>> cells(num_shards);
   std::vector<uint64_t> shard_emissions(num_shards, 0);
   ParallelForEach(&pool_, num_shards, [this, &gathered, &cells,
-                                       &shard_emissions, &dead,
+                                       &shard_emissions,
                                        min_level](size_t shard) {
     size_t total = 0;
     for (const Gathered& g : gathered) {
@@ -440,15 +411,15 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
       size_t j = i + 1;
       while (j < entries.size() && PairFirst(entries[j]) == u) ++j;
       const uint8_t lu = level1_[u];
-      const bool row_may_die = dead.Row(u);
+      const bool row_may_die = TestBit(matched1_, u);
       uint64_t levels = 0;  // the cells row u wrote to, one bit each
       merger.Merge(g2_, std::span<const uint64_t>(entries).subspan(i, j - i),
-                   [this, &shard_cells, &emissions, &dead, &levels, lu,
-                    row_may_die, min_level](NodeId v, uint32_t count) {
+                   [this, &shard_cells, &emissions, &levels, lu, row_may_die,
+                    min_level](NodeId v, uint32_t count) {
                      const uint8_t lv = level2_[v];
                      if (lv < min_level) return;
                      emissions += count;
-                     if (row_may_die && dead.Entry(v)) return;
+                     if (row_may_die && TestBit(matched2_, v)) return;
                      const int level = std::min(lu, lv);
                      shard_cells[level].PushEntry(v, count);
                      levels |= uint64_t{1} << level;
@@ -483,7 +454,7 @@ void MatcherState::EmitLinks(size_t begin, size_t end, PhaseStats* stats,
           selection_.DeltaObserver(
               ctx, &(*observed)[level * num_shards + shard].open, &folds[i]));
     }
-    store.Append(std::move(run), dead);
+    store.Append(std::move(run));
   });
   for (size_t i = 0; i < deltas.size(); ++i) {
     stats->candidate_pairs += reads[i];
@@ -791,13 +762,14 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
 // witness to every pair in N1(a1) x N2(a2), so re-emitting the emitted
 // prefix of the link log into empty cells restores every sum. Emission
 // leaves out the pairs whose ends are both matched under the loaded maps,
-// so the rebuilt store holds only live pairs. That is exact by the
-// `DeadPairs` argument: a dead pair feeds only the bests of matched nodes,
-// which no accept reads. The uninterrupted store differs from the rebuilt
-// one only by dead pairs, so open pairs, accepts and the link-log order do
-// not change (`PhaseStats` notes the counters that do). Links accepted in
-// the last round stay pending for the next round's emission, and the
-// scratch stats keep the rebuild out of every round's counters.
+// so the rebuilt store holds only live pairs. That is exact by emission's
+// argument (`EmitLinks`, step 2): a dead pair feeds only the bests of
+// matched nodes, which no accept reads. The uninterrupted store differs
+// from the rebuilt one only by dead pairs, so open pairs, accepts and the
+// link-log order do not change (`PhaseStats` notes the counters that do).
+// Links accepted in the last round stay pending for the next round's
+// emission, and the scratch stats keep the rebuild out of every round's
+// counters.
 void MatcherState::RebuildScores() {
   for (auto& level : runs_) {
     for (TieredCountRuns& store : level) store = TieredCountRuns{};

@@ -67,9 +67,8 @@ class MatcherState {
   bool Done() const { return done_; }
 
   /// Runs the next scoring round (one degree bucket of one outer iteration)
-  /// and advances the cursor — including the between-iteration score
-  /// compaction when the round closed an iteration. Returns the number of
-  /// links accepted. Must not be called once `Done()`.
+  /// and advances the cursor. Returns the number of links accepted. Must
+  /// not be called once `Done()`.
   size_t RunRound();
 
   /// Rounds completed so far (resumes continue this count).
@@ -108,7 +107,6 @@ class MatcherState {
   int CoveredLevel() const;
   SelectionContext Context();
   void AdvanceCursor();
-  void CompactScores();
   // Re-derives the score cells from the emitted links (see LoadSnapshot).
   void RebuildScores();
   // Re-derives the best tables from the rebuilt cells (see LoadSnapshot).
@@ -135,7 +133,7 @@ class MatcherState {
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
   // The matched nodes of each graph, one bit per node: the maps' key sets,
-  // for the score store's drop rule (see matcher_state.cc).
+  // for emission's dead-pair test (see matcher_state.cc).
   std::vector<uint64_t> matched1_;
   std::vector<uint64_t> matched2_;
   std::vector<std::pair<NodeId, NodeId>> links_;

@@ -20,15 +20,14 @@ struct PhaseStats {
   /// Distinct candidate pairs scored. In User-Matching, the pairs selection
   /// reads (`core/selection.h`): every stored pair of the levels the round
   /// makes eligible, plus the round's delta pairs on levels earlier rounds
-  /// of its iteration made eligible, whose new totals it looks up. Dead
-  /// pairs (both endpoints matched) are never stored by emission and leave
-  /// a cell whenever a merge, a fold or the between-iteration compaction
-  /// rewrites it, so the store may hold some until then. Which cells a
-  /// round rewrites depends on the score partition's width, and a resumed
-  /// run rebuilds its store without dead pairs, so `candidate_pairs` and
-  /// `observed_pairs` may differ across widths and between a resumed and an
-  /// uninterrupted run (never across thread counts); `open_pairs`,
-  /// `new_links` and `emissions` do not.
+  /// of its iteration made eligible, whose new totals it looks up. Only
+  /// emission leaves dead pairs (both endpoints matched) out, and a pair
+  /// that dies after it is stored stays, so the count depends on neither
+  /// the thread count nor the score partition's width. A resumed run
+  /// rebuilds its store without the pairs that are dead at the load, so
+  /// `candidate_pairs` and `observed_pairs` may differ between a resumed
+  /// and an uninterrupted run; `open_pairs`, `new_links` and `emissions` do
+  /// not.
   size_t candidate_pairs = 0;
   /// The pairs read that score at least the threshold: the only ones
   /// User-Matching folds into its best tables, so at most `candidate_pairs`

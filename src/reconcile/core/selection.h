@@ -44,9 +44,9 @@ struct SelectionCell {
 /// The two CAS-max best tables live for one outer iteration, not one round:
 /// within an iteration an unmatched node's (best, ties) over the eligible
 /// pairs at or above T only rises, since scores only grow, the eligible
-/// levels only widen, and a pair leaves the store only once both of its
-/// ends are matched. So a round folds in only what changed since the last
-/// one, in three passes, each claiming one cell at a time:
+/// levels only widen, and a stored pair never leaves the store. So a round
+/// folds in only what changed since the last one, in three passes, each
+/// claiming one cell at a time:
 ///  * observe — (ii) `DeltaObserver`, just before the round's delta is
 ///    appended: the new totals of the delta's pairs on levels earlier
 ///    rounds of the iteration made eligible, each its delta count plus its

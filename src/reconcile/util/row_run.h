@@ -51,16 +51,6 @@ inline size_t RowRunBytes(const RowRunView& run) {
          run.num_escapes * sizeof(uint32_t);
 }
 
-/// Keeps every entry: the drop rule of a rewrite that drops nothing.
-///
-/// A drop rule names the entries a rewrite leaves out: `Row(u)` says whether
-/// row u can hold any, and only then is `Entry(v)` asked for each entry of
-/// the row. The matcher's rule drops the pairs whose ends are both matched.
-struct KeepAll {
-  bool Row(uint32_t) const { return false; }
-  bool Entry(uint32_t) const { return false; }
-};
-
 /// A resident run, written in ascending (u, v) order.
 class RowRun {
  public:
@@ -97,9 +87,7 @@ class RowRun {
     }
   }
 
-  template <typename Drop>
-  friend RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                             const Drop& drop);
+  friend RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b);
 
  private:
 
@@ -285,12 +273,9 @@ void WalkRows(const RowRunView& a, const RowRunView& b, Single&& single,
   }
 }
 
-/// Merges two runs into one, summing the counts of pairs present in both
-/// and leaving out the entries `drop` names. Either view may be empty, so a
-/// one-run rewrite (a filter) is a merge with an empty run.
-template <typename Drop>
-RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
-                    const Drop& drop) {
+/// Merges two runs into one, summing the counts of pairs present in both.
+/// Either view may be empty; the merge is then a copy of the other.
+inline RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b) {
   using row_run_internal::Cursor;
   RowRun out;
   out.rows_.reserve(a.num_rows + b.num_rows);
@@ -298,29 +283,14 @@ RowRun MergeRowRuns(const RowRunView& a, const RowRunView& b,
   out.counts_.reserve(a.size + b.size);
   WalkRows(
       a, b,
-      // Rows of one run are copied as they are, a stretch at a time, except
-      // the rows the rule may drop from.
-      [&out, &drop](Cursor& c, uint64_t limit) {
-        while (!c.done() && c.u() < limit) {
-          const size_t first = c.row;
-          while (!c.done() && c.u() < limit && !drop.Row(c.u())) ++c.row;
-          if (c.row > first) {
-            out.CopyRows(c.run, first, c.row, c.entry, &c.escape);
-            c.entry = c.run.rows[c.row - 1].end;
-          }
-          if (c.done() || c.u() >= limit) break;
-          const uint32_t u = c.u();
-          for (size_t i = c.entry; i < c.end(); ++i) {
-            const uint32_t count = c.Count(i);
-            if (!drop.Entry(c.run.vs[i])) out.PushEntry(c.run.vs[i], count);
-          }
-          out.CloseRow(u);
-          c.NextRow();
-        }
+      // Rows of one run are copied as they are, the whole stretch at once.
+      [&out](Cursor& c, uint64_t limit) {
+        const size_t first = c.row;
+        c.row = c.RowsBelow(limit);
+        out.CopyRows(c.run, first, c.row, c.entry, &c.escape);
+        c.entry = c.run.rows[c.row - 1].end;
       },
-      [&out, &drop](uint32_t u, uint32_t v, uint32_t total) {
-        if (!(drop.Row(u) && drop.Entry(v))) out.PushEntry(v, total);
-      },
+      [&out](uint32_t, uint32_t v, uint32_t total) { out.PushEntry(v, total); },
       [&out](uint32_t u) { out.CloseRow(u); });
   return out;
 }

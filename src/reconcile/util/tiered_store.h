@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,13 +20,8 @@ namespace reconcile {
 /// and a scan never folds more than two runs.
 ///
 /// A pair may appear in both tiers; `ForEach` merges them on the fly,
-/// summing the counts in u32, so consumers see one total per pair.
-///
-/// Every rewrite of a tier (a merge, the fold, `Filter`) leaves out the
-/// entries its drop rule names (see `KeepAll`). The tiers are rewritten at
-/// different times, so a pair the rule names may survive in one tier with a
-/// partial total; the matcher's rule names only dead pairs, whose totals no
-/// accept reads.
+/// summing the counts in u32, so consumers see one total per pair. A pair
+/// never leaves the cell: its total is the sum of every delta appended.
 ///
 /// Each tier lives either resident (a `RowRun`) or spilled (an mmap'd
 /// `SpilledRun`, see `util/spill_store.h`); the memory-budget enforcement
@@ -47,8 +41,7 @@ class TieredCountRuns {
   /// round into one run. A sweep of other shapes (one to four tiers; ratios
   /// 0, 2 and 8) measured none faster beyond noise, and a single run 27%
   /// slower on Chung-Lu 200k (DESIGN.md §2.2).
-  template <typename Drop = KeepAll>
-  void Append(RowRun&& delta, const Drop& drop = Drop{}) {
+  void Append(RowRun&& delta) {
     if (delta.empty()) return;
     if (base_.size() == 0) {
       base_.resident = std::move(delta);
@@ -57,10 +50,10 @@ class TieredCountRuns {
     if (delta_.size() == 0) {
       delta_.resident = std::move(delta);
     } else {
-      delta_.Rewrite(delta.view(), drop);
+      delta_.Rewrite(delta.view());
     }
     if (base_.size() <= kFoldRatio * delta_.size()) {
-      base_.Rewrite(delta_.view(), drop);
+      base_.Rewrite(delta_.view());
       delta_ = Tier{};
     }
   }
@@ -68,9 +61,7 @@ class TieredCountRuns {
   /// Invokes `fn(u, v, total)` for every pair of `delta`, in ascending
   /// (u, v) order, with the total appending `delta` would give it: its
   /// count in `delta` plus its count in each tier, looked up by (u, v)
-  /// (`RowLookup`), through the mapping when the tier is spilled. Exact for
-  /// every pair the append's drop rule does not name: only those are sure
-  /// to keep all of their stored counts.
+  /// (`RowLookup`), through the mapping when the tier is spilled.
   template <typename Fn>
   void ForEachAfterAppend(const RowRunView& delta, Fn&& fn) const {
     RowLookup base(base_.view()), tier(delta_.view());
@@ -116,19 +107,6 @@ class TieredCountRuns {
         },
         [](uint32_t) {});
     return pairs;
-  }
-
-  /// Leaves out of both tiers the entries `drop` names. A base the filter
-  /// empties is replaced by the delta. A spilled tier is read from its
-  /// mapping and comes back resident; the budget layer re-decides placement
-  /// on its next pass.
-  template <typename Drop>
-  void Filter(const Drop& drop) {
-    for (Tier* tier : {&base_, &delta_}) {
-      if (tier->size() > 0) tier->Rewrite(RowRunView{}, drop);
-      if (tier->size() == 0) *tier = Tier{};  // frees the emptied buffers
-    }
-    if (base_.size() == 0) std::swap(base_, delta_);
   }
 
   /// Moves tier `index` (0 the base, 1 the delta; below `num_tiers()`) to
@@ -184,11 +162,10 @@ class TieredCountRuns {
     }
     size_t size() const { return view().size; }
 
-    // Replaces this tier by its merge with `other`, leaving out what `drop`
-    // names. A spilled tier is read from its mapping, which goes after.
-    template <typename Drop>
-    void Rewrite(const RowRunView& other, const Drop& drop) {
-      RowRun merged = MergeRowRuns(view(), other, drop);
+    // Replaces this tier by its merge with `other`. A spilled tier is read
+    // from its mapping, which goes after.
+    void Rewrite(const RowRunView& other) {
+      RowRun merged = MergeRowRuns(view(), other);
       spilled.reset();
       resident = std::move(merged);
     }

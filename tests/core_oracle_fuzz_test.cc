@@ -100,8 +100,8 @@ struct FuzzCase {
   double wrong_fraction = 0.0;
   MatcherConfig config;
   // Resume: whether the run pauses, whether after an iteration's last round
-  // (so the snapshot follows the between-iteration compaction) or inside an
-  // iteration, where among those rounds (a fraction), and the thread count
+  // (so the snapshot falls between iterations) or inside an iteration,
+  // where among those rounds (a fraction), and the thread count
   // the resumed state runs under.
   bool paused = false;
   bool pause_at_iteration_end = false;
@@ -192,7 +192,7 @@ FuzzCase DrawCase(uint64_t index, NodeId min_nodes, NodeId max_nodes) {
   c.config.num_threads = static_cast<int>(rng.UniformIntInRange(1, 4));
   c.paused = rng.Bernoulli(0.25);
   // A run without bucketing has one round per iteration, so all its pauses
-  // follow a compaction, and about half of all paused cases do.
+  // fall between iterations, and about half of all paused cases do.
   c.pause_at_iteration_end = rng.Bernoulli(0.25);
   c.pause_position = rng.UniformReal();
   // Another thread count in [1, 4].

@@ -80,15 +80,15 @@ TEST(ClaimOrderDeterminismTest, MatchesOneThreadAcrossGrid) {
   }
 }
 
-// Per-round telemetry must agree across thread counts (wall-clock obviously
-// differs). Across partition widths the round's work must agree: emissions,
-// open pairs, new links and links in. The stored-pair counters
-// (`candidate_pairs`, `observed_pairs`) may differ across widths, since
-// every rewrite of a cell drops its dead pairs and which cells a round
-// rewrites depends on the width. The pairs that reach the best tables are
-// the scored pairs at or above the threshold: at most every scored pair,
-// and at least the open pairs (those with both endpoints unmatched), which
-// in turn are at least every link the round accepts.
+// Per-round telemetry must agree across thread counts and partition widths
+// (wall-clock obviously differs): emissions, the stored-pair counters
+// (`candidate_pairs`, `observed_pairs`), open pairs, new links and links
+// in. Only emission leaves dead pairs out, and a pair stored while live
+// stays, so the store's pairs and totals do not depend on how its cells
+// are cut. The pairs that reach the best tables are the scored pairs at or
+// above the threshold: at most every scored pair, and at least the open
+// pairs (those with both endpoints unmatched), which in turn are at least
+// every link the round accepts.
 TEST(ClaimOrderDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
   Workload w = MakeWorkload(7103);
   MatcherConfig serial_config;
@@ -109,6 +109,8 @@ TEST(ClaimOrderDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
       EXPECT_EQ(a.phases[i].emissions, b.phases[i].emissions);
       EXPECT_EQ(serial.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
       EXPECT_EQ(serial.phases[i].observed_pairs, b.phases[i].observed_pairs);
+      EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
+      EXPECT_EQ(a.phases[i].observed_pairs, b.phases[i].observed_pairs);
       EXPECT_EQ(a.phases[i].open_pairs, b.phases[i].open_pairs);
       EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
       EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);

@@ -66,12 +66,6 @@ bool SameRun(const RowRunView& a, const RowRunView& b) {
          std::equal(a.escapes, a.escapes + a.num_escapes, b.escapes);
 }
 
-// Drops the odd v of row 0.
-struct DropOddInRowZero {
-  bool Row(uint32_t u) const { return u == 0; }
-  bool Entry(uint32_t v) const { return v % 2 == 1; }
-};
-
 size_t CountDirEntries(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return 0;
@@ -178,24 +172,6 @@ TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
   EXPECT_EQ(spill.stats().tiers_spilled, 1u);
 }
 
-TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
-  TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12, 12, 14, 16, 18, 20, 22, 24}));
-  store.Append(MakeRun({11, 13}));
-  ASSERT_EQ(store.num_tiers(), 2u);
-  SpillStore spill(dir_);
-  std::string error;
-  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
-  store.Filter(DropOddInRowZero{});
-  EXPECT_FALSE(store.tier_spilled(0));
-  EXPECT_FALSE(store.tier_spilled(1));
-  EXPECT_EQ(CountDirEntries(dir_), 0u) << "a rewrite must drop the files";
-  const std::vector<std::pair<uint64_t, uint32_t>> expected = {
-      {10, 1}, {12, 2}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
-  EXPECT_EQ(Fold(store), expected);
-}
-
 // A delta appended onto a spilled delta merges into it, and a fold into a
 // spilled base rewrites the base: both read the mapping and leave the
 // result resident.
@@ -225,9 +201,8 @@ TEST_F(SpillStoreTest, AppendMaterializesSpilledTargets) {
 }
 
 // The pinned totals 254 + 1, 255 + 0, 200 + 100 and 70,000 with both tiers
-// spilled: the scan reads them through the mappings, a fold reads the
-// spilled tiers and writes the crossed totals resident, and a filter of a
-// spilled tier keeps every escape in step.
+// spilled: the scan reads them through the mappings, and a fold reads the
+// spilled tiers and writes the crossed totals resident.
 TEST_F(SpillStoreTest, EscapedTotalsRoundTripThroughSpilledTiers) {
   std::map<uint64_t, uint32_t> reference = {
       {PackPair(0, 1), 400},   {PackPair(0, 4), 300},
@@ -256,13 +231,6 @@ TEST_F(SpillStoreTest, EscapedTotalsRoundTripThroughSpilledTiers) {
   ASSERT_EQ(store.num_tiers(), 1u);
   EXPECT_FALSE(store.tier_spilled(0));
   EXPECT_EQ(CountDirEntries(dir_), 0u);
-  EXPECT_EQ(Aggregate(store), reference);
-
-  // Spill the folded base and filter it from the mapping: escaped (0, 1)
-  // goes, ahead of escaped (0, 4).
-  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  store.Filter(DropOddInRowZero{});
-  reference.erase(PackPair(0, 1));
   EXPECT_EQ(Aggregate(store), reference);
   EXPECT_EQ(reference[PackPair(1, 1)], 255u);
   EXPECT_EQ(reference[PackPair(1, 2)], 255u);

@@ -2,15 +2,13 @@
 // row-major (`RowRun`). It must present exactly the aggregate of every delta
 // appended — same pairs, same totals, ascending (u, v) order — and after each
 // append the delta must be empty or under a quarter of the base. Totals of
-// 255 and more go through the escape list and must survive every path;
-// pairs a drop rule names may leave on any rewrite.
+// 255 and more go through the escape list and must survive every path.
 #include "reconcile/util/tiered_store.h"
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,14 +29,6 @@ RowRun Range(uint64_t lo, uint64_t hi) {
   for (uint64_t k = lo; k < hi; ++k) raw.push_back(PackPair(k / 10, k % 10));
   return MakeRun(raw);
 }
-
-// Drops the entries of rows in `us` whose v is in `vs`.
-struct DropSets {
-  std::set<uint32_t> us;
-  std::set<uint32_t> vs;
-  bool Row(uint32_t u) const { return us.count(u) > 0; }
-  bool Entry(uint32_t v) const { return vs.count(v) > 0; }
-};
 
 TEST(TieredStoreTest, AggregateAndShapeAfterEveryAppend) {
   size_t two_tier_appends = 0;
@@ -102,47 +92,6 @@ TEST(TieredStoreTest, EqualSizedDeltasFoldEveryTime) {
   for (const auto& [key, count] : aggregate) EXPECT_EQ(count, 6u) << key;
 }
 
-TEST(TieredStoreTest, FilterAppliesToBothTiers) {
-  TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12, 14, 16, 18, 20, 22, 24}));
-  store.Append(MakeRun({10, 13}));
-  ASSERT_EQ(store.num_tiers(), 2u);
-  store.Filter(DropSets{{0}, {11, 13}});
-  const std::map<uint64_t, uint32_t> expected = {
-      {10, 2}, {12, 1}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
-  EXPECT_EQ(Aggregate(store), expected);
-  EXPECT_EQ(store.num_tiers(), 2u);
-  EXPECT_EQ(store.tier_size(1), 1u);
-}
-
-TEST(TieredStoreTest, FilterThatEmptiesTheDeltaKeepsTheBase) {
-  TieredCountRuns store;
-  store.Append(Range(0, 10));
-  store.Append(MakeRun({PackPair(7, 1)}));
-  ASSERT_EQ(store.num_tiers(), 2u);
-  store.Filter(DropSets{{7}, {1}});
-  EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(store.tier_size(0), 10u);
-}
-
-TEST(TieredStoreTest, FilterThatEmptiesTheBasePromotesTheDelta) {
-  TieredCountRuns store;
-  store.Append(MakeRun({2, 4, 6, 8, 10, 12}));
-  store.Append(MakeRun({3}));
-  ASSERT_EQ(store.num_tiers(), 2u);
-  store.Filter(DropSets{{0}, {2, 4, 6, 8, 10, 12}});
-  ASSERT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(store.tier_size(0), 1u);
-  EXPECT_EQ(Aggregate(store), (std::map<uint64_t, uint32_t>{{3, 1}}));
-  // The promoted run is the base now: an equal-sized delta folds into it.
-  store.Append(MakeRun({5}));
-  EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(Aggregate(store), (std::map<uint64_t, uint32_t>{{3, 1}, {5, 1}}));
-  store.Filter(DropSets{{0}, {3, 5}});
-  EXPECT_TRUE(store.empty());
-  EXPECT_EQ(store.num_tiers(), 0u);
-}
-
 TEST(TieredStoreTest, EmptyDeltasAreDropped) {
   TieredCountRuns store;
   store.Append(RowRun{});
@@ -156,11 +105,10 @@ TEST(TieredStoreTest, EmptyDeltasAreDropped) {
 
 // Totals of 255 and more: the byte says 255 and the escape list holds the
 // total. Row 1 holds the pinned totals and meets the deltas (the merge
-// path); row 2 has escapes but no delta (the bulk row copy); row 3 has
-// escapes behind an entry the filter drops (the per-entry path, where the
-// escape cursor must skip the dropped entry's escape). Every step is
-// checked against a std::map.
-TEST(TieredStoreTest, EscapedTotalsSurviveAppendFoldFilterAndScan) {
+// path); rows 2 and 3 have escapes but no delta (the bulk row copy, which
+// must carry their escapes along). Every step is checked against a
+// std::map.
+TEST(TieredStoreTest, EscapedTotalsSurviveAppendFoldAndScan) {
   std::map<uint64_t, uint32_t> base = {
       {PackPair(1, 1), 254},   {PackPair(1, 2), 255},
       {PackPair(1, 3), 200},   {PackPair(1, 4), 70000},
@@ -206,58 +154,7 @@ TEST(TieredStoreTest, EscapedTotalsSurviveAppendFoldFilterAndScan) {
     if (total >= 2) at_least_2.emplace(key, total);
   }
   EXPECT_EQ(Aggregate(store, 2), at_least_2);
-
-  // The filter drops (3, 1), an escaped entry ahead of (3, 2)'s escape.
-  store.Filter(DropSets{{3}, {1}});
-  reference.erase(PackPair(3, 1));
-  EXPECT_EQ(Aggregate(store), reference);
   EXPECT_EQ(Aggregate(store)[PackPair(1, 4)], 70000u);
-}
-
-// A drop rule leaves its pairs out of every rewrite: the merge into the
-// delta, the fold and the filter. A delta adopted by an empty tier is not
-// rewritten, and a pair the rule names may survive in one tier with a
-// partial total; every other pair keeps its exact total.
-TEST(TieredStoreTest, RewritesLeaveNamedPairsOut) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    DropSets drop;
-    TieredCountRuns store;
-    std::map<uint64_t, uint32_t> reference;
-    for (int round = 0; round < 10; ++round) {
-      std::vector<uint64_t> raw;
-      const size_t size = 1 + rng.UniformInt(200) / (1 + rng.UniformInt(10));
-      for (size_t i = 0; i < size; ++i) {
-        raw.push_back(PackPair(static_cast<NodeId>(rng.UniformInt(20)),
-                               static_cast<NodeId>(rng.UniformInt(20))));
-      }
-      for (uint64_t key : raw) ++reference[key];
-      store.Append(MakeRun(raw), drop);
-      for (const auto& [key, total] : Aggregate(store)) {
-        if (drop.Row(PairFirst(key)) && drop.Entry(PairSecond(key))) {
-          EXPECT_LE(total, reference[key]) << "named pair " << key;
-        } else {
-          EXPECT_EQ(total, reference[key]) << "live pair " << key;
-        }
-      }
-      // Matches only grow: name one more row and one more column.
-      drop.us.insert(static_cast<uint32_t>(rng.UniformInt(20)));
-      drop.vs.insert(static_cast<uint32_t>(rng.UniformInt(20)));
-    }
-    store.Filter(drop);
-    for (const auto& [key, total] : Aggregate(store)) {
-      const bool named = drop.Row(PairFirst(key)) && drop.Entry(PairSecond(key));
-      EXPECT_FALSE(named) << "the filter keeps a named pair";
-      EXPECT_EQ(total, reference[key]) << "live pair " << key;
-    }
-    for (const auto& [key, total] : reference) {
-      const bool named = drop.Row(PairFirst(key)) && drop.Entry(PairSecond(key));
-      if (!named) {
-        EXPECT_EQ(Aggregate(store).count(key), 1u) << key;
-      }
-    }
-  }
 }
 
 // The lookup pass: before the append, `ForEachAfterAppend` reports each
@@ -351,14 +248,14 @@ TEST(RowRunTest, MergeMatchesMapReference) {
   for (const auto& [key, total] : b_totals) expected[key] += total;
   const RowRun a = RunOfTotals(a_totals);
   const RowRun b = RunOfTotals(b_totals);
-  const RowRun merged = MergeRowRuns(a.view(), b.view(), KeepAll{});
+  const RowRun merged = MergeRowRuns(a.view(), b.view());
   EXPECT_EQ(merged.size(), expected.size());
   TieredCountRuns store;
-  store.Append(MergeRowRuns(a.view(), b.view(), KeepAll{}));
+  store.Append(MergeRowRuns(a.view(), b.view()));
   EXPECT_EQ(Aggregate(store), expected);
   // Either side may be empty: the merge is then a copy.
   TieredCountRuns copy;
-  copy.Append(MergeRowRuns(RowRunView{}, a.view(), KeepAll{}));
+  copy.Append(MergeRowRuns(RowRunView{}, a.view()));
   EXPECT_EQ(Aggregate(copy), a_totals);
 }
 
